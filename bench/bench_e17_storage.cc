@@ -1,15 +1,17 @@
 // E17 — the persistent block tier under the scan path:
 //
-//   part 1  RAM -> cold -> warm: run a three-tier query suite (fused Q1,
-//           a disjunctive vectorized aggregate, sharded Q2) against the
-//           resident table, persist it (PersistTable evicts the RAM
-//           copy), then run the same suite twice more. The cold pass must
-//           fetch every block from the simulated object store, the warm
-//           pass must be served entirely from the priced block cache, and
-//           all three passes must render bit-identical rows. Gates the
-//           cold-read throughput against a deliberately generous floor
-//           and the warm pass against a bounded slowdown — the pass bits
-//           catch a broken cache, not machine-speed variance.
+//   part 1  RAM -> cold -> warm: run a three-tier query suite (a
+//           disjunctive vectorized aggregate, fused Q1, sharded Q2)
+//           against the resident table, persist it (PersistTable evicts
+//           the RAM copy), then run the same suite twice more. The first
+//           query projects every column the others read, so the cold pass
+//           fetches each block exactly once and the later projections hit
+//           the per-column cache; the warm pass must be served entirely
+//           from the priced block cache, and all three passes must render
+//           bit-identical rows. Gates the cold-read throughput against a
+//           deliberately generous floor and the warm pass against a
+//           bounded slowdown — the pass bits catch a broken cache, not
+//           machine-speed variance.
 //
 //   part 2  dollar conservation: SettleStorageRequests must bill exactly
 //           the GET/PUT counts the SimulatedObjectStore itself recorded,
@@ -17,11 +19,17 @@
 //           at the catalog's per-request prices, and a second settle must
 //           charge nothing (the deltas were consumed).
 //
-//   part 3  thrash: a fresh database whose block cache (4 KiB) is smaller
-//           than any single block scans the persisted table twice. Every
-//           pin misses and the block is rejected at admission, yet the
-//           rows must stay bit-identical to the resident baseline — the
-//           cache is an economizer, never a correctness dependency.
+//   part 3  thrash: a fresh database whose block cache (1 KiB) is smaller
+//           than any single column of a block scans the persisted table
+//           twice. Every pin misses and its columns are rejected at
+//           admission, yet the rows must stay bit-identical to the
+//           resident baseline — the cache is an economizer, never a
+//           correctness dependency.
+//
+//   part 4  projected caching: on a fresh database, one cold Q2 (which
+//           reads lo_shipmode and lo_revenue) must leave exactly those two
+//           columns' manifest bytes in the block cache — a scan decodes
+//           and admits only the columns it projects.
 //
 // `--smoke` runs the tiny configuration and exits 1 if any gate fails —
 // the acceptance checks for the persistent storage tier, wired into CI.
@@ -98,14 +106,18 @@ std::string SortedLines(const QueryResult& r) {
 }
 
 /// One query per engine tier, so bit-identity covers the fused kernels,
-/// the general vectorized operators, and the sharded merge path.
+/// the general vectorized operators, and the sharded merge path. The first
+/// query projects the union of the suite's columns (lo_extendedprice for
+/// Q1, lo_shipmode and lo_revenue for Q2), so a cold pass makes one GET
+/// per block.
 std::vector<std::pair<std::string, UserConstraint>> Suite() {
   return {
-      {FindQuery("Q1").sql, UserConstraint()},
-      {"SELECT lo_shipmode, count(*) AS n, sum(lo_revenue) AS rev "
+      {"SELECT lo_shipmode, count(*) AS n, sum(lo_revenue) AS rev, "
+       "sum(lo_extendedprice) AS ext "
        "FROM lineorder WHERE lo_quantity < 10 OR lo_discount = 2 "
        "GROUP BY lo_shipmode ORDER BY rev DESC",
        UserConstraint()},
+      {FindQuery("Q1").sql, UserConstraint()},
       {FindQuery("Q2").sql, UserConstraint().WithWorkers(2)},
   };
 }
@@ -248,7 +260,7 @@ int main(int argc, char** argv) {
       dollar_conservation ? "yes" : "NO");
 
   // ---- part 3: thrash — table larger than the cache --------------------
-  auto tiny = MakeDb(scale, /*cache_bytes=*/4096, "e17_thrash");
+  auto tiny = MakeDb(scale, /*cache_bytes=*/1024, "e17_thrash");
   SuitePass tiny_ram = RunSuite(tiny.get());
   Status tiny_persisted = tiny->PersistTable("lineorder");
   SuitePass thrash1 = RunSuite(tiny.get());
@@ -263,10 +275,32 @@ int main(int argc, char** argv) {
       thrash2.storage.misses == thrash1.storage.misses &&
       thrash1.storage.rejected > 0;
   std::printf(
-      "\nthrash (4 KiB cache): %lld misses/pass, %lld rejected, rows "
+      "\nthrash (1 KiB cache): %lld misses/pass, %lld rejected, rows "
       "bit-identical: %s\n",
       (long long)thrash1.storage.misses, (long long)thrash1.storage.rejected,
       thrash_bit_identical && thrash_all_misses ? "yes" : "NO");
+
+  // ---- part 4: a cold scan caches only the columns it projects ----------
+  auto proj = MakeDb(scale, /*cache_bytes=*/64u << 20, "e17_projected");
+  const Status proj_persisted = proj->PersistTable("lineorder");
+  const bool proj_ran =
+      proj_persisted.ok() &&
+      proj->ExecuteSql(FindQuery("Q2").sql, UserConstraint()).ok();
+  double projected_bytes = 0.0;  // manifest bytes of Q2's two columns
+  if (auto lineorder = proj->meta()->GetTable("lineorder"); lineorder.ok()) {
+    for (const char* name : {"lo_shipmode", "lo_revenue"}) {
+      auto idx = (*lineorder)->ColumnIndex(name);
+      if (idx.ok()) projected_bytes += (*lineorder)->EstimateColumnBytes(*idx);
+    }
+  }
+  const size_t cached_bytes = proj->block_cache()->bytes_used();
+  const bool projected_cache_ok =
+      proj_ran && projected_bytes > 0.0 &&
+      static_cast<double>(cached_bytes) == projected_bytes;
+  std::printf(
+      "\nprojected cold Q2: cached %zu bytes, its two columns' manifest "
+      "bytes %.0f: %s\n",
+      cached_bytes, projected_bytes, projected_cache_ok ? "equal" : "DIFFER");
 
   // Accepts --json <path> (parsed by JsonPathFromArgs). The literal flag
   // must appear in this TU: the CI smoke loop greps each bench source for
@@ -284,6 +318,8 @@ int main(int argc, char** argv) {
     json.SetInt("gate_billed_puts", bill.puts);
     json.SetBool("gate_thrash_bit_identical",
                  thrash_bit_identical && thrash_all_misses);
+    json.SetInt("gate_projected_cached_bytes",
+                projected_cache_ok ? static_cast<int64_t>(cached_bytes) : -1);
     json.Set("ram_wall_s", ram.wall_seconds);
     json.Set("cold_wall_s", cold.wall_seconds);
     json.Set("warm_wall_s", warm.wall_seconds);
@@ -299,15 +335,18 @@ int main(int argc, char** argv) {
 
   const bool all_gates = bit_identical && cold_floor_ok && warm_no_gets &&
                          warm_speedup_ok && dollar_conservation &&
-                         thrash_bit_identical && thrash_all_misses;
+                         thrash_bit_identical && thrash_all_misses &&
+                         projected_cache_ok;
   if (smoke) {
     std::printf(
         "\nsmoke: bit-identical: %s; cold floor: %s; warm served from "
-        "cache: %s; dollars conserved: %s; thrash correct: %s\n",
+        "cache: %s; dollars conserved: %s; thrash correct: %s; projected "
+        "caching: %s\n",
         bit_identical ? "yes" : "NO", cold_floor_ok ? "yes" : "NO",
         warm_no_gets && warm_speedup_ok ? "yes" : "NO",
         dollar_conservation ? "yes" : "NO",
-        thrash_bit_identical && thrash_all_misses ? "yes" : "NO");
+        thrash_bit_identical && thrash_all_misses ? "yes" : "NO",
+        projected_cache_ok ? "yes" : "NO");
     if (!all_gates) return 1;
   }
   return 0;

@@ -92,7 +92,7 @@ NO_OWN_PLANNER_PREFIXES = ("src/tuning/", "src/stats/", "src/workload/")
 
 # Block-format internals: reachable only via the table/catalog layer.
 # src/net/ rides along: the wire format deliberately reuses the block
-# format's page primitives (PutU64/ByteCursor/Fnv1a64) so a chunk is laid
+# format's page primitives (PutU64/ByteCursor/Checksum64) so a chunk is laid
 # out the same way on the wire as at rest.
 STORAGE_INTERNAL_PREFIX = "storage/block/"
 STORAGE_INTERNAL_OK_PREFIXES = ("src/storage/", "src/catalog/", "src/net/",

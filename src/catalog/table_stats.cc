@@ -5,6 +5,7 @@ namespace costdb {
 TableStats TableStats::Analyze(const Table& table, size_t histogram_buckets) {
   TableStats stats;
   stats.row_count = static_cast<double>(table.num_rows());
+  const std::vector<size_t> all_columns = table.AllColumnIndices();
   for (size_t c = 0; c < table.columns().size(); ++c) {
     const ColumnDef& def = table.columns()[c];
     ColumnStats cs;
@@ -19,9 +20,9 @@ TableStats TableStats::Analyze(const Table& table, size_t histogram_buckets) {
     // back through the block cache. A cold-read failure skips that group —
     // stats stay usable (slightly under-counted) instead of failing ANALYZE.
     for (size_t g = 0; g < table.row_groups().size(); ++g) {
-      auto pin = table.PinRowGroup(g);
+      auto pin = table.PinRowGroup(g, all_columns);
       if (!pin.ok()) continue;
-      const ColumnVector& col = pin->chunk->column(c);
+      const ColumnVector& col = pin->column(c);
       for (size_t i = 0; i < col.size(); ++i) {
         switch (col.physical_type()) {
           case PhysicalType::kInt64: {

@@ -144,18 +144,24 @@ Result<std::string> SimulatedObjectStore::GetObject(const std::string& key) {
     ++get_requests_;
   }
   // File I/O outside the lock: concurrent scan workers fetch in parallel.
+  // A sized GET: the object's recorded size is known up front, so the
+  // payload arrives in one read, and the byte count it returns — not a
+  // checksum downstream — is what exposes a truncated or grown file.
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     return Status::Internal("object store: cannot open '" + path + "'");
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
-    return Status::Internal("object store: read error on '" + path + "'");
-  }
-  if (static_cast<double>(bytes.size()) != expect_bytes) {
-    return Status::Internal("object store: size mismatch reading '" + key +
-                            "' (spill file truncated or replaced)");
+  const auto size = static_cast<std::streamsize>(expect_bytes);
+  std::string bytes(static_cast<size_t>(size), '\0');
+  in.read(bytes.data(), size);
+  const std::streamsize got = in.gcount();
+  const bool grown =
+      got == size && in.peek() != std::ifstream::traits_type::eof();
+  if (got != size || grown) {
+    return Status::Internal(
+        "object store: size mismatch reading '" + key + "' (read " +
+        std::to_string(got) + (grown ? "+" : "") + " of " +
+        std::to_string(size) + " bytes: spill file truncated or replaced)");
   }
   return bytes;
 }

@@ -58,8 +58,10 @@ class SimulatedObjectStore {
   /// meters as metadata objects.
   Status PutObject(const std::string& key, const std::string& bytes);
 
-  /// Read a payload back. Counts one GET — the unit the pricing catalog
-  /// bills per 1000.
+  /// Read a payload back with one sized read. Counts one GET — the unit
+  /// the pricing catalog bills per 1000. A spill file whose length no
+  /// longer matches the stored object (truncated or grown on disk) is an
+  /// Internal "size mismatch" error, never a short or padded payload.
   Result<std::string> GetObject(const std::string& key);
 
   double total_bytes() const;

@@ -657,18 +657,17 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
       // storage tier, only this Table-level pin.
       Table::RowGroupPin pin;
       {
-        auto pinned = src->table->PinRowGroup(m.group_index,
-                                              &slot_blocks[slot]);
+        auto pinned = src->table->PinRowGroup(
+            m.group_index, src->scan_column_indices, &slot_blocks[slot]);
         if (!pinned.ok()) {
           slot_status[slot] = pinned.status();
           return;
         }
         pin = std::move(*pinned);
       }
-      const DataChunk& group_data = *pin.chunk;
       ChunkView view;
       for (size_t idx : src->scan_column_indices) {
-        view.AddColumn(&group_data.column(idx));
+        view.AddColumn(&pin.column(idx));
       }
       const size_t view_rows = view.num_rows();
       FusedExecStats& fstats = slot_fused[slot];
@@ -780,13 +779,13 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
           }
           DataChunk projected;
           for (size_t idx : src->scan_column_indices) {
-            projected.AddColumn(group_data.column(idx).Gather(*sel));
+            projected.AddColumn(pin.column(idx).Gather(*sel));
           }
           chunk = std::move(projected);
         } else {
           DataChunk projected;
           for (size_t idx : src->scan_column_indices) {
-            projected.AddColumn(group_data.column(idx));
+            projected.AddColumn(pin.column(idx));
           }
           chunk = std::move(projected);
         }

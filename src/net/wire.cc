@@ -10,7 +10,7 @@ namespace wire {
 namespace {
 
 using block::ByteCursor;
-using block::Fnv1a64;
+using block::Checksum64;
 using block::PutU32;
 using block::PutU64;
 
@@ -23,7 +23,7 @@ constexpr uint64_t kMaxRows = 1ull << 40;
 void AppendPage(std::string* out, const char* data, size_t n) {
   PutU64(out, n);
   out->append(data, n);
-  PutU64(out, Fnv1a64(data, n));
+  PutU64(out, Checksum64(data, n));
 }
 
 Status Corrupt(const char* what) {
@@ -38,27 +38,29 @@ void EncodeChunk(const DataChunk& chunk, std::string* out) {
   PutU32(out, kWireFormatVersion);
   PutU32(out, static_cast<uint32_t>(chunk.num_columns()));
   PutU64(out, chunk.num_rows());
-  std::string page;
+  std::string page;  // string pages only; fixed-width pages are the array
   for (size_t c = 0; c < chunk.num_columns(); ++c) {
     const ColumnVector& col = chunk.column(c);
     out->push_back(static_cast<char>(col.type()));
     out->push_back(col.has_nulls() ? 1 : 0);
-    page.clear();
     switch (col.physical_type()) {
       case PhysicalType::kInt64:
-        for (int64_t v : col.ints()) PutU64(&page, static_cast<uint64_t>(v));
+        AppendPage(out, reinterpret_cast<const char*>(col.ints().data()),
+                   col.ints().size() * 8);
         break;
       case PhysicalType::kDouble:
-        for (double v : col.doubles()) block::PutDouble(&page, v);
+        AppendPage(out, reinterpret_cast<const char*>(col.doubles().data()),
+                   col.doubles().size() * 8);
         break;
       case PhysicalType::kString:
+        page.clear();
         for (const auto& s : col.strings()) {
           PutU32(&page, static_cast<uint32_t>(s.size()));
           page.append(s);
         }
+        AppendPage(out, page.data(), page.size());
         break;
     }
-    AppendPage(out, page.data(), page.size());
     if (col.has_nulls()) {
       const auto& mask = col.validity();
       AppendPage(out, reinterpret_cast<const char*>(mask.data()), mask.size());
@@ -67,20 +69,21 @@ void EncodeChunk(const DataChunk& chunk, std::string* out) {
   // Body checksum covers everything after the leading magic, so header
   // corruption (a flipped row count, a forged page size) is caught even
   // when every page checksum still matches its (re-sized) slice.
-  PutU64(out, Fnv1a64(out->data() + body_start_after_magic,
-                      out->size() - body_start_after_magic));
+  PutU64(out, Checksum64(out->data() + body_start_after_magic,
+                         out->size() - body_start_after_magic));
   PutU64(out, kWireMagic);
 }
 
 Result<DataChunk> DecodeChunk(const char* data, size_t size) {
-  // magic + version/columns + rows + body_fnv + magic is the minimal frame.
+  // magic + version/columns + rows + body checksum + magic is the minimal
+  // frame.
   if (size < 8 + 4 + 4 + 8 + 8 + 8) return Corrupt("truncated frame");
   ByteCursor head{data, size, 0, true};
   if (head.GetU64() != kWireMagic) return Corrupt("bad leading magic");
   ByteCursor tail{data, size, size - 16, true};
-  const uint64_t body_fnv = tail.GetU64();
+  const uint64_t body_checksum = tail.GetU64();
   if (tail.GetU64() != kWireMagic) return Corrupt("bad trailing magic");
-  if (Fnv1a64(data + 8, size - 8 - 16) != body_fnv) {
+  if (Checksum64(data + 8, size - 8 - 16) != body_checksum) {
     return Corrupt("body checksum mismatch");
   }
 
@@ -109,9 +112,9 @@ Result<DataChunk> DecodeChunk(const char* data, size_t size) {
     if (!cur.Need(payload_size)) return Corrupt("truncated payload page");
     const char* payload = cur.data + cur.pos;
     cur.pos += payload_size;
-    const uint64_t payload_fnv = cur.GetU64();
+    const uint64_t payload_checksum = cur.GetU64();
     if (!cur.ok) return Corrupt("truncated payload page");
-    if (Fnv1a64(payload, payload_size) != payload_fnv) {
+    if (Checksum64(payload, payload_size) != payload_checksum) {
       return Corrupt("payload checksum mismatch");
     }
     switch (PhysicalTypeOf(type)) {
@@ -146,9 +149,9 @@ Result<DataChunk> DecodeChunk(const char* data, size_t size) {
       if (!cur.Need(mask_size)) return Corrupt("truncated validity page");
       const char* mask = cur.data + cur.pos;
       cur.pos += mask_size;
-      const uint64_t mask_fnv = cur.GetU64();
+      const uint64_t mask_checksum = cur.GetU64();
       if (!cur.ok) return Corrupt("truncated validity page");
-      if (Fnv1a64(mask, rows) != mask_fnv) {
+      if (Checksum64(mask, rows) != mask_checksum) {
         return Corrupt("validity checksum mismatch");
       }
       auto& validity = col.MutableValidity();

@@ -8,17 +8,18 @@
 ///   [version u32][columns u32][rows u64]
 ///   per column:
 ///     [logical type u8][has_validity u8]
-///     [payload_size u64][payload][payload_fnv u64]
-///     [validity_size u64][validity bytes][validity_fnv u64]
+///     [payload_size u64][payload][payload_checksum u64]
+///     [validity_size u64][validity bytes][validity_checksum u64]
 ///                                               only when has_validity
-///   [body_fnv u64][magic u64]
+///   [body_checksum u64][magic u64]
 ///
 /// Payload pages reuse the block conventions exactly: fixed-width payloads
 /// are rows*8 little-endian bytes (doubles bit-cast), strings are
 /// u32-length-prefixed, validity is one byte per row (1 = valid, 0 = NULL)
-/// mirroring ColumnVector's in-memory mask. Every page carries an FNV-1a
-/// checksum and the whole body a second one, so a torn or corrupted frame
-/// surfaces as a Status on the receiving side instead of wrong rows.
+/// mirroring ColumnVector's in-memory mask. Every page carries a
+/// block::Checksum64 and the whole body a second one, so a torn or
+/// corrupted frame surfaces as a Status on the receiving side instead of
+/// wrong rows.
 /// Encode/Decode round-trip bit-identically — the sharded engine's
 /// cross-transport parity depends on it (tested in net_test).
 

@@ -8,11 +8,12 @@
 ///   [magic u64]
 ///   [page 0][page 1]...[page N-1]        typed column payload + validity
 ///   [footer]                             schema, page table, zone maps
-///   [footer_size u32][footer_fnv u64][magic u64]
+///   [footer_size u32][footer_checksum u64][magic u64]
 ///
-/// Every page and the footer carry an FNV-1a checksum; the reader verifies
-/// before handing bytes to the engine so a corrupt spill file surfaces as a
-/// Status instead of wrong query results. All integers are fixed-width
+/// Every page and the footer carry a Checksum64; the reader verifies every
+/// one (including pages a projected read does not decode) before handing
+/// bytes to the engine, so a corrupt spill file surfaces as a Status
+/// instead of wrong query results. All integers are fixed-width
 /// little-endian so blocks round-trip across toolchains.
 
 #include <cstdint>
@@ -28,7 +29,8 @@ namespace block {
 
 /// "CDBBLK1\0" — leading and trailing magic of every block file.
 inline constexpr uint64_t kBlockMagic = 0x0031'4B4C'4242'4443ULL;
-inline constexpr uint32_t kBlockFormatVersion = 1;
+/// Version 2: Checksum64 replaced the byte-serial FNV-1a of version 1.
+inline constexpr uint32_t kBlockFormatVersion = 2;
 /// Sentinel page index meaning "column has no validity page" (all valid).
 inline constexpr uint32_t kNoPage = 0xFFFFFFFFu;
 
@@ -68,15 +70,57 @@ struct BlockFooter {
   std::vector<ZoneMapEntry> zones;  // one per column
 };
 
-/// 64-bit FNV-1a over a byte range — the block format's checksum. Not
-/// cryptographic; it catches torn writes and bit rot, which is the failure
-/// mode a local spill directory actually has.
-inline uint64_t Fnv1a64(const char* data, size_t n) {
-  uint64_t h = 0xCBF29CE484222325ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001B3ULL;
+namespace checksum_detail {
+inline constexpr uint64_t kPrime = 0x9E3779B97F4A7C15ULL;  // odd
+
+/// One absorb step. For a fixed state, `word -> Mix(l, word)` is a
+/// bijection (xor, multiply by an odd constant, xorshift are each
+/// invertible), and so is `l -> Mix(l, word)` for a fixed word.
+inline uint64_t Mix(uint64_t l, uint64_t word) {
+  l = (l ^ word) * kPrime;
+  return l ^ (l >> 29);
+}
+
+inline uint64_t LoadWord(const char* p) {
+  uint64_t w;
+  std::memcpy(&w, p, 8);
+  return w;
+}
+}  // namespace checksum_detail
+
+/// 64-bit word-at-a-time checksum over a byte range — the page and footer
+/// checksum of the block format and of the wire format (net/wire.h). Four
+/// independent lanes absorb 32-byte stripes; leftover whole words go to
+/// lanes 0..2 and the last 1..7 bytes, zero-padded, to lane 3; the lanes
+/// are then folded in order into a state seeded with the length.
+///
+/// Every step is a bijection of the state it updates, so changing any
+/// single byte (which lands in exactly one word of one lane) always changes
+/// the result, and the length fold separates inputs that differ only in
+/// trailing zero bytes. Not cryptographic: it catches torn writes and bit
+/// rot, the failure modes a spill directory or a socket actually has.
+inline uint64_t Checksum64(const char* data, size_t n) {
+  using checksum_detail::LoadWord;
+  using checksum_detail::Mix;
+  uint64_t lane[4] = {0x243F6A8885A308D3ULL, 0x13198A2E03707344ULL,
+                      0xA4093822299F31D0ULL, 0x082EFA98EC4E6C89ULL};
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    lane[0] = Mix(lane[0], LoadWord(data + i));
+    lane[1] = Mix(lane[1], LoadWord(data + i + 8));
+    lane[2] = Mix(lane[2], LoadWord(data + i + 16));
+    lane[3] = Mix(lane[3], LoadWord(data + i + 24));
   }
+  for (size_t k = 0; i + 8 <= n; i += 8, ++k) {
+    lane[k] = Mix(lane[k], LoadWord(data + i));
+  }
+  if (i < n) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, data + i, n - i);
+    lane[3] = Mix(lane[3], tail);
+  }
+  uint64_t h = Mix(0, static_cast<uint64_t>(n));
+  for (uint64_t l : lane) h = Mix(h, l);
   return h;
 }
 

@@ -1,5 +1,7 @@
 #include "storage/block/block_reader.h"
 
+#include <cstring>
+
 namespace costdb {
 namespace block {
 
@@ -32,7 +34,7 @@ Status Corrupt(const std::string& what) {
 }  // namespace
 
 Result<BlockFooter> BlockReader::ReadFooter(const std::string& bytes) {
-  // Trailer: [footer_size u32][footer_fnv u64][magic u64].
+  // Trailer: [footer_size u32][footer_checksum u64][magic u64].
   constexpr size_t kTrailer = 4 + 8 + 8;
   if (bytes.size() < 8 + kTrailer) return Corrupt("file too small");
 
@@ -41,13 +43,14 @@ Result<BlockFooter> BlockReader::ReadFooter(const std::string& bytes) {
 
   ByteCursor tail{bytes.data(), bytes.size(), bytes.size() - kTrailer, true};
   const uint32_t footer_size = tail.GetU32();
-  const uint64_t footer_fnv = tail.GetU64();
+  const uint64_t footer_checksum = tail.GetU64();
   if (tail.GetU64() != kBlockMagic) return Corrupt("bad trailing magic");
 
   const size_t footer_end = bytes.size() - kTrailer;
   if (footer_size > footer_end - 8) return Corrupt("footer size out of range");
   const size_t footer_begin = footer_end - footer_size;
-  if (Fnv1a64(bytes.data() + footer_begin, footer_size) != footer_fnv) {
+  if (Checksum64(bytes.data() + footer_begin, footer_size) !=
+      footer_checksum) {
     return Corrupt("footer checksum mismatch");
   }
 
@@ -91,22 +94,13 @@ Result<BlockFooter> BlockReader::ReadFooter(const std::string& bytes) {
 }
 
 Result<DecodedBlock> BlockReader::Decode(
-    const std::string& bytes, const std::vector<LogicalType>& expected_types) {
+    const std::string& bytes, const std::vector<LogicalType>& expected_types,
+    const std::vector<size_t>& columns) {
   BlockFooter footer;
   COSTDB_ASSIGN_OR_RETURN(footer, ReadFooter(bytes));
   if (footer.columns.size() != expected_types.size()) {
     return Corrupt("column count does not match table schema");
   }
-
-  // Verify every page before decoding any of them.
-  for (const PageEntry& pe : footer.pages) {
-    if (Fnv1a64(bytes.data() + pe.offset, pe.size) != pe.checksum) {
-      return Corrupt("page checksum mismatch");
-    }
-  }
-
-  DecodedBlock out;
-  const size_t rows = footer.rows;
   for (size_t c = 0; c < footer.columns.size(); ++c) {
     const ColumnEntry& ce = footer.columns[c];
     if (ce.type != expected_types[c]) {
@@ -115,51 +109,73 @@ Result<DecodedBlock> BlockReader::Decode(
     if (ce.payload_page >= footer.pages.size()) {
       return Corrupt("payload page index out of range");
     }
+    if (ce.validity_page != kNoPage &&
+        ce.validity_page >= footer.pages.size()) {
+      return Corrupt("validity page index out of range");
+    }
+  }
+
+  // Verify every page — requested or not — before decoding any of them:
+  // a block is either intact or rejected as a whole.
+  for (const PageEntry& pe : footer.pages) {
+    if (Checksum64(bytes.data() + pe.offset, pe.size) != pe.checksum) {
+      return Corrupt("page checksum mismatch");
+    }
+  }
+
+  DecodedBlock out;
+  const size_t rows = footer.rows;
+  for (size_t c : columns) {
+    if (c >= footer.columns.size()) {
+      return Status::InvalidArgument("block decode: no column " +
+                                     std::to_string(c));
+    }
+    const ColumnEntry& ce = footer.columns[c];
     const PageEntry& pe = footer.pages[ce.payload_page];
-    ByteCursor cur{bytes.data(), pe.offset + pe.size, pe.offset, true};
+    const char* page = bytes.data() + pe.offset;
 
     ColumnVector col(ce.type);
-    col.Reserve(rows);
     switch (pe.kind) {
       case PageKind::kInt64:
         if (pe.size != rows * 8) return Corrupt("int64 page size mismatch");
-        for (size_t i = 0; i < rows; ++i) {
-          col.ints().push_back(static_cast<int64_t>(cur.GetU64()));
-        }
+        col.ints().resize(rows);
+        if (rows > 0) std::memcpy(col.ints().data(), page, pe.size);
         break;
       case PageKind::kDouble:
         if (pe.size != rows * 8) return Corrupt("double page size mismatch");
-        for (size_t i = 0; i < rows; ++i) {
-          col.doubles().push_back(cur.GetDouble());
-        }
+        col.doubles().resize(rows);
+        if (rows > 0) std::memcpy(col.doubles().data(), page, pe.size);
         break;
-      case PageKind::kString:
+      case PageKind::kString: {
+        // Every string carries a 4-byte length: bound the reserve by the
+        // page size before trusting the row count.
+        if (rows > pe.size / 4) return Corrupt("string page size mismatch");
+        ByteCursor cur{page, pe.size, 0, true};
+        std::vector<std::string>& strings = col.strings();
+        strings.reserve(rows);
         for (size_t i = 0; i < rows; ++i) {
           const uint32_t len = cur.GetU32();
-          col.strings().push_back(cur.GetBytes(len));
+          if (!cur.Need(len)) break;
+          strings.emplace_back(page + cur.pos, len);
+          cur.pos += len;
         }
-        if (cur.pos != pe.offset + pe.size) {
-          return Corrupt("string page size mismatch");
-        }
+        if (!cur.ok) return Corrupt("truncated payload page");
+        if (cur.pos != pe.size) return Corrupt("string page size mismatch");
         break;
+      }
       case PageKind::kValidity:
       default:
         return Corrupt("payload page has validity kind");
     }
-    if (!cur.ok) return Corrupt("truncated payload page");
 
     if (ce.validity_page != kNoPage) {
-      if (ce.validity_page >= footer.pages.size()) {
-        return Corrupt("validity page index out of range");
-      }
       const PageEntry& vp = footer.pages[ce.validity_page];
       if (vp.kind != PageKind::kValidity || vp.size != rows) {
         return Corrupt("validity page size mismatch");
       }
-      std::vector<uint8_t>& mask = col.MutableValidity();
       const unsigned char* src =
           reinterpret_cast<const unsigned char*>(bytes.data() + vp.offset);
-      mask.assign(src, src + rows);
+      col.MutableValidity().assign(src, src + rows);
     }
     out.chunk.AddColumn(std::move(col));
   }

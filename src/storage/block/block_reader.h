@@ -14,9 +14,9 @@
 namespace costdb {
 namespace block {
 
-/// A fully decoded block: payload chunk plus the footer's zone maps.
+/// A decoded block: the requested columns plus the footer's zone maps.
 struct DecodedBlock {
-  DataChunk chunk;
+  DataChunk chunk;  // column i is the block's column `columns[i]`
   std::vector<ZoneMapEntry> zones;
 };
 
@@ -27,12 +27,14 @@ class BlockReader {
   /// manifests and by tests.
   static Result<BlockFooter> ReadFooter(const std::string& bytes);
 
-  /// Verify every page checksum and decode the full block. Column types
-  /// must match `expected_types` (the table schema); mismatches and any
-  /// corruption come back as a non-OK Status, never as wrong data.
-  static Result<DecodedBlock> Decode(const std::string& bytes,
-                                     const std::vector<LogicalType>&
-                                         expected_types);
+  /// Verify every page checksum of the block, then decode only `columns`
+  /// (schema indices, in the order given); fixed-width pages are one bulk
+  /// copy each. Column types must match `expected_types` (the table
+  /// schema); mismatches and any corruption — in a requested page or not —
+  /// come back as a non-OK Status, never as wrong data.
+  static Result<DecodedBlock> Decode(
+      const std::string& bytes, const std::vector<LogicalType>& expected_types,
+      const std::vector<size_t>& columns);
 };
 
 }  // namespace block

@@ -32,7 +32,7 @@ uint32_t AddPage(std::string* out, std::vector<PageEntry>* pages,
   PageEntry entry;
   entry.offset = out->size();
   entry.size = payload.size();
-  entry.checksum = Fnv1a64(payload.data(), payload.size());
+  entry.checksum = Checksum64(payload.data(), payload.size());
   entry.kind = kind;
   entry.column = column;
   out->append(payload);
@@ -65,18 +65,18 @@ std::string BlockWriter::Encode(const DataChunk& chunk,
 
     std::string payload;
     PageKind kind;
+    // Fixed-width pages are the flat payload array itself (the format's
+    // little-endian layout is the in-memory one): one bulk copy each.
     switch (col.physical_type()) {
       case PhysicalType::kInt64:
         kind = PageKind::kInt64;
-        payload.reserve(rows * 8);
-        for (size_t i = 0; i < rows; ++i) {
-          PutU64(&payload, static_cast<uint64_t>(col.ints()[i]));
-        }
+        payload.assign(reinterpret_cast<const char*>(col.ints().data()),
+                       rows * 8);
         break;
       case PhysicalType::kDouble:
         kind = PageKind::kDouble;
-        payload.reserve(rows * 8);
-        for (size_t i = 0; i < rows; ++i) PutDouble(&payload, col.doubles()[i]);
+        payload.assign(reinterpret_cast<const char*>(col.doubles().data()),
+                       rows * 8);
         break;
       case PhysicalType::kString:
       default:
@@ -131,7 +131,7 @@ std::string BlockWriter::Encode(const DataChunk& chunk,
 
   out.append(footer);
   PutU32(&out, static_cast<uint32_t>(footer.size()));
-  PutU64(&out, Fnv1a64(footer.data(), footer.size()));
+  PutU64(&out, Checksum64(footer.data(), footer.size()));
   PutU64(&out, kBlockMagic);
 
   if (zones_out != nullptr) *zones_out = zones;

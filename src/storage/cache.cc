@@ -5,25 +5,39 @@
 
 namespace costdb {
 
-std::shared_ptr<const DataChunk> BlockCache::Lookup(const std::string& key,
-                                                    BlockCacheStats* stats) {
+bool BlockCache::Lookup(const std::string& block_key,
+                        const std::vector<size_t>& columns,
+                        std::vector<std::shared_ptr<const ColumnVector>>* out,
+                        BlockCacheStats* stats) {
+  out->assign(columns.size(), nullptr);
+  bool all_found = true;
+  double bytes_hit = 0.0;
+  Key key(block_key, 0);
   MutexLock lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  Entry& e = it->second;
-  ++e.hits;
-  e.priority = PriorityOf(e);
-  if (stats != nullptr) {
-    ++stats->hits;
-    stats->bytes_hit += e.bytes;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    key.second = columns[i];
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      all_found = false;
+      continue;
+    }
+    Entry& e = it->second;
+    ++e.hits;
+    e.priority = PriorityOf(e);
+    bytes_hit += e.bytes;
+    (*out)[i] = e.data;
   }
-  ++totals_.hits;
-  totals_.bytes_hit += e.bytes;
-  return e.chunk;
+  if (stats != nullptr) {
+    stats->bytes_hit += bytes_hit;
+    if (all_found) ++stats->hits;
+  }
+  totals_.bytes_hit += bytes_hit;
+  if (all_found) ++totals_.hits;
+  return all_found;
 }
 
-void BlockCache::Insert(const std::string& key,
-                        std::shared_ptr<const DataChunk> chunk, double bytes,
+void BlockCache::Insert(const std::string& block_key, size_t column,
+                        std::shared_ptr<const ColumnVector> data, double bytes,
                         Dollars miss_cost_dollars, BlockCacheStats* stats) {
   MutexLock lock(mu_);
   if (bytes > static_cast<double>(capacity_)) {
@@ -31,20 +45,20 @@ void BlockCache::Insert(const std::string& key,
     ++totals_.rejected;
     return;
   }
-  auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    // Raced with another pin of the same block: keep the resident entry.
+  Key key(block_key, column);
+  if (entries_.count(key) > 0) {
+    // Raced with another pin of the same column: keep the resident entry.
     return;
   }
   EvictToFit(bytes, stats);
   Entry e;
-  e.chunk = std::move(chunk);
+  e.data = std::move(data);
   e.bytes = bytes;
   e.miss_cost = miss_cost_dollars;
   e.hits = 0;
   e.priority = PriorityOf(e);
   used_bytes_ += bytes;
-  entries_.emplace(key, std::move(e));
+  entries_.emplace(std::move(key), std::move(e));
 }
 
 void BlockCache::EvictToFit(double incoming_bytes, BlockCacheStats* stats) {
@@ -80,12 +94,14 @@ void BlockCache::RecordMiss(double bytes, Seconds seconds,
   totals_.miss_get_dollars += get_dollars;
 }
 
-void BlockCache::Erase(const std::string& key) {
+void BlockCache::Erase(const std::string& block_key) {
   MutexLock lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return;
-  used_bytes_ -= it->second.bytes;
-  entries_.erase(it);
+  // Keys order by (block key, column): a block's columns are contiguous.
+  auto it = entries_.lower_bound(Key(block_key, 0));
+  while (it != entries_.end() && it->first.first == block_key) {
+    used_bytes_ -= it->second.bytes;
+    it = entries_.erase(it);
+  }
 }
 
 size_t BlockCache::bytes_used() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <numeric>
 #include <utility>
 
 #include "cloud/object_store.h"
@@ -29,6 +30,12 @@ std::string CacheKeyFor(const std::string& table, uint64_t block_id) {
   return "blk/" + table + "/" + std::to_string(block_id);
 }
 
+std::vector<size_t> AllColumns(size_t n) {
+  std::vector<size_t> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
 /// Row budget of a block at `level`: doubles per level (capped), so a merge
 /// into the next level re-cuts the same rows into roughly half the blocks —
 /// the mechanism by which compaction buys down future GET fees.
@@ -44,12 +51,12 @@ size_t BudgetRows(size_t block_rows, size_t level) {
 struct TableStorage::Impl {
   mutable SharedMutex mu;
   block::Manifest manifest GUARDED_BY(mu);
-  // block_id -> (object key, encoded bytes, rows): the copy PinBlock takes
-  // under the reader lock so fetch+decode run unlocked.
+  // block_id -> (object key, encoded bytes, per-column encoded bytes): the
+  // copy PinBlock takes under the reader lock so fetch+decode run unlocked.
   struct Locator {
     std::string object_key;
     double bytes = 0.0;
-    size_t rows = 0;
+    std::vector<double> column_bytes;
   };
   std::map<uint64_t, Locator> locators GUARDED_BY(mu);
   size_t flushes GUARDED_BY(mu) = 0;
@@ -68,7 +75,7 @@ void TableStorage::Impl::ReindexLocators() {
   for (const auto& level : manifest.levels) {
     for (const block::RunMeta& run : level) {
       for (const block::BlockMeta& b : run.blocks) {
-        locators[b.block_id] = Locator{b.object_key, b.bytes, b.rows};
+        locators[b.block_id] = Locator{b.object_key, b.bytes, b.column_bytes};
       }
     }
   }
@@ -200,12 +207,13 @@ Result<bool> TableStorage::Compact(bool force) {
   // own request fees), concatenate preserving row order, re-cut at the
   // target level's budget, retire the old blocks.
   DataChunk merged{types_};
+  const std::vector<size_t> all_columns = AllColumns(types_.size());
   std::vector<std::pair<uint64_t, std::string>> retired;  // id, object key
   for (const block::RunMeta& run : m.levels[best.level]) {
     for (const block::BlockMeta& b : run.blocks) {
       auto bytes = store_->GetObject(b.object_key);
       if (!bytes.ok()) return bytes.status();
-      auto decoded = block::BlockReader::Decode(*bytes, types_);
+      auto decoded = block::BlockReader::Decode(*bytes, types_, all_columns);
       if (!decoded.ok()) return decoded.status();
       merged.Append(decoded->chunk);
       retired.emplace_back(b.block_id, b.object_key);
@@ -241,11 +249,17 @@ void TableStorage::DropAllRuns() {
   impl_->locators.clear();
 }
 
-Result<std::shared_ptr<const DataChunk>> TableStorage::PinBlock(
-    uint64_t block_id, BlockCacheStats* stats) const {
+Result<std::vector<std::shared_ptr<const ColumnVector>>>
+TableStorage::PinBlock(uint64_t block_id, const std::vector<size_t>& columns,
+                       BlockCacheStats* stats) const {
   const std::string cache_key = CacheKeyFor(table_name_, block_id);
-  if (cache_ != nullptr) {
-    if (auto hit = cache_->Lookup(cache_key, stats)) return hit;
+  std::vector<std::shared_ptr<const ColumnVector>> pinned(columns.size());
+  if (cache_ != nullptr && cache_->Lookup(cache_key, columns, &pinned, stats)) {
+    return pinned;
+  }
+  std::vector<size_t> missing;  // schema indices, in `columns` order
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (pinned[i] == nullptr) missing.push_back(columns[i]);
   }
 
   Impl::Locator loc;
@@ -259,22 +273,30 @@ Result<std::shared_ptr<const DataChunk>> TableStorage::PinBlock(
     loc = it->second;
   }
 
-  // Cold read outside every lock: fetch real bytes, verify, decode.
+  // Cold read outside every lock: one GET of the whole object, verify every
+  // page, decode only the missing columns.
   const Seconds t0 = WallNow();
   auto bytes = store_->GetObject(loc.object_key);
   if (!bytes.ok()) return bytes.status();
-  auto decoded = block::BlockReader::Decode(*bytes, types_);
+  auto decoded = block::BlockReader::Decode(*bytes, types_, missing);
   if (!decoded.ok()) return decoded.status();
   const Seconds elapsed = WallNow() - t0;
 
-  auto chunk = std::make_shared<const DataChunk>(std::move(decoded->chunk));
   const StoragePricing price = pricing_();
+  const Dollars miss_cost = price.MissCost(loc.bytes);
   if (cache_ != nullptr) {
     cache_->RecordMiss(loc.bytes, elapsed, price.get_dollars, stats);
-    cache_->Insert(cache_key, chunk, loc.bytes, price.MissCost(loc.bytes),
-                   stats);
   }
-  return chunk;
+  for (size_t i = 0, j = 0; i < columns.size(); ++i) {
+    if (pinned[i] != nullptr) continue;
+    pinned[i] = std::make_shared<const ColumnVector>(
+        std::move(decoded->chunk.column(j++)));
+    if (cache_ != nullptr) {
+      cache_->Insert(cache_key, columns[i], pinned[i],
+                     loc.column_bytes[columns[i]], miss_cost, stats);
+    }
+  }
+  return pinned;
 }
 
 std::vector<ColdBlockInfo> TableStorage::ScanOrderBlocks() const {

@@ -12,9 +12,11 @@
 /// scan pays — when the calibrated cost model says the merge pays for
 /// itself.
 ///
-/// Read path: Table::PinRowGroup asks PinBlock for a decoded chunk; hits are
-/// served from the BlockCache, misses GET real bytes from the store, verify
-/// checksums, decode, and admit at the priced miss cost.
+/// Read path: Table::PinRowGroup asks PinBlock for the columns a scan
+/// projects; cached columns are served from the BlockCache, and if any is
+/// missing one GET fetches the whole block, every checksum is verified, only
+/// the missing columns are decoded, and each is admitted at the priced miss
+/// cost.
 ///
 /// This facade intentionally hides the block format: only src/storage/ and
 /// src/catalog/ may include storage/block/ headers (ci/check_layering.py),
@@ -119,12 +121,15 @@ class TableStorage {
   /// by ClusterBy's full rewrite).
   void DropAllRuns();
 
-  /// Pin one block's decoded payload: cache hit or real GET + verify +
-  /// decode + priced admission. `stats` (optional) receives the per-query
-  /// counters.
-  Result<std::shared_ptr<const DataChunk>> PinBlock(uint64_t block_id,
-                                                    BlockCacheStats* stats)
-      const;
+  /// Pin columns `columns` (schema indices) of one block: element i of the
+  /// result is column columns[i]. A pin whose columns are all cached makes
+  /// no GET; otherwise it makes one whole-object GET, verifies every page,
+  /// decodes only the missing columns and admits each one, charged its
+  /// encoded column bytes and priced at the whole block's MissCost. `stats`
+  /// (optional) receives the per-query counters.
+  Result<std::vector<std::shared_ptr<const ColumnVector>>> PinBlock(
+      uint64_t block_id, const std::vector<size_t>& columns,
+      BlockCacheStats* stats) const;
 
   /// Cold blocks in scan order (deepest level first, then level-0 runs in
   /// flush order) — what Table rebuilds its evicted row groups from.

@@ -152,22 +152,38 @@ void Table::RebuildColdGroups() {
   for (auto& g : resident) row_groups_.push_back(std::move(g));
 }
 
-Result<Table::RowGroupPin> Table::PinRowGroup(size_t group_index,
-                                              BlockCacheStats* stats) const {
+Result<Table::RowGroupPin> Table::PinRowGroup(
+    size_t group_index, const std::vector<size_t>& columns,
+    BlockCacheStats* stats) const {
   if (group_index >= row_groups_.size()) {
     return Status::OutOfRange("table " + name_ + ": no row group " +
                               std::to_string(group_index));
   }
+  for (size_t c : columns) {
+    if (c >= columns_.size()) {
+      return Status::OutOfRange("table " + name_ + ": no column " +
+                                std::to_string(c));
+    }
+  }
   const RowGroup& group = row_groups_[group_index];
   RowGroupPin pin;
+  pin.columns.assign(columns_.size(), nullptr);
   if (group.resident) {
-    pin.chunk = &group.data;
+    for (size_t c : columns) pin.columns[c] = &group.data.column(c);
     return pin;
   }
   COSTDB_ASSIGN_OR_RETURN(pin.hold,
-                          storage_->PinBlock(group.block_id, stats));
-  pin.chunk = pin.hold.get();
+                          storage_->PinBlock(group.block_id, columns, stats));
+  for (size_t i = 0; i < columns.size(); ++i) {
+    pin.columns[columns[i]] = pin.hold[i].get();
+  }
   return pin;
+}
+
+std::vector<size_t> Table::AllColumnIndices() const {
+  std::vector<size_t> all(columns_.size());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
 }
 
 // -- Layout operations ------------------------------------------------------
@@ -262,10 +278,14 @@ Result<double> Table::PruneFraction(const std::string& column_name,
 
 Result<DataChunk> Table::ScanPinned() const {
   DataChunk out(ColumnTypes());
+  const std::vector<size_t> all = AllColumnIndices();
   for (size_t g = 0; g < row_groups_.size(); ++g) {
     RowGroupPin pin;
-    COSTDB_ASSIGN_OR_RETURN(pin, PinRowGroup(g));
-    out.Append(*pin.chunk);
+    COSTDB_ASSIGN_OR_RETURN(pin, PinRowGroup(g, all));
+    for (size_t c : all) {
+      const ColumnVector& col = pin.column(c);
+      out.column(c).AppendRange(col, 0, col.size());
+    }
   }
   return out;
 }

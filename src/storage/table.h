@@ -90,21 +90,29 @@ class Table {
   /// Rows currently resident in the memtable tail.
   size_t memtable_rows() const;
 
-  /// A scan's borrowed handle on one row group's payload. For resident
-  /// groups this points straight at the group; for cold groups `hold`
-  /// keeps the cached (or freshly decoded) block alive for the duration
-  /// of the morsel even if the cache evicts it mid-scan.
+  /// A scan's borrowed handle on the requested columns of one row group.
+  /// `columns` is indexed by table column and set only for the requested
+  /// ones. Resident groups point straight at the group's data; for cold
+  /// groups `hold` keeps the cached (or freshly decoded) columns alive for
+  /// the duration of the morsel even if the cache evicts them mid-scan.
   struct RowGroupPin {
-    const DataChunk* chunk = nullptr;
-    std::shared_ptr<const DataChunk> hold;
+    std::vector<const ColumnVector*> columns;
+    std::vector<std::shared_ptr<const ColumnVector>> hold;
+
+    const ColumnVector& column(size_t index) const { return *columns[index]; }
   };
 
-  /// Pin group `group_index`'s payload for reading. Cold groups are served
-  /// from the block cache or fetched (one object-store GET), checksum
-  /// verified, and decoded; `stats` (optional) accumulates the per-query
-  /// hit/miss counters surfaced on ExecutionResult.
+  /// Pin columns `columns` (schema indices) of group `group_index` for
+  /// reading. Cold groups are served from the block cache per column, or
+  /// fetched with one object-store GET, checksum verified in full, and
+  /// decoded only for the missing columns; `stats` (optional) accumulates
+  /// the per-query hit/miss counters surfaced on ExecutionResult.
   Result<RowGroupPin> PinRowGroup(size_t group_index,
+                                  const std::vector<size_t>& columns,
                                   BlockCacheStats* stats = nullptr) const;
+
+  /// Every schema index, in order — the projection of whole-row readers.
+  std::vector<size_t> AllColumnIndices() const;
 
   /// Physically re-sort the whole table by `column_name` and rebuild row
   /// groups/zone maps. This is the paper's "recluster table T on attribute

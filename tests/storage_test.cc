@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -216,6 +218,12 @@ std::vector<LogicalType> AllTypes() {
           LogicalType::kBool, LogicalType::kDate};
 }
 
+std::vector<size_t> Iota(size_t n) {
+  std::vector<size_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = i;
+  return all;
+}
+
 /// Every column type, with staggered NULL runs so validity pages and the
 /// NULL-slot fillers are exercised per column.
 DataChunk AllTypesChunk(size_t rows) {
@@ -264,7 +272,8 @@ TEST(BlockFormatTest, RoundTripAllTypesWithNulls) {
   ASSERT_EQ(layout.column_bytes.size(), types.size());
   for (double b : layout.column_bytes) EXPECT_GT(b, 0.0);
 
-  auto decoded = block::BlockReader::Decode(bytes, types);
+  auto decoded =
+      block::BlockReader::Decode(bytes, types, Iota(types.size()));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ExpectChunksBitIdentical(chunk, decoded->chunk);
   ASSERT_EQ(decoded->zones.size(), types.size());
@@ -287,22 +296,110 @@ TEST(BlockFormatTest, DecodeRejectsCorruptionAndTruncation) {
                      bytes.size() - 10}) {
     std::string bad = bytes;
     bad[pos] = static_cast<char>(bad[pos] ^ 0x5A);
-    EXPECT_FALSE(block::BlockReader::Decode(bad, types).ok())
+    EXPECT_FALSE(block::BlockReader::Decode(bad, types, Iota(5)).ok())
         << "flip at " << pos;
   }
-  EXPECT_FALSE(block::BlockReader::Decode(bytes.substr(0, 12), types).ok());
-  EXPECT_FALSE(block::BlockReader::Decode("", types).ok());
+  EXPECT_FALSE(
+      block::BlockReader::Decode(bytes.substr(0, 12), types, Iota(5)).ok());
+  EXPECT_FALSE(block::BlockReader::Decode("", types, Iota(5)).ok());
   // Schema mismatch is a decode error, not a crash.
   EXPECT_FALSE(
-      block::BlockReader::Decode(bytes, {LogicalType::kInt64}).ok());
+      block::BlockReader::Decode(bytes, {LogicalType::kInt64}, {0}).ok());
+}
+
+/// Raw payload equality: same type, same flat arrays (doubles compared as
+/// bits), same validity mask.
+void ExpectColumnsBitIdentical(const ColumnVector& a, const ColumnVector& b) {
+  ASSERT_EQ(a.type(), b.type());
+  EXPECT_EQ(a.ints(), b.ints());
+  ASSERT_EQ(a.doubles().size(), b.doubles().size());
+  if (!a.doubles().empty()) {
+    EXPECT_EQ(0, std::memcmp(a.doubles().data(), b.doubles().data(),
+                             a.doubles().size() * sizeof(double)));
+  }
+  EXPECT_EQ(a.strings(), b.strings());
+  EXPECT_EQ(a.validity(), b.validity());
+}
+
+TEST(BlockFormatTest, ProjectedDecodeVerifiesPagesItDoesNotDecode) {
+  const std::vector<LogicalType> types = AllTypes();
+  block::BlockWriter writer(types);
+  const std::string bytes = writer.Encode(AllTypesChunk(64), nullptr, nullptr);
+  auto footer = block::BlockReader::ReadFooter(bytes);
+  ASSERT_TRUE(footer.ok()) << footer.status().ToString();
+  ASSERT_TRUE(block::BlockReader::Decode(bytes, types, {0}).ok());
+  // One flipped byte in any page of columns 1..4 must reject a read that
+  // decodes only column 0: a block is verified whole or not at all.
+  size_t flipped = 0;
+  for (const block::PageEntry& pe : footer->pages) {
+    if (pe.column == 0 || pe.size == 0) continue;
+    std::string bad = bytes;
+    const size_t pos = pe.offset + pe.size / 2;
+    bad[pos] = static_cast<char>(bad[pos] ^ 0x10);
+    auto decoded = block::BlockReader::Decode(bad, types, {0});
+    ASSERT_FALSE(decoded.ok()) << "page of column " << pe.column;
+    EXPECT_TRUE(decoded.status().IsInternal());
+    ++flipped;
+  }
+  EXPECT_GE(flipped, 4u);
+}
+
+// ---------------------------------------------------------------- checksum
+
+std::string PseudoRandomBytes(size_t n, uint64_t seed) {
+  std::string out(n, '\0');
+  for (char& c : out) {
+    seed = seed * 6364136223846793005ULL + 1442695040888963407ULL;
+    c = static_cast<char>(seed >> 56);
+  }
+  return out;
+}
+
+TEST(ChecksumTest, EverySingleByteChangeChangesTheChecksum) {
+  // Lengths 0..96 cover whole 32-byte stripes, leftover words and every
+  // tail length on both sides of the stripe boundary.
+  for (size_t n = 0; n <= 96; ++n) {
+    const std::string buf = PseudoRandomBytes(n, n + 1);
+    const uint64_t base = block::Checksum64(buf.data(), n);
+    for (size_t pos = 0; pos < n; ++pos) {
+      for (unsigned flip : {0x01u, 0x80u, 0xFFu}) {
+        std::string bad = buf;
+        bad[pos] = static_cast<char>(bad[pos] ^ flip);
+        ASSERT_NE(block::Checksum64(bad.data(), n), base)
+            << "length " << n << ", byte " << pos << ", flip " << flip;
+      }
+    }
+    // The length is folded in: a trailing zero byte is not invisible.
+    const std::string longer = buf + '\0';
+    EXPECT_NE(block::Checksum64(longer.data(), n + 1), base) << "length " << n;
+  }
+}
+
+TEST(ChecksumTest, KnownAnswers) {
+  // Block format v2 stores these values on disk: changing the function is
+  // a format change.
+  EXPECT_EQ(block::Checksum64("", 0), 0xca6e313f06ee3d42ULL);
+  const std::string text = "costdb block format v2";
+  EXPECT_EQ(block::Checksum64(text.data(), text.size()),
+            0x06efd0356b52fdc7ULL);
+  const std::string stripes = PseudoRandomBytes(100, 42);
+  EXPECT_EQ(block::Checksum64(stripes.data(), stripes.size()),
+            0x4c3d9602e4cc462fULL);
 }
 
 // -------------------------------------------------------------- block cache
 
-std::shared_ptr<const DataChunk> TinyChunk() {
-  DataChunk c({LogicalType::kInt64});
-  c.AppendRow({Value(int64_t{1})});
-  return std::make_shared<const DataChunk>(std::move(c));
+std::shared_ptr<const ColumnVector> TinyColumn() {
+  ColumnVector c(LogicalType::kInt64);
+  c.AppendInt(1);
+  return std::make_shared<const ColumnVector>(std::move(c));
+}
+
+/// Whether column 0 of `block_key` is cached.
+bool Cached(BlockCache& cache, const std::string& block_key,
+            BlockCacheStats* stats) {
+  std::vector<std::shared_ptr<const ColumnVector>> out;
+  return cache.Lookup(block_key, {0}, &out, stats);
 }
 
 TEST(BlockCacheTest, GdsfKeepsTheDearerBlock) {
@@ -310,22 +407,22 @@ TEST(BlockCacheTest, GdsfKeepsTheDearerBlock) {
   BlockCacheStats stats;
   // Same size, different re-materialization cost: when space runs out the
   // cheap-to-refetch block is the victim.
-  cache.Insert("cheap", TinyChunk(), 600.0, /*miss_cost=*/1e-6, &stats);
-  cache.Insert("dear", TinyChunk(), 600.0, /*miss_cost=*/1e-3, &stats);
+  cache.Insert("cheap", 0, TinyColumn(), 600.0, /*miss_cost=*/1e-6, &stats);
+  cache.Insert("dear", 0, TinyColumn(), 600.0, /*miss_cost=*/1e-3, &stats);
   EXPECT_EQ(cache.entries(), 2u);
-  cache.Insert("new", TinyChunk(), 600.0, /*miss_cost=*/1e-4, &stats);
+  cache.Insert("new", 0, TinyColumn(), 600.0, /*miss_cost=*/1e-4, &stats);
   EXPECT_EQ(stats.evictions, 1);
-  EXPECT_EQ(cache.Lookup("cheap", &stats), nullptr);
-  EXPECT_NE(cache.Lookup("dear", &stats), nullptr);
-  EXPECT_NE(cache.Lookup("new", &stats), nullptr);
+  EXPECT_FALSE(Cached(cache, "cheap", &stats));
+  EXPECT_TRUE(Cached(cache, "dear", &stats));
+  EXPECT_TRUE(Cached(cache, "new", &stats));
 }
 
 TEST(BlockCacheTest, RejectsBlocksLargerThanBudgetAndCountsTraffic) {
   BlockCache cache(1000);
   BlockCacheStats stats;
-  cache.Insert("whale", TinyChunk(), 5000.0, 1e-3, &stats);
+  cache.Insert("whale", 0, TinyColumn(), 5000.0, 1e-3, &stats);
   EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(cache.Lookup("whale", &stats), nullptr);
+  EXPECT_FALSE(Cached(cache, "whale", &stats));
   EXPECT_EQ(cache.entries(), 0u);
 
   cache.RecordMiss(5000.0, 0.01, 4e-7, &stats);
@@ -334,6 +431,28 @@ TEST(BlockCacheTest, RejectsBlocksLargerThanBudgetAndCountsTraffic) {
   EXPECT_EQ(stats.miss_get_dollars, 4e-7);
   // Lifetime totals see the same traffic (stats is per-query).
   EXPECT_EQ(cache.totals().misses, 1);
+}
+
+TEST(BlockCacheTest, PartialLookupCountsBytesHitButNotAHit) {
+  BlockCache cache(1 << 20);
+  BlockCacheStats stats;
+  cache.Insert("b", 0, TinyColumn(), 100.0, 1e-6, &stats);
+  cache.Insert("b", 2, TinyColumn(), 300.0, 1e-6, &stats);
+  std::vector<std::shared_ptr<const ColumnVector>> out;
+  EXPECT_FALSE(cache.Lookup("b", {2, 1, 0}, &out, &stats));
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_NE(out[0], nullptr);
+  EXPECT_EQ(out[1], nullptr);
+  EXPECT_NE(out[2], nullptr);
+  EXPECT_EQ(stats.hits, 0);
+  EXPECT_EQ(stats.bytes_hit, 400.0);
+  EXPECT_TRUE(cache.Lookup("b", {0, 2}, &out, &stats));
+  EXPECT_EQ(stats.hits, 1);
+  // Erase drops every column of the block, and only that block's.
+  cache.Insert("bb", 0, TinyColumn(), 50.0, 1e-6, &stats);
+  cache.Erase("b");
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(cache.bytes_used(), 50u);
 }
 
 // --------------------------------------------------------- persistent tier
@@ -465,6 +584,157 @@ TEST(PersistentTableTest, ForcedCompactionThinsBlocksAndBumpsLayout) {
   for (int64_t i = 0; i < 400; ++i) {
     ASSERT_EQ(all->column(0).GetInt(static_cast<size_t>(i)), i);
   }
+}
+
+std::vector<ColumnDef> AllTypeColumns() {
+  return {{"i", LogicalType::kInt64},
+          {"d", LogicalType::kDouble},
+          {"s", LogicalType::kVarchar},
+          {"b", LogicalType::kBool},
+          {"dt", LogicalType::kDate}};
+}
+
+TEST(PersistentTableTest, EveryProjectedPinMatchesAFullDecode) {
+  // A cache too small for any column: every pin decodes its projection
+  // from its own GET, so each subset exercises the projected decode.
+  PersistentFixture fx("projections", /*cache_bytes=*/1);
+  auto table = std::make_shared<Table>("t", AllTypeColumns(),
+                                       /*row_group_size=*/64);
+  table->Append(AllTypesChunk(150));
+  ASSERT_TRUE(table->AttachStorage(fx.MakeStorage(*table)).ok());
+  const size_t ncols = table->columns().size();
+  ASSERT_EQ(table->row_groups().size(), 3u);
+  for (size_t g = 0; g < table->row_groups().size(); ++g) {
+    auto full = table->PinRowGroup(g, Iota(ncols));
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    for (uint32_t mask = 0; mask < (1u << ncols); ++mask) {
+      std::vector<size_t> subset;
+      for (size_t c = 0; c < ncols; ++c) {
+        if (mask & (1u << c)) subset.push_back(c);
+      }
+      auto pin = table->PinRowGroup(g, subset);
+      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+      for (size_t c = 0; c < ncols; ++c) {
+        if (mask & (1u << c)) {
+          ExpectColumnsBitIdentical(pin->column(c), full->column(c));
+        } else {
+          EXPECT_EQ(pin->columns[c], nullptr);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(fx.cache.entries(), 0u);  // every column was rejected
+  EXPECT_TRUE(table->PinRowGroup(0, {ncols}).status().IsOutOfRange());
+}
+
+TEST(PersistentTableTest, SharedColumnsHitAndEachColumnIsCachedOnce) {
+  PersistentFixture fx("shared_columns");
+  auto table = std::make_shared<Table>("t", AllTypeColumns(),
+                                       /*row_group_size=*/64);
+  table->Append(AllTypesChunk(64));  // one row group, one block
+  ASSERT_TRUE(table->AttachStorage(fx.MakeStorage(*table)).ok());
+  ASSERT_EQ(table->row_groups().size(), 1u);
+  const TableStorage& storage = *table->storage();
+  const int64_t gets = fx.store.get_requests();
+
+  BlockCacheStats first;
+  ASSERT_TRUE(table->PinRowGroup(0, {0, 2}, &first).ok());
+  EXPECT_EQ(first.misses, 1);
+  EXPECT_EQ(first.hits, 0);
+  EXPECT_EQ(first.bytes_hit, 0.0);
+  EXPECT_EQ(first.bytes_read, storage.Summary().bytes);
+  EXPECT_EQ(fx.store.get_requests(), gets + 1);
+
+  // Shares column 2, adds column 4: exactly one GET, column 2 a cache hit.
+  BlockCacheStats second;
+  ASSERT_TRUE(table->PinRowGroup(0, {2, 4}, &second).ok());
+  EXPECT_EQ(second.misses, 1);
+  EXPECT_EQ(second.hits, 0);
+  EXPECT_EQ(second.bytes_hit, storage.ColumnBytes(2));
+  EXPECT_EQ(fx.store.get_requests(), gets + 2);
+
+  // Every requested column cached: a hit, no GET.
+  BlockCacheStats third;
+  ASSERT_TRUE(table->PinRowGroup(0, {4, 0, 2}, &third).ok());
+  EXPECT_EQ(third.hits, 1);
+  EXPECT_EQ(third.misses, 0);
+  EXPECT_EQ(fx.store.get_requests(), gets + 2);
+
+  // Each column is cached once, charged its manifest bytes.
+  EXPECT_EQ(fx.cache.entries(), 3u);
+  EXPECT_EQ(static_cast<double>(fx.cache.bytes_used()),
+            storage.ColumnBytes(0) + storage.ColumnBytes(2) +
+                storage.ColumnBytes(4));
+}
+
+TEST(PersistentTableTest, TruncatedBlockFailsInTheStoreBeforeDecode) {
+  PersistentFixture fx("truncated_block");
+  auto table = std::make_shared<Table>(
+      "t", std::vector<ColumnDef>{{"i", LogicalType::kInt64}},
+      /*row_group_size=*/64);
+  DataChunk data({LogicalType::kInt64});
+  for (int64_t i = 0; i < 64; ++i) data.AppendRow({Value(i)});
+  table->Append(data);
+  ASSERT_TRUE(table->AttachStorage(fx.MakeStorage(*table)).ok());
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(fx.store.spill_directory())) {
+    files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  std::filesystem::resize_file(files[0],
+                               std::filesystem::file_size(files[0]) - 1);
+
+  auto pin = table->PinRowGroup(0, {0});
+  ASSERT_FALSE(pin.ok());
+  EXPECT_TRUE(pin.status().IsInternal());
+  // The GET's byte count caught the short read, before any checksum ran.
+  EXPECT_NE(pin.status().message().find("object store: size mismatch"),
+            std::string::npos)
+      << pin.status().ToString();
+}
+
+TEST(ObjectStoreTest, SpillFileTruncatedOrGrownIsASizeMismatch) {
+  PricingCatalog pricing = PricingCatalog::Default();
+  SimulatedObjectStore store(&pricing);
+  ASSERT_TRUE(store.EnableSpill(FreshSpillDir("sized_get")).ok());
+  // A raw payload, not a block: no checksum exists to catch a bad read.
+  const std::string payload = "0123456789abcdef";
+  ASSERT_TRUE(store.PutObject("obj", payload).ok());
+  auto intact = store.GetObject("obj");
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_EQ(*intact, payload);
+
+  // A key without '/' or '_' names its spill file unchanged.
+  const auto path = std::filesystem::path(store.spill_directory()) / "obj";
+  std::filesystem::resize_file(path, payload.size() - 3);
+  auto truncated = store.GetObject("obj");
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_TRUE(truncated.status().IsInternal());
+  EXPECT_NE(truncated.status().message().find("size mismatch"),
+            std::string::npos)
+      << truncated.status().ToString();
+
+  {
+    std::ofstream grow(path, std::ios::binary | std::ios::trunc);
+    grow << payload << "tail";
+  }
+  auto grown = store.GetObject("obj");
+  ASSERT_FALSE(grown.ok());
+  EXPECT_TRUE(grown.status().IsInternal());
+  EXPECT_NE(grown.status().message().find("size mismatch"), std::string::npos)
+      << grown.status().ToString();
+}
+
+TEST(ObjectStoreTest, ZeroByteObjectRoundTrips) {
+  PricingCatalog pricing = PricingCatalog::Default();
+  SimulatedObjectStore store(&pricing);
+  ASSERT_TRUE(store.EnableSpill(FreshSpillDir("empty_object")).ok());
+  ASSERT_TRUE(store.PutObject("empty", "").ok());
+  auto got = store.GetObject("empty");
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_TRUE(got->empty());
+  EXPECT_EQ(store.get_requests(), 1);
 }
 
 // ------------------------------------------------- database-level wiring
@@ -650,6 +920,72 @@ TEST(DatabaseStorageTest, PersistTableGuards) {
   ASSERT_TRUE(db->PersistTable("lineorder").ok());
   EXPECT_TRUE(db->PersistTable("lineorder").IsAlreadyExists());
   EXPECT_TRUE(db->CompactTable("dates").status().IsInvalidArgument());
+}
+
+TEST(DatabaseStorageTest, MixedProjectionColdScansBitIdenticalAcrossTiers) {
+  // A cache that holds only part of the table's columns: queries with
+  // overlapping projections share, evict and re-fetch each other's
+  // entries, so pins mix cached and missing columns within one block.
+  auto db = MakePersistentSsbDb("db_projections", /*cache_bytes=*/16u << 10);
+  const std::string disjunctive =
+      "SELECT count(*) AS n, sum(lo_quantity) AS q, max(lo_revenue) AS top "
+      "FROM lineorder WHERE lo_quantity < 10 OR lo_discount = 2";
+  const std::vector<std::pair<std::string, UserConstraint>> runs = {
+      {FindQuery("Q1").sql, UserConstraint()},                // fused
+      {disjunctive, UserConstraint()},                        // vectorized
+      {FindQuery("Q2").sql, UserConstraint().WithWorkers(2)},  // sharded
+      {FindQuery("Q10").sql, UserConstraint()},
+      {FindQuery("Q3").sql, UserConstraint()},
+  };
+  std::vector<std::string> ram;
+  for (const auto& [sql, constraint] : runs) {
+    auto r = db->ExecuteSql(sql, constraint);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ram.push_back(SortedLines(r->result));
+  }
+
+  ASSERT_TRUE(db->PersistTable("lineorder").ok());
+  // Two rounds, the second in reverse, so each query meets the cache state
+  // the others left behind.
+  for (int round = 0; round < 2; ++round) {
+    for (size_t k = 0; k < runs.size(); ++k) {
+      const size_t i = round == 0 ? k : runs.size() - 1 - k;
+      auto cold = db->ExecuteSql(runs[i].first, runs[i].second);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      EXPECT_EQ(SortedLines(cold->result), ram[i]) << runs[i].first;
+    }
+  }
+  const BlockCacheStats totals = db->block_cache()->totals();
+  EXPECT_GT(totals.misses, 0);
+  EXPECT_GT(totals.bytes_hit, 0.0);
+  EXPECT_GT(totals.evictions, 0);
+
+  // Row-at-a-time oracle for the vectorized query over a cold full scan.
+  auto lineorder = db->meta()->GetTable("lineorder");
+  ASSERT_TRUE(lineorder.ok());
+  auto all = (*lineorder)->ScanPinned();
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  const ColumnVector& quantity =
+      all->column((*lineorder)->ColumnIndex("lo_quantity").value());
+  const ColumnVector& discount =
+      all->column((*lineorder)->ColumnIndex("lo_discount").value());
+  const ColumnVector& revenue =
+      all->column((*lineorder)->ColumnIndex("lo_revenue").value());
+  int64_t n = 0, q = 0;
+  double top = 0.0;
+  for (size_t r = 0; r < all->num_rows(); ++r) {
+    if (quantity.GetInt(r) >= 10 && discount.GetInt(r) != 2) continue;
+    top = n == 0 ? revenue.GetDouble(r) : std::max(top, revenue.GetDouble(r));
+    ++n;
+    q += quantity.GetInt(r);
+  }
+  auto vectorized = db->ExecuteSql(disjunctive, UserConstraint());
+  ASSERT_TRUE(vectorized.ok());
+  ASSERT_GT(n, 0);
+  const DataChunk& row = vectorized->result.chunk;
+  EXPECT_TRUE(row.column(0).GetValue(0) == Value(n));
+  EXPECT_TRUE(row.column(1).GetValue(0) == Value(q));
+  EXPECT_TRUE(row.column(2).GetValue(0) == Value(top));
 }
 
 }  // namespace
