@@ -97,12 +97,13 @@ std::unique_ptr<Database> MakeDb(const Tables& data, bool partitioned,
   return db;
 }
 
-double BestOf(int runs, ShardedEngine* engine, const PhysicalPlan* plan,
-              DataChunk* out) {
+double BestOf(int runs, const ShardedEngine& engine, size_t workers,
+              const PhysicalPlan* plan, DataChunk* out,
+              ExecProfile* profile = nullptr) {
   double best = 1e18;
   for (int i = 0; i < runs; ++i) {
     auto t0 = std::chrono::steady_clock::now();
-    auto r = engine->Execute(plan);
+    auto r = engine.Execute(plan, workers, profile);
     auto t1 = std::chrono::steady_clock::now();
     if (!r.ok()) {
       std::fprintf(stderr, "execute failed: %s\n",
@@ -160,16 +161,17 @@ int Main(int argc, char** argv) {
       co_plan->estimate.latency <= sh_plan->estimate.latency &&
       co_plan->estimate.cost <= sh_plan->estimate.cost;
 
-  ShardedEngine co_engine(4);
+  const ShardedEngine engine;
   DataChunk co_rows;
-  double co_secs = BestOf(smoke ? 2 : 3, &co_engine, co_plan->plan.get(),
-                          &co_rows);
-  ExchangeStats co_stats = co_engine.last_exchange_stats();
-  ShardedEngine sh_engine(4);
+  ExecProfile co_profile;
+  double co_secs = BestOf(smoke ? 2 : 3, engine, 4, co_plan->plan.get(),
+                          &co_rows, &co_profile);
+  const ExchangeStats& co_stats = co_profile.exchange;
   DataChunk sh_rows;
-  double sh_secs = BestOf(smoke ? 2 : 3, &sh_engine, sh_plan->plan.get(),
-                          &sh_rows);
-  ExchangeStats sh_stats = sh_engine.last_exchange_stats();
+  ExecProfile sh_profile;
+  double sh_secs = BestOf(smoke ? 2 : 3, engine, 4, sh_plan->plan.get(),
+                          &sh_rows, &sh_profile);
+  const ExchangeStats& sh_stats = sh_profile.exchange;
 
   std::printf("\n-- join strategies at 4 workers (%zu x %zu rows) --\n",
               sales_rows, cust_rows);
@@ -222,9 +224,8 @@ int Main(int argc, char** argv) {
   std::string fingerprint;
   bool identical = true;
   for (size_t w : {1u, 2u, 4u, 8u}) {
-    ShardedEngine engine(w);
     DataChunk rows;
-    double secs = BestOf(smoke ? 3 : 5, &engine, agg_plan->plan.get(), &rows);
+    double secs = BestOf(smoke ? 3 : 5, engine, w, agg_plan->plan.get(), &rows);
     if (w == 1) t1 = secs;
     if (w == 4) t4 = secs;
     std::string fp = ChunkFingerprint(rows);
@@ -260,13 +261,13 @@ int Main(int argc, char** argv) {
   if (!smoke) {
     auto prepared = db_part->Prepare(agg_sql, UserConstraint());
     if (prepared.ok()) {
-      ShardedEngine probe(4);
       DataChunk ignored;
-      double sharded_secs =
-          BestOf(2, &probe, prepared->planned.plan.get(), &ignored);
-      ShardedParity parity = CheckShardedParity(
-          *prepared, *db_part->estimator(), 4, t1, sharded_secs,
-          probe.last_exchange_stats());
+      ExecProfile profile;
+      double sharded_secs = BestOf(2, engine, 4, prepared->planned.plan.get(),
+                                   &ignored, &profile);
+      ShardedParity parity =
+          CheckShardedParity(*prepared, *db_part->estimator(), 4, t1,
+                             sharded_secs, profile.exchange);
       std::printf("\n-- simulator parity at 4 workers --\n");
       std::printf("predicted latency 1w/4w: %.3fs / %.3fs; measured: "
                   "%.3fs / %.3fs; direction agrees: %s\n",

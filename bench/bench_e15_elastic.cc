@@ -113,15 +113,17 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "local execute failed\n");
     return 1;
   }
-  ShardedEngine elastic(2);
-  elastic.SetResizer([](const FragmentBoundary&) { return size_t{6}; });
-  auto grown = elastic.Execute(planned->plan.get());
+  ShardedEngine engine;
+  ExecProfile grown_profile;
+  auto grown =
+      engine.Execute(planned->plan.get(), 2, &grown_profile, /*sink=*/nullptr,
+                     [](const FragmentBoundary&) { return size_t{6}; });
   if (!grown.ok()) {
     std::fprintf(stderr, "elastic execute failed: %s\n",
                  grown.status().ToString().c_str());
     return 1;
   }
-  const WorkerUsage usage = elastic.last_usage();
+  const WorkerUsage& usage = grown_profile.usage;
   const bool identical =
       ChunkFingerprint(reference->chunk) == ChunkFingerprint(grown->chunk);
 
@@ -133,10 +135,10 @@ int Main(int argc, char** argv) {
                 usage.fragments[i].seconds * 1e3);
   }
   std::printf("wall %.2fms, worker-seconds %.5f (min %zu, peak %zu, "
-              "resizes %zu, spun up %zu in %.2fms)\n",
+              "resizes %zu, spun up %zu)\n",
               usage.wall_seconds * 1e3, usage.worker_seconds,
               usage.min_workers, usage.peak_workers, usage.resizes,
-              usage.workers_spun_up, usage.spinup_seconds * 1e3);
+              usage.workers_spun_up);
   const bool billed_in_bounds =
       usage.worker_seconds >=
           usage.wall_seconds * static_cast<double>(usage.min_workers) -
@@ -144,9 +146,9 @@ int Main(int argc, char** argv) {
       usage.worker_seconds <=
           usage.wall_seconds * static_cast<double>(usage.peak_workers) +
               1e-9;
-  ShardedEngine fixed(4);
-  auto fixed_run = fixed.Execute(planned->plan.get());
-  const WorkerUsage fixed_usage = fixed.last_usage();
+  ExecProfile fixed_profile;
+  auto fixed_run = engine.Execute(planned->plan.get(), 4, &fixed_profile);
+  const WorkerUsage& fixed_usage = fixed_profile.usage;
   const bool fixed_exact =
       fixed_run.ok() &&
       std::abs(fixed_usage.worker_seconds - fixed_usage.wall_seconds * 4.0) <=
@@ -175,10 +177,9 @@ int Main(int argc, char** argv) {
   ElasticController accepter(&cheap_est, &greedy, copts);
   accepter.BeginQuery(&planned->pipelines, &planned->volumes,
                       UserConstraint(), planned->estimate.latency, 2);
-  ShardedEngine cheap_engine(2);
-  cheap_engine.SetResizer(
+  auto cheap_run = engine.Execute(
+      planned->plan.get(), 2, /*profile=*/nullptr, /*sink=*/nullptr,
       [&accepter](const FragmentBoundary& b) { return accepter.Decide(b); });
-  auto cheap_run = cheap_engine.Execute(planned->plan.get());
 
   HardwareCalibration dear_hw;
   dear_hw.worker_spinup_seconds = 1e6;  // spin-up dwarfs any saving: decline
@@ -186,10 +187,9 @@ int Main(int argc, char** argv) {
   ElasticController decliner(&dear_est, &greedy, copts);
   decliner.BeginQuery(&planned->pipelines, &planned->volumes,
                       UserConstraint(), planned->estimate.latency, 2);
-  ShardedEngine dear_engine(2);
-  dear_engine.SetResizer(
+  auto dear_run = engine.Execute(
+      planned->plan.get(), 2, /*profile=*/nullptr, /*sink=*/nullptr,
       [&decliner](const FragmentBoundary& b) { return decliner.Decide(b); });
-  auto dear_run = dear_engine.Execute(planned->plan.get());
 
   auto print_decisions = [](const char* label,
                             const ElasticController& controller) {

@@ -152,14 +152,14 @@ int Main(int argc, char** argv) {
     return 1;
   }
   ShardedEngineOptions engine_options;
-  engine_options.workers = 4;
   engine_options.transport = TransportKind::kSocket;
   ShardedEngine engine(engine_options);
-  if (!engine.Execute(planned->plan.get()).ok()) {
+  ExecProfile profile;
+  if (!engine.Execute(planned->plan.get(), 4, &profile).ok()) {
     std::fprintf(stderr, "engine execute failed\n");
     return 1;
   }
-  const TransportStats& tp = engine.transport_stats();
+  const TransportStats& tp = profile.exchange.transport_stats;
   const double expected_socket =
       tp.wire_bytes + 8.0 * static_cast<double>(tp.transfers);
   const bool wire_match =

@@ -343,15 +343,18 @@ run_tsan_stage() {
   # (StatsKnobsRaceServedStatsReads): the what-if planner flips error
   # factors and virtual scales while sessions read served stats, and the
   # locked rewrite is only proven under TSAN.
-  echo "== TSAN (service + session + tenant + sharded + elastic + vectorized + catalog) =="
+  # exec_test rides along for SharedEngineIsReentrant: eight threads run
+  # different plans through one LocalEngine over the process-wide morsel
+  # pool, which only proves the engine keeps no per-run state under TSAN.
+  echo "== TSAN (exec + service + session + tenant + sharded + elastic + vectorized + catalog) =="
   local build_dir="${TSAN_BUILD_DIR:-build-tsan}"
   cmake -B "$build_dir" -S . -DCOSTDB_TSAN=ON "${CMAKE_LAUNCHER_ARGS[@]}"
   cmake --build "$build_dir" -j "$JOBS" \
-    --target service_test session_test tenant_test sharded_test \
+    --target exec_test service_test session_test tenant_test sharded_test \
     elastic_test vectorized_test catalog_test
   local t
-  for t in service_test session_test tenant_test sharded_test elastic_test \
-           vectorized_test catalog_test; do
+  for t in exec_test service_test session_test tenant_test sharded_test \
+           elastic_test vectorized_test catalog_test; do
     TSAN_OPTIONS="halt_on_error=1" "$build_dir/$t"
   done
   echo "TSAN OK"

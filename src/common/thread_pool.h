@@ -1,7 +1,9 @@
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -10,9 +12,9 @@
 
 namespace costdb {
 
-/// Minimal fixed-size worker pool for morsel-parallel pipeline execution.
-/// Tasks are fire-and-forget; WaitIdle() blocks until every submitted task
-/// has finished.
+/// Fixed-size worker pool behind morsel-parallel pipelines and sharded
+/// fragment fan-out. One process-wide instance (Shared()) serves every
+/// query; ParallelFor is the only way work enters a pool.
 ///
 /// The queue state is annotated for Clang's thread-safety analysis: every
 /// member below `mu_` is GUARDED_BY(mu_), so a build with
@@ -43,14 +45,36 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  void Submit(std::function<void()> task) EXCLUDES(mu_);
+  /// The process-wide pool, sized by hardware_concurrency() and built on
+  /// first use. A forked child must not touch it (its threads did not
+  /// survive the fork); children build a private pool instead.
+  static ThreadPool& Shared();
 
-  /// Block until the queue is drained and all workers are idle.
-  void WaitIdle() EXCLUDES(mu_);
+  /// Run fn(0) .. fn(n - 1) on at most `parallelism` threads; returns
+  /// once every index has run. With parallelism 1 the caller runs them
+  /// all. Otherwise a caller outside the pool sleeps while up to
+  /// `parallelism` pool helpers run the indices; a caller that is itself
+  /// one of this pool's threads claims indices too, next to at most
+  /// `parallelism - 1` helpers, so nested calls always make progress and
+  /// cannot deadlock. Concurrent calls take turns: a helper that finishes
+  /// an index while other tasks wait for a thread goes back to the end of
+  /// the queue, so no call waits for another call's remaining indices. A
+  /// helper that starts after every index is claimed returns without
+  /// touching `fn`.
+  void ParallelFor(size_t n, size_t parallelism,
+                   const std::function<void(size_t)>& fn) EXCLUDES(mu_);
 
   size_t num_threads() const { return workers_.size(); }
 
  private:
+  struct Group;
+
+  /// Helper task of one ParallelFor call: run indices until none is left
+  /// or another task is queued, then requeue itself if indices remain.
+  void Help(const std::shared_ptr<Group>& group) EXCLUDES(mu_);
+
+  void Submit(std::function<void()> task) EXCLUDES(mu_);
+
   void WorkerLoop() EXCLUDES(mu_);
 
   /// Pop the next task; caller holds the lock (enforced at compile time).
@@ -59,9 +83,10 @@ class ThreadPool {
   std::vector<std::thread> workers_;  // set in the constructor only
   mutable Mutex mu_;
   std::condition_variable_any cv_task_;
-  std::condition_variable_any cv_idle_;
   std::queue<std::function<void()>> queue_ GUARDED_BY(mu_);
-  size_t in_flight_ GUARDED_BY(mu_) = 0;
+  /// queue_.size(), readable without the lock: helpers poll it after
+  /// every index to decide whether to give their thread up.
+  std::atomic<size_t> queued_{0};
   bool shutdown_ GUARDED_BY(mu_) = false;
 };
 

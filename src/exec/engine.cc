@@ -283,7 +283,7 @@ struct LocalEngine::ExecContext {
   /// When set, the result pipeline streams into this sink (in morsel
   /// order, as prefixes complete) instead of materializing `result`.
   ChunkSink* result_sink = nullptr;
-  size_t rows_streamed = 0;
+  ExecProfile* profile = nullptr;  // this call's counters; never null
 };
 
 namespace {
@@ -452,10 +452,11 @@ struct MorselProcessor {
 
 }  // namespace
 
-LocalEngine::LocalEngine(size_t num_threads) : pool_(num_threads) {}
+LocalEngine::LocalEngine(size_t num_threads, ThreadPool* pool)
+    : num_threads_(std::max<size_t>(1, num_threads)), pool_(pool) {}
 
 Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
-                                PipelineTiming* timing) {
+                                PipelineTiming* timing) const {
   // ---- 1. Build the morsel list ----
   struct Morsel {
     const DataChunk* source_chunk = nullptr;  // row group or materialized
@@ -466,6 +467,7 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   };
   std::vector<Morsel> morsels;
   std::vector<std::string> source_names;
+  ScanStats& scan_stats = ctx->profile->scan;
   const PhysicalPlan* src = pipeline.source;
   if (src == nullptr) return Status::Internal("pipeline without source");
 
@@ -480,7 +482,7 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     const size_t g_end = std::min(groups.size(), src->scan_group_end);
     for (size_t g = std::min(src->scan_group_begin, g_end); g < g_end; ++g) {
       const RowGroup& group = groups[g];
-      ++scan_stats_.morsels_total;
+      ++scan_stats.morsels_total;
       bool prunable = false;
       for (const auto& f : src->scan_filters) {
         std::string col;
@@ -498,11 +500,11 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
         }
       }
       if (prunable) {
-        ++scan_stats_.morsels_pruned;
-        scan_stats_.rows_pruned += group.num_rows();
+        ++scan_stats.morsels_pruned;
+        scan_stats.rows_pruned += group.num_rows();
         continue;
       }
-      scan_stats_.rows_scanned += group.num_rows();
+      scan_stats.rows_scanned += group.num_rows();
       Morsel m;
       m.row_group = &group;
       m.group_index = g;
@@ -875,21 +877,15 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     }
   };
 
-  if (pool_.num_threads() > 1 && morsels.size() > 1) {
-    for (size_t slot = 0; slot < morsels.size(); ++slot) {
-      pool_.Submit([&, slot] { process_one(slot); });
-    }
-    pool_.WaitIdle();
-  } else {
-    for (size_t slot = 0; slot < morsels.size(); ++slot) process_one(slot);
-  }
+  ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::Shared();
+  pool.ParallelFor(morsels.size(), num_threads_, process_one);
   for (const auto& st : slot_status) {
     COSTDB_RETURN_NOT_OK(st);
   }
   // Per-slot fused counters merge after the barrier (no atomics on the
   // morsel path), like the aggregate partials.
-  for (const auto& fs : slot_fused) fused_stats_.MergeFrom(fs);
-  for (const auto& bs : slot_blocks) block_stats_.MergeFrom(bs);
+  for (const auto& fs : slot_fused) ctx->profile->fused.MergeFrom(fs);
+  for (const auto& bs : slot_blocks) ctx->profile->storage.MergeFrom(bs);
 
   // Merge aggregate partials in morsel order (deterministic for any thread
   // count; the per-row path above never took a lock).
@@ -925,7 +921,6 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     // Streaming result: every chunk already went out in morsel order.
     COSTDB_RETURN_NOT_OK(push_status);
     ctx->result_valid = true;
-    ctx->rows_streamed += pushed_rows;
     if (timing != nullptr) timing->output_rows = double(pushed_rows);
     return Status::OK();
   }
@@ -1095,50 +1090,34 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   return Status::Internal("unknown sink kind");
 }
 
-Status LocalEngine::RunAll(const PhysicalPlan* root, ExecContext* ctx) {
+Result<QueryResult> LocalEngine::Execute(const PhysicalPlan* root,
+                                         ExecProfile* profile,
+                                         ChunkSink* sink) const {
+  ExecProfile local_profile;
+  ExecContext ctx;
+  ctx.result_sink = sink;
+  ctx.profile = profile != nullptr ? profile : &local_profile;
+  *ctx.profile = ExecProfile();
   PipelineGraph graph = BuildPipelines(root);
-  timings_.clear();
-  scan_stats_ = ScanStats();
-  fused_stats_ = FusedExecStats();
-  block_stats_ = BlockCacheStats();
   for (const auto& pipeline : graph.pipelines) {
     PipelineTiming t;
     t.pipeline_id = pipeline.id;
     auto start = std::chrono::steady_clock::now();
-    COSTDB_RETURN_NOT_OK(RunPipeline(pipeline, ctx, &t));
+    COSTDB_RETURN_NOT_OK(RunPipeline(pipeline, &ctx, &t));
     auto end = std::chrono::steady_clock::now();
     t.seconds = std::chrono::duration<double>(end - start).count();
-    timings_.push_back(t);
+    ctx.profile->timings.push_back(t);
   }
-  if (!ctx->result_valid) {
+  if (!ctx.result_valid) {
     return Status::Internal("query produced no result sink");
   }
-  return Status::OK();
-}
-
-Result<QueryResult> LocalEngine::Execute(const PhysicalPlan* root) {
-  ExecContext ctx;
-  COSTDB_RETURN_NOT_OK(RunAll(root, &ctx));
   QueryResult result;
   result.names = root->output_names;
   result.types = root->output_types;
-  result.chunk = std::move(ctx.result);
+  // Streamed rows already went to the sink; the chunk stays empty.
+  result.chunk = sink != nullptr ? DataChunk(result.types)
+                                 : std::move(ctx.result);
   return result;
-}
-
-Result<StreamedResult> LocalEngine::ExecuteToSink(const PhysicalPlan* root,
-                                                  ChunkSink* sink) {
-  if (sink == nullptr) {
-    return Status::InvalidArgument("ExecuteToSink requires a sink");
-  }
-  ExecContext ctx;
-  ctx.result_sink = sink;
-  COSTDB_RETURN_NOT_OK(RunAll(root, &ctx));
-  StreamedResult out;
-  out.names = root->output_names;
-  out.types = root->output_types;
-  out.rows_streamed = ctx.rows_streamed;
-  return out;
 }
 
 }  // namespace costdb

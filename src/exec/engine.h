@@ -7,6 +7,7 @@
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "exec/fused.h"
+#include "net/transport.h"
 #include "plan/pipeline.h"
 #include "storage/cache.h"
 
@@ -32,14 +33,6 @@ class ChunkSink {
  public:
   virtual ~ChunkSink() = default;
   virtual Status Push(DataChunk chunk) = 0;
-};
-
-/// Schema and row count of a sink-driven execution (the rows themselves
-/// went to the ChunkSink).
-struct StreamedResult {
-  std::vector<std::string> names;
-  std::vector<LogicalType> types;
-  size_t rows_streamed = 0;
 };
 
 /// Serialized, type-tagged row-key encoding ('\x01'-separated; strings
@@ -71,12 +64,139 @@ struct ScanStats {
   size_t rows_scanned = 0;    // rows in surviving morsels
   size_t rows_pruned = 0;     // rows in pruned morsels
 
+  void MergeFrom(const ScanStats& o) {
+    morsels_total += o.morsels_total;
+    morsels_pruned += o.morsels_pruned;
+    rows_scanned += o.rows_scanned;
+    rows_pruned += o.rows_pruned;
+  }
   double pruned_fraction() const {
     return morsels_total == 0
                ? 0.0
                : static_cast<double>(morsels_pruned) /
                      static_cast<double>(morsels_total);
   }
+};
+
+/// One observed exchange execution, in the cost model's vocabulary. The
+/// CalibrationUpdater folds these into the calibration's shuffle term
+/// (bytes / shuffle_gibps + partitions * shuffle_dispatch_seconds), so
+/// `bytes` counts what the measured wall time actually processed — every
+/// payload byte the in-process movement copied (a broadcast materializes
+/// one shared copy, not W wire copies) — while the logical cross-worker
+/// charge lives in ExchangeStats::bytes_moved(). When the exchange ran
+/// over a serializing transport, `wire_bytes`/`link_seconds` isolate the
+/// serialization + link share of `seconds`; ObserveTransport calibrates
+/// the link terms from exactly these fields (and ObserveShuffles subtracts
+/// them, so the copy term never chases link time).
+struct ExchangeTiming {
+  ExchangeKind kind = ExchangeKind::kShuffle;
+  double bytes = 0.0;      // payload bytes the movement copied
+  size_t partitions = 0;   // receiver partitions dispatched
+  double seconds = 0.0;    // wall time of the repartition/copy step
+  TransportKind transport = TransportKind::kInProcess;
+  double wire_bytes = 0.0;    // serialized frame bytes (0 for in-process)
+  size_t transfers = 0;       // transport Send calls this exchange made
+  double link_seconds = 0.0;  // serialize+transfer share of `seconds`
+};
+
+/// Data-movement counters of one exchange kind within one Execute call.
+struct ExchangeKindStats {
+  size_t count = 0;
+  size_t rows_moved = 0;      // rows that left their producing worker
+  double bytes_moved = 0.0;   // payload bytes of those rows
+  double seconds = 0.0;       // wall time spent in this exchange kind
+  double wire_bytes = 0.0;    // serialized frame bytes over the transport
+  double link_seconds = 0.0;  // serialize+transfer share of `seconds`
+};
+
+/// Data-movement counters of one ShardedEngine::Execute call, broken down
+/// by exchange kind (shuffle vs broadcast vs gather move very different
+/// byte volumes; a single sum hid which one dominated).
+struct ExchangeStats {
+  TransportKind transport = TransportKind::kInProcess;
+  ExchangeKindStats shuffle;
+  ExchangeKindStats broadcast;
+  ExchangeKindStats gather;
+  std::vector<ExchangeTiming> timings;  // per executed exchange, plan order
+  /// The call's own transport counters (each call gets a fresh transport):
+  /// socket bytes are the wire bodies plus one 8-byte prefix per transfer.
+  TransportStats transport_stats;
+
+  size_t exchanges() const {
+    return shuffle.count + broadcast.count + gather.count;
+  }
+  size_t rows_moved() const {
+    return shuffle.rows_moved + broadcast.rows_moved + gather.rows_moved;
+  }
+  double bytes_moved() const {
+    return shuffle.bytes_moved + broadcast.bytes_moved + gather.bytes_moved;
+  }
+  double seconds() const {
+    return shuffle.seconds + broadcast.seconds + gather.seconds;
+  }
+  double wire_bytes() const {
+    return shuffle.wire_bytes + broadcast.wire_bytes + gather.wire_bytes;
+  }
+  double link_seconds() const {
+    return shuffle.link_seconds + broadcast.link_seconds +
+           gather.link_seconds;
+  }
+
+  ExchangeKindStats& ByKind(ExchangeKind kind) {
+    switch (kind) {
+      case ExchangeKind::kBroadcast:
+        return broadcast;
+      case ExchangeKind::kGather:
+        return gather;
+      default:
+        return shuffle;  // kShuffle; kLocal never records stats
+    }
+  }
+};
+
+/// One fragment execution at one width (elastic runs interleave widths).
+struct FragmentUsage {
+  size_t workers = 0;    // width the fragment ran at (1 for post-gather)
+  double seconds = 0.0;  // fragment wall time (workers run concurrently)
+};
+
+/// Machine-time ledger of one ShardedEngine::Execute call, billed the way
+/// the paper says clouds bill: every wall-clock second is charged at the
+/// worker count held during it — blocked or skipped workers included.
+/// This is what the cloud billing layer converts to dollars for elastic
+/// runs.
+struct WorkerUsage {
+  double wall_seconds = 0.0;
+  double worker_seconds = 0.0;   // sum of wall segments x active width
+  size_t peak_workers = 0;
+  size_t min_workers = 0;
+  size_t resizes = 0;            // applied width changes
+  size_t workers_spun_up = 0;    // workers added beyond the starting width
+  std::vector<FragmentUsage> fragments;  // per executed fragment, run order
+};
+
+/// Everything one Execute call measured, filled by the call that produced
+/// it — so concurrent calls on one engine never see each other's numbers.
+/// LocalEngine fills timings, scan, fused and storage; ShardedEngine fills
+/// scan, fused and storage summed over workers, plus exchange and usage.
+struct ExecProfile {
+  /// Per-pipeline wall time (the feedback signal of the calibration loop;
+  /// see CalibrationUpdater). Empty on sharded runs.
+  std::vector<PipelineTiming> timings;
+  ScanStats scan;
+  /// Which morsels ran through the fused tier the fuse_kernels pass
+  /// annotated, which hit the runtime fallback, and the wall time inside
+  /// fused kernels (what CalibrationUpdater::ObserveFused folds back).
+  FusedExecStats fused;
+  /// Block-cache counters: cold-block hits, misses (each one object-store
+  /// GET), and the measured read+decode time ObserveStorage folds back.
+  /// All-zero for purely RAM-resident scans.
+  BlockCacheStats storage;
+  /// Sharded runs only: what the exchanges moved (the shuffle- and
+  /// link-term calibration signal) and the worker-second ledger.
+  ExchangeStats exchange;
+  WorkerUsage usage;
 };
 
 /// Morsel-driven, push-style local execution engine, vectorized end to
@@ -88,50 +208,31 @@ struct ScanStats {
 ///
 /// Pipelines run in dependency order, each parallelized over morsels (zone-
 /// map-surviving row groups for scans, fixed slices for materialized
-/// inputs) on a worker pool. Morsel outputs and aggregate partials are
-/// reassembled in morsel order, so results are deterministic for any
-/// thread count.
+/// inputs) on helpers from a shared thread pool. Morsel outputs and
+/// aggregate partials are reassembled in morsel order, so results are
+/// deterministic for any thread count.
+///
+/// The engine is reentrant: it holds no per-run state, so one instance
+/// serves any number of concurrent Execute calls.
 ///
 /// Exchange operators are no-ops here: locally there is no network. Their
 /// cost lives in the cost estimator and the distributed simulator, which
 /// share this engine's pipeline decomposition.
 class LocalEngine {
  public:
-  explicit LocalEngine(size_t num_threads = 8);
+  /// `num_threads` bounds one call's morsel parallelism. Morsels run on
+  /// helpers from `pool` — the process-wide ThreadPool::Shared() when
+  /// null — see ThreadPool::ParallelFor.
+  explicit LocalEngine(size_t num_threads = 8, ThreadPool* pool = nullptr);
 
-  Result<QueryResult> Execute(const PhysicalPlan* root);
-
-  /// Execute with the final pipeline streaming into `sink` instead of
-  /// materializing a QueryResult (intermediate breakers still materialize
-  /// — only the result pipeline is pull-based). Chunk order and content
-  /// match Execute() exactly, including LIMIT truncation. last_timings()
-  /// and last_scan_stats() are populated the same way.
-  Result<StreamedResult> ExecuteToSink(const PhysicalPlan* root,
-                                       ChunkSink* sink);
-
-  /// Per-pipeline wall time of the previous Execute call (the feedback
-  /// signal of the calibration loop; see CalibrationUpdater).
-  const std::vector<PipelineTiming>& last_timings() const {
-    return timings_;
-  }
-
-  /// Zone-map pruning counters of the previous Execute call.
-  const ScanStats& last_scan_stats() const { return scan_stats_; }
-
-  /// Fused-kernel counters of the previous Execute call: which morsels ran
-  /// through the fused tier the fuse_kernels pass annotated, which hit the
-  /// runtime fallback, and the wall time spent inside fused kernels (the
-  /// signal CalibrationUpdater::ObserveFused folds back into the fused
-  /// cost terms).
-  const FusedExecStats& last_fused_stats() const { return fused_stats_; }
-
-  /// Block-cache counters of the previous Execute call: cold-block hits,
-  /// misses (each one object-store GET), and the measured read+decode time
-  /// CalibrationUpdater::ObserveStorage folds back into the storage terms.
-  /// All-zero for purely RAM-resident scans.
-  const BlockCacheStats& last_block_stats() const { return block_stats_; }
-
-  size_t num_threads() const { return pool_.num_threads(); }
+  /// Run the plan. `profile` (optional) receives what this call measured.
+  /// With a `sink`, the final pipeline streams into it instead of
+  /// materializing (intermediate breakers still materialize): chunk order
+  /// and content match the materialized result exactly, including LIMIT
+  /// truncation, and the returned chunk is empty but correctly typed.
+  Result<QueryResult> Execute(const PhysicalPlan* root,
+                              ExecProfile* profile = nullptr,
+                              ChunkSink* sink = nullptr) const;
 
   // Execution state shared across the pipelines of one query; public so the
   // morsel-processing helpers in engine.cc can see it.
@@ -140,17 +241,10 @@ class LocalEngine {
 
  private:
   Status RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
-                     PipelineTiming* timing);
+                     PipelineTiming* timing) const;
 
-  /// Shared driver of Execute / ExecuteToSink: pipeline decomposition,
-  /// dependency-ordered execution, timing capture.
-  Status RunAll(const PhysicalPlan* root, ExecContext* ctx);
-
-  ThreadPool pool_;
-  std::vector<PipelineTiming> timings_;
-  ScanStats scan_stats_;
-  FusedExecStats fused_stats_;
-  BlockCacheStats block_stats_;
+  size_t num_threads_;
+  ThreadPool* pool_;  // null = ThreadPool::Shared()
 };
 
 }  // namespace costdb

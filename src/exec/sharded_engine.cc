@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <memory>
 #include <numeric>
 
 #include <sys/wait.h>
@@ -246,13 +248,37 @@ std::shared_ptr<Table> MakeTempTable(const PhysicalPlan* exchange,
   return table;
 }
 
+/// Per-worker chunks flowing between fragments and exchanges.
+struct Shards {
+  std::vector<DataChunk> chunks;  // one per worker
+  /// All rows live on worker 0 (post-gather); downstream fragments run
+  /// single-worker.
+  bool single = false;
+  /// Every worker holds the full input (post-broadcast); chunks[0] is the
+  /// one materialized copy.
+  bool shared = false;
+  /// When > 0: each shard is sorted by the encoded key of its first
+  /// `key_prefix` columns and key sets are disjoint across shards, so a
+  /// gather k-way-merges instead of concatenating (grouped aggregates).
+  size_t key_prefix = 0;
+};
+
+/// A fragment input produced by a cut exchange: the temp table each
+/// worker scans in place of the exchange subtree.
+struct FragmentInput {
+  std::vector<std::shared_ptr<Table>> per_worker;  // size 1 when shared
+  bool shared = false;
+  bool single = false;
+  std::shared_ptr<Table> SharedForWorker(size_t w) const {
+    return (shared || single) ? per_worker[0] : per_worker[w];
+  }
+};
+
 /// Per-worker result of one fragment execution (thread slots and process
 /// children both land here).
 struct SlotResult {
   Result<QueryResult> result{Status::Internal("not run")};
-  ScanStats scan_stats;
-  FusedExecStats fused_stats;
-  BlockCacheStats block_stats;
+  ExecProfile profile;  // scan, fused and storage counters travel back
 };
 
 // -- Worker-process result protocol ----------------------------------------
@@ -276,19 +302,19 @@ std::string EncodeSlotBody(const SlotResult& slot) {
     return body;
   }
   block::PutU32(&body, 0);
-  const ScanStats& sc = slot.scan_stats;
+  const ScanStats& sc = slot.profile.scan;
   block::PutU64(&body, sc.morsels_total);
   block::PutU64(&body, sc.morsels_pruned);
   block::PutU64(&body, sc.rows_scanned);
   block::PutU64(&body, sc.rows_pruned);
-  const FusedExecStats& fu = slot.fused_stats;
+  const FusedExecStats& fu = slot.profile.fused;
   block::PutU64(&body, fu.fused_filter_morsels);
   block::PutU64(&body, fu.fused_probe_morsels);
   block::PutU64(&body, fu.fused_agg_morsels);
   block::PutU64(&body, fu.fallback_morsels);
   block::PutU64(&body, fu.fused_rows);
   block::PutDouble(&body, fu.fused_seconds);
-  const BlockCacheStats& bc = slot.block_stats;
+  const BlockCacheStats& bc = slot.profile.storage;
   block::PutU64(&body, static_cast<uint64_t>(bc.hits));
   block::PutU64(&body, static_cast<uint64_t>(bc.misses));
   block::PutU64(&body, static_cast<uint64_t>(bc.evictions));
@@ -333,19 +359,19 @@ Status DecodeSlotBody(const std::string& body, SlotResult* slot) {
     slot->result = RemakeStatus(code, std::move(msg));
     return Status::OK();
   }
-  ScanStats sc;
+  ScanStats& sc = slot->profile.scan;
   sc.morsels_total = cur.GetU64();
   sc.morsels_pruned = cur.GetU64();
   sc.rows_scanned = cur.GetU64();
   sc.rows_pruned = cur.GetU64();
-  FusedExecStats fu;
+  FusedExecStats& fu = slot->profile.fused;
   fu.fused_filter_morsels = cur.GetU64();
   fu.fused_probe_morsels = cur.GetU64();
   fu.fused_agg_morsels = cur.GetU64();
   fu.fallback_morsels = cur.GetU64();
   fu.fused_rows = cur.GetU64();
   fu.fused_seconds = cur.GetDouble();
-  BlockCacheStats bc;
+  BlockCacheStats& bc = slot->profile.storage;
   bc.hits = static_cast<int64_t>(cur.GetU64());
   bc.misses = static_cast<int64_t>(cur.GetU64());
   bc.evictions = static_cast<int64_t>(cur.GetU64());
@@ -361,16 +387,13 @@ Status DecodeSlotBody(const std::string& body, SlotResult* slot) {
   QueryResult qr;
   qr.chunk = std::move(chunk).value();
   slot->result = std::move(qr);
-  slot->scan_stats = sc;
-  slot->fused_stats = fu;
-  slot->block_stats = bc;
   return Status::OK();
 }
 
 /// Execute one fragment plan per worker, each in a forked child process.
-/// The parent (coordinator) is single-threaded in process mode, so fork()
-/// is safe; each child builds a fresh LocalEngine over the inherited
-/// (copy-on-write) tables, runs its plan, writes one result frame, and
+/// Each child builds a fresh LocalEngine over a private pool — the shared
+/// pool's threads did not survive the fork — runs its plan over the
+/// inherited (copy-on-write) tables, writes one result frame, and
 /// _exit()s without unwinding.
 Status RunPlansInProcesses(const std::vector<PhysicalPlanPtr>& plans,
                            const std::vector<uint8_t>& skip,
@@ -403,13 +426,9 @@ Status RunPlansInProcesses(const std::vector<PhysicalPlanPtr>& plans,
       ::close(fds[0]);
       SlotResult slot;
       {
-        LocalEngine engine(threads_per_worker);
-        slot.result = engine.Execute(plans[w].get());
-        if (slot.result.ok()) {
-          slot.scan_stats = engine.last_scan_stats();
-          slot.fused_stats = engine.last_fused_stats();
-          slot.block_stats = engine.last_block_stats();
-        }
+        ThreadPool pool(threads_per_worker);
+        LocalEngine engine(threads_per_worker, &pool);
+        slot.result = engine.Execute(plans[w].get(), &slot.profile);
         std::string body = EncodeSlotBody(slot);
         std::string frame;
         block::PutU64(&frame, body.size());
@@ -455,80 +474,178 @@ Status RunPlansInProcesses(const std::vector<PhysicalPlanPtr>& plans,
   return status;
 }
 
-}  // namespace
-
-const char* WorkerModeName(WorkerMode mode) {
-  switch (mode) {
-    case WorkerMode::kThreads:
-      return "threads";
-    case WorkerMode::kProcesses:
-      return "processes";
+/// Concatenate (or key-merge) shards into one chunk, in worker order.
+DataChunk MergeShards(Shards* shards, const std::vector<LogicalType>& types) {
+  DataChunk out(types);
+  if (shards->single || shards->shared) {
+    if (!shards->chunks.empty()) out = std::move(shards->chunks[0]);
+    return out;
   }
-  return "unknown";
+  if (shards->key_prefix == 0) {
+    for (auto& c : shards->chunks) {
+      if (c.num_columns() == out.num_columns()) out.Append(c);
+    }
+    return out;
+  }
+  // K-way merge on the encoded group key: every shard is key-sorted with
+  // disjoint key sets, and the encoding is byte-identical to the one that
+  // orders LocalEngine's aggregate output — so the merged order matches a
+  // single-node run exactly.
+  const size_t k = shards->key_prefix;
+  const size_t n = shards->chunks.size();
+  std::vector<size_t> cursor(n, 0);
+  std::vector<std::string> current(n);
+  for (size_t w = 0; w < n; ++w) {
+    if (shards->chunks[w].num_rows() > 0) {
+      EncodeChunkKeyInto(shards->chunks[w], k, 0, &current[w]);
+    }
+  }
+  while (true) {
+    size_t best = n;
+    for (size_t w = 0; w < n; ++w) {
+      if (cursor[w] >= shards->chunks[w].num_rows()) continue;
+      if (best == n || current[w] < current[best]) best = w;
+    }
+    if (best == n) break;
+    out.AppendRowFrom(shards->chunks[best], cursor[best]);
+    ++cursor[best];
+    if (cursor[best] < shards->chunks[best].num_rows()) {
+      EncodeChunkKeyInto(shards->chunks[best], k, cursor[best],
+                         &current[best]);
+    }
+  }
+  return out;
 }
 
-double ChunkPayloadBytes(const DataChunk& chunk) {
-  double total = 0.0;
-  for (size_t c = 0; c < chunk.num_columns(); ++c) {
-    const ColumnVector& col = chunk.column(c);
-    if (col.physical_type() == PhysicalType::kString) {
-      for (const auto& s : col.strings()) {
-        total += static_cast<double>(s.size()) + 4.0;
+/// Clone `node` for one worker of `width`: cut exchanges become temp-table
+/// scans, base scans get the worker's row-group range. `input_rows`
+/// accumulates the rows this worker would read (empty workers are
+/// skipped).
+PhysicalPlanPtr CloneForWorker(
+    const PhysicalPlan* node, size_t worker, size_t width, bool single,
+    const std::map<const PhysicalPlan*, FragmentInput>& inputs,
+    double* input_rows) {
+  auto it = inputs.find(node);
+  if (it != inputs.end()) {
+    const FragmentInput& fi = it->second;
+    auto scan = std::make_shared<PhysicalPlan>();
+    scan->kind = PhysicalPlan::Kind::kTableScan;
+    scan->table = fi.SharedForWorker(worker);
+    scan->alias = "__exchange";
+    scan->output_names = node->output_names;
+    scan->output_types = node->output_types;
+    scan->scan_column_indices.resize(node->output_names.size());
+    std::iota(scan->scan_column_indices.begin(),
+              scan->scan_column_indices.end(), 0);
+    *input_rows += static_cast<double>(scan->table->num_rows());
+    return scan;
+  }
+  auto copy = std::make_shared<PhysicalPlan>(*node);
+  if (copy->kind == PhysicalPlan::Kind::kTableScan) {
+    if (!single) {
+      auto [begin, end] = WorkerGroupRange(*copy->table, worker, width);
+      copy->scan_group_begin = begin;
+      copy->scan_group_end = end;
+      const auto& groups = copy->table->row_groups();
+      for (size_t g = begin; g < std::min(end, groups.size()); ++g) {
+        *input_rows += static_cast<double>(groups[g].num_rows());
       }
     } else {
-      total += 8.0 * static_cast<double>(col.size());
+      *input_rows += static_cast<double>(copy->table->num_rows());
     }
+    return copy;
   }
-  return total;
-}
-
-ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
-    : threads_per_worker_(std::max<size_t>(1, options.threads_per_worker)),
-      initial_workers_(std::max<size_t>(1, options.workers)),
-      worker_mode_(options.worker_mode),
-      active_(initial_workers_),
-      transport_(MakeTransport(options.transport)) {
-  workers_.resize(initial_workers_);
-  if (worker_mode_ == WorkerMode::kThreads) {
-    // Process mode creates neither engines nor a fan-out pool in the
-    // coordinator: a single-threaded parent makes fork() race-free, and
-    // each child builds its own LocalEngine after the fork.
-    for (auto& worker : workers_) {
-      worker.engine = std::make_unique<LocalEngine>(threads_per_worker_);
-    }
-    pool_ = std::make_unique<ThreadPool>(initial_workers_);
+  for (auto& child : copy->children) {
+    child =
+        CloneForWorker(child.get(), worker, width, single, inputs, input_rows);
   }
+  return copy;
 }
 
-void ShardedEngine::EnsureWorkers(size_t n) {
-  if (n <= workers_.size()) return;
-  const double start = NowSeconds();
-  const size_t added = n - workers_.size();
-  workers_.resize(n);
-  if (worker_mode_ == WorkerMode::kThreads) {
-    for (auto& worker : workers_) {
-      if (!worker.engine) {
-        worker.engine = std::make_unique<LocalEngine>(threads_per_worker_);
-      }
-    }
-    if (pool_->num_threads() < n) {
-      // Rebuild the fan-out pool wider; safe between fragments (WaitIdle'd).
-      pool_ = std::make_unique<ThreadPool>(n);
-    }
+/// Per-call execution context of ShardedEngine::Execute: the width, the
+/// exchange transport, the clocks and the counters one call mutates. It
+/// lives on the caller's stack, so concurrent calls share nothing but the
+/// reentrant worker engine and the thread pool.
+class Call {
+ public:
+  Call(const ShardedEngineOptions& options, const LocalEngine& worker_engine,
+       const WidthDecider& decider, size_t width, const PhysicalPlan* root,
+       ExecProfile* profile)
+      : options_(options),
+        worker_engine_(worker_engine),
+        decider_(decider),
+        profile_(profile),
+        transport_(MakeTransport(options.transport)),
+        active_(std::max<size_t>(1, width)),
+        held_(active_),
+        cuts_remaining_(CountCuts(root)),
+        exec_start_(NowSeconds()),
+        segment_start_(exec_start_) {
+    profile_->exchange.transport = transport_->kind();
+    profile_->usage.peak_workers = active_;
+    profile_->usage.min_workers = active_;
   }
-  usage_.workers_spun_up += added;
-  usage_.spinup_seconds += NowSeconds() - start;
-}
 
-void ShardedEngine::CloseUsageSegment(double now) {
-  usage_.worker_seconds +=
-      (now - segment_start_) * static_cast<double>(active_);
-  segment_start_ = now;
-}
+  Result<Shards> RunNode(const PhysicalPlan* node);
 
-size_t ShardedEngine::DecideWidth(double producer_seconds,
-                                  double pending_bytes, double pending_rows) {
-  if (!resizer_) return active_;
+  /// Close the books at the end of a successful run: the last width
+  /// segment, the wall time, and the transport's counters.
+  void Finish() {
+    const double end = NowSeconds();
+    CloseUsageSegment(end);
+    profile_->usage.wall_seconds = end - exec_start_;
+    profile_->exchange.transport_stats = transport_->stats();
+  }
+
+ private:
+  Result<Shards> RunFragment(const PhysicalPlan* frag_root);
+
+  /// Apply one cut exchange to its producer's output, rebucketing for a
+  /// consumer fragment that will run at `width` workers.
+  Result<Shards> ApplyExchange(const PhysicalPlan* exchange, Shards in,
+                               size_t width);
+  Result<Shards> ShuffleShards(Shards in, const PhysicalPlan* exchange,
+                               size_t width);
+  Result<Shards> BroadcastShards(Shards in, const PhysicalPlan* exchange,
+                                 size_t width);
+  Result<Shards> GatherShards(Shards in, const PhysicalPlan* exchange);
+
+  /// Close one exchange's books: compute this exchange's transport delta
+  /// against `before`, record the timing, and fold it into the per-kind
+  /// stats bucket.
+  void RecordExchange(ExchangeTiming timing, const TransportStats& before,
+                      size_t rows_moved, double bytes_moved);
+
+  /// Consult the decider at a fragment boundary and switch the active
+  /// width. Returns the width to run at.
+  size_t DecideWidth(double producer_seconds, double pending_bytes,
+                     double pending_rows);
+
+  /// Close the current constant-width billing segment at `now` and open
+  /// the next one (called on width changes and at the end of the run).
+  void CloseUsageSegment(double now) {
+    profile_->usage.worker_seconds +=
+        (now - segment_start_) * static_cast<double>(active_);
+    segment_start_ = now;
+  }
+
+  const ShardedEngineOptions& options_;
+  const LocalEngine& worker_engine_;
+  const WidthDecider& decider_;
+  ExecProfile* profile_;
+  /// Not thread-safe, so one per call (a socketpair per socket run).
+  std::unique_ptr<ExchangeTransport> transport_;
+  size_t active_;  // current execution width
+  size_t held_;    // widest width this call has held (spin-up ledger)
+  size_t cuts_remaining_;
+  int boundary_index_ = 0;
+  double exec_start_;
+  double segment_start_;  // start of the current constant-width span
+};
+
+size_t Call::DecideWidth(double producer_seconds, double pending_bytes,
+                         double pending_rows) {
+  if (!decider_) return active_;
   FragmentBoundary boundary;
   boundary.index = boundary_index_++;
   boundary.current_workers = active_;
@@ -537,21 +654,25 @@ size_t ShardedEngine::DecideWidth(double producer_seconds,
   boundary.pending_bytes = pending_bytes;
   boundary.pending_rows = pending_rows;
   boundary.cuts_remaining = cuts_remaining_;
-  const size_t target = std::max<size_t>(1, resizer_(boundary));
+  const size_t target = std::max<size_t>(1, decider_(boundary));
   if (target == active_) return active_;
   // Width changes cut a new billing segment: the seconds spent so far are
   // charged at the old width, everything after at the new one.
   CloseUsageSegment(NowSeconds());
-  EnsureWorkers(target);
-  ++usage_.resizes;
+  WorkerUsage& usage = profile_->usage;
+  if (target > held_) {
+    usage.workers_spun_up += target - held_;
+    held_ = target;
+  }
+  ++usage.resizes;
   active_ = target;
-  usage_.peak_workers = std::max(usage_.peak_workers, active_);
-  usage_.min_workers = std::min(usage_.min_workers, active_);
+  usage.peak_workers = std::max(usage.peak_workers, active_);
+  usage.min_workers = std::min(usage.min_workers, active_);
   return active_;
 }
 
-Result<ShardedEngine::Shards> ShardedEngine::ApplyExchange(
-    const PhysicalPlan* exchange, Shards in, size_t width) {
+Result<Shards> Call::ApplyExchange(const PhysicalPlan* exchange, Shards in,
+                                   size_t width) {
   if (cuts_remaining_ > 0) --cuts_remaining_;
   switch (exchange->exchange_kind) {
     case ExchangeKind::kShuffle:
@@ -566,9 +687,8 @@ Result<ShardedEngine::Shards> ShardedEngine::ApplyExchange(
   return in;
 }
 
-void ShardedEngine::RecordExchange(ExchangeTiming timing,
-                                   const TransportStats& before,
-                                   size_t rows_moved, double bytes_moved) {
+void Call::RecordExchange(ExchangeTiming timing, const TransportStats& before,
+                          size_t rows_moved, double bytes_moved) {
   const TransportStats& now = transport_->stats();
   timing.transport = transport_->kind();
   timing.wire_bytes = now.wire_bytes - before.wire_bytes;
@@ -576,18 +696,18 @@ void ShardedEngine::RecordExchange(ExchangeTiming timing,
   timing.link_seconds =
       (now.serialize_seconds - before.serialize_seconds) +
       (now.transfer_seconds - before.transfer_seconds);
-  ExchangeKindStats& ks = exchange_stats_.ByKind(timing.kind);
+  ExchangeKindStats& ks = profile_->exchange.ByKind(timing.kind);
   ++ks.count;
   ks.rows_moved += rows_moved;
   ks.bytes_moved += bytes_moved;
   ks.seconds += timing.seconds;
   ks.wire_bytes += timing.wire_bytes;
   ks.link_seconds += timing.link_seconds;
-  exchange_stats_.timings.push_back(timing);
+  profile_->exchange.timings.push_back(timing);
 }
 
-Result<ShardedEngine::Shards> ShardedEngine::ShuffleShards(
-    Shards in, const PhysicalPlan* exchange, size_t width) {
+Result<Shards> Call::ShuffleShards(Shards in, const PhysicalPlan* exchange,
+                                   size_t width) {
   if (exchange->partition_exprs.empty()) {
     return Status::Internal("shuffle exchange without partition keys");
   }
@@ -652,8 +772,8 @@ Result<ShardedEngine::Shards> ShardedEngine::ShuffleShards(
   return out;
 }
 
-Result<ShardedEngine::Shards> ShardedEngine::BroadcastShards(
-    Shards in, const PhysicalPlan* exchange, size_t width) {
+Result<Shards> Call::BroadcastShards(Shards in, const PhysicalPlan* exchange,
+                                     size_t width) {
   const double start = NowSeconds();
   const TransportStats tp_before = transport_->stats();
   const size_t W = std::max<size_t>(1, width);
@@ -686,8 +806,7 @@ Result<ShardedEngine::Shards> ShardedEngine::BroadcastShards(
   return out;
 }
 
-Result<ShardedEngine::Shards> ShardedEngine::GatherShards(
-    Shards in, const PhysicalPlan* exchange) {
+Result<Shards> Call::GatherShards(Shards in, const PhysicalPlan* exchange) {
   const double start = NowSeconds();
   const TransportStats tp_before = transport_->stats();
   double bytes = 0.0;   // logical: arrived from other workers
@@ -722,92 +841,7 @@ Result<ShardedEngine::Shards> ShardedEngine::GatherShards(
   return out;
 }
 
-DataChunk ShardedEngine::MergeShards(
-    Shards* shards, const std::vector<LogicalType>& types) const {
-  DataChunk out(types);
-  if (shards->single || shards->shared) {
-    if (!shards->chunks.empty()) out = std::move(shards->chunks[0]);
-    return out;
-  }
-  if (shards->key_prefix == 0) {
-    for (auto& c : shards->chunks) {
-      if (c.num_columns() == out.num_columns()) out.Append(c);
-    }
-    return out;
-  }
-  // K-way merge on the encoded group key: every shard is key-sorted with
-  // disjoint key sets, and the encoding is byte-identical to the one that
-  // orders LocalEngine's aggregate output — so the merged order matches a
-  // single-node run exactly.
-  const size_t k = shards->key_prefix;
-  const size_t n = shards->chunks.size();
-  std::vector<size_t> cursor(n, 0);
-  std::vector<std::string> current(n);
-  for (size_t w = 0; w < n; ++w) {
-    if (shards->chunks[w].num_rows() > 0) {
-      EncodeChunkKeyInto(shards->chunks[w], k, 0, &current[w]);
-    }
-  }
-  while (true) {
-    size_t best = n;
-    for (size_t w = 0; w < n; ++w) {
-      if (cursor[w] >= shards->chunks[w].num_rows()) continue;
-      if (best == n || current[w] < current[best]) best = w;
-    }
-    if (best == n) break;
-    out.AppendRowFrom(shards->chunks[best], cursor[best]);
-    ++cursor[best];
-    if (cursor[best] < shards->chunks[best].num_rows()) {
-      EncodeChunkKeyInto(shards->chunks[best], k, cursor[best],
-                         &current[best]);
-    }
-  }
-  return out;
-}
-
-PhysicalPlanPtr ShardedEngine::CloneForWorker(
-    const PhysicalPlan* node, size_t worker, size_t width, bool single,
-    const std::map<const PhysicalPlan*, FragmentInput>& inputs,
-    double* input_rows) const {
-  auto it = inputs.find(node);
-  if (it != inputs.end()) {
-    const FragmentInput& fi = it->second;
-    auto scan = std::make_shared<PhysicalPlan>();
-    scan->kind = PhysicalPlan::Kind::kTableScan;
-    scan->table = fi.SharedForWorker(worker);
-    scan->alias = "__exchange";
-    scan->output_names = node->output_names;
-    scan->output_types = node->output_types;
-    scan->scan_column_indices.resize(node->output_names.size());
-    std::iota(scan->scan_column_indices.begin(),
-              scan->scan_column_indices.end(), 0);
-    *input_rows += static_cast<double>(scan->table->num_rows());
-    return scan;
-  }
-  auto copy = std::make_shared<PhysicalPlan>(*node);
-  if (copy->kind == PhysicalPlan::Kind::kTableScan) {
-    if (!single) {
-      auto [begin, end] = WorkerGroupRange(*copy->table, worker, width);
-      copy->scan_group_begin = begin;
-      copy->scan_group_end = end;
-      const auto& groups = copy->table->row_groups();
-      for (size_t g = begin; g < std::min(end, groups.size()); ++g) {
-        *input_rows += static_cast<double>(groups[g].num_rows());
-      }
-    } else {
-      *input_rows += static_cast<double>(copy->table->num_rows());
-    }
-    return copy;
-  }
-  for (auto& child : copy->children) {
-    child =
-        CloneForWorker(child.get(), worker, width, single, inputs, input_rows);
-  }
-  return copy;
-}
-
-Result<ShardedEngine::Shards> ShardedEngine::RunNode(
-    const PhysicalPlan* node) {
+Result<Shards> Call::RunNode(const PhysicalPlan* node) {
   if (!IsCut(node)) return RunFragment(node);
   // A bare cut at the plan root (no consuming fragment above): run its
   // producer and apply the exchange at the current width.
@@ -816,8 +850,7 @@ Result<ShardedEngine::Shards> ShardedEngine::RunNode(
   return ApplyExchange(node, std::move(in), active_);
 }
 
-Result<ShardedEngine::Shards> ShardedEngine::RunFragment(
-    const PhysicalPlan* frag_root) {
+Result<Shards> Call::RunFragment(const PhysicalPlan* frag_root) {
   std::vector<const PhysicalPlan*> cuts;
   CollectCuts(frag_root, &cuts);
 
@@ -883,10 +916,10 @@ Result<ShardedEngine::Shards> ShardedEngine::RunFragment(
     // into the timing the calibration loop observes (the entry this cut
     // appended last) and that entry's per-kind bucket.
     const double build_seconds = NowSeconds() - build_start;
-    if (!exchange_stats_.timings.empty()) {
-      ExchangeTiming& t = exchange_stats_.timings.back();
+    if (!profile_->exchange.timings.empty()) {
+      ExchangeTiming& t = profile_->exchange.timings.back();
       t.seconds += build_seconds;
-      exchange_stats_.ByKind(t.kind).seconds += build_seconds;
+      profile_->exchange.ByKind(t.kind).seconds += build_seconds;
     }
     if (!s.single) all_inputs_single = false;
     inputs.emplace(cut, std::move(fi));
@@ -923,27 +956,19 @@ Result<ShardedEngine::Shards> ShardedEngine::RunFragment(
 
   const double frag_start = NowSeconds();
   std::vector<SlotResult> slots(dop);
-  if (worker_mode_ == WorkerMode::kProcesses) {
-    COSTDB_RETURN_NOT_OK(
-        RunPlansInProcesses(plans, skip, threads_per_worker_, &slots));
+  if (options_.worker_mode == WorkerMode::kProcesses) {
+    COSTDB_RETURN_NOT_OK(RunPlansInProcesses(
+        plans, skip, options_.threads_per_worker, &slots));
   } else {
-    auto run_one = [&](size_t w) {
-      LocalEngine* engine = workers_[w].engine.get();
-      slots[w].result = engine->Execute(plans[w].get());
-      slots[w].scan_stats = engine->last_scan_stats();
-      slots[w].fused_stats = engine->last_fused_stats();
-      slots[w].block_stats = engine->last_block_stats();
-    };
-    if (dop > 1) {
-      for (size_t w = 0; w < dop; ++w) {
-        if (!skip[w]) pool_->Submit([&run_one, w] { run_one(w); });
-      }
-      pool_->WaitIdle();
-    } else if (!skip.empty() && !skip[0]) {
-      run_one(0);
-    }
+    // Workers fan out over the shared pool; nested morsel loops inside
+    // each worker engine use the same pool from its own threads.
+    ThreadPool::Shared().ParallelFor(dop, dop, [&](size_t w) {
+      if (skip[w]) return;
+      slots[w].result =
+          worker_engine_.Execute(plans[w].get(), &slots[w].profile);
+    });
   }
-  usage_.fragments.push_back(
+  profile_->usage.fragments.push_back(
       FragmentUsage{dop, NowSeconds() - frag_start});
 
   Shards out;
@@ -954,48 +979,76 @@ Result<ShardedEngine::Shards> ShardedEngine::RunFragment(
     if (skip[w]) continue;
     COSTDB_RETURN_NOT_OK(slots[w].result.status());
     out.chunks[w] = std::move(slots[w].result->chunk);
-    scan_stats_.morsels_total += slots[w].scan_stats.morsels_total;
-    scan_stats_.morsels_pruned += slots[w].scan_stats.morsels_pruned;
-    scan_stats_.rows_scanned += slots[w].scan_stats.rows_scanned;
-    scan_stats_.rows_pruned += slots[w].scan_stats.rows_pruned;
-    fused_stats_.MergeFrom(slots[w].fused_stats);
-    block_stats_.MergeFrom(slots[w].block_stats);
+    profile_->scan.MergeFrom(slots[w].profile.scan);
+    profile_->fused.MergeFrom(slots[w].profile.fused);
+    profile_->storage.MergeFrom(slots[w].profile.storage);
   }
   return out;
 }
 
-Result<QueryResult> ShardedEngine::Execute(const PhysicalPlan* root) {
+}  // namespace
+
+const char* WorkerModeName(WorkerMode mode) {
+  switch (mode) {
+    case WorkerMode::kThreads:
+      return "threads";
+    case WorkerMode::kProcesses:
+      return "processes";
+  }
+  return "unknown";
+}
+
+double ChunkPayloadBytes(const DataChunk& chunk) {
+  double total = 0.0;
+  for (size_t c = 0; c < chunk.num_columns(); ++c) {
+    const ColumnVector& col = chunk.column(c);
+    if (col.physical_type() == PhysicalType::kString) {
+      for (const auto& s : col.strings()) {
+        total += static_cast<double>(s.size()) + 4.0;
+      }
+    } else {
+      total += 8.0 * static_cast<double>(col.size());
+    }
+  }
+  return total;
+}
+
+ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
+    : options_(options), worker_engine_(options.threads_per_worker) {
+  options_.threads_per_worker =
+      std::max<size_t>(1, options_.threads_per_worker);
+}
+
+Result<QueryResult> ShardedEngine::Execute(const PhysicalPlan* root,
+                                           size_t workers,
+                                           ExecProfile* profile,
+                                           ChunkSink* sink,
+                                           const WidthDecider& decider) const {
   if (root == nullptr) return Status::InvalidArgument("null plan");
   COSTDB_RETURN_NOT_OK(ValidateCoPartitioning(root));
-  exchange_stats_ = ExchangeStats();
-  exchange_stats_.transport = transport_->kind();
-  transport_->ResetStats();
-  scan_stats_ = ScanStats();
-  fused_stats_ = FusedExecStats();
-  block_stats_ = BlockCacheStats();
-  usage_ = WorkerUsage();
-  // Every Execute starts from the constructed width; an elastic schedule
-  // is per-query, not engine state that leaks into the next query.
-  active_ = initial_workers_;
-  usage_.peak_workers = active_;
-  usage_.min_workers = active_;
-  boundary_index_ = 0;
-  cuts_remaining_ = CountCuts(root);
-  exec_start_ = NowSeconds();
-  segment_start_ = exec_start_;
-
+  ExecProfile local_profile;
+  if (profile == nullptr) profile = &local_profile;
+  *profile = ExecProfile();
+  // Every call starts from its own width; an elastic schedule is per-query,
+  // never engine state that leaks into the next query.
+  Call call(options_, worker_engine_, decider, workers, root, profile);
   Shards shards;
-  COSTDB_ASSIGN_OR_RETURN(shards, RunNode(root));
+  COSTDB_ASSIGN_OR_RETURN(shards, call.RunNode(root));
   DataChunk chunk = MergeShards(&shards, root->output_types);
   TruncateChunk(&chunk, RootLimit(root));
-
-  const double end = NowSeconds();
-  CloseUsageSegment(end);
-  usage_.wall_seconds = end - exec_start_;
+  call.Finish();
 
   QueryResult result;
   result.names = root->output_names;
   result.types = root->output_types;
+  if (sink != nullptr) {
+    // Sharded plans gather before they finish, so the whole result goes to
+    // the sink as one chunk.
+    if (chunk.num_rows() > 0) {
+      COSTDB_RETURN_NOT_OK(sink->Push(std::move(chunk)));
+    }
+    chunk = DataChunk(result.types);
+  }
   result.chunk = std::move(chunk);
   return result;
 }

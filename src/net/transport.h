@@ -42,8 +42,9 @@ struct TransportStats {
 };
 
 /// How a partition travels from producing worker `from` to consuming
-/// worker `to`. Implementations are NOT thread-safe: the sharded engine
-/// runs all exchange rebucketing on the coordinator thread.
+/// worker `to`. Implementations are NOT thread-safe: each sharded
+/// Execute call makes its own and runs all exchange rebucketing on the
+/// calling thread.
 class ExchangeTransport {
  public:
   virtual ~ExchangeTransport() = default;

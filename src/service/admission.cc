@@ -27,6 +27,7 @@ AdmissionController::~AdmissionController() {
       if (t->state == Ticket::State::kQueued) {
         t->state = Ticket::State::kCancelled;
         ++stats_.cancelled;
+        if (t->client != nullptr) --t->client->outstanding;
         TenantState& ts = TenantOf(t->tenant);
         if (ts.stats.queued > 0) --ts.stats.queued;
         ++ts.stats.cancelled;
@@ -113,6 +114,19 @@ AdmissionController::TicketPtr AdmissionController::Submit(
       ++ts.stats.cancelled;
       on_cancel = std::move(submission.on_cancel);
     } else {
+      ticket->client = submission.client;
+      if (ClientPace* c = ticket->client.get()) {
+        // Real time even under an injected clock: the anticipation wait
+        // this gap bounds is a real wait.
+        if (c->outstanding == 0 && c->finished_one) {
+          c->resubmit_gap = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() -
+                                c->last_finish)
+                                .count();
+        }
+        ++c->outstanding;
+        ++c->submissions;
+      }
       ticket->sub = std::move(submission);
       ++ts.stats.queued;
       queue_.push_back(ticket);
@@ -136,6 +150,7 @@ bool AdmissionController::Cancel(const TicketPtr& ticket) {
       queue_.erase(std::remove(queue_.begin(), queue_.end(), ticket),
                    queue_.end());
       ++stats_.cancelled;
+      if (ticket->client != nullptr) --ticket->client->outstanding;
       TenantState& ts = TenantOf(ticket->tenant);
       if (ts.stats.queued > 0) --ts.stats.queued;
       ++ts.stats.cancelled;
@@ -333,10 +348,32 @@ void AdmissionController::WorkerLoop() {
       ts.running_memory -= memory;
       ++ts.stats.completed;
     }
+    ClientPace* client = ticket->client.get();
+    if (client != nullptr) {
+      --client->outstanding;
+      client->finished_one = true;
+      client->last_finish = std::chrono::steady_clock::now();
+    }
     done_cv_.notify_all();
     // A slot and its memory just freed up: other workers may now have an
     // admissible ticket.
     cv_.notify_all();
+    // Anticipation (see the class comment): a closed-loop client that is
+    // now waiting on nothing measurably resubmits within the window, so
+    // while other tickets wait, hold this slot until its follow-up
+    // arrives or the window has passed.
+    if (client != nullptr && client->outstanding == 0 && !queue_.empty() &&
+        client->resubmit_gap < kAnticipationWindow) {
+      ++stats_.anticipated;
+      const uint64_t seen = client->submissions;
+      const auto until =
+          client->last_finish +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double>(kAnticipationWindow));
+      while (!shutdown_ && client->submissions == seen &&
+             cv_.wait_until(lock, until) == std::cv_status::no_timeout) {
+      }
+    }
   }
 }
 

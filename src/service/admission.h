@@ -37,9 +37,8 @@ struct TenantQuota {
 };
 
 struct AdmissionOptions {
-  /// Queries running at once (admission worker count). 0 = pick up the
-  /// facade's batch_threads default (see DatabaseOptions).
-  size_t max_concurrent = 0;
+  /// Queries running at once (admission worker count).
+  size_t max_concurrent = 4;
   /// Cap on the summed estimated working set of running queries. A query
   /// whose own estimate exceeds the cap still runs — alone — so oversized
   /// requests degrade to serial execution instead of queueing forever.
@@ -76,9 +75,40 @@ struct AdmissionOptions {
 /// front door. Per-tenant concurrency/memory quotas bound what one tenant
 /// can hold, and a per-class wall-clock starvation guard bounds how long
 /// cost ordering can defer any class of query.
+///
+/// Closed-loop clients: a client that waits for each result and then
+/// submits its next query within kAnticipationWindow (measured per client,
+/// see ClientPace) has its follow-up anticipated — the worker its query
+/// just freed holds the slot until the client resubmits, for at most
+/// kAnticipationWindow, so the follow-up is ranked against the queued
+/// tickets instead of arriving just after the slot went to one of them.
+/// Batch and open-loop submitters, and submissions without a ClientPace,
+/// never measure a short gap and free their slot at once.
 class AdmissionController {
  public:
   using RunFn = std::function<void()>;
+
+  /// Longest resubmit gap that marks a client as closed-loop, and the
+  /// longest a freed slot is held for its follow-up: far below one
+  /// query's run time, above a client's turnaround from result to next
+  /// submission.
+  static constexpr Seconds kAnticipationWindow = 200e-6;
+
+  /// Submission pace of one client (typically a Session), measured by the
+  /// controller. The client owns it and passes it with every submission;
+  /// its fields are guarded by the controller's mutex.
+  class ClientPace {
+   private:
+    friend class AdmissionController;
+    size_t outstanding = 0;  // queued or running tickets
+    uint64_t submissions = 0;
+    bool finished_one = false;
+    std::chrono::steady_clock::time_point last_finish;
+    /// Gap from the client's last finished query to its next submission,
+    /// measured only when nothing else was outstanding (so a batch that
+    /// keeps several queries in flight never measures one).
+    Seconds resubmit_gap = std::numeric_limits<double>::infinity();
+  };
 
   /// One submitted query, from the controller's point of view.
   struct Submission {
@@ -91,6 +121,9 @@ class AdmissionController {
     /// Starvation-guard class ("" = unclassified). Typically the
     /// workload class: "interactive", "batch", ...
     std::string query_class;
+    /// Pace record of the submitting client; null = unknown (never
+    /// anticipated).
+    std::shared_ptr<ClientPace> client;
     RunFn run;                   // executed on an admission worker
     /// Invoked (outside the controller lock, at most once) when the
     /// ticket is cancelled while queued — by Cancel() or by controller
@@ -112,6 +145,7 @@ class AdmissionController {
     uint64_t seq = 0;
     std::string tenant;
     Seconds est_latency = 0.0;
+    std::shared_ptr<ClientPace> client;
     Submission sub;
     std::chrono::steady_clock::time_point enqueued_at;
   };
@@ -154,6 +188,9 @@ class AdmissionController {
     /// Admissions that jumped ahead of an earlier-submitted, still-queued
     /// query — each one is a reordering the cost model paid for.
     size_t reordered = 0;
+    /// Completions after which the freed slot was held for the finished
+    /// client's follow-up (closed-loop clients only).
+    size_t anticipated = 0;
   };
   Stats stats() const;
 

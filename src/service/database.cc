@@ -12,7 +12,12 @@
 namespace costdb {
 
 Database::Database(DatabaseOptions options)
-    : options_(options), node_(pricing_.default_node()) {
+    : options_(options),
+      node_(pricing_.default_node()),
+      local_engine_(options_.exec_threads),
+      sharded_engine_(ShardedEngineOptions{options_.sharded_threads_per_worker,
+                                           options_.exchange_transport,
+                                           options_.worker_mode}) {
   // One worker-count cap end to end: the optimizer's 0-auto resolution
   // honors the facade's limit.
   options_.optimizer.max_workers =
@@ -30,14 +35,6 @@ Database::Database(DatabaseOptions options)
       std::make_unique<DistributedSimulator>(estimator_.get(), options_.sim);
   calibration_ =
       std::make_unique<CalibrationUpdater>(&hw_, options_.calibration);
-  // Serial engines live in tenant-hashed lock shards and are built
-  // lazily: a process serving one tenant spins up one engine pool, not
-  // engine_shards of them.
-  const size_t shards = std::max<size_t>(1, options_.engine_shards);
-  engine_shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    engine_shards_.push_back(std::make_unique<EngineShard>());
-  }
   if (options_.enable_persistent_storage) {
     // The whole tier is built here and never reassigned: execution threads
     // read storage_store_/block_cache_ raw, so late initialization would
@@ -60,11 +57,7 @@ Database::Database(DatabaseOptions options)
       storage_store_ = std::move(store);
     }
   }
-  AdmissionOptions admission = options_.admission;
-  if (admission.max_concurrent == 0) {
-    admission.max_concurrent = options_.batch_threads;
-  }
-  admission_ = std::make_unique<AdmissionController>(admission);
+  admission_ = std::make_unique<AdmissionController>(options_.admission);
 }
 
 Status Database::PersistTable(const std::string& name) {
@@ -179,11 +172,6 @@ std::string Database::ResultKey(const std::string& shape,
     key += '\x1e';
   }
   return key;
-}
-
-Database::EngineShard& Database::ShardFor(const std::string& tenant) {
-  return *engine_shards_[std::hash<std::string>{}(tenant) %
-                         engine_shards_.size()];
 }
 
 namespace {
@@ -334,75 +322,62 @@ Result<PlannedQuery> Database::BindPreparedPlan(
   return out;
 }
 
-Result<ExecutionResult> Database::ExecuteSharded(
-    std::shared_ptr<const PlannedQuery> plan, bool cache_hit, size_t workers,
-    bool serial, const std::string& tenant) {
+Result<ExecutionResult> Database::Execute(
+    std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
+    ChunkSink* sink) {
   ExecutionResult out;
   out.plan = std::move(plan);
   out.plan_cache_hit = cache_hit;
-  out.workers = workers;
-
-  // Per-query elastic state: a fresh DOP monitor proposes widths from the
-  // engine's real fragment timings, the controller prices each proposal
-  // (spin-up + shuffle dispatch vs predicted saving) and reads the
-  // admission backlog before allowing growth. Policies are stateful per
-  // query, so nothing here outlives the run.
-  std::unique_ptr<PipelineDopMonitor> monitor;
-  std::unique_ptr<ElasticController> controller;
-  WidthDecider decider;
-  if (options_.enable_elastic) {
-    monitor = std::make_unique<PipelineDopMonitor>(options_.elastic_monitor);
-    ElasticControllerOptions elastic = options_.elastic;
-    elastic.max_workers = std::min<size_t>(
-        elastic.max_workers, std::max<size_t>(1, options_.max_workers));
-    controller = std::make_unique<ElasticController>(estimator_.get(),
-                                                     monitor.get(), elastic);
-    controller->BeginQuery(
-        &out.plan->pipelines, &out.plan->volumes,
-        UserConstraint().WithWorkers(static_cast<int>(workers)),
-        out.plan->estimate.latency, static_cast<int>(workers));
-    controller->SetQueuePressure(admission_->queue_pressure());
-    ElasticController* raw = controller.get();
-    decider = [this, raw](const FragmentBoundary& boundary) {
-      // The policy prices candidates through the shared estimator, which
-      // reads the calibrated hardware model — shut out calibration
-      // writers for the duration of the decision.
-      ReaderMutexLock hw_lock(hw_mu_);
-      return raw->Decide(boundary);
-    };
-  }
-
-  auto run = [&](ShardedEngine* engine) -> Status {
-    engine->SetResizer(decider);
-    auto result = engine->Execute(out.plan->plan.get());
-    engine->SetResizer(WidthDecider());  // cached engines are reused
-    out.exchange = engine->last_exchange_stats();
-    out.usage = engine->last_usage();
-    out.fused = engine->last_fused_stats();
-    out.storage = engine->last_block_stats();
-    if (!result.ok()) return result.status();
-    out.result = std::move(*result);
-    return Status::OK();
-  };
-
-  ShardedEngineOptions engine_options;
-  engine_options.workers = workers;
-  engine_options.threads_per_worker = options_.sharded_threads_per_worker;
-  engine_options.transport = options_.exchange_transport;
-  engine_options.worker_mode = options_.worker_mode;
-  if (serial) {
-    EngineShard& shard = ShardFor(tenant);
-    MutexLock lock(shard.mu);
-    auto& engine = shard.sharded[workers];
-    if (engine == nullptr) {
-      engine = std::make_unique<ShardedEngine>(engine_options);
-    }
-    COSTDB_RETURN_NOT_OK(run(engine.get()));
+  // PlannedQuery::workers is already an executable width
+  // (ResolveWorkerCount); > 1 routes to the partitioned backend.
+  out.workers = static_cast<size_t>(std::max(1, out.plan->workers));
+  const PhysicalPlan* root = out.plan->plan.get();
+  ExecProfile profile;
+  if (out.workers == 1) {
+    COSTDB_ASSIGN_OR_RETURN(out.result,
+                            local_engine_.Execute(root, &profile, sink));
   } else {
-    ShardedEngine engine(engine_options);
-    COSTDB_RETURN_NOT_OK(run(&engine));
+    // Per-query elastic state: a fresh DOP monitor proposes widths from
+    // the engine's real fragment timings, the controller prices each
+    // proposal (spin-up + shuffle dispatch vs predicted saving) and reads
+    // the admission backlog before allowing growth. Policies are stateful
+    // per query, so nothing here outlives the run.
+    std::unique_ptr<PipelineDopMonitor> monitor;
+    std::unique_ptr<ElasticController> controller;
+    WidthDecider decider;
+    if (options_.enable_elastic) {
+      monitor =
+          std::make_unique<PipelineDopMonitor>(options_.elastic_monitor);
+      ElasticControllerOptions elastic = options_.elastic;
+      elastic.max_workers = std::min<size_t>(
+          elastic.max_workers, std::max<size_t>(1, options_.max_workers));
+      controller = std::make_unique<ElasticController>(
+          estimator_.get(), monitor.get(), elastic);
+      controller->BeginQuery(
+          &out.plan->pipelines, &out.plan->volumes,
+          UserConstraint().WithWorkers(static_cast<int>(out.workers)),
+          out.plan->estimate.latency, static_cast<int>(out.workers));
+      controller->SetQueuePressure(admission_->queue_pressure());
+      ElasticController* raw = controller.get();
+      decider = [this, raw](const FragmentBoundary& boundary) {
+        // The policy prices candidates through the shared estimator, which
+        // reads the calibrated hardware model — shut out calibration
+        // writers for the duration of the decision.
+        ReaderMutexLock hw_lock(hw_mu_);
+        return raw->Decide(boundary);
+      };
+    }
+    COSTDB_ASSIGN_OR_RETURN(
+        out.result,
+        sharded_engine_.Execute(root, out.workers, &profile, sink, decider));
+    if (controller != nullptr) out.elastic = controller->decisions();
   }
-  if (controller != nullptr) out.elastic = controller->decisions();
+  out.timings = std::move(profile.timings);
+  out.fused = profile.fused;
+  out.storage = profile.storage;
+  out.exchange = std::move(profile.exchange);
+  out.usage = std::move(profile.usage);
+  if (out.workers == 1) return out;
 
   // Cloud billing: charge the measured machine time — wall seconds at the
   // widths the run actually held (elastic runs interleave widths; fixed
@@ -416,22 +391,20 @@ Result<ExecutionResult> Database::ExecuteSharded(
   // rate exactly, the invariant bench_e18_transport gates.
   const double wire_bytes = out.exchange.wire_bytes();
   out.egress_dollars = wire_bytes / kGiB * pricing_.egress_per_gib;
-  {
-    MutexLock lock(billing_mu_);
-    UsageRecord record;
-    record.label = controller != nullptr ? "query:elastic" : "query:sharded";
-    record.start = billing_clock_;
-    record.duration = out.usage.worker_seconds;  // machine-seconds, 1 "node"
-    record.node_count = 1;
-    record.price_per_node_second = price;
-    billing_.Charge(record);
-    billing_clock_ += out.usage.wall_seconds;
-    if (wire_bytes > 0.0) {
-      billing_.ChargeFlat("exchange:egress", out.egress_dollars);
-      egress_billed_.wire_bytes += wire_bytes;
-      egress_billed_.dollars += out.egress_dollars;
-      ++egress_billed_.runs;
-    }
+  MutexLock lock(billing_mu_);
+  UsageRecord record;
+  record.label = options_.enable_elastic ? "query:elastic" : "query:sharded";
+  record.start = billing_clock_;
+  record.duration = out.usage.worker_seconds;  // machine-seconds, 1 "node"
+  record.node_count = 1;
+  record.price_per_node_second = price;
+  billing_.Charge(record);
+  billing_clock_ += out.usage.wall_seconds;
+  if (wire_bytes > 0.0) {
+    billing_.ChargeFlat("exchange:egress", out.egress_dollars);
+    egress_billed_.wire_bytes += wire_bytes;
+    egress_billed_.dollars += out.egress_dollars;
+    ++egress_billed_.runs;
   }
   return out;
 }
@@ -446,108 +419,11 @@ BillingMeter Database::billing_snapshot() const {
   return billing_;
 }
 
-Result<ExecutionResult> Database::ExecutePlanned(
-    std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-    LocalEngine* engine, const std::string& tenant) {
-  // A caller-owned LocalEngine means the caller runs concurrently.
-  const bool concurrent = engine != nullptr;
-  return ExecuteMaterialized(std::move(plan), cache_hit, engine, tenant,
-                             concurrent);
-}
-
-Result<ExecutionResult> Database::ExecuteMaterialized(
-    std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-    LocalEngine* engine, const std::string& tenant, bool concurrent) {
-  const size_t workers = std::min<size_t>(
-      plan->workers > 0 ? static_cast<size_t>(plan->workers) : 1,
-      std::max<size_t>(1, options_.max_workers));
-  if (workers > 1) {
-    // Partitioned execution: the plan's resolved worker knob routes the
-    // query to the sharded backend; concurrent callers get a private
-    // sharded engine instead of the tenant shard's cached one.
-    return ExecuteSharded(std::move(plan), cache_hit, workers,
-                          /*serial=*/!concurrent, tenant);
-  }
-  ExecutionResult out;
-  out.plan = std::move(plan);
-  out.plan_cache_hit = cache_hit;
-  if (engine != nullptr) {
-    COSTDB_ASSIGN_OR_RETURN(out.result, engine->Execute(out.plan->plan.get()));
-    out.timings = engine->last_timings();
-    out.fused = engine->last_fused_stats();
-    out.storage = engine->last_block_stats();
-    return out;
-  }
-  // Serial path: reuse the tenant shard's long-lived engine (its worker
-  // pool outlives queries); timings are per-run engine state, so access
-  // within the shard is exclusive.
-  EngineShard& shard = ShardFor(tenant);
-  MutexLock lock(shard.mu);
-  if (shard.engine == nullptr) {
-    shard.engine = std::make_unique<LocalEngine>(options_.exec_threads);
-  }
-  COSTDB_ASSIGN_OR_RETURN(out.result,
-                          shard.engine->Execute(out.plan->plan.get()));
-  out.timings = shard.engine->last_timings();
-  out.fused = shard.engine->last_fused_stats();
-  out.storage = shard.engine->last_block_stats();
-  return out;
-}
-
-Result<ExecutionResult> Database::ExecutePlannedToSink(
-    std::shared_ptr<const PlannedQuery> plan, bool cache_hit, ChunkSink* sink,
-    LocalEngine* engine, const std::string& tenant) {
-  const size_t workers = std::min<size_t>(
-      plan->workers > 0 ? static_cast<size_t>(plan->workers) : 1,
-      std::max<size_t>(1, options_.max_workers));
-  if (workers <= 1 && engine == nullptr) {
-    return Status::InvalidArgument(
-        "ExecutePlannedToSink requires a caller-owned engine");
-  }
-  if (workers > 1) {
-    // Sharded plans gather before they finish, so the async path executes
-    // to completion and streams the gathered result as one chunk — later
-    // morsel-granular streaming would need a streaming gather.
-    ExecutionResult out;
-    COSTDB_ASSIGN_OR_RETURN(
-        out, ExecuteSharded(std::move(plan), cache_hit, workers,
-                            /*serial=*/false, tenant));
-    QueryResult gathered = std::move(out.result);
-    out.result.names = gathered.names;
-    out.result.types = gathered.types;
-    out.result.chunk = DataChunk(gathered.types);
-    if (gathered.chunk.num_rows() > 0) {
-      COSTDB_RETURN_NOT_OK(sink->Push(std::move(gathered.chunk)));
-    }
-    return out;
-  }
-  ExecutionResult out;
-  out.plan = std::move(plan);
-  out.plan_cache_hit = cache_hit;
-  StreamedResult streamed;
-  COSTDB_ASSIGN_OR_RETURN(streamed,
-                          engine->ExecuteToSink(out.plan->plan.get(), sink));
-  out.timings = engine->last_timings();
-  out.fused = engine->last_fused_stats();
-  out.storage = engine->last_block_stats();
-  out.result.names = std::move(streamed.names);
-  out.result.types = std::move(streamed.types);
-  // Rows went to the sink; leave an empty, correctly-laid-out chunk so a
-  // caller draining leftovers (QueryHandle::Take) can append into it.
-  out.result.chunk = DataChunk(out.result.types);
-  return out;
-}
-
 Result<ExecutionResult> Database::ExecutePlannedCached(
     std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-    const std::string& result_key, ChunkSink* sink, LocalEngine* engine,
-    const std::string& tenant) {
+    const std::string& result_key, ChunkSink* sink) {
   if (!options_.enable_result_cache || result_key.empty()) {
-    if (sink != nullptr) {
-      return ExecutePlannedToSink(std::move(plan), cache_hit, sink, engine,
-                                  tenant);
-    }
-    return ExecutePlanned(std::move(plan), cache_hit, engine, tenant);
+    return Execute(std::move(plan), cache_hit, sink);
   }
   std::shared_ptr<PlanInFlight> flight;
   int executed_under_version = 0;
@@ -605,12 +481,8 @@ Result<ExecutionResult> Database::ExecutePlannedCached(
     flight = std::make_shared<PlanInFlight>();
     result_flights_[result_key] = flight;
   }
-  // Leader: run once, materialized (the cache stores rows), preserving
-  // the caller's concurrency — a sink/engine caller is an admission
-  // worker and must not serialize on the tenant shard's engines.
-  const bool concurrent = sink != nullptr || engine != nullptr;
-  auto executed =
-      ExecuteMaterialized(plan, cache_hit, engine, tenant, concurrent);
+  // Leader: run once, materialized (the cache stores rows).
+  auto executed = Execute(plan, cache_hit, /*sink=*/nullptr);
   {
     MutexLock lock(cache_mu_);
     if (executed.ok()) {
@@ -659,7 +531,7 @@ Result<ExecutionResult> Database::ExecutePlannedCached(
   if (!executed.ok()) return executed.status();
   if (sink != nullptr) {
     // Streaming contract: rows go through the sink, the result keeps an
-    // empty correctly-laid-out chunk (see ExecutePlannedToSink).
+    // empty correctly-laid-out chunk.
     QueryResult materialized = std::move(executed->result);
     executed->result.names = materialized.names;
     executed->result.types = materialized.types;
@@ -819,7 +691,7 @@ Result<ExecutionResult> Database::ExecuteSql(const std::string& sql,
   std::shared_ptr<const PlannedQuery> plan;
   COSTDB_ASSIGN_OR_RETURN(plan, PlanCachedSql(sql, constraint, &cache_hit));
   ExecutionResult out;
-  COSTDB_ASSIGN_OR_RETURN(out, ExecutePlanned(std::move(plan), cache_hit));
+  COSTDB_ASSIGN_OR_RETURN(out, Execute(std::move(plan), cache_hit, nullptr));
   CalibrateExecution(&out);
   return out;
 }

@@ -37,10 +37,12 @@ struct TenantPricingOptions {
 };
 
 struct DatabaseOptions {
-  /// Morsel workers per executed query (one local "node").
+  /// Morsel parallelism of one local query (one local "node"): at most
+  /// exec_threads helpers from the process-wide pool run its morsels.
   size_t exec_threads = 8;
-  /// Morsel threads inside each ShardedEngine worker (workers themselves
-  /// come from the plan's resolved UserConstraint::workers knob).
+  /// Morsel parallelism inside each ShardedEngine worker (workers
+  /// themselves come from the plan's resolved UserConstraint::workers
+  /// knob).
   size_t sharded_threads_per_worker = 1;
   /// How sharded exchanges move partitions between workers: the in-process
   /// pass-through, or serialized through the checksummed wire format over
@@ -57,12 +59,8 @@ struct DatabaseOptions {
   /// Cap on UserConstraint::workers == 0 auto-resolution and on explicit
   /// worker requests routed to the sharded backend.
   size_t max_workers = 16;
-  /// Concurrently executing queries in the admission controller (and so
-  /// in SubmitBatch, which rides on it). Overridden by
-  /// admission.max_concurrent when that is non-zero.
-  size_t batch_threads = 4;
   /// Cost-aware admission for asynchronously submitted queries
-  /// (Session::Submit); max_concurrent == 0 inherits batch_threads.
+  /// (Session::Submit, and so SubmitBatch, which rides on it).
   AdmissionOptions admission;
   /// Cache bound+optimized plans keyed by (statement shape, constraint);
   /// invalidated when the calibration moves materially. The shape is the
@@ -86,10 +84,6 @@ struct DatabaseOptions {
   /// budget, on top of the entry cap — a handful of huge results can no
   /// longer pin the cache at "only 256 entries" of arbitrary memory.
   size_t result_cache_max_bytes = 0;
-  /// Lock shards of the facade's serial execution engines: tenants hash
-  /// onto shards, so one tenant's serial query never queues behind
-  /// another tenant's engine lock.
-  size_t engine_shards = 4;
   /// Persistent block storage (docs/STORAGE.md): when true the facade owns
   /// a byte-backed SimulatedObjectStore plus a shared cost-priced
   /// BlockCache, and PersistTable() attaches an LSM-lite block tier to
@@ -133,7 +127,9 @@ struct QueryRequest {
 };
 
 /// Everything ExecuteSql hands back: rows, the plan that produced them,
-/// and what the calibration feedback loop learned from the run.
+/// and what the calibration feedback loop learned from the run. The
+/// measurement fields are the engine call's ExecProfile, copied at one
+/// site.
 struct ExecutionResult {
   QueryResult result;
   std::shared_ptr<const PlannedQuery> plan;
@@ -244,47 +240,30 @@ class Database {
   /// Runs on the vectorized LocalEngine and returns real rows plus the
   /// plan that produced them, per-pipeline wall timings, and what the
   /// calibration feedback round did (a no-op report when
-  /// options.enable_calibration is false). Serial ExecuteSql calls use
-  /// one long-lived engine under a lock; concurrent callers should use
-  /// SubmitBatch. Any bind/plan/execution failure returns the error and
-  /// leaves calibration untouched.
+  /// options.enable_calibration is false). Safe to call concurrently: the
+  /// facade's engines are reentrant. Any bind/plan/execution failure
+  /// returns the error and leaves calibration untouched.
   Result<ExecutionResult> ExecuteSql(
       const std::string& sql,
       const UserConstraint& constraint = UserConstraint());
 
-  /// Execute a shared plan on the facade's serial engine (or on `engine`
-  /// when given — concurrent callers pass their own). Plans whose
-  /// resolved worker count is > 1 run on the partitioned ShardedEngine
-  /// instead (results bit-identical for order-stable plans; the returned
-  /// ExchangeStats report what the exchanges moved). No calibration;
-  /// pair with CalibrateExecution. This is Session's synchronous
-  /// execution primitive.
-  Result<ExecutionResult> ExecutePlanned(
-      std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-      LocalEngine* engine = nullptr, const std::string& tenant = {});
-
-  /// Execute a shared plan with the result pipeline streaming into
-  /// `sink` (exec/engine.h) instead of materializing rows. The returned
-  /// ExecutionResult carries the plan, timings, and an empty result chunk
-  /// whose names/types describe the streamed schema. `engine` is
-  /// required: streaming callers run concurrently by construction.
-  Result<ExecutionResult> ExecutePlannedToSink(
-      std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-      ChunkSink* sink, LocalEngine* engine, const std::string& tenant = {});
-
-  /// Execute through the shared result cache (Session's execution
-  /// primitive). With the cache disabled or `result_key` empty this is
-  /// exactly ExecutePlanned / ExecutePlannedToSink (sink != nullptr picks
-  /// the streaming form). Otherwise: a valid cached entry is served
-  /// without running anything (result_cache_hit set, rows copied — to
-  /// `sink` when streaming); a miss executes once under a single-flight
-  /// guard, so concurrent identical submits wait for the one leader
-  /// instead of running the same plan N times, then publishes the
-  /// materialized rows for later submits.
+  /// Execute a shared plan — the one execution path, behind Session and
+  /// ExecuteSql. Plans whose resolved worker count is > 1 run on the
+  /// partitioned ShardedEngine (results bit-identical for order-stable
+  /// plans; the returned ExchangeStats report what the exchanges moved),
+  /// the rest on the LocalEngine; both are facade-owned and reentrant, so
+  /// concurrent callers share them. With a `sink` the rows stream into it
+  /// (exec/engine.h) and the result keeps an empty, correctly typed chunk.
+  /// With the result cache enabled and a non-empty `result_key`, a valid
+  /// cached entry is served without running anything (result_cache_hit
+  /// set, rows copied — to `sink` when streaming); a miss executes once
+  /// under a single-flight guard, so concurrent identical submits wait for
+  /// the one leader instead of running the same plan N times, then
+  /// publishes the materialized rows for later submits. No calibration;
+  /// pair with CalibrateExecution.
   Result<ExecutionResult> ExecutePlannedCached(
       std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-      const std::string& result_key, ChunkSink* sink, LocalEngine* engine,
-      const std::string& tenant);
+      const std::string& result_key = {}, ChunkSink* sink = nullptr);
 
   /// Result-cache identity of one executable statement: the plan-cache
   /// key (shape + constraint) extended with the bound parameter vector,
@@ -489,21 +468,10 @@ class Database {
   /// measured exchange timings into the shuffle-term loop.
   CalibrationReport Calibrate(const ExecutionResult& executed);
 
-  /// Sharded execution backend: serial callers reuse the tenant shard's
-  /// cached engine under its lock, concurrent (`serial == false`) callers
-  /// build their own.
-  Result<ExecutionResult> ExecuteSharded(
-      std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-      size_t workers, bool serial, const std::string& tenant);
-
-  /// ExecutePlanned with the concurrency decision explicit: `concurrent`
-  /// callers never serialize a sharded run on the tenant shard's engine —
-  /// the result-cache leader on the async path needs materialized rows
-  /// *and* private-engine concurrency, which the public signatures can't
-  /// both express.
-  Result<ExecutionResult> ExecuteMaterialized(
-      std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-      LocalEngine* engine, const std::string& tenant, bool concurrent);
+  /// Run a plan on the engine its resolved width picks, copy the call's
+  /// profile into the result, and bill sharded runs.
+  Result<ExecutionResult> Execute(std::shared_ptr<const PlannedQuery> plan,
+                                  bool cache_hit, ChunkSink* sink);
 
   /// Cache key: normalized statement shape + constraint slot.
   static std::string CacheKey(const std::string& shape,
@@ -521,21 +489,12 @@ class Database {
   std::unique_ptr<DistributedSimulator> simulator_;
   std::unique_ptr<CalibrationUpdater> calibration_;
 
-  /// One lock shard of the serial execution engines. Engine timings are
-  /// per-run state, so access within a shard is exclusive; sharding by
-  /// tenant means tenants hashed to different shards never contend for a
-  /// serial engine. Engines are built lazily — a shard no tenant executes
-  /// on spawns no thread pools. Concurrent (sink/batch) callers build
-  /// their own engines and never touch a shard.
-  struct EngineShard {
-    Mutex mu;
-    std::unique_ptr<LocalEngine> engine GUARDED_BY(mu);  // lazy
-    /// Sharded backends, one per requested worker count (bounded by the
-    /// few widths a deployment uses).
-    std::map<size_t, std::unique_ptr<ShardedEngine>> sharded GUARDED_BY(mu);
-  };
-  EngineShard& ShardFor(const std::string& tenant);
-  std::vector<std::unique_ptr<EngineShard>> engine_shards_;
+  /// The facade's two engines. Both are reentrant (every per-run datum
+  /// lives in the call's ExecProfile) and run their morsels on the
+  /// process-wide thread pool, so every query shares them without a lock
+  /// and no query builds an engine or a thread.
+  LocalEngine local_engine_;
+  ShardedEngine sharded_engine_;
 
   /// Persistent tier (options.enable_persistent_storage): built in the
   /// constructor, const thereafter — execution threads read the raw

@@ -152,7 +152,6 @@ struct QueryHandle::SharedState : ChunkSink {
   bool calibrate = true;
   std::string tenant;
   std::string result_key;
-  size_t exec_threads = 4;
   AdmissionController* controller = nullptr;
   AdmissionController::TicketPtr ticket;
   std::shared_ptr<Session::Ledger> ledger;
@@ -356,9 +355,8 @@ Result<Session::RunnablePlan> Session::PlanRaw(
 Result<ExecutionResult> Session::RunSync(RunnablePlan runnable) {
   const Dollars estimated = runnable.plan->estimate.cost;
   COSTDB_RETURN_NOT_OK(ledger_->Charge(estimated));
-  auto executed = db_->ExecutePlannedCached(
-      runnable.plan, runnable.cache_hit, runnable.result_key,
-      /*sink=*/nullptr, /*engine=*/nullptr, options_.tenant_id);
+  auto executed = db_->ExecutePlannedCached(runnable.plan, runnable.cache_hit,
+                                            runnable.result_key);
   if (!executed.ok()) {
     ledger_->Refund(estimated);
     return executed.status();
@@ -459,7 +457,6 @@ Result<QueryHandlePtr> Session::SubmitPlanned(RunnablePlan runnable,
   state->calibrate = calibrate;
   state->tenant = options_.tenant_id;
   state->result_key = std::move(runnable.result_key);
-  state->exec_threads = db_->options().exec_threads;
   state->controller = db_->admission();
   state->ledger = ledger_;
   state->charged = estimated;
@@ -474,18 +471,12 @@ Result<QueryHandlePtr> Session::SubmitPlanned(RunnablePlan runnable,
           : std::numeric_limits<double>::infinity();
   submission.tenant = options_.tenant_id;
   submission.query_class = query_class;
+  submission.client = pace_;
   submission.run = [state] {
-    // One engine per admitted query — the local stand-in for "one node".
-    // Plans resolved to > 1 worker run on a ShardedEngine inside
-    // ExecutePlannedToSink; spawn the LocalEngine's thread pool only
-    // when this query will actually use it.
-    std::unique_ptr<LocalEngine> engine;
-    if (state->planned->workers <= 1) {
-      engine = std::make_unique<LocalEngine>(state->exec_threads);
-    }
+    // The facade's shared engines run the query on helpers from the
+    // process-wide pool — no per-query threads.
     auto executed = state->db->ExecutePlannedCached(
-        state->planned, state->cache_hit, state->result_key, state.get(),
-        engine.get(), state->tenant);
+        state->planned, state->cache_hit, state->result_key, state.get());
     ExecutionResult result;
     Status final_status;
     if (executed.ok()) {

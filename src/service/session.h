@@ -28,11 +28,10 @@ struct SessionOptions {
   /// are per-session — concurrent sessions spend disjoint budgets.
   Dollars budget = std::numeric_limits<double>::infinity();
   /// The tenant this session belongs to. Admission fair-shares across
-  /// tenants (AdmissionOptions::tenant_quotas), serial engine locks shard
-  /// by tenant, and every run settles into the tenant's cumulative bill
-  /// (Database::tenant_billing) — many sessions of one tenant share one
-  /// scheduling/billing identity, while their dollar ledgers stay
-  /// per-session.
+  /// tenants (AdmissionOptions::tenant_quotas), and every run settles
+  /// into the tenant's cumulative bill (Database::tenant_billing) — many
+  /// sessions of one tenant share one scheduling/billing identity, while
+  /// their dollar ledgers stay per-session.
   std::string tenant_id = "default";
 };
 
@@ -128,10 +127,11 @@ class QueryHandle {
 /// Per-client handle over a shared Database — the client entry point of
 /// the service layer. A Session carries the client's default
 /// UserConstraint, a dollar-budget ledger, and prepared-statement
-/// lifetime; queries enter synchronously (Execute*) on the facade's
-/// serial engine or asynchronously (Submit) through the shared
-/// cost-aware AdmissionController. Sessions are cheap (no threads, no
-/// engine of their own) and thread-safe; create one per client.
+/// lifetime; queries enter synchronously (Execute*, blocking the calling
+/// thread) or asynchronously (Submit) through the shared cost-aware
+/// AdmissionController, both on the facade's shared engines. Sessions are
+/// cheap (no threads, no engine of their own) and thread-safe; create one
+/// per client.
 class Session {
  public:
   explicit Session(Database* db, SessionOptions options = SessionOptions());
@@ -201,8 +201,8 @@ class Session {
                                      const UserConstraint& constraint);
   Result<RunnablePlan> PlanRaw(const std::string& sql,
                                const UserConstraint& constraint);
-  /// Shared synchronous path: charge, execute on the facade's serial
-  /// engine, refund on failure, calibrate, count.
+  /// Shared synchronous path: charge, execute while the calling thread
+  /// waits, refund on failure, calibrate, count.
   Result<ExecutionResult> RunSync(RunnablePlan runnable);
   Result<QueryHandlePtr> SubmitPlanned(RunnablePlan runnable,
                                        const UserConstraint& constraint,
@@ -212,6 +212,9 @@ class Session {
   Database* db_;
   SessionOptions options_;
   std::shared_ptr<Ledger> ledger_;
+  /// How this session paces its submissions, as admission measures it.
+  std::shared_ptr<AdmissionController::ClientPace> pace_ =
+      std::make_shared<AdmissionController::ClientPace>();
   mutable Mutex mu_;
   SessionStats stats_ GUARDED_BY(mu_);
 };

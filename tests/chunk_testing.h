@@ -1,9 +1,9 @@
 #pragma once
 
 // Shared result-comparison oracle for the engine-parity suites
-// (sharded_test, elastic_test): rows are compared via the engine's own
-// encoded row key (EncodeChunkKeyInto), so "identical" means identical
-// under the same encoding that orders grouped-aggregate output.
+// (exec_test, sharded_test, elastic_test): rows are compared via the
+// engine's own encoded row key (EncodeChunkKeyInto), so "identical" means
+// identical under the same encoding that orders grouped-aggregate output.
 
 #include <algorithm>
 #include <string>
@@ -34,6 +34,36 @@ inline bool ChunksBitIdentical(const DataChunk& a, const DataChunk& b,
     }
   }
   return true;
+}
+
+/// The deterministic counters of one Execute call's profile, printed —
+/// everything but wall-clock seconds and the cache's hit/miss split,
+/// which depend on timing. Two runs of one plan at one width must agree.
+inline std::string ProfileCounters(const ExecProfile& p) {
+  std::string out;
+  auto add = [&out](const char* name, double v) {
+    out += name;
+    out += '=';
+    out += std::to_string(v);
+    out += ' ';
+  };
+  add("morsels", static_cast<double>(p.scan.morsels_total));
+  add("pruned", static_cast<double>(p.scan.morsels_pruned));
+  add("rows_scanned", static_cast<double>(p.scan.rows_scanned));
+  add("rows_pruned", static_cast<double>(p.scan.rows_pruned));
+  add("fused_filter", static_cast<double>(p.fused.fused_filter_morsels));
+  add("fused_probe", static_cast<double>(p.fused.fused_probe_morsels));
+  add("fused_agg", static_cast<double>(p.fused.fused_agg_morsels));
+  add("fallback", static_cast<double>(p.fused.fallback_morsels));
+  add("fused_rows", static_cast<double>(p.fused.fused_rows));
+  add("block_pins", static_cast<double>(p.storage.hits + p.storage.misses));
+  add("exchanges", static_cast<double>(p.exchange.exchanges()));
+  add("rows_moved", static_cast<double>(p.exchange.rows_moved()));
+  add("bytes_moved", p.exchange.bytes_moved());
+  add("wire_bytes", p.exchange.wire_bytes());
+  add("transfers", static_cast<double>(p.exchange.transport_stats.transfers));
+  add("socket_bytes", p.exchange.transport_stats.socket_bytes);
+  return out;
 }
 
 /// Order-insensitive variant: same rows as a multiset (the documented

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <thread>
+#include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/stats_math.h"
 #include "common/status.h"
 #include "common/table_printer.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 
 namespace costdb {
@@ -208,6 +213,65 @@ TEST(UnitsTest, Formatting) {
   EXPECT_EQ(FormatSeconds(90.0), "90.00 s");
   EXPECT_EQ(FormatBytes(2048), "2.0 KiB");
   EXPECT_EQ(FormatCount(1500000), "1.50M");
+}
+
+TEST(ThreadPoolTest, NestedParallelForCompletesOnOneThread) {
+  // Every outer index blocks in an inner ParallelFor while the pool's one
+  // thread is busy with another outer index: the callers run their own
+  // indices, so nothing waits on a helper that cannot start.
+  ThreadPool pool(1);
+  std::vector<std::atomic<int>> hits(4 * 100);
+  pool.ParallelFor(4, 4, [&](size_t outer) {
+    pool.ParallelFor(100, 4,
+                     [&](size_t inner) { ++hits[outer * 100 + inner]; });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelismOneRunsOnTheCaller) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  size_t ran = 0;
+  pool.ParallelFor(10, 1, [&](size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    ++ran;
+  });
+  EXPECT_EQ(ran, 10u);
+}
+
+TEST(ThreadPoolTest, OutsideCallerHandsIndicesToThePool) {
+  ThreadPool pool(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  std::atomic<int> ran{0};
+  pool.ParallelFor(64, 2, [&](size_t) {
+    if (std::this_thread::get_id() == caller) ++on_caller;
+    ++ran;
+  });
+  EXPECT_EQ(ran.load(), 64);
+  EXPECT_EQ(on_caller.load(), 0);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallsTakeTurns) {
+  // A long call holds both threads; a short call started after it must
+  // not wait for the long call's remaining indices.
+  ThreadPool pool(2);
+  constexpr int kLong = 200;
+  std::atomic<int> long_ran{0};
+  std::thread long_call([&] {
+    pool.ParallelFor(kLong, 2, [&](size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ++long_ran;
+    });
+  });
+  while (long_ran.load() < 4) std::this_thread::yield();
+  std::atomic<int> short_ran{0};
+  pool.ParallelFor(8, 2, [&](size_t) { ++short_ran; });
+  const int long_ran_when_short_done = long_ran.load();
+  long_call.join();
+  EXPECT_EQ(short_ran.load(), 8);
+  EXPECT_EQ(long_ran.load(), kLong);
+  EXPECT_LT(long_ran_when_short_done, kLong / 2);
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

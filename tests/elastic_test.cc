@@ -94,20 +94,22 @@ class ElasticTest : public ::testing::Test {
     EXPECT_TRUE(reference.ok()) << reference.status().ToString();
     if (!reference.ok()) return usage;
 
-    ShardedEngine elastic(initial);
-    elastic.SetResizer([&schedule](const FragmentBoundary& b) {
-      const size_t i = std::min<size_t>(static_cast<size_t>(b.index),
-                                        schedule.size() - 1);
-      return schedule[i];
-    });
-    auto result = elastic.Execute(planned->plan.get());
+    ShardedEngine elastic;
+    ExecProfile profile;
+    auto result = elastic.Execute(
+        planned->plan.get(), initial, &profile, /*sink=*/nullptr,
+        [&schedule](const FragmentBoundary& b) {
+          const size_t i = std::min<size_t>(static_cast<size_t>(b.index),
+                                            schedule.size() - 1);
+          return schedule[i];
+        });
     EXPECT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
     if (!result.ok()) return usage;
     std::string why;
     EXPECT_TRUE(ChunksBitIdentical(reference->chunk, result->chunk, &why))
         << sql << " diverged under schedule starting at " << initial << ": "
         << why;
-    return elastic.last_usage();
+    return profile.usage;
   }
 
   std::unique_ptr<Database> plain_;
@@ -156,13 +158,15 @@ TEST_F(ElasticTest, CoPartitionedJoinSurvivesResizes) {
   for (const auto& [initial, schedule] :
        std::vector<std::pair<size_t, std::vector<size_t>>>{
            {2, {6}}, {5, {3, 7}}, {3, {1}}}) {
-    ShardedEngine elastic(initial);
+    ShardedEngine elastic;
     auto sched = schedule;
-    elastic.SetResizer([sched](const FragmentBoundary& b) {
-      return sched[std::min<size_t>(static_cast<size_t>(b.index),
-                                    sched.size() - 1)];
-    });
-    auto result = elastic.Execute(planned->plan.get());
+    ExecProfile profile;
+    auto result = elastic.Execute(
+        planned->plan.get(), initial, &profile, /*sink=*/nullptr,
+        [sched](const FragmentBoundary& b) {
+          return sched[std::min<size_t>(static_cast<size_t>(b.index),
+                                        sched.size() - 1)];
+        });
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     LocalEngine local(4);
     auto reference = local.Execute(planned->plan.get());
@@ -172,7 +176,7 @@ TEST_F(ElasticTest, CoPartitionedJoinSurvivesResizes) {
         << why;
     // Join rows never cross workers: only the handful of partial-agg rows
     // shuffle.
-    EXPECT_LT(elastic.last_exchange_stats().rows_moved(), 2000u);
+    EXPECT_LT(profile.exchange.rows_moved(), 2000u);
   }
 }
 
@@ -213,7 +217,7 @@ TEST_F(ElasticTest, UsageLedgerMetersWidthSegments) {
   EXPECT_EQ(usage.resizes, 1u);
   EXPECT_EQ(usage.peak_workers, 6u);
   EXPECT_EQ(usage.min_workers, 2u);
-  EXPECT_EQ(usage.workers_spun_up, 4u);  // engine was built with 2
+  EXPECT_EQ(usage.workers_spun_up, 4u);  // the call started at 2
   EXPECT_GT(usage.wall_seconds, 0.0);
   EXPECT_GT(usage.worker_seconds, 0.0);
   // Every wall second is billed at between min and peak width.
@@ -242,15 +246,22 @@ TEST_F(ElasticTest, EngineWidthResetsBetweenQueries) {
       "SELECT cust, count(*) AS c FROM orders GROUP BY cust";
   auto planned = plain_->PlanSql(sql, UserConstraint());
   ASSERT_TRUE(planned.ok());
-  ShardedEngine engine(2);
-  engine.SetResizer([](const FragmentBoundary&) { return size_t{5}; });
-  ASSERT_TRUE(engine.Execute(planned->plan.get()).ok());
-  EXPECT_EQ(engine.num_workers(), 5u);
-  engine.SetResizer(WidthDecider());
-  ASSERT_TRUE(engine.Execute(planned->plan.get()).ok());
-  // A resize schedule is per-query: the next run starts back at 2.
-  EXPECT_EQ(engine.num_workers(), 2u);
-  EXPECT_EQ(engine.last_usage().resizes, 0u);
+  ShardedEngine engine;
+  ExecProfile resized;
+  ASSERT_TRUE(engine
+                  .Execute(planned->plan.get(), 2, &resized, /*sink=*/nullptr,
+                           [](const FragmentBoundary&) { return size_t{5}; })
+                  .ok());
+  EXPECT_EQ(resized.usage.peak_workers, 5u);
+  EXPECT_EQ(resized.usage.workers_spun_up, 3u);
+  ExecProfile fixed;
+  ASSERT_TRUE(engine.Execute(planned->plan.get(), 2, &fixed).ok());
+  // A resize schedule is per-query: the next run starts back at 2 and
+  // holds it, spinning nothing up.
+  EXPECT_EQ(fixed.usage.peak_workers, 2u);
+  EXPECT_EQ(fixed.usage.min_workers, 2u);
+  EXPECT_EQ(fixed.usage.resizes, 0u);
+  EXPECT_EQ(fixed.usage.workers_spun_up, 0u);
 }
 
 // ---------------------------------------------------------------- pricing
@@ -419,12 +430,13 @@ TEST_F(ElasticTest, SimulatorElasticParityIsComparable) {
   // Real run with no policy pressure (static width) vs the simulator
   // under the same static policy: both must hold their width, and both
   // must produce a positive machine-seconds bill.
-  ShardedEngine engine(4);
-  ASSERT_TRUE(engine.Execute(prepared->planned.plan.get()).ok());
+  ShardedEngine engine;
+  ExecProfile profile;
+  ASSERT_TRUE(engine.Execute(prepared->planned.plan.get(), 4, &profile).ok());
   StaticPolicy static_policy;
   ElasticParity parity =
       CheckElasticParity(*prepared, *plain_->simulator(), &static_policy,
-                         UserConstraint(), engine.last_usage());
+                         UserConstraint(), profile.usage);
   EXPECT_EQ(parity.real_resizes, 0u);
   EXPECT_EQ(parity.simulated_resizes, 0);
   EXPECT_TRUE(parity.resize_direction_agrees);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "chunk_testing.h"
 #include "exec/engine.h"
 #include "exec/evaluator.h"
 #include "optimizer/optimizer.h"
@@ -199,6 +202,92 @@ TEST_F(ExecTest, ThreeWayJoinChain) {
       "WHERE o.cid = c.id AND c.tier = d.tier");
   ASSERT_EQ(r.chunk.num_rows(), 1u);
   EXPECT_EQ(r.chunk.column(0).GetInt(0), 10);  // tiers unique -> 1:1
+}
+
+/// Collects streamed chunks in arrival order.
+class CollectSink : public ChunkSink {
+ public:
+  explicit CollectSink(std::vector<LogicalType> types)
+      : rows(std::move(types)) {}
+  Status Push(DataChunk chunk) override {
+    rows.Append(chunk);
+    return Status::OK();
+  }
+  DataChunk rows;
+};
+
+TEST_F(ExecTest, SharedEngineIsReentrant) {
+  // Many morsels per scan, so concurrent calls interleave inside
+  // pipelines, not just between them.
+  auto big = std::make_shared<Table>(
+      "big", std::vector<ColumnDef>{{"k", LogicalType::kInt64},
+                                    {"g", LogicalType::kInt64},
+                                    {"v", LogicalType::kDouble}},
+      256);
+  DataChunk bc({LogicalType::kInt64, LogicalType::kInt64,
+                LogicalType::kDouble});
+  for (int64_t i = 0; i < 20000; ++i) {
+    bc.AppendRow({Value(i), Value(i % 37), Value(0.5 * (i % 101))});
+  }
+  big->Append(bc);
+  meta_.RegisterTable(big);
+  meta_.AnalyzeAll();
+
+  const std::vector<std::string> queries = {
+      "SELECT k FROM big WHERE k < 3000",
+      "SELECT g, count(*) AS n, sum(k) AS s, min(v) AS lo FROM big "
+      "GROUP BY g",
+      "SELECT count(*), sum(k), max(v) FROM big WHERE v > 20.0",
+      "SELECT b.k, c.name FROM big b JOIN customer c ON b.g = c.id "
+      "WHERE b.k < 5000",
+      "SELECT g, sum(v) AS s FROM big WHERE k >= 7000 GROUP BY g "
+      "ORDER BY s DESC LIMIT 5",
+      "SELECT k, v FROM big WHERE g = 3 ORDER BY k DESC LIMIT 40",
+      "SELECT o.id, c.name FROM orders o JOIN customer c ON o.cid = c.id "
+      "ORDER BY o.id",
+      "SELECT cid, count(*) AS n FROM orders GROUP BY cid",
+  };
+  Optimizer opt(&meta_);
+  LocalEngine engine(4);
+  std::vector<PhysicalPlanPtr> plans;
+  std::vector<QueryResult> expected;
+  std::vector<std::string> expected_counters;
+  for (const auto& sql : queries) {
+    auto plan = opt.OptimizeSql(sql);
+    ASSERT_TRUE(plan.ok()) << sql << ": " << plan.status().ToString();
+    ExecProfile profile;
+    auto serial = engine.Execute(plan->get(), &profile);
+    ASSERT_TRUE(serial.ok()) << sql << ": " << serial.status().ToString();
+    EXPECT_EQ(profile.timings.size(),
+              BuildPipelines(plan->get()).pipelines.size());
+    plans.push_back(*plan);
+    expected.push_back(std::move(*serial));
+    expected_counters.push_back(ProfileCounters(profile));
+  }
+
+  // Eight threads, one engine, different plans at once; odd rounds stream
+  // through a sink. Every call must reproduce its serial run exactly.
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t round = 0; round < 12; ++round) {
+        const size_t q = (t + round) % plans.size();
+        ExecProfile profile;
+        CollectSink sink(expected[q].types);
+        const bool stream = round % 2 == 1;
+        auto r = engine.Execute(plans[q].get(), &profile,
+                                stream ? &sink : nullptr);
+        ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
+        const DataChunk& rows = stream ? sink.rows : r->chunk;
+        std::string why;
+        EXPECT_TRUE(ChunksBitIdentical(expected[q].chunk, rows, &why))
+            << queries[q] << " (thread " << t << "): " << why;
+        EXPECT_EQ(ProfileCounters(profile), expected_counters[q])
+            << queries[q] << " (thread " << t << ")";
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
 }
 
 TEST(LikeMatchTest, Patterns) {

@@ -15,7 +15,6 @@ namespace {
 DatabaseOptions SmallDbOptions() {
   DatabaseOptions opts;
   opts.exec_threads = 4;
-  opts.batch_threads = 4;
   return opts;
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <thread>
 
 #include "admission_testing.h"
@@ -14,7 +15,6 @@ namespace {
 DatabaseOptions SmallDbOptions() {
   DatabaseOptions opts;
   opts.exec_threads = 4;
-  opts.batch_threads = 4;
   return opts;
 }
 
@@ -319,6 +319,59 @@ TEST(SessionTest, FetchChunkParityWithMaterializedExecuteSql) {
     EXPECT_EQ(taken->result.chunk.num_rows(), 0u) << "already fetched";
     EXPECT_FALSE(taken->timings.empty());
   }
+}
+
+/// Threads alive in this process (-1 where /proc/self/task is missing).
+int LiveThreads() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) ++n;
+  return n;
+}
+
+TEST(SessionTest, SubmitCreatesNoThreadsAfterWarmUp) {
+  // Every query runs on helpers from the one process-wide pool, local and
+  // sharded alike: once a warm-up query has built the pool, no
+  // Submit/Take round may add (or leak) a thread.
+  auto db = MakeSsbDatabase();
+  Session session(db.get());
+  const std::string sql =
+      "SELECT lo_shipmode, count(*) AS n, sum(lo_revenue) AS rev "
+      "FROM lineorder GROUP BY lo_shipmode";
+  auto reference = session.ExecuteSql(sql);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  auto round = [&](int workers) {
+    Session::SubmitOptions options;
+    options.constraint = UserConstraint().WithWorkers(workers);
+    auto handle = session.Submit(sql, options);
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    auto taken = (*handle)->Take();
+    ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+    EXPECT_EQ(taken->workers, static_cast<size_t>(workers));
+    EXPECT_EQ(taken->result.chunk.ToString(-1),
+              reference->result.chunk.ToString(-1));
+  };
+  round(1);
+  round(4);
+  const int before = LiveThreads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/task on this platform";
+  // A sampler polls the count while the rounds run, so a short-lived
+  // per-query thread is seen too, not only one that leaks.
+  std::atomic<bool> done{false};
+  std::atomic<int> peak{0};
+  std::thread sampler([&] {
+    while (!done.load()) peak = std::max(peak.load(), LiveThreads());
+  });
+  for (int i = 0; i < 50; ++i) {
+    round(1);
+    round(4);
+  }
+  done = true;
+  sampler.join();
+  EXPECT_EQ(peak.load(), before + 1);  // + the sampler itself
+  EXPECT_EQ(LiveThreads(), before);
 }
 
 TEST(SessionTest, TakeMaterializesUnfetchedStream) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
 #include "chunk_testing.h"
 
@@ -105,9 +106,9 @@ class ShardedTest : public ::testing::Test {
     auto reference = local.Execute(planned->plan.get());
     ASSERT_TRUE(reference.ok()) << sql << ": "
                                 << reference.status().ToString();
+    ShardedEngine sharded;
     for (size_t workers : {1u, 2u, 4u, 7u}) {
-      ShardedEngine sharded(workers);
-      auto result = sharded.Execute(planned->plan.get());
+      auto result = sharded.Execute(planned->plan.get(), workers);
       ASSERT_TRUE(result.ok())
           << sql << " @" << workers << ": " << result.status().ToString();
       std::string why;
@@ -329,9 +330,9 @@ TEST_F(ShardedTest, NullJoinKeysMatchNothingAcrossEnginesAndWorkers) {
   auto reference = local.Execute(planned->plan.get());
   ASSERT_TRUE(reference.ok());
   EXPECT_EQ(reference->chunk.num_rows(), expected_pairs);
+  ShardedEngine sharded;
   for (size_t workers : {1u, 2u, 4u, 7u}) {
-    ShardedEngine sharded(workers);
-    auto result = sharded.Execute(planned->plan.get());
+    auto result = sharded.Execute(planned->plan.get(), workers);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     std::string why;
     EXPECT_TRUE(ChunksBitIdentical(reference->chunk, result->chunk, &why))
@@ -349,8 +350,7 @@ TEST_F(ShardedTest, NullJoinKeysMatchNothingAcrossEnginesAndWorkers) {
   auto agg_reference = local.Execute(agg_planned->plan.get());
   ASSERT_TRUE(agg_reference.ok());
   for (size_t workers : {2u, 4u, 7u}) {
-    ShardedEngine sharded(workers);
-    auto result = sharded.Execute(agg_planned->plan.get());
+    auto result = sharded.Execute(agg_planned->plan.get(), workers);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     std::string why;
     EXPECT_TRUE(
@@ -367,8 +367,7 @@ TEST_F(ShardedTest, NullJoinKeysMatchNothingAcrossEnginesAndWorkers) {
   auto group_reference = local.Execute(group_planned->plan.get());
   ASSERT_TRUE(group_reference.ok());
   for (size_t workers : {2u, 4u, 7u}) {
-    ShardedEngine sharded(workers);
-    auto result = sharded.Execute(group_planned->plan.get());
+    auto result = sharded.Execute(group_planned->plan.get(), workers);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     std::string why;
     EXPECT_TRUE(
@@ -459,15 +458,17 @@ TEST_F(ShardedTest, FusedPipelinesBitIdenticalAcrossWorkers) {
     ASSERT_TRUE(planned.ok()) << sql << ": " << planned.status().ToString();
     AnnotateFusable::Apply(planned->plan.get());
     LocalEngine local(4);
-    auto reference = local.Execute(planned->plan.get());
+    ExecProfile local_profile;
+    auto reference = local.Execute(planned->plan.get(), &local_profile);
     ASSERT_TRUE(reference.ok()) << sql;
-    EXPECT_TRUE(local.last_fused_stats().any_fused()) << sql;
+    EXPECT_TRUE(local_profile.fused.any_fused()) << sql;
+    ShardedEngine sharded;
     for (size_t workers : {1u, 2u, 4u, 7u}) {
-      ShardedEngine sharded(workers);
-      auto result = sharded.Execute(planned->plan.get());
+      ExecProfile profile;
+      auto result = sharded.Execute(planned->plan.get(), workers, &profile);
       ASSERT_TRUE(result.ok())
           << sql << " @" << workers << ": " << result.status().ToString();
-      EXPECT_TRUE(sharded.last_fused_stats().any_fused())
+      EXPECT_TRUE(profile.fused.any_fused())
           << sql << " @" << workers << " fell back to interpreted";
       std::string why;
       EXPECT_TRUE(ChunksBitIdentical(reference->chunk, result->chunk, &why))
@@ -581,12 +582,13 @@ TEST_F(ShardedTest, CoPartitionedJoinMovesNoBytesAndShuffleMoves) {
   EXPECT_LE(co->estimate.latency, sh->estimate.latency);
   EXPECT_LE(co->estimate.cost, sh->estimate.cost);
 
-  ShardedEngine co_engine(4);
-  ASSERT_TRUE(co_engine.Execute(co->plan.get()).ok());
-  ShardedEngine sh_engine(4);
-  ASSERT_TRUE(sh_engine.Execute(sh->plan.get()).ok());
-  const ExchangeStats& co_stats = co_engine.last_exchange_stats();
-  const ExchangeStats& sh_stats = sh_engine.last_exchange_stats();
+  ShardedEngine engine;
+  ExecProfile co_profile;
+  ASSERT_TRUE(engine.Execute(co->plan.get(), 4, &co_profile).ok());
+  ExecProfile sh_profile;
+  ASSERT_TRUE(engine.Execute(sh->plan.get(), 4, &sh_profile).ok());
+  const ExchangeStats& co_stats = co_profile.exchange;
+  const ExchangeStats& sh_stats = sh_profile.exchange;
   // The co-partitioned plan still shuffles its handful of per-worker
   // aggregate partials; the join rows themselves never move, so it moves
   // orders of magnitude less than the repartition plan.
@@ -612,8 +614,8 @@ TEST_F(ShardedTest, StaleCoPartitionedPlanFailsLoudly) {
   extra.AppendRow({Value(int64_t{20000}), Value(int64_t{5}), Value(1.0),
                    Value(std::string("red"))});
   orders->Append(extra);
-  ShardedEngine engine(4);
-  auto result = engine.Execute(planned->plan.get());
+  ShardedEngine engine;
+  auto result = engine.Execute(planned->plan.get(), 4);
   EXPECT_FALSE(result.ok());
   // Restore the partitioned layout for the remaining tests' shared data.
   ASSERT_TRUE(
@@ -625,11 +627,11 @@ TEST_F(ShardedTest, StaleCoPartitionedPlanFailsLoudly) {
   ASSERT_TRUE(
       PartitionTable(customer.get(), PartitionSpec::Hash("score", kParts))
           .ok());
-  auto rekeyed = engine.Execute(planned->plan.get());
+  auto rekeyed = engine.Execute(planned->plan.get(), 4);
   EXPECT_FALSE(rekeyed.ok());
   ASSERT_TRUE(
       PartitionTable(customer.get(), PartitionSpec::Hash("key", kParts)).ok());
-  EXPECT_TRUE(engine.Execute(planned->plan.get()).ok());
+  EXPECT_TRUE(engine.Execute(planned->plan.get(), 4).ok());
 }
 
 TEST_F(ShardedTest, LayoutChangeInvalidatesCachedPlanAndReplans) {
@@ -796,10 +798,8 @@ TEST_F(ShardedTest, BitIdenticalAcrossTransportsAndWorkerModes) {
     for (size_t workers : {1u, 2u, 4u, 7u}) {
       // The width-reference leg every other transport x mode combination
       // must reproduce byte-for-byte.
-      ShardedEngineOptions base_options;
-      base_options.workers = workers;
-      ShardedEngine base_engine(base_options);
-      auto base = base_engine.Execute(planned->plan.get());
+      ShardedEngine base_engine;
+      auto base = base_engine.Execute(planned->plan.get(), workers);
       ASSERT_TRUE(base.ok()) << q.sql << " @" << workers << ": "
                              << base.status().ToString();
       if (q.order_stable) {
@@ -820,11 +820,10 @@ TEST_F(ShardedTest, BitIdenticalAcrossTransportsAndWorkerModes) {
             continue;  // that is the width-reference leg itself
           }
           ShardedEngineOptions options;
-          options.workers = workers;
           options.transport = transport;
           options.worker_mode = mode;
           ShardedEngine engine(options);
-          auto result = engine.Execute(planned->plan.get());
+          auto result = engine.Execute(planned->plan.get(), workers);
           ASSERT_TRUE(result.ok())
               << q.sql << " @" << workers << " " << TransportName(transport)
               << "/" << WorkerModeName(mode) << ": "
@@ -848,11 +847,12 @@ TEST_F(ShardedTest, SocketTransportRecordsWireBytesAndLinkSeconds) {
   ASSERT_TRUE(planned.ok());
 
   ShardedEngineOptions socket_options;
-  socket_options.workers = 4;
   socket_options.transport = TransportKind::kSocket;
   ShardedEngine socket_engine(socket_options);
-  ASSERT_TRUE(socket_engine.Execute(planned->plan.get()).ok());
-  const ExchangeStats& socket_stats = socket_engine.last_exchange_stats();
+  ExecProfile socket_profile;
+  ASSERT_TRUE(
+      socket_engine.Execute(planned->plan.get(), 4, &socket_profile).ok());
+  const ExchangeStats& socket_stats = socket_profile.exchange;
   EXPECT_EQ(socket_stats.transport, TransportKind::kSocket);
   EXPECT_GT(socket_stats.wire_bytes(), 0.0);
   EXPECT_GT(socket_stats.link_seconds(), 0.0);
@@ -867,14 +867,16 @@ TEST_F(ShardedTest, SocketTransportRecordsWireBytesAndLinkSeconds) {
     }
   }
   EXPECT_TRUE(any_wire_timing);
-  // The engine-level transport counters agree: socket bytes are the wire
-  // bodies plus one 8-byte length prefix per transfer.
-  const TransportStats& tp = socket_engine.transport_stats();
+  // The call's transport counters agree: socket bytes are the wire bodies
+  // plus one 8-byte length prefix per transfer.
+  const TransportStats& tp = socket_stats.transport_stats;
   EXPECT_EQ(tp.socket_bytes, tp.wire_bytes + 8.0 * tp.transfers);
 
-  ShardedEngine inproc_engine(4);
-  ASSERT_TRUE(inproc_engine.Execute(planned->plan.get()).ok());
-  const ExchangeStats& inproc_stats = inproc_engine.last_exchange_stats();
+  ShardedEngine inproc_engine;
+  ExecProfile inproc_profile;
+  ASSERT_TRUE(
+      inproc_engine.Execute(planned->plan.get(), 4, &inproc_profile).ok());
+  const ExchangeStats& inproc_stats = inproc_profile.exchange;
   EXPECT_EQ(inproc_stats.transport, TransportKind::kInProcess);
   EXPECT_EQ(inproc_stats.wire_bytes(), 0.0);
   EXPECT_EQ(inproc_stats.link_seconds(), 0.0);
@@ -882,6 +884,77 @@ TEST_F(ShardedTest, SocketTransportRecordsWireBytesAndLinkSeconds) {
   // partitions travel, never how many.
   EXPECT_EQ(inproc_stats.rows_moved(), socket_stats.rows_moved());
   EXPECT_EQ(inproc_stats.bytes_moved(), socket_stats.bytes_moved());
+}
+
+TEST_F(ShardedTest, SharedEngineIsReentrantAcrossWidthsAndTransports) {
+  // Eight threads run different plans at widths 1, 2 and 4 on one shared
+  // engine per transport; every call must reproduce its serial run: the
+  // same bytes and the same deterministic profile counters, with its own
+  // transport's framing conserved.
+  const std::vector<std::string> queries = {
+      "SELECT cust, count(*) AS c, sum(id) AS s FROM orders GROUP BY cust",
+      "SELECT tag, count(*) AS c, max(amount) AS m FROM orders "
+      "WHERE amount > 300.0 GROUP BY tag",
+      "SELECT o.id, c.region FROM orders o JOIN customer c "
+      "ON o.cust = c.key WHERE o.amount > 950.0",
+      "SELECT c.region, sum(o.id) AS s FROM orders o JOIN customer c "
+      "ON o.cust = c.key GROUP BY c.region",
+      "SELECT id, amount FROM orders WHERE amount > 990.0 ORDER BY id DESC "
+      "LIMIT 50",
+      "SELECT count(*), sum(id) FROM orders WHERE cust < 100",
+  };
+  std::vector<PlannedQuery> plans;
+  for (const auto& sql : queries) {
+    auto planned = plain_->PlanSql(sql, UserConstraint());
+    ASSERT_TRUE(planned.ok()) << sql << ": " << planned.status().ToString();
+    plans.push_back(std::move(*planned));
+  }
+  const size_t widths[] = {1, 2, 4};
+  for (TransportKind transport :
+       {TransportKind::kInProcess, TransportKind::kSocket}) {
+    ShardedEngineOptions options;
+    options.transport = transport;
+    ShardedEngine engine(options);
+    // Serial references, one per (plan, width).
+    std::vector<std::vector<DataChunk>> expected(plans.size());
+    std::vector<std::vector<std::string>> counters(plans.size());
+    for (size_t q = 0; q < plans.size(); ++q) {
+      for (size_t width : widths) {
+        ExecProfile profile;
+        auto r = engine.Execute(plans[q].plan.get(), width, &profile);
+        ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
+        expected[q].push_back(std::move(r->chunk));
+        counters[q].push_back(ProfileCounters(profile));
+      }
+    }
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 8; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t round = 0; round < 6; ++round) {
+          const size_t q = (t + round) % plans.size();
+          const size_t wi = (t + 2 * round) % 3;
+          ExecProfile profile;
+          auto r = engine.Execute(plans[q].plan.get(), widths[wi], &profile);
+          ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
+          std::string why;
+          EXPECT_TRUE(ChunksBitIdentical(expected[q][wi], r->chunk, &why))
+              << queries[q] << " @" << widths[wi] << " "
+              << TransportName(transport) << ": " << why;
+          EXPECT_EQ(ProfileCounters(profile), counters[q][wi])
+              << queries[q] << " @" << widths[wi] << " "
+              << TransportName(transport);
+          const TransportStats& tp = profile.exchange.transport_stats;
+          if (transport == TransportKind::kSocket) {
+            EXPECT_EQ(tp.socket_bytes,
+                      tp.wire_bytes + 8.0 * static_cast<double>(tp.transfers));
+          } else {
+            EXPECT_EQ(tp.socket_bytes, 0.0);
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
 }
 
 TEST_F(ShardedTest, ShardedParityFillsLinkFieldsOverSocketTransport) {
@@ -892,14 +965,14 @@ TEST_F(ShardedTest, ShardedParityFillsLinkFieldsOverSocketTransport) {
 
   auto run = [&](TransportKind transport) {
     ShardedEngineOptions options;
-    options.workers = 4;
     options.transport = transport;
     ShardedEngine engine(options);
-    EXPECT_TRUE(engine.Execute(prepared->planned.plan.get()).ok());
+    ExecProfile profile;
+    EXPECT_TRUE(
+        engine.Execute(prepared->planned.plan.get(), 4, &profile).ok());
     return CheckShardedParity(*prepared, *plain_->estimator(), 4,
                               /*measured_single=*/0.01,
-                              /*measured_sharded=*/0.01,
-                              engine.last_exchange_stats());
+                              /*measured_sharded=*/0.01, profile.exchange);
   };
 
   ShardedParity socket_parity = run(TransportKind::kSocket);
@@ -975,12 +1048,13 @@ TEST_F(ShardedTest, SimulatorParityOnSmallWorkload) {
   ASSERT_TRUE(prepared.ok());
 
   auto time_run = [&](size_t workers, ExchangeStats* stats) {
-    ShardedEngine engine(workers);
+    ShardedEngine engine;
+    ExecProfile profile;
     auto t0 = std::chrono::steady_clock::now();
-    auto r = engine.Execute(prepared->planned.plan.get());
+    auto r = engine.Execute(prepared->planned.plan.get(), workers, &profile);
     auto t1 = std::chrono::steady_clock::now();
     EXPECT_TRUE(r.ok());
-    if (stats != nullptr) *stats = engine.last_exchange_stats();
+    if (stats != nullptr) *stats = profile.exchange;
     return std::chrono::duration<double>(t1 - t0).count();
   };
   ExchangeStats stats;

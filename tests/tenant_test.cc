@@ -325,6 +325,101 @@ TEST(TenantFairShareTest, SetTenantQuotaAppliesToQueuedWork) {
 }
 
 // ===================================================================
+// Anticipation: only a client measured to resubmit right after each
+// result (closed loop) has the slot its query freed held for it.
+// ===================================================================
+
+AdmissionController::Submission Paced(
+    const std::shared_ptr<AdmissionController::ClientPace>& pace,
+    Seconds est_latency, const std::string& query_class) {
+  AdmissionController::Submission sub = Instant("t", est_latency, query_class);
+  sub.client = pace;
+  return sub;
+}
+
+TEST(TenantFairShareTest, BatchAndSlowClientsNeverHoldTheSlot) {
+  AdmissionOptions opts;
+  opts.max_concurrent = 1;
+  AdmissionController controller(opts);
+  SlotBlocker blocker(&controller, 1);
+
+  // A batch keeps several queries in flight, so no completion is
+  // followed by a resubmission from an idle client: no gap is measured.
+  auto batch = std::make_shared<AdmissionController::ClientPace>();
+  std::vector<AdmissionController::TicketPtr> tickets;
+  for (int i = 0; i < 3; ++i) {
+    tickets.push_back(controller.Submit(Paced(batch, 1.0, "batch")));
+  }
+  tickets.push_back(controller.Submit(Instant("t", 2.0, "other")));
+  blocker.Release();
+  for (const auto& t : tickets) controller.Await(t);
+
+  // A client whose resubmission comes long after its result arrived is
+  // open-loop as far as admission can tell.
+  auto slow = std::make_shared<AdmissionController::ClientPace>();
+  controller.Await(controller.Submit(Paced(slow, 1.0, "slow")));
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  SlotBlocker second(&controller, 1);
+  auto last = controller.Submit(Paced(slow, 1.0, "slow"));
+  auto other = controller.Submit(Instant("t", 2.0, "other"));
+  second.Release();
+  controller.Await(last);
+  controller.Await(other);
+  EXPECT_EQ(controller.stats().anticipated, 0u);
+}
+
+TEST(TenantFairShareTest, AnticipatedFollowUpWinsTheFreedSlot) {
+  // One worker; an expensive ticket waits behind a closed-loop client's
+  // running query. The client resubmits a cheap query as soon as its
+  // result arrives. A worker that picked at once would admit the
+  // expensive ticket first; holding the slot for the measured client
+  // lets the cost ordering admit the follow-up. Wake-ups are real
+  // scheduling, so the test asks for a clear majority of rounds.
+  AdmissionOptions opts;
+  opts.max_concurrent = 1;
+  opts.record_admissions = true;
+  AdmissionController controller(opts);
+  auto pace = std::make_shared<AdmissionController::ClientPace>();
+  // Warm-up round trip: measures the client's resubmit gap.
+  controller.Await(controller.Submit(Paced(pace, 1.0, "warm")));
+  controller.Await(controller.Submit(Paced(pace, 1.0, "warm")));
+
+  // The client never waits on anything but its own results, so every
+  // gap admission measures is its own turnaround. An expensive ticket
+  // that lost to the follow-up stays queued into the next round.
+  constexpr int kRounds = 20;
+  int follow_up_first = 0;
+  AdmissionController::TicketPtr expensive;
+  for (int round = 0; round < kRounds; ++round) {
+    std::promise<void> gate;
+    auto gate_future = std::shared_future<void>(gate.get_future());
+    AdmissionController::Submission client = Paced(pace, 1.0, "client");
+    client.run = [gate_future] { gate_future.wait(); };
+    auto running = controller.Submit(std::move(client));
+    while (controller.state(running) !=
+           AdmissionController::Ticket::State::kRunning) {
+      std::this_thread::yield();
+    }
+    if (expensive == nullptr || controller.state(expensive) !=
+                                    AdmissionController::Ticket::State::kQueued) {
+      expensive = controller.Submit(Instant("t", 5.0, "expensive"));
+    }
+    gate.set_value();
+    controller.Await(running);
+    controller.Await(controller.Submit(Paced(pace, 0.5, "follow_up")));
+    // The follow-up won iff it was admitted right after the client's
+    // query, ahead of the queued expensive ticket.
+    const auto log = controller.admission_log();
+    size_t f = log.size() - 1;
+    while (log[f].query_class != "follow_up") --f;
+    ASSERT_GE(f, 1u);
+    if (log[f - 1].query_class == "client") ++follow_up_first;
+  }
+  EXPECT_GE(follow_up_first, kRounds * 3 / 4);
+  EXPECT_GT(controller.stats().anticipated, 0u);
+}
+
+// ===================================================================
 // Result cache + tenant billing through the full Session/Database
 // stack.
 // ===================================================================
@@ -332,7 +427,6 @@ TEST(TenantFairShareTest, SetTenantQuotaAppliesToQueuedWork) {
 DatabaseOptions TenantDbOptions() {
   DatabaseOptions opts;
   opts.exec_threads = 4;
-  opts.batch_threads = 4;
   opts.enable_calibration = false;
   opts.enable_result_cache = true;
   return opts;

@@ -673,11 +673,12 @@ class VectorizedEngineTest : public ::testing::Test {
     meta_.AnalyzeAll();
   }
 
-  Result<QueryResult> Run(const std::string& sql, LocalEngine* engine) {
+  Result<QueryResult> Run(const std::string& sql, LocalEngine* engine,
+                          ExecProfile* profile = nullptr) {
     Optimizer opt(&meta_);
     auto plan = opt.OptimizeSql(sql);
     EXPECT_TRUE(plan.ok()) << sql;
-    return engine->Execute(plan->get());
+    return engine->Execute(plan->get(), profile);
   }
 
   MetadataService meta_;
@@ -687,10 +688,11 @@ TEST_F(VectorizedEngineTest, SelectivePredicatePrunesMostMorselsAndAgrees) {
   LocalEngine engine(4);
   // k < 256 covers 4 of 32 row groups: pruning must skip >= 50% of the
   // morsels and still return exactly the qualifying rows.
-  auto r = Run("SELECT k FROM fact WHERE k < 256", &engine);
+  ExecProfile profile;
+  auto r = Run("SELECT k FROM fact WHERE k < 256", &engine, &profile);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->chunk.num_rows(), 256u);
-  const ScanStats& stats = engine.last_scan_stats();
+  const ScanStats& stats = profile.scan;
   EXPECT_EQ(stats.morsels_total, 32u);
   EXPECT_GE(stats.pruned_fraction(), 0.5)
       << stats.morsels_pruned << "/" << stats.morsels_total;
@@ -885,9 +887,10 @@ void AnnotateAllFusable(PhysicalPlan* n) {
 TEST_F(VectorizedEngineTest, FusedScanFilterBitIdenticalToInterpreted) {
   const std::string sql = "SELECT k FROM fact WHERE k < 256 AND grp >= 2";
   LocalEngine plain_engine(4);
-  auto plain = Run(sql, &plain_engine);
+  ExecProfile plain_profile;
+  auto plain = Run(sql, &plain_engine, &plain_profile);
   ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(plain_engine.last_fused_stats().any_fused())
+  EXPECT_FALSE(plain_profile.fused.any_fused())
       << "unannotated plan must stay on the interpreted path";
 
   Optimizer opt(&meta_);
@@ -895,9 +898,10 @@ TEST_F(VectorizedEngineTest, FusedScanFilterBitIdenticalToInterpreted) {
   ASSERT_TRUE(plan.ok());
   AnnotateAllFusable(plan->get());
   LocalEngine fused_engine(4);
-  auto fused = fused_engine.Execute(plan->get());
+  ExecProfile profile;
+  auto fused = fused_engine.Execute(plan->get(), &profile);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_GT(fused_engine.last_fused_stats().fused_filter_morsels, 0u);
+  EXPECT_GT(profile.fused.fused_filter_morsels, 0u);
   EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
 }
 
@@ -914,9 +918,10 @@ TEST_F(VectorizedEngineTest, FusedGlobalAggregateBitIdenticalToInterpreted) {
   ASSERT_TRUE(plan.ok());
   AnnotateAllFusable(plan->get());
   LocalEngine fused_engine(4);
-  auto fused = fused_engine.Execute(plan->get());
+  ExecProfile profile;
+  auto fused = fused_engine.Execute(plan->get(), &profile);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_GT(fused_engine.last_fused_stats().fused_agg_morsels, 0u);
+  EXPECT_GT(profile.fused.fused_agg_morsels, 0u);
   // Bit-exact double sums: the fused fold mirrors the unfused kernels'
   // branch structure and visit order.
   EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
@@ -947,9 +952,10 @@ TEST_F(VectorizedEngineTest, FusedProbePipelineBitIdenticalToInterpreted) {
   ASSERT_NE(FindNodeOfKind(plan->get(), PhysicalPlan::Kind::kHashJoin),
             nullptr);
   LocalEngine fused_engine(4);
-  auto fused = fused_engine.Execute(plan->get());
+  ExecProfile profile;
+  auto fused = fused_engine.Execute(plan->get(), &profile);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_GT(fused_engine.last_fused_stats().fused_probe_morsels, 0u);
+  EXPECT_GT(profile.fused.fused_probe_morsels, 0u);
   EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
 }
 
@@ -969,9 +975,10 @@ TEST_F(VectorizedEngineTest, SurvivingMorselPredictionMatchesEngineScanStats) {
   ASSERT_GE(predicted, 0.0);
 
   LocalEngine engine(4);
-  auto r = engine.Execute(plan->get());
+  ExecProfile profile;
+  auto r = engine.Execute(plan->get(), &profile);
   ASSERT_TRUE(r.ok());
-  const ScanStats& stats = engine.last_scan_stats();
+  const ScanStats& stats = profile.scan;
   const double actual =
       static_cast<double>(stats.morsels_total - stats.morsels_pruned);
   EXPECT_NEAR(predicted, actual, 1.0)
@@ -998,9 +1005,10 @@ TEST_F(VectorizedEngineTest, UnfusableShapeFallsBackAndStillAgrees) {
   ASSERT_TRUE(annotated.ok());
   AnnotateAllFusable(annotated->get());
   LocalEngine fused_engine(4);
-  auto fused = fused_engine.Execute(annotated->get());
+  ExecProfile profile;
+  auto fused = fused_engine.Execute(annotated->get(), &profile);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  const FusedExecStats& stats = fused_engine.last_fused_stats();
+  const FusedExecStats& stats = profile.fused;
   EXPECT_FALSE(stats.any_fused());
   EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
 }
