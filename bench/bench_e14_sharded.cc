@@ -287,11 +287,11 @@ int Main(int argc, char** argv) {
     for (int round = 0; round < 4; ++round) {
       auto r = cal_db.ExecuteSql(agg_sql, UserConstraint().WithWorkers(4));
       if (!r.ok()) break;
+      const GroupReport& shuffle = r->calibration[TermGroup::kShuffle];
       std::printf("round %d: q-error %.2f -> %.2f (scale %.3f, shuffle bw "
                   "%.2f GiB/s)\n",
-                  round, r->calibration.q_error_before,
-                  r->calibration.q_error_after, r->calibration.applied_scale,
-                  cal_db.hardware()->shuffle_gibps);
+                  round, shuffle.q_error_before, shuffle.q_error_after,
+                  shuffle.applied_scale, cal_db.hardware()->shuffle_gibps);
     }
   }
 

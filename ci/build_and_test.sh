@@ -312,16 +312,19 @@ run_asan_stage() {
   # read/write loops — exactly ASAN's bounds/lifetime domain. sharded_test
   # in turn drives the socket transport and forked worker processes through
   # whole-query exchanges.
-  echo "== ASAN/UBSAN (exec + vectorized + sharded + elastic + tenant + storage + net) =="
+  # cost_test rides along: the calibration updater walks a table of
+  # member pointers into HardwareCalibration and clamps floating-point
+  # steps — the indexing and arithmetic UBSan checks.
+  echo "== ASAN/UBSAN (exec + vectorized + sharded + elastic + tenant + storage + net + cost) =="
   local build_dir="${ASAN_BUILD_DIR:-build-asan}"
   cmake -B "$build_dir" -S . -DCOSTDB_ASAN=ON -DCMAKE_BUILD_TYPE=Debug \
     "${CMAKE_LAUNCHER_ARGS[@]}"
   cmake --build "$build_dir" -j "$JOBS" \
     --target exec_test vectorized_test sharded_test elastic_test \
-    tenant_test storage_test net_test
+    tenant_test storage_test net_test cost_test
   local t
   for t in exec_test vectorized_test sharded_test elastic_test tenant_test \
-           storage_test net_test; do
+           storage_test net_test cost_test; do
     ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "$build_dir/$t"
   done

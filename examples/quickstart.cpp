@@ -101,18 +101,18 @@ int main() {
   // 6. The calibration loop: the first run's wall-clock timings flowed
   //    back into the hardware calibration, so replanning predicts closer
   //    to what this machine actually delivers.
+  const GroupReport& fed = run->calibration[TermGroup::kPipelines];
   std::printf("calibration feedback: %d pipelines observed, q-error "
               "%.2f -> %.2f (scale %.3f)\n",
-              run->calibration.pipelines_observed,
-              run->calibration.q_error_before, run->calibration.q_error_after,
-              run->calibration.applied_scale);
+              fed.observed, fed.q_error_before, fed.q_error_after,
+              fed.applied_scale);
   auto rerun = session.ExecuteSql(sql);
   if (rerun.ok()) {
     std::printf("replanned after calibration: latency %s (was %s), "
                 "q-error %.2f\n",
                 FormatSeconds(rerun->plan->estimate.latency).c_str(),
                 FormatSeconds(est.latency).c_str(),
-                rerun->calibration.q_error_before);
+                rerun->calibration[TermGroup::kPipelines].q_error_before);
   }
   auto cache = db.plan_cache_stats();
   std::printf("plan cache: %zu hits, %zu misses, %zu invalidations\n",

@@ -27,7 +27,7 @@ struct HardwareCalibration {
   // workers pays a serialize/copy cost on top of the wire model, and every
   // receiver partition pays a fixed dispatch fee (bucket setup, temp-table
   // build). These are the terms the real ShardedEngine's measured exchange
-  // timings calibrate (CalibrationUpdater::ObserveShuffles) — the knob that
+  // timings calibrate (CalibrationUpdater's shuffle group) — the knob that
   // decides shuffle vs broadcast vs co-partitioned plans and how many
   // workers are worth paying for.
   double shuffle_gibps = 8.0;               // bytes/shuffle_bw copy rate
@@ -38,9 +38,9 @@ struct HardwareCalibration {
   // serializing transport adds on top of the copy term above. A socket
   // exchange pays wire_bytes/serialize_bw (encode+decode+checksum) plus
   // wire_bytes/link_bw (kernel copy through the socket) plus one RTT per
-  // transfer. These three are what ObserveTransport recalibrates from the
-  // measured serialize+transfer share of exchange wall times, and
-  // ObserveShuffles subtracts that share — so the copy term and the link
+  // transfer. These three are what the calibration's link group learns
+  // from the measured serialize+transfer share of exchange wall times, and
+  // the shuffle group subtracts that share — so the copy term and the link
   // terms each track their own reality and DOP decisions price real
   // serialization + link cost per transport.
   LinkTransport exchange_transport = LinkTransport::kInProcess;
@@ -83,7 +83,7 @@ struct HardwareCalibration {
   // being a faster loop. That makes fusion a genuine costed trade the
   // fuse_kernels pass prices per scan (it loses on single cheap
   // conjuncts), and these two terms are what measured fused-pipeline
-  // timings recalibrate (CalibrationUpdater::ObserveFused).
+  // timings recalibrate (CalibrationUpdater's fused group).
   double fused_filter_rows_per_sec = 300e6;  // whole conjunction, one pass
   Seconds fused_dispatch_seconds = 8e-7;     // per morsel, whole fused chain
 
@@ -91,7 +91,7 @@ struct HardwareCalibration {
   // bytes / (storage_read_gibps * GiB) + storage_get_seconds of node time
   // on top of the object-store GET fee. These price the block cache's
   // admission benefit and the LSM compaction trade, and measured cold
-  // reads recalibrate them (CalibrationUpdater::ObserveStorage) — the
+  // reads recalibrate them (CalibrationUpdater's storage group) — the
   // same two-term rate+fixed split as the shuffle and fused tiers. The
   // seed bandwidth is deliberately below scan_gibps_per_node: cold reads
   // pay decode + checksum verification on top of raw I/O.

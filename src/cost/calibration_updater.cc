@@ -2,266 +2,206 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "exec/engine.h"
-#include "exec/sharded_engine.h"
 
 namespace costdb {
 
 namespace {
+
+/// EWMA learning rate: a step's scale is ratio^rate, so repeated
+/// observations converge geometrically instead of chasing one noisy run.
+constexpr double kCalibrationLearningRate = 0.5;
+
+struct Pair {
+  double predicted = 0.0;
+  double actual = 0.0;
+};
+
+/// What a group's pair reader may look at: the run, the plan it ran, and
+/// the calibration as the earlier groups of the round left it.
+struct Inputs {
+  const ExecProfile& profile;
+  const PipelineGraph& graph;
+  const VolumeMap& volumes;
+  const CostEstimator& estimator;
+  const HardwareCalibration& hw;
+};
+
+using Term = double HardwareCalibration::*;
+using ReadPairs = void (*)(const Inputs&, std::vector<Pair>*);
+
+/// One row of the term-group table. Predictions are volume/rate plus fixed
+/// seconds, so dividing `rates` and multiplying `latencies` by a step's
+/// scale multiplies every duration the group prices by exactly that scale.
+struct GroupRow {
+  std::vector<Term> rates;
+  std::vector<Term> latencies;
+  ReadPairs read;
+};
+
+void ReadPipelines(const Inputs& in, std::vector<Pair>* pairs) {
+  for (const PipelineTiming& timing : in.profile.timings) {
+    if (timing.seconds <= 0.0) continue;
+    for (const Pipeline& pipeline : in.graph.pipelines) {
+      if (pipeline.id != timing.pipeline_id) continue;
+      const double predicted =
+          in.estimator.PipelineDuration(pipeline, /*dop=*/1, in.volumes);
+      if (predicted > 0.0) pairs->push_back({predicted, timing.seconds});
+      break;
+    }
+  }
+}
+
+void ReadShuffles(const Inputs& in, std::vector<Pair>* pairs) {
+  for (const ExchangeTiming& t : in.profile.exchange.timings) {
+    // The copy term must never chase link time: the link group prices a
+    // serializing transport's serialize+transfer share, so it is taken out
+    // of the measured wall time (a no-op in process, where it is 0).
+    const double actual = t.seconds - t.link_seconds;
+    if (actual <= 0.0) continue;
+    const double predicted =
+        t.bytes / (in.hw.shuffle_gibps * kGiB) +
+        static_cast<double>(t.partitions) * in.hw.shuffle_dispatch_seconds;
+    if (predicted > 0.0) pairs->push_back({predicted, actual});
+  }
+}
+
+void ReadLink(const Inputs& in, std::vector<Pair>* pairs) {
+  for (const ExchangeTiming& t : in.profile.exchange.timings) {
+    // Only exchanges that serialized bytes over a link carry a signal for
+    // the link terms; in-process exchanges have neither.
+    if (t.wire_bytes <= 0.0 || t.link_seconds <= 0.0) continue;
+    const double predicted =
+        t.wire_bytes / (in.hw.wire_serialize_gibps * kGiB) +
+        t.wire_bytes / (in.hw.link_gibps * kGiB) +
+        static_cast<double>(t.transfers) * in.hw.link_rtt_seconds;
+    if (predicted > 0.0) pairs->push_back({predicted, t.link_seconds});
+  }
+}
+
+void ReadFused(const Inputs& in, std::vector<Pair>* pairs) {
+  const FusedExecStats& f = in.profile.fused;
+  if (!f.any_fused() || f.fused_seconds <= 0.0) return;
+  const double batches = static_cast<double>(
+      f.fused_filter_morsels + f.fused_probe_morsels + f.fused_agg_morsels);
+  const double predicted =
+      static_cast<double>(f.fused_rows) / in.hw.fused_filter_rows_per_sec +
+      batches * in.hw.fused_dispatch_seconds;
+  if (predicted > 0.0) pairs->push_back({predicted, f.fused_seconds});
+}
+
+void ReadStorage(const Inputs& in, std::vector<Pair>* pairs) {
+  const BlockCacheStats& s = in.profile.storage;
+  if (s.misses <= 0 || s.miss_seconds <= 0.0) return;
+  const double predicted =
+      s.bytes_read / (in.hw.storage_read_gibps * kGiB) +
+      static_cast<double>(s.misses) * in.hw.storage_get_seconds;
+  if (predicted > 0.0) pairs->push_back({predicted, s.miss_seconds});
+}
+
+using HW = HardwareCalibration;
+
+/// The term groups, indexed by TermGroup.
+const std::array<GroupRow, kNumTermGroups>& Groups() {
+  static const std::array<GroupRow, kNumTermGroups> groups = {{
+      // kPipelines: every time term (vector_batch_rows is a size and
+      // parallel_alpha a ratio, not times), so a step rescales the whole
+      // model and keeps relative operator costs.
+      {{&HW::scan_gibps_per_node, &HW::network_gibps_per_node,
+        &HW::filter_rows_per_sec, &HW::project_rows_per_sec,
+        &HW::hash_build_rows_per_sec, &HW::hash_probe_rows_per_sec,
+        &HW::agg_rows_per_sec, &HW::agg_merge_groups_per_sec,
+        &HW::sort_rows_per_sec, &HW::exchange_rows_per_sec,
+        &HW::shuffle_gibps, &HW::wire_serialize_gibps, &HW::link_gibps,
+        &HW::fused_filter_rows_per_sec, &HW::storage_read_gibps},
+       {&HW::shuffle_dispatch_seconds, &HW::link_rtt_seconds,
+        &HW::fused_dispatch_seconds, &HW::storage_get_seconds,
+        &HW::shuffle_sync_per_node, &HW::pipeline_startup,
+        &HW::worker_spinup_seconds, &HW::batch_dispatch_seconds},
+       &ReadPipelines},
+      // kShuffle: bytes / shuffle_gibps + partitions * dispatch.
+      {{&HW::shuffle_gibps}, {&HW::shuffle_dispatch_seconds}, &ReadShuffles},
+      // kLink: wire / serialize_bw + wire / link_bw + transfers * RTT.
+      {{&HW::wire_serialize_gibps, &HW::link_gibps},
+       {&HW::link_rtt_seconds},
+       &ReadLink},
+      // kFused: rows / fused_rate + morsels * fused_dispatch.
+      {{&HW::fused_filter_rows_per_sec},
+       {&HW::fused_dispatch_seconds},
+       &ReadFused},
+      // kStorage: bytes / read_bw + GETs * per-GET latency.
+      {{&HW::storage_read_gibps}, {&HW::storage_get_seconds}, &ReadStorage},
+  }};
+  return groups;
+}
 
 double QError(double predicted, double actual) {
   if (predicted <= 0.0 || actual <= 0.0) return 1.0;
   return std::max(predicted / actual, actual / predicted);
 }
 
-double GeoMeanQError(const std::vector<CalibrationObservation>& pairs) {
-  if (pairs.empty()) return 1.0;
+/// Geometric-mean q-error of `pairs` with every prediction scaled by
+/// `scale`.
+double GeoMeanQError(const std::vector<Pair>& pairs, double scale) {
   double log_sum = 0.0;
-  for (const auto& p : pairs) log_sum += std::log(QError(p.predicted, p.actual));
+  for (const Pair& p : pairs) {
+    log_sum += std::log(QError(p.predicted * scale, p.actual));
+  }
   return std::exp(log_sum / static_cast<double>(pairs.size()));
+}
+
+/// Clamped EWMA step: the geometric-mean actual/predicted ratio raised to
+/// the learning rate, bounded per step and so the group's cumulative
+/// drift stays inside kCalibrationMaxDrift.
+double StepScale(const std::vector<Pair>& pairs, double drift) {
+  double log_ratio = 0.0;
+  for (const Pair& p : pairs) log_ratio += std::log(p.actual / p.predicted);
+  log_ratio /= static_cast<double>(pairs.size());
+  double scale = std::exp(log_ratio * kCalibrationLearningRate);
+  scale = std::clamp(scale, 1.0 / kCalibrationMaxStep, kCalibrationMaxStep);
+  const double total = std::clamp(drift * scale, 1.0 / kCalibrationMaxDrift,
+                                  kCalibrationMaxDrift);
+  return total / drift;
 }
 
 }  // namespace
 
-CalibrationUpdater::CalibrationUpdater(HardwareCalibration* hw,
-                                       CalibrationUpdaterOptions options)
-    : hw_(hw), options_(options) {}
-
-CalibrationReport CalibrationUpdater::Observe(
-    const PipelineGraph& graph, const VolumeMap& volumes,
-    const std::vector<PipelineTiming>& timings,
-    const CostEstimator& estimator, int dop) {
-  std::vector<CalibrationObservation> pairs;
-  for (const auto& timing : timings) {
-    if (timing.seconds <= 0.0) continue;
-    for (const auto& pipeline : graph.pipelines) {
-      if (pipeline.id != timing.pipeline_id) continue;
-      CalibrationObservation obs;
-      obs.pipeline_id = pipeline.id;
-      obs.actual = timing.seconds;
-      obs.predicted = estimator.PipelineDuration(pipeline, dop, volumes);
-      if (obs.predicted > 0.0) pairs.push_back(obs);
-      break;
+CalibrationReport CalibrationUpdater::Observe(const ExecProfile& profile,
+                                              const PipelineGraph& graph,
+                                              const VolumeMap& volumes,
+                                              const CostEstimator& estimator) {
+  const auto& groups = Groups();
+  const Inputs in{profile, graph, volumes, estimator, *hw_};
+  CalibrationReport report;
+  std::vector<Pair> pairs;
+  for (size_t g = 0; g < kNumTermGroups; ++g) {
+    const GroupRow& row = groups[g];
+    pairs.clear();
+    row.read(in, &pairs);
+    GroupReport& out = report.groups[g];
+    out.observed = static_cast<int>(pairs.size());
+    if (pairs.empty()) continue;
+    out.q_error_before = GeoMeanQError(pairs, 1.0);
+    const double scale = StepScale(pairs, drift_[g]);
+    for (Term t : row.rates) hw_->*t /= scale;
+    for (Term t : row.latencies) hw_->*t *= scale;
+    if (g == static_cast<size_t>(TermGroup::kPipelines)) {
+      // The pipeline step moves every group's terms, so every drift.
+      for (double& d : drift_) d *= scale;
+    } else {
+      drift_[g] *= scale;
     }
+    ++rounds_;
+    out.applied_scale = scale;
+    // Every term of the group scaled linearly, so the post-step q-error
+    // is exact without re-invoking the estimator.
+    out.q_error_after = GeoMeanQError(pairs, scale);
+    report.moved = report.moved || scale > 1.0 + kRecalibrationThreshold ||
+                   scale < 1.0 / (1.0 + kRecalibrationThreshold);
   }
-  return ObservePairs(pairs);
-}
-
-double CalibrationUpdater::ScaleFor(
-    const std::vector<CalibrationObservation>& pairs,
-    double total_scale_so_far) const {
-  // Geometric mean of actual/predicted: the single multiplier that, applied
-  // to every predicted duration, minimizes the aggregate log error.
-  double log_ratio = 0.0;
-  for (const auto& p : pairs) log_ratio += std::log(p.actual / p.predicted);
-  log_ratio /= static_cast<double>(pairs.size());
-
-  double scale = std::exp(log_ratio * options_.learning_rate);
-  scale = std::clamp(scale, 1.0 / options_.max_step, options_.max_step);
-  // Keep the cumulative drift bounded relative to the initial calibration.
-  double proposed_total = total_scale_so_far * scale;
-  proposed_total = std::clamp(proposed_total, 1.0 / options_.max_total_drift,
-                              options_.max_total_drift);
-  return proposed_total / total_scale_so_far;
-}
-
-CalibrationReport CalibrationUpdater::ObservePairs(
-    const std::vector<CalibrationObservation>& pairs) {
-  CalibrationReport report;
-  report.pipelines_observed = static_cast<int>(pairs.size());
-  if (pairs.empty()) return report;
-  report.q_error_before = GeoMeanQError(pairs);
-
-  double scale = ScaleFor(pairs, total_scale_);
-  ApplyScale(scale);
-  total_scale_ *= scale;
-  ++rounds_;
-  report.applied_scale = scale;
-
-  // Every time term scales linearly in `scale`, so the post-update q-error
-  // is exact without re-invoking the estimator.
-  std::vector<CalibrationObservation> after = pairs;
-  for (auto& p : after) p.predicted *= scale;
-  report.q_error_after = GeoMeanQError(after);
   return report;
-}
-
-CalibrationReport CalibrationUpdater::ObserveShuffles(
-    const std::vector<ExchangeTiming>& timings) {
-  std::vector<CalibrationObservation> pairs;
-  for (const auto& t : timings) {
-    // The copy term must never chase link time: a serializing transport's
-    // serialize+transfer share is priced (and calibrated) separately by
-    // ObserveTransport, so subtract it from the measured wall time. A
-    // no-op for in-process exchanges, whose link_seconds is 0.
-    const double actual = t.seconds - t.link_seconds;
-    if (actual <= 0.0) continue;
-    CalibrationObservation obs;
-    obs.actual = actual;
-    obs.predicted = t.bytes / (hw_->shuffle_gibps * kGiB) +
-                    static_cast<double>(t.partitions) *
-                        hw_->shuffle_dispatch_seconds;
-    if (obs.predicted > 0.0) pairs.push_back(obs);
-  }
-  CalibrationReport report;
-  report.pipelines_observed = static_cast<int>(pairs.size());
-  if (pairs.empty()) return report;
-  report.q_error_before = GeoMeanQError(pairs);
-
-  double scale = ScaleFor(pairs, shuffle_total_scale_);
-  // Scale only the shuffle term: the copy rate divides, the per-partition
-  // dispatch multiplies, so every predicted exchange duration scales by
-  // exactly `scale` while the rest of the calibration stays put.
-  hw_->shuffle_gibps /= scale;
-  hw_->shuffle_dispatch_seconds *= scale;
-  shuffle_total_scale_ *= scale;
-  ++rounds_;
-  report.applied_scale = scale;
-
-  std::vector<CalibrationObservation> after = pairs;
-  for (auto& p : after) p.predicted *= scale;
-  report.q_error_after = GeoMeanQError(after);
-  return report;
-}
-
-CalibrationReport CalibrationUpdater::ObserveTransport(
-    const std::vector<ExchangeTiming>& timings) {
-  std::vector<CalibrationObservation> pairs;
-  for (const auto& t : timings) {
-    // Only exchanges that actually serialized bytes over a link carry a
-    // signal for the link terms; in-process exchanges have neither.
-    if (t.wire_bytes <= 0.0 || t.link_seconds <= 0.0) continue;
-    CalibrationObservation obs;
-    obs.actual = t.link_seconds;
-    obs.predicted = t.wire_bytes / (hw_->wire_serialize_gibps * kGiB) +
-                    t.wire_bytes / (hw_->link_gibps * kGiB) +
-                    static_cast<double>(t.transfers) * hw_->link_rtt_seconds;
-    if (obs.predicted > 0.0) pairs.push_back(obs);
-  }
-  CalibrationReport report;
-  report.pipelines_observed = static_cast<int>(pairs.size());
-  if (pairs.empty()) return report;
-  report.q_error_before = GeoMeanQError(pairs);
-
-  double scale = ScaleFor(pairs, link_total_scale_);
-  // Scale only the link terms: both bandwidths divide and the fixed RTT
-  // multiplies, so every predicted serialize+transfer duration scales by
-  // exactly `scale` while the copy term (ObserveShuffles' territory) and
-  // the rest of the calibration stay put.
-  hw_->wire_serialize_gibps /= scale;
-  hw_->link_gibps /= scale;
-  hw_->link_rtt_seconds *= scale;
-  link_total_scale_ *= scale;
-  ++rounds_;
-  report.applied_scale = scale;
-
-  std::vector<CalibrationObservation> after = pairs;
-  for (auto& p : after) p.predicted *= scale;
-  report.q_error_after = GeoMeanQError(after);
-  return report;
-}
-
-CalibrationReport CalibrationUpdater::ObserveFused(
-    const std::vector<FusedObservation>& timings) {
-  std::vector<CalibrationObservation> pairs;
-  for (const auto& t : timings) {
-    if (t.seconds <= 0.0) continue;
-    CalibrationObservation obs;
-    obs.actual = t.seconds;
-    obs.predicted = t.rows / hw_->fused_filter_rows_per_sec +
-                    t.batches * hw_->fused_dispatch_seconds;
-    if (obs.predicted > 0.0) pairs.push_back(obs);
-  }
-  CalibrationReport report;
-  report.pipelines_observed = static_cast<int>(pairs.size());
-  if (pairs.empty()) return report;
-  report.q_error_before = GeoMeanQError(pairs);
-
-  double scale = ScaleFor(pairs, fused_total_scale_);
-  // Scale only the fused tier: rate divides, per-morsel dispatch
-  // multiplies, so every predicted fused-chain duration scales by exactly
-  // `scale` while the interpreted rates it competes with stay put.
-  hw_->fused_filter_rows_per_sec /= scale;
-  hw_->fused_dispatch_seconds *= scale;
-  fused_total_scale_ *= scale;
-  ++rounds_;
-  report.applied_scale = scale;
-
-  std::vector<CalibrationObservation> after = pairs;
-  for (auto& p : after) p.predicted *= scale;
-  report.q_error_after = GeoMeanQError(after);
-  return report;
-}
-
-CalibrationReport CalibrationUpdater::ObserveStorage(
-    const std::vector<StorageObservation>& timings) {
-  std::vector<CalibrationObservation> pairs;
-  for (const auto& t : timings) {
-    if (t.seconds <= 0.0) continue;
-    CalibrationObservation obs;
-    obs.actual = t.seconds;
-    obs.predicted = t.bytes / (hw_->storage_read_gibps * kGiB) +
-                    t.blocks * hw_->storage_get_seconds;
-    if (obs.predicted > 0.0) pairs.push_back(obs);
-  }
-  CalibrationReport report;
-  report.pipelines_observed = static_cast<int>(pairs.size());
-  if (pairs.empty()) return report;
-  report.q_error_before = GeoMeanQError(pairs);
-
-  double scale = ScaleFor(pairs, storage_total_scale_);
-  // Scale only the storage tier: fetch+decode bandwidth divides, the
-  // per-GET fixed latency multiplies, so every predicted cold-read
-  // duration scales by exactly `scale` while the rest of the calibration
-  // (and the dollar side of block-cache pricing) stays put.
-  hw_->storage_read_gibps /= scale;
-  hw_->storage_get_seconds *= scale;
-  storage_total_scale_ *= scale;
-  ++rounds_;
-  report.applied_scale = scale;
-
-  std::vector<CalibrationObservation> after = pairs;
-  for (auto& p : after) p.predicted *= scale;
-  report.q_error_after = GeoMeanQError(after);
-  return report;
-}
-
-void CalibrationUpdater::ApplyScale(double scale) {
-  if (scale == 1.0) return;
-  // Times are volume/rate plus fixed seconds: dividing rates and
-  // multiplying fixed latencies by `scale` multiplies every predicted
-  // duration by exactly `scale`.
-  hw_->scan_gibps_per_node /= scale;
-  hw_->network_gibps_per_node /= scale;
-  hw_->filter_rows_per_sec /= scale;
-  hw_->project_rows_per_sec /= scale;
-  hw_->hash_build_rows_per_sec /= scale;
-  hw_->hash_probe_rows_per_sec /= scale;
-  hw_->agg_rows_per_sec /= scale;
-  hw_->agg_merge_groups_per_sec /= scale;
-  hw_->sort_rows_per_sec /= scale;
-  hw_->exchange_rows_per_sec /= scale;
-  hw_->shuffle_gibps /= scale;
-  hw_->shuffle_dispatch_seconds *= scale;
-  // The uniform pipeline scale moves the shuffle term too; record it in
-  // the shuffle drift tracker so ObserveShuffles' max_total_drift clamp
-  // is measured against the term's true cumulative movement.
-  shuffle_total_scale_ *= scale;
-  hw_->wire_serialize_gibps /= scale;
-  hw_->link_gibps /= scale;
-  hw_->link_rtt_seconds *= scale;
-  link_total_scale_ *= scale;  // same drift bookkeeping as the shuffle term
-  hw_->fused_filter_rows_per_sec /= scale;
-  hw_->fused_dispatch_seconds *= scale;
-  fused_total_scale_ *= scale;  // same drift bookkeeping as the shuffle term
-  hw_->storage_read_gibps /= scale;
-  hw_->storage_get_seconds *= scale;
-  storage_total_scale_ *= scale;  // ditto for the cold-read storage tier
-  hw_->shuffle_sync_per_node *= scale;
-  hw_->pipeline_startup *= scale;
-  hw_->worker_spinup_seconds *= scale;
-  hw_->batch_dispatch_seconds *= scale;  // vector_batch_rows is a size, not a time
 }
 
 }  // namespace costdb

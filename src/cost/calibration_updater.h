@@ -1,170 +1,97 @@
 #pragma once
 
-#include <vector>
+#include <array>
+#include <cstddef>
 
 #include "cost/cost_model.h"
 
 namespace costdb {
 
-struct PipelineTiming;   // exec/engine.h; kept forward to avoid a cycle
-struct ExchangeTiming;   // exec/sharded_engine.h; same
+struct ExecProfile;  // exec/engine.h; kept forward to avoid a cycle
 
-/// One measured fused-chain execution: rows pushed through the fused
-/// kernel, morsels dispatched to it, and the wall time of the kernel
-/// calls themselves (FusedExecStats, aggregated per query).
-struct FusedObservation {
-  double rows = 0.0;
-  double batches = 0.0;
-  Seconds seconds = 0.0;
-};
+/// The calibration's term groups, in the order one feedback round steps
+/// them. Each owns a set of HardwareCalibration time terms and reads its
+/// own (predicted, actual) pairs from the run's ExecProfile:
+///   kPipelines  every time term, from per-pipeline wall times;
+///   kShuffle    the exchange copy term, from exchange wall time minus its
+///               link share;
+///   kLink       the serialize + link + RTT terms, from the link share of
+///               exchanges that ran over a serializing transport;
+///   kFused      the fused-kernel rate and dispatch, from fused wall time;
+///   kStorage    cold-read bandwidth and per-GET latency, from block-cache
+///               miss time.
+enum class TermGroup { kPipelines, kShuffle, kLink, kFused, kStorage };
+inline constexpr size_t kNumTermGroups = 5;
 
-/// One measured cold-block storage read: bytes fetched from the object
-/// store, GET requests issued, and the wall time of fetch+decode
-/// (BlockCacheStats, aggregated per query).
-struct StorageObservation {
-  double bytes = 0.0;
-  double blocks = 0.0;
-  Seconds seconds = 0.0;
-};
+/// Clamp on one step's scale.
+inline constexpr double kCalibrationMaxStep = 8.0;
+/// Clamp on a group's cumulative drift from the initial calibration — a
+/// runaway guard so a pathological measurement cannot destroy the model.
+/// Wide, because a laptop-local engine legitimately sits orders of
+/// magnitude away from the modeled cloud node's fixed latencies.
+inline constexpr double kCalibrationMaxDrift = 1024.0;
+/// Relative step that makes estimates priced before it stale (the facade
+/// then invalidates its cached plans and results).
+inline constexpr double kRecalibrationThreshold = 0.05;
 
-/// One observed pipeline execution, in the vocabulary of the cost model:
-/// what the estimator predicted for it and what the engine measured.
-struct CalibrationObservation {
-  int pipeline_id = 0;
-  Seconds predicted = 0.0;
-  Seconds actual = 0.0;
+/// What one feedback round did to one term group.
+struct GroupReport {
+  /// (predicted, actual) pairs read from the profile; 0 means the run
+  /// carried no signal for the group and the round left it alone.
+  int observed = 0;
+  /// Geometric-mean q-error max(pred/act, act/pred) before/after the step.
+  double q_error_before = 1.0;
+  double q_error_after = 1.0;
+  /// Multiplier applied to every time term of the group (1.0 = no change).
+  double applied_scale = 1.0;
 };
 
 /// What one feedback round did to the calibration.
 struct CalibrationReport {
-  int pipelines_observed = 0;
-  /// Geometric-mean q-error max(pred/act, act/pred) before/after the update.
-  double q_error_before = 1.0;
-  double q_error_after = 1.0;
-  /// Multiplier applied to every time term of the calibration this round
-  /// (1.0 = no change).
-  double applied_scale = 1.0;
+  std::array<GroupReport, kNumTermGroups> groups;
+  /// Some group stepped by more than kRecalibrationThreshold.
+  bool moved = false;
 
-  bool changed(double threshold = 0.05) const {
-    return applied_scale > 1.0 + threshold ||
-           applied_scale < 1.0 / (1.0 + threshold);
+  const GroupReport& operator[](TermGroup group) const {
+    return groups[static_cast<size_t>(group)];
   }
 };
 
-struct CalibrationUpdaterOptions {
-  /// EWMA learning rate: the applied scale is ratio^rate, so repeated
-  /// observations converge geometrically instead of chasing one noisy run.
-  double learning_rate = 0.5;
-  /// Per-round clamp on the applied scale.
-  double max_step = 8.0;
-  /// Cumulative clamp relative to the initial calibration — a runaway
-  /// guard so a pathological measurement cannot destroy the model. Wide,
-  /// because a laptop-local engine legitimately sits orders of magnitude
-  /// away from the modeled cloud node's fixed latencies.
-  double max_total_drift = 1024.0;
-};
-
 /// Closes the paper's calibration loop (Section 3.1 calibrates "before the
-/// service starts"; this keeps calibrating *while* it runs): wall-clock
-/// pipeline timings from the local engine are compared against the
-/// estimator's predictions and the shared HardwareCalibration is nudged so
-/// subsequent estimates tighten. All time terms are scaled uniformly —
-/// rates divided, fixed latencies multiplied — which preserves the
-/// *relative* operator costs the DOP planner's decisions depend on while
-/// correcting the absolute scale the hardware actually delivers.
+/// service starts"; this keeps calibrating *while* it runs): what one run
+/// measured is compared against what the estimator predicted for it, and
+/// the shared HardwareCalibration is nudged so later estimates tighten.
+/// A step scales its group's time terms uniformly — rates divided, fixed
+/// latencies multiplied — so every prediction the group prices scales by
+/// exactly the step, preserving the *relative* costs the planner's
+/// decisions depend on while correcting the absolute scale the hardware
+/// delivers.
 class CalibrationUpdater {
  public:
-  explicit CalibrationUpdater(
-      HardwareCalibration* hw,
-      CalibrationUpdaterOptions options = CalibrationUpdaterOptions());
+  explicit CalibrationUpdater(HardwareCalibration* hw) : hw_(hw) {}
 
-  /// Fold one query's pipeline timings into the calibration. `graph` and
-  /// `volumes` must be the plan the timings came from; predictions are
-  /// made at `dop` nodes (the local engine stands in for one node).
-  CalibrationReport Observe(const PipelineGraph& graph,
+  /// Fold one run's profile into the calibration, stepping each term group
+  /// in TermGroup order; a group reads its pairs after the earlier groups
+  /// stepped. `graph` and `volumes` must be the plan the profile came
+  /// from; pipeline predictions are made at one node (the local engine
+  /// stands in for one).
+  CalibrationReport Observe(const ExecProfile& profile,
+                            const PipelineGraph& graph,
                             const VolumeMap& volumes,
-                            const std::vector<PipelineTiming>& timings,
-                            const CostEstimator& estimator, int dop = 1);
+                            const CostEstimator& estimator);
 
-  /// Same loop fed with pre-matched (predicted, actual) pairs.
-  CalibrationReport ObservePairs(
-      const std::vector<CalibrationObservation>& pairs);
-
-  /// Fold the sharded engine's measured exchange wall times into the
-  /// calibration's shuffle term: predictions are made with the current
-  /// bytes/shuffle_bw + partitions*dispatch model and only shuffle_gibps /
-  /// shuffle_dispatch_seconds are rescaled (geometric-mean ratio under the
-  /// same learning rate and clamps as the pipeline loop), so the general
-  /// operator rates never chase data-movement noise.
-  CalibrationReport ObserveShuffles(
-      const std::vector<ExchangeTiming>& timings);
-
-  /// Cumulative movement of the shuffle term relative to the initial
-  /// calibration — the product of every ObserveShuffles scale *and* of
-  /// the uniform pipeline scales (which move the shuffle term too).
-  double shuffle_total_scale() const { return shuffle_total_scale_; }
-
-  /// Fold the serialize+transfer share of measured exchange wall times
-  /// (ExchangeTiming::wire_bytes / link_seconds, populated only when the
-  /// exchange ran over a serializing transport) into the calibration's
-  /// link terms: predictions use the current wire_bytes/serialize_bw +
-  /// wire_bytes/link_bw + transfers*rtt model and ONLY
-  /// wire_serialize_gibps / link_gibps / link_rtt_seconds are rescaled.
-  /// In-process timings carry no link share and are skipped, so the link
-  /// terms only ever learn from real serialized transfers.
-  CalibrationReport ObserveTransport(
-      const std::vector<ExchangeTiming>& timings);
-
-  /// Cumulative movement of the link terms (ObserveTransport scales plus
-  /// the uniform pipeline scales, which move them too).
-  double link_total_scale() const { return link_total_scale_; }
-
-  /// Fold measured fused-kernel timings into the calibration's fused tier:
-  /// predictions use the current rows/fused_rate + batches*fused_dispatch
-  /// model and only fused_filter_rows_per_sec / fused_dispatch_seconds are
-  /// rescaled, so fusion pricing tracks what the fused kernels actually
-  /// deliver on this hardware without disturbing the interpreted rates it
-  /// is compared against.
-  CalibrationReport ObserveFused(
-      const std::vector<FusedObservation>& timings);
-
-  /// Cumulative movement of the fused term (ObserveFused scales plus the
-  /// uniform pipeline scales, which move it too).
-  double fused_total_scale() const { return fused_total_scale_; }
-
-  /// Fold measured cold-block read timings into the calibration's storage
-  /// tier: predictions use the current bytes/storage_read_gibps +
-  /// blocks*storage_get_seconds model and only those two terms are
-  /// rescaled, so block-cache admission pricing and the LSM compaction
-  /// trade track what cold reads actually cost on this hardware.
-  CalibrationReport ObserveStorage(
-      const std::vector<StorageObservation>& timings);
-
-  /// Cumulative movement of the storage term (ObserveStorage scales plus
-  /// the uniform pipeline scales, which move it too).
-  double storage_total_scale() const { return storage_total_scale_; }
-
-  /// Product of every scale applied so far (1.0 = still at the initial
-  /// calibration).
-  double total_scale() const { return total_scale_; }
+  /// Cumulative movement of a group's terms from the initial calibration:
+  /// the product of every step that moved all of them — the group's own
+  /// and, since it moves every time term, each kPipelines step.
+  double drift(TermGroup group) const {
+    return drift_[static_cast<size_t>(group)];
+  }
+  /// Group steps taken so far (groups without pairs take none).
   int rounds() const { return rounds_; }
 
  private:
-  void ApplyScale(double scale);
-
-  /// Shared EWMA step: the clamped geometric-mean actual/predicted scale
-  /// for `pairs`, with the cumulative clamp measured against the given
-  /// drift so far (read-only — callers advance their tracker themselves).
-  double ScaleFor(const std::vector<CalibrationObservation>& pairs,
-                  double total_scale_so_far) const;
-
   HardwareCalibration* hw_;
-  CalibrationUpdaterOptions options_;
-  double total_scale_ = 1.0;
-  double shuffle_total_scale_ = 1.0;
-  double link_total_scale_ = 1.0;
-  double fused_total_scale_ = 1.0;
-  double storage_total_scale_ = 1.0;
+  std::array<double, kNumTermGroups> drift_ = {1.0, 1.0, 1.0, 1.0, 1.0};
   int rounds_ = 0;
 };
 

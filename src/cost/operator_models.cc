@@ -144,7 +144,7 @@ class SortModel : public OperatorModel {
 /// in the exchange models (both sit under a max), so the cloud-shaped NIC
 /// model keeps its scaling behavior while the in-process sharded engine —
 /// whose "wire" IS this copy — calibrates it from measured exchange times
-/// (CalibrationUpdater::ObserveShuffles).
+/// (the calibration's shuffle group, TermGroup::kShuffle).
 Seconds ShuffleCopyTime(const HardwareCalibration* hw, double moved_bytes) {
   return moved_bytes / (hw->shuffle_gibps * kGiB);
 }
@@ -160,8 +160,8 @@ Seconds ShuffleDispatch(const HardwareCalibration* hw, int partitions) {
 /// serialize + link + RTT terms on a serializing transport. Additive on
 /// top of the copy/NIC max — serialization and the kernel copy genuinely
 /// happen in sequence with the repartition, they don't overlap it
-/// (measured as ExchangeTiming::link_seconds; calibrated by
-/// CalibrationUpdater::ObserveTransport).
+/// (measured as ExchangeTiming::link_seconds; calibrated by the link
+/// group, TermGroup::kLink).
 Seconds LinkTime(const HardwareCalibration* hw, double moved_bytes,
                  int transfers) {
   if (hw->exchange_transport != LinkTransport::kSocket) return 0.0;

@@ -86,9 +86,9 @@ struct ScanStats {
 /// one shared copy, not W wire copies) — while the logical cross-worker
 /// charge lives in ExchangeStats::bytes_moved(). When the exchange ran
 /// over a serializing transport, `wire_bytes`/`link_seconds` isolate the
-/// serialization + link share of `seconds`; ObserveTransport calibrates
-/// the link terms from exactly these fields (and ObserveShuffles subtracts
-/// them, so the copy term never chases link time).
+/// serialization + link share of `seconds`; the calibration's link group
+/// learns the link terms from exactly these fields (and the shuffle group
+/// subtracts them, so the copy term never chases link time).
 struct ExchangeTiming {
   ExchangeKind kind = ExchangeKind::kShuffle;
   double bytes = 0.0;      // payload bytes the movement copied
@@ -178,6 +178,8 @@ struct WorkerUsage {
 
 /// Everything one Execute call measured, filled by the call that produced
 /// it — so concurrent calls on one engine never see each other's numbers.
+/// It is the whole input of the calibration loop
+/// (CalibrationUpdater::Observe).
 /// LocalEngine fills timings, scan, fused and storage; ShardedEngine fills
 /// scan, fused and storage summed over workers, plus exchange and usage.
 struct ExecProfile {
@@ -187,11 +189,11 @@ struct ExecProfile {
   ScanStats scan;
   /// Which morsels ran through the fused tier the fuse_kernels pass
   /// annotated, which hit the runtime fallback, and the wall time inside
-  /// fused kernels (what CalibrationUpdater::ObserveFused folds back).
+  /// fused kernels (what the calibration's fused group folds back).
   FusedExecStats fused;
   /// Block-cache counters: cold-block hits, misses (each one object-store
-  /// GET), and the measured read+decode time ObserveStorage folds back.
-  /// All-zero for purely RAM-resident scans.
+  /// GET), and the measured read+decode time the calibration's storage
+  /// group folds back. All-zero for purely RAM-resident scans.
   BlockCacheStats storage;
   /// Sharded runs only: what the exchanges moved (the shuffle- and
   /// link-term calibration signal) and the worker-second ledger.

@@ -14,7 +14,7 @@
 ///
 /// The per-transport TransportStats (wire bytes, socket bytes, serialize
 /// vs transfer seconds) feed ExchangeTiming, and from there egress billing
-/// and CalibrationUpdater::ObserveTransport.
+/// and the calibration's link group (CalibrationUpdater).
 
 #include <cstdint>
 #include <functional>

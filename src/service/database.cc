@@ -31,10 +31,8 @@ Database::Database(DatabaseOptions options)
   estimator_ = std::make_unique<CostEstimator>(&hw_, &node_);
   query_service_ = std::make_unique<QueryService>(&meta_, estimator_.get(),
                                                   options_.optimizer);
-  simulator_ =
-      std::make_unique<DistributedSimulator>(estimator_.get(), options_.sim);
-  calibration_ =
-      std::make_unique<CalibrationUpdater>(&hw_, options_.calibration);
+  simulator_ = std::make_unique<DistributedSimulator>(estimator_.get());
+  calibration_ = std::make_unique<CalibrationUpdater>(&hw_);
   if (options_.enable_persistent_storage) {
     // The whole tier is built here and never reassigned: execution threads
     // read storage_store_/block_cache_ raw, so late initialization would
@@ -202,12 +200,6 @@ Result<std::shared_ptr<const PlannedQuery>> Database::PlanCachedImpl(
     const std::string& cache_key,
     const std::function<Result<PlannedQuery>()>& plan_fn, bool* cache_hit) {
   *cache_hit = false;
-  if (!options_.enable_plan_cache) {
-    ReaderMutexLock hw_lock(hw_mu_);
-    auto planned = plan_fn();
-    if (!planned.ok()) return planned.status();
-    return std::make_shared<const PlannedQuery>(std::move(*planned));
-  }
   int planned_under_version = 0;
   std::shared_ptr<PlanInFlight> flight;
   {
@@ -332,10 +324,9 @@ Result<ExecutionResult> Database::Execute(
   // (ResolveWorkerCount); > 1 routes to the partitioned backend.
   out.workers = static_cast<size_t>(std::max(1, out.plan->workers));
   const PhysicalPlan* root = out.plan->plan.get();
-  ExecProfile profile;
   if (out.workers == 1) {
     COSTDB_ASSIGN_OR_RETURN(out.result,
-                            local_engine_.Execute(root, &profile, sink));
+                            local_engine_.Execute(root, &out, sink));
   } else {
     // Per-query elastic state: a fresh DOP monitor proposes widths from
     // the engine's real fragment timings, the controller prices each
@@ -346,9 +337,8 @@ Result<ExecutionResult> Database::Execute(
     std::unique_ptr<ElasticController> controller;
     WidthDecider decider;
     if (options_.enable_elastic) {
-      monitor =
-          std::make_unique<PipelineDopMonitor>(options_.elastic_monitor);
-      ElasticControllerOptions elastic = options_.elastic;
+      monitor = std::make_unique<PipelineDopMonitor>();
+      ElasticControllerOptions elastic;
       elastic.max_workers = std::min<size_t>(
           elastic.max_workers, std::max<size_t>(1, options_.max_workers));
       controller = std::make_unique<ElasticController>(
@@ -369,14 +359,9 @@ Result<ExecutionResult> Database::Execute(
     }
     COSTDB_ASSIGN_OR_RETURN(
         out.result,
-        sharded_engine_.Execute(root, out.workers, &profile, sink, decider));
+        sharded_engine_.Execute(root, out.workers, &out, sink, decider));
     if (controller != nullptr) out.elastic = controller->decisions();
   }
-  out.timings = std::move(profile.timings);
-  out.fused = profile.fused;
-  out.storage = profile.storage;
-  out.exchange = std::move(profile.exchange);
-  out.usage = std::move(profile.usage);
   if (out.workers == 1) return out;
 
   // Cloud billing: charge the measured machine time — wall seconds at the
@@ -616,59 +601,10 @@ void Database::ClearResultCache() {
 
 CalibrationReport Database::Calibrate(const ExecutionResult& executed) {
   WriterMutexLock hw_lock(hw_mu_);
-  CalibrationReport report;
-  if (!executed.timings.empty()) {
-    report = calibration_->Observe(executed.plan->pipelines,
-                                   executed.plan->volumes, executed.timings,
-                                   *estimator_, /*dop=*/1);
-  }
-  bool moved = report.changed(options_.recalibration_threshold);
-  if (!executed.exchange.timings.empty()) {
-    // Sharded run: fold the measured exchange wall times into the
-    // calibration's shuffle term (bytes/shuffle_bw + per-partition
-    // dispatch), tightening the cost model's worker-count decisions.
-    CalibrationReport shuffle =
-        calibration_->ObserveShuffles(executed.exchange.timings);
-    if (executed.timings.empty()) report = shuffle;
-    moved = moved || shuffle.changed(options_.recalibration_threshold);
-    // Over a serializing transport the same timings also carry a measured
-    // link share (serialize + socket transfer seconds per exchange): fold
-    // it into the link terms, which only transported runs may move.
-    bool any_link = false;
-    for (const ExchangeTiming& t : executed.exchange.timings) {
-      any_link = any_link || (t.wire_bytes > 0.0 && t.link_seconds > 0.0);
-    }
-    if (any_link) {
-      CalibrationReport link =
-          calibration_->ObserveTransport(executed.exchange.timings);
-      moved = moved || link.changed(options_.recalibration_threshold);
-    }
-  }
-  if (executed.fused.any_fused() && executed.fused.fused_seconds > 0.0) {
-    // Fused morsels ran: fold the measured fused-kernel wall time into the
-    // fused dispatch/throughput terms, so the fuse_kernels pass's
-    // fused-vs-interpreted pricing tracks delivered performance.
-    FusedObservation obs;
-    obs.rows = static_cast<double>(executed.fused.fused_rows);
-    obs.batches = static_cast<double>(executed.fused.fused_filter_morsels +
-                                      executed.fused.fused_probe_morsels +
-                                      executed.fused.fused_agg_morsels);
-    obs.seconds = executed.fused.fused_seconds;
-    CalibrationReport fused = calibration_->ObserveFused({obs});
-    moved = moved || fused.changed(options_.recalibration_threshold);
-  }
-  if (executed.storage.misses > 0 && executed.storage.miss_seconds > 0.0) {
-    // Cold blocks were read: fold the measured fetch+decode wall time into
-    // the storage tier's bandwidth/latency terms, so block-cache admission
-    // pricing and the compaction trade track delivered cold-read speed.
-    StorageObservation obs;
-    obs.bytes = executed.storage.bytes_read;
-    obs.blocks = static_cast<double>(executed.storage.misses);
-    obs.seconds = executed.storage.miss_seconds;
-    CalibrationReport storage = calibration_->ObserveStorage({obs});
-    moved = moved || storage.changed(options_.recalibration_threshold);
-  }
-  if (moved) {
+  CalibrationReport report = calibration_->Observe(
+      executed, executed.plan->pipelines, executed.plan->volumes,
+      *estimator_);
+  if (report.moved) {
     // Estimates produced before this round are stale; lazily invalidate
     // cached plans by versioning.
     MutexLock cache_lock(cache_mu_);

@@ -48,8 +48,8 @@ struct DatabaseOptions {
   /// pass-through, or serialized through the checksummed wire format over
   /// a real socketpair (docs/TRANSPORT.md). The socket transport makes
   /// measured exchange times contain real serialization + link cost, the
-  /// calibration learns the link terms from them (ObserveTransport), and
-  /// moved wire bytes are billed at the egress rate.
+  /// calibration's link group learns the link terms from them, and moved
+  /// wire bytes are billed at the egress rate.
   TransportKind exchange_transport = TransportKind::kInProcess;
   /// Where sharded fragments execute: LocalEngines on a thread pool, or
   /// forked worker processes whose results return serialized over
@@ -62,12 +62,6 @@ struct DatabaseOptions {
   /// Cost-aware admission for asynchronously submitted queries
   /// (Session::Submit, and so SubmitBatch, which rides on it).
   AdmissionOptions admission;
-  /// Cache bound+optimized plans keyed by (statement shape, constraint);
-  /// invalidated when the calibration moves materially. The shape is the
-  /// normalized token stream (sql/shape.h), so whitespace and keyword
-  /// case do not fragment the cache, and prepared statements share one
-  /// entry across all parameter values.
-  bool enable_plan_cache = true;
   /// Shared result cache keyed by (statement shape, constraint, bound
   /// parameter vector): a hot repeated statement costs one execution, and
   /// every later identical submit is served the materialized rows.
@@ -100,12 +94,9 @@ struct DatabaseOptions {
   StorageOptions storage;
   /// Per-tenant billing shape (tiered volume pricing, cache-hit rate).
   TenantPricingOptions pricing;
-  /// Feed executed-pipeline wall times back into the hardware calibration
-  /// after every local execution (the paper's calibration loop).
+  /// Feed every execution's profile back into the hardware calibration
+  /// (the paper's calibration loop).
   bool enable_calibration = true;
-  CalibrationUpdaterOptions calibration;
-  /// Relative calibration movement that invalidates cached plans.
-  double recalibration_threshold = 0.05;
   /// Elastic sharded execution: when true, every sharded run (resolved
   /// workers > 1) consults an ElasticController at fragment boundaries —
   /// a fresh PipelineDopMonitor per query proposes widths from observed
@@ -113,11 +104,7 @@ struct DatabaseOptions {
   /// calibrated shuffle + spin-up terms veto net-negative resizes. Off by
   /// default: fixed-width runs stay exactly as planned.
   bool enable_elastic = false;
-  ElasticControllerOptions elastic;
-  /// Monitor thresholds for the per-query elastic policy.
-  DopMonitorOptions elastic_monitor;
   BiObjectiveOptions optimizer;
-  SimOptions sim;
 };
 
 /// One query of a concurrent batch.
@@ -126,40 +113,24 @@ struct QueryRequest {
   UserConstraint constraint;
 };
 
-/// Everything ExecuteSql hands back: rows, the plan that produced them,
-/// and what the calibration feedback loop learned from the run. The
-/// measurement fields are the engine call's ExecProfile, copied at one
-/// site.
-struct ExecutionResult {
+/// Everything ExecuteSql hands back: the run's ExecProfile (the engine
+/// fills this base directly; docs/STORAGE.md explains the storage
+/// counters), plus the rows, the plan that produced them, what the run
+/// was billed, and what the calibration feedback loop learned from it.
+struct ExecutionResult : ExecProfile {
   QueryResult result;
   std::shared_ptr<const PlannedQuery> plan;
   bool plan_cache_hit = false;
-  /// Rows came from the shared result cache — no engine ran, timings are
-  /// empty, and the billing layer charges the cache rate instead of the
+  /// Rows came from the shared result cache — no engine ran, the profile
+  /// is empty, and the billing layer charges the cache rate instead of the
   /// execution estimate.
   bool result_cache_hit = false;
-  std::vector<PipelineTiming> timings;
   CalibrationReport calibration;
-  /// Sharded runs only: which backend width executed and what the
-  /// exchanges moved (the feedback signal of the shuffle-term
-  /// calibration; empty timings on LocalEngine runs).
+  /// Width of the backend that executed (> 1: the sharded engine).
   size_t workers = 1;
-  ExchangeStats exchange;
-  /// Which morsels ran through the fused-kernel tier the fuse_kernels pass
-  /// annotated (summed over workers on sharded runs), including runtime
-  /// fallbacks and the wall time spent inside fused kernels — the feedback
-  /// signal of the fused-term calibration.
-  FusedExecStats fused;
-  /// Block-cache traffic of the run's scans (all-zero unless a scanned
-  /// table has persistent storage attached): cold-read wall time feeds the
-  /// storage-term calibration, and the GET fees feed per-tenant billing.
-  /// See docs/STORAGE.md for how to read the counters.
-  BlockCacheStats storage;
-  /// Sharded runs only: the worker-second ledger of the run (per-width
-  /// segments for elastic runs) and the dollars the cloud billing layer
-  /// charged for it at the facade's node price. Session ledgers settle to
-  /// `billed_dollars` so elastic runs are billed what they actually held.
-  WorkerUsage usage;
+  /// Sharded runs only: the dollars the cloud billing layer charged for
+  /// `usage` at the facade's node price. Session ledgers settle to it, so
+  /// elastic runs are billed what they actually held.
   Dollars billed_dollars = 0.0;
   /// Sharded runs over a serializing transport only: the egress-style fee
   /// on the wire bytes the run's exchanges serialized
@@ -177,10 +148,10 @@ struct ExecutionResult {
 /// simulation. Every example, bench, and client enters here; direct
 /// binder/planner wiring is an optimizer-internal detail.
 ///
-/// The facade also closes the loop the seed left open: after each local
-/// execution, per-pipeline wall times flow through a CalibrationUpdater
-/// into the HardwareCalibration that the shared CostEstimator reads, so
-/// cost estimates tighten as the system runs.
+/// The facade also closes the loop the seed left open: after each
+/// execution, the run's profile flows through a CalibrationUpdater into
+/// the HardwareCalibration that the shared CostEstimator reads, so cost
+/// estimates tighten as the system runs.
 class Database {
  public:
   explicit Database(DatabaseOptions options = DatabaseOptions());
@@ -202,12 +173,12 @@ class Database {
   /// for malformed SQL and unknown names.
   Result<BoundQuery> BindSql(const std::string& sql) const;
 
-  /// Plan through the pass pipeline, honoring the plan cache when
-  /// enabled. Cache entries are keyed by (statement shape, constraint)
-  /// and stamped with the calibration version they were planned under; a
-  /// lookup whose stamp predates the current version replans instead of
-  /// returning a stale plan (see calibration_version()). The returned
-  /// plan is immutable and shared — callers must not mutate it.
+  /// Plan through the pass pipeline and the plan cache. Cache entries are
+  /// keyed by (statement shape, constraint) and stamped with the
+  /// calibration version they were planned under; a lookup whose stamp
+  /// predates the current version replans instead of returning a stale
+  /// plan (see calibration_version()). The returned plan is immutable and
+  /// shared — callers must not mutate it.
   Result<PlannedQuery> PlanSql(const std::string& sql,
                                const UserConstraint& constraint);
 
@@ -272,7 +243,7 @@ class Database {
                                const UserConstraint& constraint,
                                const std::vector<Value>& params);
 
-  /// Fold one executed result's timings into the calibration (serialized
+  /// Fold one executed result's profile into the calibration (serialized
   /// internally; a no-op when options.enable_calibration is off). The
   /// single feedback implementation shared by ExecuteSql, Session, and
   /// the SubmitBatch shim — the report is computed once here and stored
@@ -398,8 +369,8 @@ class Database {
 
   // -- Calibration loop --------------------------------------------------
   const CalibrationUpdater& calibration() const { return *calibration_; }
-  /// Bumped whenever a feedback round moves the calibration by more than
-  /// options.recalibration_threshold (relative). Cached plans carry the
+  /// Bumped whenever a feedback round moves some term group by more than
+  /// kRecalibrationThreshold (relative). Cached plans carry the
   /// version they were planned under; any entry older than the current
   /// version is invalidated lazily on its next lookup, so estimates that
   /// drifted materially can never serve a stale plan.
@@ -463,13 +434,12 @@ class Database {
       const std::string& cache_key,
       const std::function<Result<PlannedQuery>()>& plan_fn, bool* cache_hit);
 
-  /// Serialize one query's timings into the calibration (under lock).
-  /// LocalEngine runs feed the pipeline-time loop; sharded runs feed the
-  /// measured exchange timings into the shuffle-term loop.
+  /// Fold one query's profile into the calibration (under lock) and bump
+  /// the calibration version when it moved.
   CalibrationReport Calibrate(const ExecutionResult& executed);
 
-  /// Run a plan on the engine its resolved width picks, copy the call's
-  /// profile into the result, and bill sharded runs.
+  /// Run a plan on the engine its resolved width picks, which writes its
+  /// profile straight into the result, and bill sharded runs.
   Result<ExecutionResult> Execute(std::shared_ptr<const PlannedQuery> plan,
                                   bool cache_hit, ChunkSink* sink);
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <vector>
@@ -290,25 +291,27 @@ TEST_F(CostTest, SurvivingMorselsFollowPlannerPruneFraction) {
   EXPECT_EQ(SurvivingScanMorsels(scan), 0.0);
 }
 
-TEST_F(CostTest, ObserveFusedMovesOnlyTheFusedTerms) {
+TEST_F(CostTest, FusedGroupMovesOnlyTheFusedTerms) {
   HardwareCalibration hw;
   const HardwareCalibration before = hw;
+  CostEstimator estimator(&hw, &node_);
   CalibrationUpdater updater(&hw);
 
   // The fused kernels run 4x slower here than the seeded calibration
   // claims: predictions must grow by ~scale, nothing else may move.
-  std::vector<FusedObservation> obs(3);
-  for (auto& o : obs) {
-    o.rows = 1e6;
-    o.batches = 120.0;
-    o.seconds = 4.0 * (o.rows / hw.fused_filter_rows_per_sec +
-                       o.batches * hw.fused_dispatch_seconds);
-  }
-  CalibrationReport report = updater.ObserveFused(obs);
-  EXPECT_EQ(report.pipelines_observed, 3);
-  EXPECT_GT(report.applied_scale, 1.0);
-  EXPECT_LT(report.q_error_after, report.q_error_before);
-  EXPECT_DOUBLE_EQ(updater.fused_total_scale(), report.applied_scale);
+  ExecProfile profile;
+  FusedExecStats& f = profile.fused;
+  f.fused_rows = 1000000;
+  f.fused_filter_morsels = 120;
+  f.fused_seconds = 4.0 * (1e6 / hw.fused_filter_rows_per_sec +
+                           120.0 * hw.fused_dispatch_seconds);
+  CalibrationReport report =
+      updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
+  const GroupReport& fused = report[TermGroup::kFused];
+  EXPECT_EQ(fused.observed, 1);
+  EXPECT_GT(fused.applied_scale, 1.0);
+  EXPECT_LT(fused.q_error_after, fused.q_error_before);
+  EXPECT_DOUBLE_EQ(updater.drift(TermGroup::kFused), fused.applied_scale);
 
   // Fused rate slowed, fused dispatch grew...
   EXPECT_LT(hw.fused_filter_rows_per_sec, before.fused_filter_rows_per_sec);
@@ -320,37 +323,55 @@ TEST_F(CostTest, ObserveFusedMovesOnlyTheFusedTerms) {
   EXPECT_DOUBLE_EQ(hw.shuffle_gibps, before.shuffle_gibps);
 
   // Converges: repeated identical observations shrink the remaining gap.
-  CalibrationReport second = updater.ObserveFused(obs);
-  EXPECT_LT(second.q_error_before, report.q_error_before);
+  CalibrationReport second =
+      updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
+  EXPECT_LT(second[TermGroup::kFused].q_error_before, fused.q_error_before);
 }
 
-TEST_F(CostTest, ObserveTransportMovesOnlyTheLinkTerms) {
+/// One exchange over the socket transport whose link share runs
+/// `link_slowdown` x the link terms of `hw` and whose copy share (wall time
+/// minus link share) runs `copy_slowdown` x its copy term.
+ExchangeTiming SocketExchange(const HardwareCalibration& hw,
+                              double copy_slowdown, double link_slowdown) {
+  ExchangeTiming t;
+  t.transport = TransportKind::kSocket;
+  t.bytes = 4.0 * kMiB;
+  t.partitions = 4;
+  t.wire_bytes = 4.0 * kMiB;
+  t.transfers = 12;
+  t.link_seconds =
+      link_slowdown *
+      (t.wire_bytes / (hw.wire_serialize_gibps * kGiB) +
+       t.wire_bytes / (hw.link_gibps * kGiB) +
+       static_cast<double>(t.transfers) * hw.link_rtt_seconds);
+  t.seconds = t.link_seconds +
+              copy_slowdown *
+                  (t.bytes / (hw.shuffle_gibps * kGiB) +
+                   static_cast<double>(t.partitions) *
+                       hw.shuffle_dispatch_seconds);
+  return t;
+}
+
+TEST_F(CostTest, LinkGroupMovesOnlyTheLinkTerms) {
   HardwareCalibration hw;
   const HardwareCalibration before = hw;
+  CostEstimator estimator(&hw, &node_);
   CalibrationUpdater updater(&hw);
 
   // The measured serialize+transfer share of each exchange runs 3x slower
-  // than the seeded link terms predict: the three link terms must move by
-  // ~scale, every other tier — including the shuffle copy term the link
-  // share was subtracted from — must stay put.
-  std::vector<ExchangeTiming> timings(3);
-  for (auto& t : timings) {
-    t.transport = TransportKind::kSocket;
-    t.bytes = 4.0 * kMiB;
-    t.partitions = 4;
-    t.wire_bytes = 4.0 * kMiB;
-    t.transfers = 12;
-    t.link_seconds =
-        3.0 * (t.wire_bytes / (hw.wire_serialize_gibps * kGiB) +
-               t.wire_bytes / (hw.link_gibps * kGiB) +
-               static_cast<double>(t.transfers) * hw.link_rtt_seconds);
-    t.seconds = t.link_seconds + 0.002;
-  }
-  CalibrationReport report = updater.ObserveTransport(timings);
-  EXPECT_EQ(report.pipelines_observed, 3);
-  EXPECT_GT(report.applied_scale, 1.0);
-  EXPECT_LT(report.q_error_after, report.q_error_before);
-  EXPECT_DOUBLE_EQ(updater.link_total_scale(), report.applied_scale);
+  // than the seeded link terms predict, while the copy share matches the
+  // copy term: the three link terms must move by ~scale, every other
+  // tier — including the shuffle copy term the link share was subtracted
+  // from — must stay put.
+  ExecProfile profile;
+  profile.exchange.timings.assign(3, SocketExchange(hw, 1.0, 3.0));
+  CalibrationReport report =
+      updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
+  const GroupReport& link = report[TermGroup::kLink];
+  EXPECT_EQ(link.observed, 3);
+  EXPECT_GT(link.applied_scale, 1.0);
+  EXPECT_LT(link.q_error_after, link.q_error_before);
+  EXPECT_DOUBLE_EQ(updater.drift(TermGroup::kLink), link.applied_scale);
 
   // Serialize and link bandwidth slowed, per-transfer RTT grew...
   EXPECT_LT(hw.wire_serialize_gibps, before.wire_serialize_gibps);
@@ -370,44 +391,124 @@ TEST_F(CostTest, ObserveTransportMovesOnlyTheLinkTerms) {
   EXPECT_EQ(hw.exchange_transport, before.exchange_transport);
 
   // In-process timings (no wire bytes) are not link observations: the
-  // round is a no-op instead of dragging the link terms toward zero.
-  std::vector<ExchangeTiming> inproc(2);
-  for (auto& t : inproc) {
+  // link group is left alone instead of dragged toward zero.
+  ExecProfile inproc;
+  inproc.exchange.timings.resize(2);
+  for (auto& t : inproc.exchange.timings) {
     t.bytes = kMiB;
     t.seconds = 0.01;
   }
   const double serialize_now = hw.wire_serialize_gibps;
-  CalibrationReport empty = updater.ObserveTransport(inproc);
-  EXPECT_EQ(empty.pipelines_observed, 0);
+  CalibrationReport empty =
+      updater.Observe(inproc, PipelineGraph(), VolumeMap(), estimator);
+  EXPECT_EQ(empty[TermGroup::kLink].observed, 0);
   EXPECT_DOUBLE_EQ(hw.wire_serialize_gibps, serialize_now);
 
-  // ObserveShuffles on transported timings calibrates the copy term
-  // against seconds *minus* the link share — with the link share exactly
-  // excluded, a link slowdown alone cannot move shuffle_gibps upward into
-  // pretending the copy path got slower.
-  CalibrationReport second = updater.ObserveTransport(timings);
-  EXPECT_LT(second.q_error_before, report.q_error_before);
+  // Converges: repeated identical observations shrink the remaining gap.
+  CalibrationReport second =
+      updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
+  EXPECT_LT(second[TermGroup::kLink].q_error_before, link.q_error_before);
 }
 
-TEST_F(CostTest, ObserveStorageMovesOnlyTheStorageTerms) {
+TEST_F(CostTest, ShuffleGroupMovesOnlyTheShuffleTerms) {
+  // Every double field of the calibration, to prove only the named ones
+  // moved.
+  using HW = HardwareCalibration;
+  const std::vector<double HW::*> all = {
+      &HW::scan_gibps_per_node, &HW::network_gibps_per_node,
+      &HW::shuffle_gibps, &HW::shuffle_dispatch_seconds,
+      &HW::wire_serialize_gibps, &HW::link_gibps, &HW::link_rtt_seconds,
+      &HW::filter_rows_per_sec, &HW::project_rows_per_sec,
+      &HW::hash_build_rows_per_sec, &HW::hash_probe_rows_per_sec,
+      &HW::agg_rows_per_sec, &HW::agg_merge_groups_per_sec,
+      &HW::sort_rows_per_sec, &HW::exchange_rows_per_sec,
+      &HW::vector_batch_rows, &HW::batch_dispatch_seconds,
+      &HW::fused_filter_rows_per_sec, &HW::fused_dispatch_seconds,
+      &HW::storage_read_gibps, &HW::storage_get_seconds,
+      &HW::parallel_alpha, &HW::shuffle_sync_per_node,
+      &HW::pipeline_startup, &HW::worker_spinup_seconds};
+  const std::vector<double HW::*> shuffle_terms = {
+      &HW::shuffle_gibps, &HW::shuffle_dispatch_seconds};
+
+  // In process: exchanges run 3x slower than the seeded copy term
+  // predicts, and only the two shuffle terms move.
+  {
+    HardwareCalibration hw;
+    const HardwareCalibration before = hw;
+    CostEstimator estimator(&hw, &node_);
+    CalibrationUpdater updater(&hw);
+    ExecProfile profile;
+    profile.exchange.timings.resize(3);
+    for (auto& t : profile.exchange.timings) {
+      t.bytes = 4.0 * kMiB;
+      t.partitions = 4;
+      t.seconds = 3.0 * (t.bytes / (hw.shuffle_gibps * kGiB) +
+                         4.0 * hw.shuffle_dispatch_seconds);
+    }
+    CalibrationReport report =
+        updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
+    const GroupReport& shuffle = report[TermGroup::kShuffle];
+    EXPECT_EQ(shuffle.observed, 3);
+    EXPECT_GT(shuffle.applied_scale, 1.0);
+    EXPECT_LT(shuffle.q_error_after, shuffle.q_error_before);
+    EXPECT_DOUBLE_EQ(updater.drift(TermGroup::kShuffle),
+                     shuffle.applied_scale);
+    EXPECT_EQ(report[TermGroup::kLink].observed, 0);
+    EXPECT_LT(hw.shuffle_gibps, before.shuffle_gibps);
+    EXPECT_GT(hw.shuffle_dispatch_seconds, before.shuffle_dispatch_seconds);
+    for (double HW::*term : all) {
+      if (std::find(shuffle_terms.begin(), shuffle_terms.end(), term) !=
+          shuffle_terms.end()) {
+        continue;
+      }
+      EXPECT_EQ(hw.*term, before.*term);
+    }
+  }
+
+  // Over a socket: the copy share of each exchange matches the model and
+  // its link share runs 3x slower. The shuffle group reads wall time minus
+  // the link share, so the shuffle terms stay put and the link terms move.
+  {
+    HardwareCalibration hw;
+    const HardwareCalibration before = hw;
+    CostEstimator estimator(&hw, &node_);
+    CalibrationUpdater updater(&hw);
+    ExecProfile profile;
+    profile.exchange.timings.assign(3, SocketExchange(hw, 1.0, 3.0));
+    CalibrationReport report =
+        updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
+    EXPECT_EQ(report[TermGroup::kShuffle].observed, 3);
+    EXPECT_EQ(report[TermGroup::kLink].observed, 3);
+    EXPECT_DOUBLE_EQ(hw.shuffle_gibps, before.shuffle_gibps);
+    EXPECT_DOUBLE_EQ(hw.shuffle_dispatch_seconds,
+                     before.shuffle_dispatch_seconds);
+    EXPECT_LT(hw.wire_serialize_gibps, before.wire_serialize_gibps);
+    EXPECT_LT(hw.link_gibps, before.link_gibps);
+    EXPECT_GT(hw.link_rtt_seconds, before.link_rtt_seconds);
+  }
+}
+
+TEST_F(CostTest, StorageGroupMovesOnlyTheStorageTerms) {
   HardwareCalibration hw;
   const HardwareCalibration before = hw;
+  CostEstimator estimator(&hw, &node_);
   CalibrationUpdater updater(&hw);
 
   // Cold-block reads run 3x slower than the seeded calibration claims:
   // the storage tier must move by ~scale, nothing else may.
-  std::vector<StorageObservation> obs(4);
-  for (auto& o : obs) {
-    o.bytes = 8.0 * kMiB;
-    o.blocks = 16.0;
-    o.seconds = 3.0 * (o.bytes / (hw.storage_read_gibps * kGiB) +
-                       o.blocks * hw.storage_get_seconds);
-  }
-  CalibrationReport report = updater.ObserveStorage(obs);
-  EXPECT_EQ(report.pipelines_observed, 4);
-  EXPECT_GT(report.applied_scale, 1.0);
-  EXPECT_LT(report.q_error_after, report.q_error_before);
-  EXPECT_DOUBLE_EQ(updater.storage_total_scale(), report.applied_scale);
+  ExecProfile profile;
+  BlockCacheStats& s = profile.storage;
+  s.misses = 16;
+  s.bytes_read = 8.0 * kMiB;
+  s.miss_seconds = 3.0 * (s.bytes_read / (hw.storage_read_gibps * kGiB) +
+                          16.0 * hw.storage_get_seconds);
+  CalibrationReport report =
+      updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
+  const GroupReport& storage = report[TermGroup::kStorage];
+  EXPECT_EQ(storage.observed, 1);
+  EXPECT_GT(storage.applied_scale, 1.0);
+  EXPECT_LT(storage.q_error_after, storage.q_error_before);
+  EXPECT_DOUBLE_EQ(updater.drift(TermGroup::kStorage), storage.applied_scale);
 
   // Cold-read bandwidth slowed, per-GET latency grew...
   EXPECT_LT(hw.storage_read_gibps, before.storage_read_gibps);
@@ -420,18 +521,98 @@ TEST_F(CostTest, ObserveStorageMovesOnlyTheStorageTerms) {
   EXPECT_DOUBLE_EQ(hw.fused_filter_rows_per_sec,
                    before.fused_filter_rows_per_sec);
 
-  // The uniform pipeline loop moves the storage terms too, and the drift
-  // tracker records that movement.
-  std::vector<CalibrationObservation> pairs(2);
-  for (auto& p : pairs) {
-    p.predicted = 1.0;
-    p.actual = 2.0;
+  // The pipeline group moves the storage terms too, and the storage drift
+  // records that movement.
+  Planned q = Prepare("SELECT sum(lo_revenue) AS r FROM lineorder");
+  ExecProfile pipelines;
+  for (const Pipeline& p : q.graph.pipelines) {
+    pipelines.timings.push_back(
+        {p.id, 2.0 * estimator.PipelineDuration(p, 1, q.volumes)});
   }
-  const double tracked = updater.storage_total_scale();
-  CalibrationReport uniform = updater.ObservePairs(pairs);
-  EXPECT_GT(uniform.applied_scale, 1.0);
-  EXPECT_DOUBLE_EQ(updater.storage_total_scale(),
-                   tracked * uniform.applied_scale);
+  const double tracked = updater.drift(TermGroup::kStorage);
+  CalibrationReport uniform =
+      updater.Observe(pipelines, q.graph, q.volumes, estimator);
+  EXPECT_GT(uniform[TermGroup::kPipelines].applied_scale, 1.0);
+  EXPECT_DOUBLE_EQ(updater.drift(TermGroup::kStorage),
+                   tracked * uniform[TermGroup::kPipelines].applied_scale);
+}
+
+TEST_F(CostTest, CalibrationClampsAndGroupOrderWithinARound) {
+  // Every group's signal runs 1000x slower than the seeded model, fed
+  // round after round. sqrt(1000) exceeds the per-step clamp, so early
+  // steps clamp; the pipeline step moves every term first, so each later
+  // group reads its pairs and measures its drift after it.
+  Planned q = Prepare(
+      "SELECT sum(lo_revenue) AS r FROM lineorder WHERE lo_quantity < 25");
+  HardwareCalibration hw;
+  CostEstimator estimator(&hw, &node_);
+  constexpr double kSlow = 1000.0;
+  ExecProfile profile;
+  for (const Pipeline& p : q.graph.pipelines) {
+    profile.timings.push_back(
+        {p.id, kSlow * estimator.PipelineDuration(p, 1, q.volumes)});
+  }
+  profile.exchange.timings.push_back(SocketExchange(hw, kSlow, kSlow));
+  profile.fused.fused_rows = 1000000;
+  profile.fused.fused_filter_morsels = 120;
+  profile.fused.fused_seconds =
+      kSlow * (1e6 / hw.fused_filter_rows_per_sec +
+               120.0 * hw.fused_dispatch_seconds);
+  profile.storage.misses = 16;
+  profile.storage.bytes_read = 8.0 * kMiB;
+  profile.storage.miss_seconds =
+      kSlow * (8.0 * kMiB / (hw.storage_read_gibps * kGiB) +
+               16.0 * hw.storage_get_seconds);
+
+  const TermGroup groups[] = {TermGroup::kPipelines, TermGroup::kShuffle,
+                              TermGroup::kLink, TermGroup::kFused,
+                              TermGroup::kStorage};
+  CalibrationUpdater updater(&hw);
+  for (int round = 0; round < 5; ++round) {
+    double before[kNumTermGroups];
+    for (TermGroup g : groups) {
+      before[static_cast<size_t>(g)] = updater.drift(g);
+    }
+    CalibrationReport report =
+        updater.Observe(profile, q.graph, q.volumes, estimator);
+    const double pipeline_step = report[TermGroup::kPipelines].applied_scale;
+    for (TermGroup g : groups) {
+      SCOPED_TRACE(::testing::Message() << "round " << round << " group "
+                                        << static_cast<int>(g));
+      const GroupReport& r = report[g];
+      const double was = before[static_cast<size_t>(g)];
+      ASSERT_GT(r.observed, 0);
+      // The per-step clamp holds...
+      EXPECT_LE(r.applied_scale, kCalibrationMaxStep);
+      EXPECT_GE(r.applied_scale, 1.0 / kCalibrationMaxStep);
+      // ...and so does the drift clamp after the group's own step (no
+      // later step of the round moves a group's drift).
+      EXPECT_LE(updater.drift(g), kCalibrationMaxDrift * (1.0 + 1e-12));
+      // The drift took the pipeline step, then the group's own.
+      if (g == TermGroup::kPipelines) {
+        EXPECT_DOUBLE_EQ(updater.drift(g), was * pipeline_step);
+      } else {
+        EXPECT_DOUBLE_EQ(updater.drift(g),
+                         was * pipeline_step * r.applied_scale);
+      }
+      if (round == 0) {
+        // Both steps clamp, and the later groups read pairs the pipeline
+        // step already moved: 1000x became 1000/8 = 125x.
+        EXPECT_DOUBLE_EQ(r.applied_scale, kCalibrationMaxStep);
+        if (g != TermGroup::kPipelines) {
+          EXPECT_NEAR(r.q_error_before, kSlow / kCalibrationMaxStep, 1e-6);
+        }
+      }
+      if (round == 2 && g != TermGroup::kPipelines) {
+        // Pipeline steps 8, 8 and ~3.95 plus the group's own 8 and ~1.4
+        // carry its drift past the cap before its own step, which the
+        // drift clamp then pulls back down to exactly the cap.
+        EXPECT_GT(was * pipeline_step, kCalibrationMaxDrift);
+        EXPECT_LT(r.applied_scale, 1.0);
+        EXPECT_DOUBLE_EQ(updater.drift(g), kCalibrationMaxDrift);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -101,17 +101,17 @@ TEST(DatabaseTest, CalibrationLoopShrinksEstimatorError) {
 
   auto warmup = session.ExecuteSql(sql, sla);
   ASSERT_TRUE(warmup.ok());
-  ASSERT_GT(warmup->calibration.pipelines_observed, 0);
+  const GroupReport& warm = warmup->calibration[TermGroup::kPipelines];
+  ASSERT_GT(warm.observed, 0);
   // The update itself must tighten the fit of the observed run...
-  EXPECT_LT(warmup->calibration.q_error_after,
-            warmup->calibration.q_error_before);
+  EXPECT_LT(warm.q_error_after, warm.q_error_before);
 
   // ...and the *next* run of the same query must start from a smaller
   // estimate-vs-reality gap than the warm-up did.
   auto second = session.ExecuteSql(sql, sla);
   ASSERT_TRUE(second.ok());
-  EXPECT_LT(second->calibration.q_error_before,
-            warmup->calibration.q_error_before);
+  EXPECT_LT(second->calibration[TermGroup::kPipelines].q_error_before,
+            warm.q_error_before);
   EXPECT_GE(db->calibration().rounds(), 2);
 }
 

@@ -748,18 +748,18 @@ TEST_F(ShardedTest, ShuffleCalibrationTightensWithObservations) {
   const std::string sql =
       "SELECT cust, count(*) AS c FROM orders GROUP BY cust";
   const double gibps_before = db.hardware()->shuffle_gibps;
-  CalibrationReport last;
+  GroupReport last;
   for (int i = 0; i < 4; ++i) {
     auto r = db.ExecuteSql(sql, UserConstraint().WithWorkers(4));
     ASSERT_TRUE(r.ok());
-    last = r->calibration;
-    ASSERT_GT(last.pipelines_observed, 0);
+    last = r->calibration[TermGroup::kShuffle];
+    ASSERT_GT(last.observed, 0);
   }
   // The EWMA drives predictions toward measurements: the post-round
   // q-error never exceeds the pre-round one, and the shuffle term moved.
   EXPECT_LE(last.q_error_after, last.q_error_before * 1.0001);
   EXPECT_NE(db.hardware()->shuffle_gibps, gibps_before);
-  EXPECT_NE(db.calibration().shuffle_total_scale(), 1.0);
+  EXPECT_NE(db.calibration().drift(TermGroup::kShuffle), 1.0);
 }
 
 TEST_F(ShardedTest, BitIdenticalAcrossTransportsAndWorkerModes) {
@@ -1038,7 +1038,7 @@ TEST_F(ShardedTest, FacadeBillsEgressAndCalibratesLinkTermsOverSocket) {
   // terms off their priors.
   EXPECT_TRUE(db.hardware()->wire_serialize_gibps != serialize_before ||
               db.hardware()->link_gibps != link_before);
-  EXPECT_NE(db.calibration().link_total_scale(), 1.0);
+  EXPECT_NE(db.calibration().drift(TermGroup::kLink), 1.0);
 }
 
 TEST_F(ShardedTest, SimulatorParityOnSmallWorkload) {
