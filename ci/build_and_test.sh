@@ -349,15 +349,18 @@ run_tsan_stage() {
   # exec_test rides along for SharedEngineIsReentrant: eight threads run
   # different plans through one LocalEngine over the process-wide morsel
   # pool, which only proves the engine keeps no per-run state under TSAN.
-  echo "== TSAN (exec + service + session + tenant + sharded + elastic + vectorized + catalog) =="
+  # storage_test rides along for the concurrent-session cold scans: runs
+  # fetch ranges and admit columns into one block cache while another
+  # session pins and evicts the same blocks.
+  echo "== TSAN (exec + service + session + tenant + sharded + elastic + vectorized + catalog + storage) =="
   local build_dir="${TSAN_BUILD_DIR:-build-tsan}"
   cmake -B "$build_dir" -S . -DCOSTDB_TSAN=ON "${CMAKE_LAUNCHER_ARGS[@]}"
   cmake --build "$build_dir" -j "$JOBS" \
     --target exec_test service_test session_test tenant_test sharded_test \
-    elastic_test vectorized_test catalog_test
+    elastic_test vectorized_test catalog_test storage_test
   local t
   for t in exec_test service_test session_test tenant_test sharded_test \
-           elastic_test vectorized_test catalog_test; do
+           elastic_test vectorized_test catalog_test storage_test; do
     TSAN_OPTIONS="halt_on_error=1" "$build_dir/$t"
   done
   echo "TSAN OK"

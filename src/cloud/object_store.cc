@@ -1,5 +1,10 @@
 #include "cloud/object_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -23,6 +28,17 @@ std::string EscapeKey(const std::string& key) {
     }
   }
   return out;
+}
+
+/// Closes a file descriptor when the read that opened it returns.
+struct FdCloser {
+  int fd;
+  ~FdCloser() { ::close(fd); }
+};
+
+Status SizeMismatch(const std::string& key, const std::string& detail) {
+  return Status::Internal("object store: size mismatch reading '" + key +
+                          "' (" + detail + ")");
 }
 
 }  // namespace
@@ -130,9 +146,21 @@ Status SimulatedObjectStore::PutObject(const std::string& key,
   return Status::OK();
 }
 
-Result<std::string> SimulatedObjectStore::GetObject(const std::string& key) {
+Result<ObjectBytes> SimulatedObjectStore::GetObject(const std::string& key) {
+  return Read(key, 0, std::nullopt);
+}
+
+Result<ObjectBytes> SimulatedObjectStore::GetRange(const std::string& key,
+                                                   uint64_t offset,
+                                                   uint64_t length) {
+  return Read(key, offset, length);
+}
+
+Result<ObjectBytes> SimulatedObjectStore::Read(const std::string& key,
+                                               uint64_t offset,
+                                               std::optional<uint64_t> length) {
   std::string path;
-  double expect_bytes = 0.0;
+  uint64_t object_bytes = 0;
   {
     MutexLock lock(mu_);
     auto sf = spill_files_.find(key);
@@ -140,28 +168,47 @@ Result<std::string> SimulatedObjectStore::GetObject(const std::string& key) {
       return Status::NotFound("no byte-backed object: " + key);
     }
     path = sf->second;
-    expect_bytes = objects_[key];
+    object_bytes = static_cast<uint64_t>(objects_[key]);
+    if (!length.has_value()) length = object_bytes;
+    if (offset > object_bytes || *length > object_bytes - offset) {
+      return SizeMismatch(key, "range [" + std::to_string(offset) + ", +" +
+                                   std::to_string(*length) + ") outside the " +
+                                   std::to_string(object_bytes) +
+                                   "-byte object");
+    }
     ++get_requests_;
   }
   // File I/O outside the lock: concurrent scan workers fetch in parallel.
   // A sized GET: the object's recorded size is known up front, so the
-  // payload arrives in one read, and the byte count it returns — not a
-  // checksum downstream — is what exposes a truncated or grown file.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  // spill file's length and the byte count of one pread — not a checksum
+  // downstream — are what expose a truncated or grown file.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::Internal("object store: cannot open '" + path + "'");
   }
-  const auto size = static_cast<std::streamsize>(expect_bytes);
-  std::string bytes(static_cast<size_t>(size), '\0');
-  in.read(bytes.data(), size);
-  const std::streamsize got = in.gcount();
-  const bool grown =
-      got == size && in.peek() != std::ifstream::traits_type::eof();
-  if (got != size || grown) {
-    return Status::Internal(
-        "object store: size mismatch reading '" + key + "' (read " +
-        std::to_string(got) + (grown ? "+" : "") + " of " +
-        std::to_string(size) + " bytes: spill file truncated or replaced)");
+  FdCloser closer{fd};
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    return Status::Internal("object store: cannot stat '" + path + "'");
+  }
+  if (static_cast<uint64_t>(st.st_size) != object_bytes) {
+    return SizeMismatch(key, "spill file is " + std::to_string(st.st_size) +
+                                 " bytes, object is " +
+                                 std::to_string(object_bytes) +
+                                 ": truncated or replaced");
+  }
+  ObjectBytes bytes(static_cast<size_t>(*length));
+  size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t n = ::pread(fd, bytes.data() + got, bytes.size() - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<size_t>(n);
+  }
+  if (got != bytes.size()) {
+    return SizeMismatch(key, "read " + std::to_string(got) + " of " +
+                                 std::to_string(bytes.size()) + " bytes");
   }
   return bytes;
 }

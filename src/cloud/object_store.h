@@ -2,7 +2,10 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "cloud/billing.h"
 #include "cloud/pricing.h"
@@ -11,6 +14,29 @@
 #include "common/units.h"
 
 namespace costdb {
+
+/// The payload of one GET: an owned buffer the read fills in place, with
+/// no zero-fill before it.
+class ObjectBytes {
+ public:
+  ObjectBytes() = default;
+  explicit ObjectBytes(size_t size)
+      : data_(size > 0 ? new char[size] : nullptr), size_(size) {}
+
+  char* data() { return data_.get(); }
+  const char* data() const { return data_.get(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::string_view view() const { return {data_.get(), size_}; }
+
+  friend bool operator==(const ObjectBytes& a, std::string_view b) {
+    return a.view() == b;
+  }
+
+ private:
+  std::unique_ptr<char[]> data_;
+  size_t size_ = 0;
+};
 
 /// Simulated S3-like object store. Two kinds of objects coexist behind the
 /// same billing counters:
@@ -62,7 +88,14 @@ class SimulatedObjectStore {
   /// the pricing catalog bills per 1000. A spill file whose length no
   /// longer matches the stored object (truncated or grown on disk) is an
   /// Internal "size mismatch" error, never a short or padded payload.
-  Result<std::string> GetObject(const std::string& key);
+  Result<ObjectBytes> GetObject(const std::string& key);
+
+  /// Read bytes [offset, offset + length) of a payload with one sized read.
+  /// Counts one GET, like GetObject, whatever the length. A range outside
+  /// the stored object's size is a "size mismatch" error and counts no
+  /// GET; a spill file that is truncated or grown is one as GetObject.
+  Result<ObjectBytes> GetRange(const std::string& key, uint64_t offset,
+                               uint64_t length);
 
   double total_bytes() const;
   int64_t get_requests() const;
@@ -86,6 +119,10 @@ class SimulatedObjectStore {
 
  private:
   std::string SpillPathFor(const std::string& key) const REQUIRES(mu_);
+  /// The sized read behind GetObject (`length` unset: the whole object)
+  /// and GetRange.
+  Result<ObjectBytes> Read(const std::string& key, uint64_t offset,
+                           std::optional<uint64_t> length);
   void PutLocked(const std::string& key, double bytes) REQUIRES(mu_);
 
   const PricingCatalog* pricing_;

@@ -4,11 +4,14 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include "catalog/hll.h"
 #include "common/annotated_mutex.h"
 #include "exec/evaluator.h"
+#include "storage/persistent.h"
 #include "storage/table.h"
 
 namespace costdb {
@@ -533,6 +536,60 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     }
   }
 
+  // Dispatch units (ParallelFor indices). The surviving cold morsels of one
+  // storage object become one unit, a run that one ranged GET serves, when
+  // any of them lacks a projected column in the block cache. Every other
+  // morsel is a unit of its own, so warm scans keep per-morsel balance.
+  struct Unit {
+    size_t begin = 0;  // morsel slots [begin, end)
+    size_t end = 0;
+    bool run = false;
+  };
+  std::vector<Unit> units;
+  units.reserve(morsels.size());
+  std::vector<size_t> object_groups;
+  for (size_t i = 0; i < morsels.size();) {
+    const RowGroup* group = morsels[i].row_group;
+    size_t j = i + 1;
+    bool run = false;
+    if (group != nullptr && !group->resident) {
+      auto same_object = [&](size_t k) {
+        const RowGroup* g = morsels[k].row_group;
+        return g != nullptr && !g->resident &&
+               g->object_id == group->object_id;
+      };
+      while (j < morsels.size() && same_object(j)) ++j;
+      object_groups.clear();
+      for (size_t k = i; k < j; ++k) {
+        object_groups.push_back(morsels[k].group_index);
+      }
+      run = !src->table->Cached(object_groups, src->scan_column_indices);
+    }
+    if (run) {
+      units.push_back(Unit{i, j, true});
+      ++scan_stats.cold_runs;
+    } else {
+      for (size_t k = i; k < j; ++k) units.push_back(Unit{k, k + 1, false});
+    }
+    i = j;
+  }
+  // A scan with runs admits columns, which may evict the cached cold
+  // morsels of other objects before they run, and each would then cost a
+  // GET of its own. Such a scan pins them now.
+  std::vector<BlockCacheStats> slot_blocks(morsels.size());
+  std::vector<std::optional<Result<Table::RowGroupPin>>> early_pins(
+      morsels.size());
+  if (scan_stats.cold_runs > 0) {
+    for (const Unit& unit : units) {
+      const Morsel& m = morsels[unit.begin];
+      if (unit.run || m.row_group == nullptr || m.row_group->resident) {
+        continue;
+      }
+      early_pins[unit.begin] = src->table->PinRowGroup(
+          m.group_index, src->scan_column_indices, &slot_blocks[unit.begin]);
+    }
+  }
+
   // ---- 2. Process morsels in parallel, collecting per-slot outputs ----
   std::vector<DataChunk> slot_outputs(morsels.size());
   std::vector<Status> slot_status(morsels.size());
@@ -616,8 +673,6 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     }
   }
   std::vector<FusedExecStats> slot_fused(morsels.size());
-  // Per-slot cold-read counters; merged after the barrier like slot_fused.
-  std::vector<BlockCacheStats> slot_blocks(morsels.size());
 
   double source_rows = 0.0;
   for (const Morsel& m : morsels) source_rows += double(m.end - m.begin);
@@ -646,7 +701,7 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
         .count();
   };
 
-  auto process_inner = [&](size_t slot) {
+  auto process_inner = [&](size_t slot, BlockRun* run) {
     const Morsel& m = morsels[slot];
     // Assemble the source chunk.
     DataChunk chunk;
@@ -655,12 +710,15 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     if (m.row_group != nullptr) {
       // Pin the group's payload for the duration of the morsel: resident
       // groups borrow in place, cold groups come through the block cache
-      // (or one object-store GET) — the engine itself never sees the
-      // storage tier, only this Table-level pin.
+      // (or the run's ranged GET) — the engine itself never sees the
+      // object store, only this Table-level pin.
       Table::RowGroupPin pin;
       {
-        auto pinned = src->table->PinRowGroup(
-            m.group_index, src->scan_column_indices, &slot_blocks[slot]);
+        auto pinned = early_pins[slot].has_value()
+                          ? std::move(*early_pins[slot])
+                          : src->table->PinRowGroup(m.group_index,
+                                                    src->scan_column_indices,
+                                                    &slot_blocks[slot], run);
         if (!pinned.ok()) {
           slot_status[slot] = pinned.status();
           return;
@@ -841,8 +899,8 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     slot_outputs[slot] = std::move(chunk);
   };
 
-  auto process_one = [&](size_t slot) {
-    process_inner(slot);
+  auto process_one = [&](size_t slot, BlockRun* run) {
+    process_inner(slot, run);
     if (!streaming) return;
     // Mark this slot delivered (even on error — a stuck prefix would
     // otherwise pin every later chunk) and push all consecutive ready
@@ -878,7 +936,20 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   };
 
   ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::Shared();
-  pool.ParallelFor(morsels.size(), num_threads_, process_one);
+  pool.ParallelFor(units.size(), num_threads_, [&](size_t u) {
+    const Unit& unit = units[u];
+    std::unique_ptr<BlockRun> run;  // released when the run ends
+    if (unit.run) {
+      std::vector<uint64_t> block_ids;
+      for (size_t slot = unit.begin; slot < unit.end; ++slot) {
+        block_ids.push_back(morsels[slot].row_group->block_id);
+      }
+      run = std::make_unique<BlockRun>(std::move(block_ids));
+    }
+    for (size_t slot = unit.begin; slot < unit.end; ++slot) {
+      process_one(slot, run.get());
+    }
+  });
   for (const auto& st : slot_status) {
     COSTDB_RETURN_NOT_OK(st);
   }

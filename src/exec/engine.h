@@ -63,12 +63,16 @@ struct ScanStats {
   size_t morsels_pruned = 0;  // skipped whole via zone maps
   size_t rows_scanned = 0;    // rows in surviving morsels
   size_t rows_pruned = 0;     // rows in pruned morsels
+  size_t cold_runs = 0;       // runs dispatched: the surviving morsels of
+                              // one storage object, pinned in order on one
+                              // thread so that one GET serves them
 
   void MergeFrom(const ScanStats& o) {
     morsels_total += o.morsels_total;
     morsels_pruned += o.morsels_pruned;
     rows_scanned += o.rows_scanned;
     rows_pruned += o.rows_pruned;
+    cold_runs += o.cold_runs;
   }
   double pruned_fraction() const {
     return morsels_total == 0

@@ -286,7 +286,7 @@ struct SlotResult {
 // length-prefixed frame: [body_len u64][body], where body is
 //   [ok u32]
 //   on error: [code u32][msg_len u32][msg]
-//   on ok:    ScanStats (4 u64) + FusedExecStats (5 u64 + double)
+//   on ok:    ScanStats (5 u64) + FusedExecStats (5 u64 + double)
 //             + BlockCacheStats (4 u64 + 4 double) + wire::EncodeChunk
 // The chunk rides in the checksummed wire format, so a torn child write
 // surfaces as a decode Status, not silent row corruption.
@@ -307,6 +307,7 @@ std::string EncodeSlotBody(const SlotResult& slot) {
   block::PutU64(&body, sc.morsels_pruned);
   block::PutU64(&body, sc.rows_scanned);
   block::PutU64(&body, sc.rows_pruned);
+  block::PutU64(&body, sc.cold_runs);
   const FusedExecStats& fu = slot.profile.fused;
   block::PutU64(&body, fu.fused_filter_morsels);
   block::PutU64(&body, fu.fused_probe_morsels);
@@ -364,6 +365,7 @@ Status DecodeSlotBody(const std::string& body, SlotResult* slot) {
   sc.morsels_pruned = cur.GetU64();
   sc.rows_scanned = cur.GetU64();
   sc.rows_pruned = cur.GetU64();
+  sc.cold_runs = cur.GetU64();
   FusedExecStats& fu = slot->profile.fused;
   fu.fused_filter_morsels = cur.GetU64();
   fu.fused_probe_morsels = cur.GetU64();

@@ -33,7 +33,7 @@ Status Corrupt(const std::string& what) {
 
 }  // namespace
 
-Result<BlockFooter> BlockReader::ReadFooter(const std::string& bytes) {
+Result<BlockFooter> BlockReader::ReadFooter(std::string_view bytes) {
   // Trailer: [footer_size u32][footer_checksum u64][magic u64].
   constexpr size_t kTrailer = 4 + 8 + 8;
   if (bytes.size() < 8 + kTrailer) return Corrupt("file too small");
@@ -93,9 +93,8 @@ Result<BlockFooter> BlockReader::ReadFooter(const std::string& bytes) {
   return footer;
 }
 
-Result<DecodedBlock> BlockReader::Decode(
-    const std::string& bytes, const std::vector<LogicalType>& expected_types,
-    const std::vector<size_t>& columns) {
+Result<BlockFooter> BlockReader::Verify(
+    std::string_view bytes, const std::vector<LogicalType>& expected_types) {
   BlockFooter footer;
   COSTDB_ASSIGN_OR_RETURN(footer, ReadFooter(bytes));
   if (footer.columns.size() != expected_types.size()) {
@@ -122,7 +121,23 @@ Result<DecodedBlock> BlockReader::Decode(
       return Corrupt("page checksum mismatch");
     }
   }
+  return footer;
+}
 
+Result<DecodedBlock> BlockReader::Decode(
+    std::string_view bytes, const std::vector<LogicalType>& expected_types,
+    const std::vector<size_t>& columns) {
+  BlockFooter footer;
+  COSTDB_ASSIGN_OR_RETURN(footer, Verify(bytes, expected_types));
+  DecodedBlock out;
+  COSTDB_ASSIGN_OR_RETURN(out, DecodeVerified(bytes, footer, columns));
+  out.zones = std::move(footer.zones);
+  return out;
+}
+
+Result<DecodedBlock> BlockReader::DecodeVerified(
+    std::string_view bytes, const BlockFooter& footer,
+    const std::vector<size_t>& columns) {
   DecodedBlock out;
   const size_t rows = footer.rows;
   for (size_t c : columns) {
@@ -179,7 +194,6 @@ Result<DecodedBlock> BlockReader::Decode(
     }
     out.chunk.AddColumn(std::move(col));
   }
-  out.zones = std::move(footer.zones);
   return out;
 }
 

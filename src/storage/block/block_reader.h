@@ -4,7 +4,7 @@
 /// DataChunk whose columns feed the borrowed-column ChunkView scan path
 /// unchanged. Internal to the storage layer (see block_writer.h).
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -25,15 +25,26 @@ class BlockReader {
   /// Parse and checksum-verify only the footer (magic, schema, page table,
   /// zone maps). Cheap relative to payload decode; used to rebuild resident
   /// manifests and by tests.
-  static Result<BlockFooter> ReadFooter(const std::string& bytes);
+  static Result<BlockFooter> ReadFooter(std::string_view bytes);
 
-  /// Verify every page checksum of the block, then decode only `columns`
-  /// (schema indices, in the order given); fixed-width pages are one bulk
-  /// copy each. Column types must match `expected_types` (the table
-  /// schema); mismatches and any corruption — in a requested page or not —
-  /// come back as a non-OK Status, never as wrong data.
+  /// Read the footer, check the schema against `expected_types` (the table
+  /// schema) and verify every page checksum: a block is intact or rejected
+  /// as a whole. The footer it returns is what DecodeVerified needs.
+  static Result<BlockFooter> Verify(
+      std::string_view bytes, const std::vector<LogicalType>& expected_types);
+
+  /// Decode only `columns` (schema indices, in the order given) of a block
+  /// Verify accepted, in place from `bytes`; fixed-width pages are one bulk
+  /// copy each. The chunk's zones are left empty.
+  static Result<DecodedBlock> DecodeVerified(
+      std::string_view bytes, const BlockFooter& footer,
+      const std::vector<size_t>& columns);
+
+  /// Verify, then DecodeVerified, with the footer's zone maps: mismatches
+  /// and any corruption — in a requested page or not — come back as a
+  /// non-OK Status, never as wrong data.
   static Result<DecodedBlock> Decode(
-      const std::string& bytes, const std::vector<LogicalType>& expected_types,
+      std::string_view bytes, const std::vector<LogicalType>& expected_types,
       const std::vector<size_t>& columns);
 };
 

@@ -11,7 +11,6 @@
 /// storage/persistent.h instead.
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "storage/zone_map.h"
@@ -19,12 +18,17 @@
 namespace costdb {
 namespace block {
 
-/// One immutable block: object-store key plus resident metadata.
+/// One immutable block: where its image lives in the object store, plus
+/// resident metadata.
 struct BlockMeta {
   uint64_t block_id = 0;  // monotonic per table, never reused — stale cache
                           // entries for compacted-away blocks are simply
                           // unreachable under their old ids
-  std::string object_key;
+  // The storage object holding the block's image: named by the id of its
+  // first block. An object holds consecutive blocks of one run back to
+  // back, so its blocks' ids are consecutive too.
+  uint64_t object_id = 0;
+  uint64_t offset = 0;  // byte offset of the block's image in its object
   size_t rows = 0;
   double bytes = 0.0;                // encoded block file size
   std::vector<double> column_bytes;  // encoded bytes per column
@@ -37,6 +41,13 @@ struct RunMeta {
   uint64_t run_id = 0;
   std::vector<BlockMeta> blocks;
 
+  size_t objects() const {
+    size_t n = 0;
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      if (i == 0 || blocks[i].object_id != blocks[i - 1].object_id) ++n;
+    }
+    return n;
+  }
   size_t rows() const {
     size_t n = 0;
     for (const BlockMeta& b : blocks) n += b.rows;
@@ -60,19 +71,6 @@ struct Manifest {
   uint64_t next_block_id = 0;
   uint64_t next_run_id = 0;
   size_t compactions = 0;
-
-  size_t total_blocks() const {
-    size_t n = 0;
-    for (const auto& level : levels) {
-      for (const RunMeta& run : level) n += run.blocks.size();
-    }
-    return n;
-  }
-  size_t total_runs() const {
-    size_t n = 0;
-    for (const auto& level : levels) n += level.size();
-    return n;
-  }
 };
 
 }  // namespace block

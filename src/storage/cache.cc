@@ -5,6 +5,14 @@
 
 namespace costdb {
 
+BlockCache::Entry* BlockCache::FindColumn(BlockEntries* entries,
+                                          size_t column) {
+  for (Entry& e : *entries) {
+    if (e.column == column) return &e;
+  }
+  return nullptr;
+}
+
 bool BlockCache::Lookup(const std::string& block_key,
                         const std::vector<size_t>& columns,
                         std::vector<std::shared_ptr<const ColumnVector>>* out,
@@ -12,20 +20,19 @@ bool BlockCache::Lookup(const std::string& block_key,
   out->assign(columns.size(), nullptr);
   bool all_found = true;
   double bytes_hit = 0.0;
-  Key key(block_key, 0);
   MutexLock lock(mu_);
+  auto block = blocks_.find(block_key);
   for (size_t i = 0; i < columns.size(); ++i) {
-    key.second = columns[i];
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
+    Entry* e = block == blocks_.end() ? nullptr
+                                      : FindColumn(&block->second, columns[i]);
+    if (e == nullptr) {
       all_found = false;
       continue;
     }
-    Entry& e = it->second;
-    ++e.hits;
-    e.priority = PriorityOf(e);
-    bytes_hit += e.bytes;
-    (*out)[i] = e.data;
+    ++e->hits;
+    e->priority = PriorityOf(*e);
+    bytes_hit += e->bytes;
+    (*out)[i] = e->data;
   }
   if (stats != nullptr) {
     stats->bytes_hit += bytes_hit;
@@ -34,6 +41,23 @@ bool BlockCache::Lookup(const std::string& block_key,
   totals_.bytes_hit += bytes_hit;
   if (all_found) ++totals_.hits;
   return all_found;
+}
+
+bool BlockCache::Contains(const std::vector<std::string>& block_keys,
+                          const std::vector<size_t>& columns) const {
+  MutexLock lock(mu_);
+  for (const std::string& block_key : block_keys) {
+    auto block = blocks_.find(block_key);
+    for (size_t c : columns) {
+      if (block == blocks_.end()) return false;
+      const BlockEntries& entries = block->second;
+      if (std::none_of(entries.begin(), entries.end(),
+                       [c](const Entry& e) { return e.column == c; })) {
+        return false;
+      }
+    }
+  }
+  return true;
 }
 
 void BlockCache::Insert(const std::string& block_key, size_t column,
@@ -45,35 +69,56 @@ void BlockCache::Insert(const std::string& block_key, size_t column,
     ++totals_.rejected;
     return;
   }
-  Key key(block_key, column);
-  if (entries_.count(key) > 0) {
+  auto block = blocks_.find(block_key);
+  if (block != blocks_.end() && FindColumn(&block->second, column) != nullptr) {
     // Raced with another pin of the same column: keep the resident entry.
     return;
   }
-  EvictToFit(bytes, stats);
+  EvictToFit(bytes, stats);  // may drop this block's node
+  block = blocks_.try_emplace(block_key).first;
   Entry e;
+  e.column = column;
   e.data = std::move(data);
   e.bytes = bytes;
   e.miss_cost = miss_cost_dollars;
   e.hits = 0;
   e.priority = PriorityOf(e);
+  e.rank = ranks_.insert(Rank{e.priority, &block->first, column}).first;
+  block->second.push_back(std::move(e));
   used_bytes_ += bytes;
-  entries_.emplace(std::move(key), std::move(e));
+  ++entries_;
+}
+
+void BlockCache::EraseEntry(BlockMap::iterator block, Entry* e) {
+  used_bytes_ -= e->bytes;
+  ranks_.erase(e->rank);
+  --entries_;
+  BlockEntries& entries = block->second;
+  if (e != &entries.back()) *e = std::move(entries.back());
+  entries.pop_back();
+  if (entries.empty()) blocks_.erase(block);
 }
 
 void BlockCache::EvictToFit(double incoming_bytes, BlockCacheStats* stats) {
-  while (!entries_.empty() &&
+  while (!ranks_.empty() &&
          used_bytes_ + incoming_bytes > static_cast<double>(capacity_)) {
-    auto victim = entries_.begin();
-    for (auto it = std::next(entries_.begin()); it != entries_.end(); ++it) {
-      if (it->second.priority < victim->second.priority) victim = it;
+    auto front = ranks_.begin();
+    auto block = blocks_.find(*front->block);
+    Entry* victim = FindColumn(&block->second, front->column);
+    if (front->priority < victim->priority) {
+      // Hit since it was ranked: re-rank it and look again. Every other
+      // entry's rank is at most its priority, so the front is the victim
+      // once its rank is current.
+      auto node = ranks_.extract(front);
+      node.value().priority = victim->priority;
+      victim->rank = ranks_.insert(std::move(node)).position;
+      continue;
     }
     // GDSF aging: the clock rises to the evicted priority, so entries that
     // stop being hit eventually fall below newly admitted ones regardless
     // of how expensive their misses are.
-    clock_ = std::max(clock_, victim->second.priority);
-    used_bytes_ -= victim->second.bytes;
-    entries_.erase(victim);
+    clock_ = std::max(clock_, victim->priority);
+    EraseEntry(block, victim);
     if (stats != nullptr) ++stats->evictions;
     ++totals_.evictions;
   }
@@ -94,14 +139,22 @@ void BlockCache::RecordMiss(double bytes, Seconds seconds,
   totals_.miss_get_dollars += get_dollars;
 }
 
+void BlockCache::RecordHeldDecode(Seconds seconds, BlockCacheStats* stats) {
+  MutexLock lock(mu_);
+  if (stats != nullptr) stats->miss_seconds += seconds;
+  totals_.miss_seconds += seconds;
+}
+
 void BlockCache::Erase(const std::string& block_key) {
   MutexLock lock(mu_);
-  // Keys order by (block key, column): a block's columns are contiguous.
-  auto it = entries_.lower_bound(Key(block_key, 0));
-  while (it != entries_.end() && it->first.first == block_key) {
-    used_bytes_ -= it->second.bytes;
-    it = entries_.erase(it);
+  auto block = blocks_.find(block_key);
+  if (block == blocks_.end()) return;
+  for (const Entry& e : block->second) {
+    used_bytes_ -= e.bytes;
+    ranks_.erase(e.rank);
   }
+  entries_ -= block->second.size();
+  blocks_.erase(block);
 }
 
 size_t BlockCache::bytes_used() const {
@@ -111,7 +164,7 @@ size_t BlockCache::bytes_used() const {
 
 size_t BlockCache::entries() const {
   MutexLock lock(mu_);
-  return entries_.size();
+  return entries_;
 }
 
 BlockCacheStats BlockCache::totals() const {

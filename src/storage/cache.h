@@ -11,7 +11,7 @@
 ///   priority = clock + hits * miss_cost_dollars / bytes
 ///
 /// where miss_cost_dollars is what re-materializing the entry would cost —
-/// one whole-block GET: the fee plus (block bytes / storage_read_gibps +
+/// a GET of its block: the fee plus (block bytes / storage_read_gibps +
 /// storage_get_seconds) of rented node time (docs/STORAGE.md works the
 /// formula through with the calibrated terms). Eviction removes the lowest
 /// priority entries; `clock` rises to each victim's priority so long-idle
@@ -22,9 +22,9 @@
 /// Thread-safe: sharded-engine workers pin blocks concurrently.
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,14 +39,15 @@ namespace costdb {
 /// on ExecutionResult::storage. See docs/STORAGE.md for how to read them.
 struct BlockCacheStats {
   int64_t hits = 0;            // block pins served entirely from the cache
-  int64_t misses = 0;          // block pins that issued one object-store GET
+  int64_t misses = 0;          // object-store GETs the pins issued
   int64_t evictions = 0;       // column entries evicted to fit admissions
   int64_t rejected = 0;        // columns larger than the whole cache budget
-  double bytes_read = 0.0;     // encoded object bytes the misses fetched
+  double bytes_read = 0.0;     // object bytes the GETs fetched
   double bytes_hit = 0.0;      // encoded bytes (manifest column_bytes) of the
                                // column entries served from the cache, also
                                // when the same pin fetched other columns
-  Seconds miss_seconds = 0.0;  // measured wall time of fetch+verify+decode
+  Seconds miss_seconds = 0.0;  // measured wall time of fetch+verify+decode,
+                               // decodes from a run's held range included
   Dollars miss_get_dollars = 0.0;  // GET fees attributable to the misses
 
   void MergeFrom(const BlockCacheStats& other) {
@@ -75,9 +76,15 @@ class BlockCache {
               std::vector<std::shared_ptr<const ColumnVector>>* out,
               BlockCacheStats* stats);
 
+  /// Whether `columns` of every block in `block_keys` are all cached, under
+  /// one lock, counting no hit and touching no entry (a scan's dispatch
+  /// peeks with it before any pin).
+  bool Contains(const std::vector<std::string>& block_keys,
+                const std::vector<size_t>& columns) const;
+
   /// Admit one freshly decoded column. `bytes` is its encoded size and
-  /// `miss_cost_dollars` the priced cost of re-materializing it (one
-  /// whole-block GET + rented read/decode time) — the GDSF benefit density.
+  /// `miss_cost_dollars` the priced cost of re-materializing it (a GET of
+  /// its block + rented read/decode time) — the GDSF benefit density.
   /// Evicts lowest priority entries to fit; a column larger than the whole
   /// budget is rejected (counted in `stats->rejected`).
   void Insert(const std::string& block_key, size_t column,
@@ -86,9 +93,13 @@ class BlockCache {
 
   /// Account one cold read (one GET + verify + decode) in the per-query
   /// stats and the cache-lifetime totals. Called by the storage layer on
-  /// every miss it services, whether or not the columns are then admitted.
+  /// every GET it issues, whether or not the columns are then admitted.
   void RecordMiss(double bytes, Seconds seconds, Dollars get_dollars,
                   BlockCacheStats* stats);
+
+  /// Account the decode of a block from bytes an earlier GET of the same
+  /// run fetched: cold-read time, but no GET.
+  void RecordHeldDecode(Seconds seconds, BlockCacheStats* stats);
 
   /// Drop every cached column of a block (compaction retires its blocks
   /// eagerly).
@@ -103,15 +114,37 @@ class BlockCache {
   BlockCacheStats totals() const;
 
  private:
-  using Key = std::pair<std::string, size_t>;  // (block key, column)
+  /// Eviction order: lowest priority first, ties in (block key, column)
+  /// order. A hit only raises the entry's priority; its rank is refreshed
+  /// when it reaches the front of the index, so hits stay O(1) under the
+  /// mutex every pin takes.
+  struct Rank {
+    double priority = 0.0;
+    const std::string* block = nullptr;  // key of its node in blocks_
+    size_t column = 0;
+  };
+  struct RankLess {
+    bool operator()(const Rank& a, const Rank& b) const {
+      if (a.priority != b.priority) return a.priority < b.priority;
+      if (*a.block != *b.block) return *a.block < *b.block;
+      return a.column < b.column;
+    }
+  };
+  using RankIndex = std::set<Rank, RankLess>;
   struct Entry {
+    size_t column = 0;
     std::shared_ptr<const ColumnVector> data;
     double bytes = 0.0;
     Dollars miss_cost = 0.0;
     int64_t hits = 0;
     double priority = 0.0;
+    RankIndex::iterator rank;  // in ranks_; its priority is <= `priority`
   };
+  /// One block's cached columns: a handful, so a scan finds one.
+  using BlockEntries = std::vector<Entry>;
+  using BlockMap = std::map<std::string, BlockEntries>;
 
+  static Entry* FindColumn(BlockEntries* entries, size_t column);
   double PriorityOf(const Entry& e) const REQUIRES(mu_) {
     const double density =
         e.bytes > 0.0 ? e.miss_cost / e.bytes : e.miss_cost;
@@ -119,10 +152,14 @@ class BlockCache {
   }
   void EvictToFit(double incoming_bytes, BlockCacheStats* stats)
       REQUIRES(mu_);
+  /// Drop entry `e` of block `block`, and the block once it is empty.
+  void EraseEntry(BlockMap::iterator block, Entry* e) REQUIRES(mu_);
 
   const size_t capacity_;
   mutable Mutex mu_;
-  std::map<Key, Entry> entries_ GUARDED_BY(mu_);
+  BlockMap blocks_ GUARDED_BY(mu_);
+  RankIndex ranks_ GUARDED_BY(mu_);  // one per entry; begin() is the victim
+  size_t entries_ GUARDED_BY(mu_) = 0;
   double used_bytes_ GUARDED_BY(mu_) = 0.0;
   double clock_ GUARDED_BY(mu_) = 0.0;  // GDSF aging floor
   BlockCacheStats totals_ GUARDED_BY(mu_);

@@ -22,8 +22,8 @@ Seconds WallNow() {
       .count();
 }
 
-std::string ObjectKeyFor(const std::string& table, uint64_t block_id) {
-  return "lsm/" + table + "/" + std::to_string(block_id);
+std::string ObjectKeyFor(const std::string& table, uint64_t object_id) {
+  return "lsm/" + table + "/" + std::to_string(object_id);
 }
 
 std::string CacheKeyFor(const std::string& table, uint64_t block_id) {
@@ -44,30 +44,68 @@ size_t BudgetRows(size_t block_rows, size_t level) {
   return block_rows << shift;
 }
 
+/// Objects a run of `blocks` blocks of about `block_bytes` each packs into
+/// at `object_bytes` per object (at least one block per object).
+size_t ObjectsFor(size_t blocks, double block_bytes, double object_bytes) {
+  if (blocks == 0) return 0;
+  const double fit = block_bytes > 0.0 ? object_bytes / block_bytes
+                                       : static_cast<double>(blocks);
+  const size_t per_object =
+      fit >= static_cast<double>(blocks) ? blocks
+                                         : std::max<size_t>(1, size_t(fit));
+  return (blocks + per_object - 1) / per_object;
+}
+
 }  // namespace
+
+/// Where one block's image lives, with its encoded sizes: the copy PinBlock
+/// takes under the reader lock so fetch+decode run unlocked.
+struct BlockLocator {
+  uint64_t object_id = 0;
+  uint64_t offset = 0;  // in the object
+  double bytes = 0.0;
+  std::vector<double> column_bytes;
+};
+
+/// A fetched range: the images of blocks [first_id, first_id + n) of one
+/// object, each verified, with the locators they were fetched by.
+struct BlockRun::Held {
+  uint64_t first_id = 0;
+  ObjectBytes bytes;
+  uint64_t begin = 0;  // object offset of bytes[0]
+  std::vector<BlockLocator> locs;
+  std::vector<block::BlockFooter> footers;
+
+  bool Holds(uint64_t block_id) const {
+    return block_id >= first_id && block_id - first_id < footers.size();
+  }
+  std::string_view Image(size_t i) const {
+    return bytes.view().substr(locs[i].offset - begin,
+                               static_cast<size_t>(locs[i].bytes));
+  }
+};
+
+BlockRun::BlockRun(std::vector<uint64_t> block_ids)
+    : block_ids_(std::move(block_ids)), held_(std::make_unique<Held>()) {}
+
+BlockRun::~BlockRun() = default;
 
 /// All block/ manifest state lives here so the public header exposes none
 /// of the internal format types.
 struct TableStorage::Impl {
   mutable SharedMutex mu;
   block::Manifest manifest GUARDED_BY(mu);
-  // block_id -> (object key, encoded bytes, per-column encoded bytes): the
-  // copy PinBlock takes under the reader lock so fetch+decode run unlocked.
-  struct Locator {
-    std::string object_key;
-    double bytes = 0.0;
-    std::vector<double> column_bytes;
-  };
-  std::map<uint64_t, Locator> locators GUARDED_BY(mu);
+  std::map<uint64_t, BlockLocator> locators GUARDED_BY(mu);
   size_t flushes GUARDED_BY(mu) = 0;
 
   void ReindexLocators() REQUIRES(mu);
   /// Encode `rows` into blocks at `level`'s budget and append them as one
-  /// new run at that level.
+  /// new run at that level, packed into objects of up to `object_bytes`.
   Status AppendRun(const std::string& table,
                    const std::vector<LogicalType>& types, size_t block_rows,
-                   size_t level, SimulatedObjectStore* store,
-                   const DataChunk& rows) REQUIRES(mu);
+                   size_t level, double object_bytes,
+                   SimulatedObjectStore* store, const DataChunk& rows)
+      REQUIRES(mu);
 };
 
 void TableStorage::Impl::ReindexLocators() {
@@ -75,7 +113,8 @@ void TableStorage::Impl::ReindexLocators() {
   for (const auto& level : manifest.levels) {
     for (const block::RunMeta& run : level) {
       for (const block::BlockMeta& b : run.blocks) {
-        locators[b.block_id] = Locator{b.object_key, b.bytes, b.column_bytes};
+        locators[b.block_id] =
+            BlockLocator{b.object_id, b.offset, b.bytes, b.column_bytes};
       }
     }
   }
@@ -84,6 +123,7 @@ void TableStorage::Impl::ReindexLocators() {
 Status TableStorage::Impl::AppendRun(const std::string& table,
                                      const std::vector<LogicalType>& types,
                                      size_t block_rows, size_t level,
+                                     double object_bytes,
                                      SimulatedObjectStore* store,
                                      const DataChunk& rows) {
   if (manifest.levels.size() <= level) manifest.levels.resize(level + 1);
@@ -93,6 +133,10 @@ Status TableStorage::Impl::AppendRun(const std::string& table,
   const size_t budget = BudgetRows(block_rows, level);
   const size_t total = rows.num_rows();
   block::BlockWriter writer(types);
+  // Consecutive blocks share an object, image after image, while it stays
+  // within the priced size; every object holds at least one block.
+  std::string object;
+  uint64_t object_id = 0;
   for (size_t begin = 0; begin < total; begin += budget) {
     const size_t end = std::min(begin + budget, total);
     DataChunk slice{types};
@@ -100,15 +144,27 @@ Status TableStorage::Impl::AppendRun(const std::string& table,
 
     block::BlockMeta meta;
     meta.block_id = manifest.next_block_id++;
-    meta.object_key = ObjectKeyFor(table, meta.block_id);
     meta.rows = end - begin;
 
     block::BlockLayout layout;
     const std::string bytes = writer.Encode(slice, &meta.zones, &layout);
     meta.bytes = layout.total_bytes;
     meta.column_bytes = layout.column_bytes;
-    COSTDB_RETURN_NOT_OK(store->PutObject(meta.object_key, bytes));
+    if (!object.empty() &&
+        static_cast<double>(object.size() + bytes.size()) > object_bytes) {
+      COSTDB_RETURN_NOT_OK(
+          store->PutObject(ObjectKeyFor(table, object_id), object));
+      object.clear();
+    }
+    if (object.empty()) object_id = meta.block_id;
+    meta.object_id = object_id;
+    meta.offset = object.size();
+    object += bytes;
     run.blocks.push_back(std::move(meta));
+  }
+  if (!object.empty()) {
+    COSTDB_RETURN_NOT_OK(
+        store->PutObject(ObjectKeyFor(table, object_id), object));
   }
   manifest.levels[level].push_back(std::move(run));
   ReindexLocators();
@@ -133,9 +189,12 @@ TableStorage::~TableStorage() = default;
 
 Status TableStorage::FlushRun(const DataChunk& rows) {
   if (rows.num_rows() == 0) return Status::OK();
+  // Prices before the manifest lock, as in Compact.
+  const double object_bytes = pricing_().PricedObjectBytes();
   WriterMutexLock lock(impl_->mu);
   COSTDB_RETURN_NOT_OK(impl_->AppendRun(table_name_, types_, block_rows_,
-                                        /*level=*/0, store_, rows));
+                                        /*level=*/0, object_bytes, store_,
+                                        rows));
   ++impl_->flushes;
   return Status::OK();
 }
@@ -146,13 +205,15 @@ Result<bool> TableStorage::Compact(bool force) {
   // this table's manifest while holding those — taking them in the other
   // order here would be a lock-order inversion.
   const StoragePricing price = pricing_();
+  const double object_bytes = price.PricedObjectBytes();
   WriterMutexLock lock(impl_->mu);
   block::Manifest& m = impl_->manifest;
   const Dollars per_get = price.get_dollars +
                           price.get_seconds * price.node_dollars_per_second;
 
   // Evaluate every level: what would merging it into the next cost, and
-  // what does the thinner layout save future cold scans?
+  // what does the new layout save future cold scans? A scan pays one GET
+  // per object it touches, so both sides count objects.
   struct Candidate {
     size_t level = 0;
     size_t target = 0;
@@ -166,34 +227,38 @@ Result<bool> TableStorage::Compact(bool force) {
     if (!force && runs.size() < options_.level_fanout) continue;
     const size_t target = std::min(level + 1, options_.max_level);
 
-    size_t cur_blocks = 0, rows = 0;
+    size_t cur_blocks = 0, cur_objects = 0, rows = 0;
     double bytes = 0.0;
     for (const block::RunMeta& run : runs) {
       cur_blocks += run.blocks.size();
+      cur_objects += run.objects();
       rows += run.rows();
       bytes += run.bytes();
     }
     const size_t budget = BudgetRows(block_rows_, target);
     const size_t new_blocks = (rows + budget - 1) / budget;
+    const size_t new_objects =
+        ObjectsFor(new_blocks, bytes / static_cast<double>(new_blocks),
+                   object_bytes);
     // Merging a single run that would not get thinner is a no-op.
     if (runs.size() <= 1 && new_blocks >= cur_blocks) continue;
 
-    // Merge cost: GET every old block, stream the bytes twice (read +
+    // Merge cost: GET every old object, stream the bytes twice (read +
     // write-back) at the calibrated storage bandwidth on rented nodes,
-    // PUT every new block.
+    // PUT every new object.
     const Seconds merge_seconds =
         2.0 * bytes / (price.read_gibps * kGiB) +
-        static_cast<double>(cur_blocks) * price.get_seconds;
+        static_cast<double>(cur_objects) * price.get_seconds;
     const Dollars merge_dollars =
-        static_cast<double>(cur_blocks) * price.get_dollars +
-        static_cast<double>(new_blocks) * price.put_dollars +
+        static_cast<double>(cur_objects) * price.get_dollars +
+        static_cast<double>(new_objects) * price.put_dollars +
         merge_seconds * price.node_dollars_per_second;
-    // Benefit: every future cold scan of these rows issues new_blocks GETs
-    // instead of cur_blocks, over the configured amortization horizon.
-    const size_t blocks_saved =
-        cur_blocks > new_blocks ? cur_blocks - new_blocks : 0;
+    // Benefit: every future cold scan of these rows issues new_objects GETs
+    // instead of cur_objects, over the configured amortization horizon.
+    const size_t objects_saved =
+        cur_objects > new_objects ? cur_objects - new_objects : 0;
     const Dollars saved = options_.expected_scans_per_compaction *
-                          static_cast<double>(blocks_saved) * per_get;
+                          static_cast<double>(objects_saved) * per_get;
     const Dollars net = saved - merge_dollars;
     if (!have_best || net > best.net) {
       have_best = true;
@@ -203,28 +268,40 @@ Result<bool> TableStorage::Compact(bool force) {
   if (!have_best) return false;
   if (!force && best.net <= 0.0) return false;
 
-  // Execute: read the level in scan order (real GETs — compaction pays its
-  // own request fees), concatenate preserving row order, re-cut at the
-  // target level's budget, retire the old blocks.
+  // Execute: read the level in scan order, one GET per object (compaction
+  // pays its own request fees), concatenate preserving row order, re-cut
+  // at the target level's budget, retire the old objects and blocks.
   DataChunk merged{types_};
   const std::vector<size_t> all_columns = AllColumns(types_.size());
-  std::vector<std::pair<uint64_t, std::string>> retired;  // id, object key
+  std::vector<uint64_t> retired_objects, retired_blocks;
   for (const block::RunMeta& run : m.levels[best.level]) {
+    ObjectBytes object;
     for (const block::BlockMeta& b : run.blocks) {
-      auto bytes = store_->GetObject(b.object_key);
-      if (!bytes.ok()) return bytes.status();
-      auto decoded = block::BlockReader::Decode(*bytes, types_, all_columns);
+      if (retired_objects.empty() || retired_objects.back() != b.object_id) {
+        auto got = store_->GetObject(ObjectKeyFor(table_name_, b.object_id));
+        if (!got.ok()) return got.status();
+        object = std::move(*got);
+        retired_objects.push_back(b.object_id);
+      }
+      auto decoded = block::BlockReader::Decode(
+          object.view().substr(b.offset, static_cast<size_t>(b.bytes)),
+          types_, all_columns);
       if (!decoded.ok()) return decoded.status();
       merged.Append(decoded->chunk);
-      retired.emplace_back(b.block_id, b.object_key);
+      retired_blocks.push_back(b.block_id);
     }
   }
   m.levels[best.level].clear();
   COSTDB_RETURN_NOT_OK(impl_->AppendRun(table_name_, types_, block_rows_,
-                                        best.target, store_, merged));
-  for (const auto& [id, key] : retired) {
-    store_->Delete(key);
-    if (cache_ != nullptr) cache_->Erase(CacheKeyFor(table_name_, id));
+                                        best.target, object_bytes, store_,
+                                        merged));
+  for (uint64_t id : retired_objects) {
+    store_->Delete(ObjectKeyFor(table_name_, id));
+  }
+  if (cache_ != nullptr) {
+    for (uint64_t id : retired_blocks) {
+      cache_->Erase(CacheKeyFor(table_name_, id));
+    }
   }
   ++m.compactions;
   return true;
@@ -236,7 +313,9 @@ void TableStorage::DropAllRuns() {
   for (const auto& level : m.levels) {
     for (const block::RunMeta& run : level) {
       for (const block::BlockMeta& b : run.blocks) {
-        store_->Delete(b.object_key);
+        if (b.block_id == b.object_id) {
+          store_->Delete(ObjectKeyFor(table_name_, b.object_id));
+        }
         if (cache_ != nullptr) {
           cache_->Erase(CacheKeyFor(table_name_, b.block_id));
         }
@@ -249,9 +328,58 @@ void TableStorage::DropAllRuns() {
   impl_->locators.clear();
 }
 
+Status TableStorage::FetchRange(uint64_t first_id, uint64_t last_id,
+                                BlockRun::Held* held) const {
+  BlockRun::Held range;
+  range.first_id = first_id;
+  {
+    ReaderMutexLock lock(impl_->mu);
+    for (uint64_t id = first_id; id <= last_id; ++id) {
+      auto it = impl_->locators.find(id);
+      if (it == impl_->locators.end()) {
+        return Status::NotFound("table '" + table_name_ + "': no block " +
+                                std::to_string(id));
+      }
+      range.locs.push_back(it->second);
+    }
+  }
+  const BlockLocator& first = range.locs.front();
+  const BlockLocator& last = range.locs.back();
+  if (last.object_id != first.object_id) {
+    return Status::Internal("table '" + table_name_ + "': blocks " +
+                            std::to_string(first_id) + ".." +
+                            std::to_string(last_id) + " span two objects");
+  }
+  range.begin = first.offset;
+  const uint64_t end = last.offset + static_cast<uint64_t>(last.bytes);
+  auto bytes = store_->GetRange(ObjectKeyFor(table_name_, first.object_id),
+                                range.begin, end - range.begin);
+  if (!bytes.ok()) return bytes.status();
+  range.bytes = std::move(*bytes);
+  // Every block of the range is verified before any column of it is used.
+  range.footers.reserve(range.locs.size());
+  for (size_t i = 0; i < range.locs.size(); ++i) {
+    block::BlockFooter footer;
+    COSTDB_ASSIGN_OR_RETURN(footer,
+                            block::BlockReader::Verify(range.Image(i), types_));
+    range.footers.push_back(std::move(footer));
+  }
+  *held = std::move(range);
+  return Status::OK();
+}
+
+bool TableStorage::Cached(const std::vector<uint64_t>& block_ids,
+                          const std::vector<size_t>& columns) const {
+  if (cache_ == nullptr) return false;
+  std::vector<std::string> keys;
+  keys.reserve(block_ids.size());
+  for (uint64_t id : block_ids) keys.push_back(CacheKeyFor(table_name_, id));
+  return cache_->Contains(keys, columns);
+}
+
 Result<std::vector<std::shared_ptr<const ColumnVector>>>
 TableStorage::PinBlock(uint64_t block_id, const std::vector<size_t>& columns,
-                       BlockCacheStats* stats) const {
+                       BlockCacheStats* stats, BlockRun* run) const {
   const std::string cache_key = CacheKeyFor(table_name_, block_id);
   std::vector<std::shared_ptr<const ColumnVector>> pinned(columns.size());
   if (cache_ != nullptr && cache_->Lookup(cache_key, columns, &pinned, stats)) {
@@ -262,38 +390,53 @@ TableStorage::PinBlock(uint64_t block_id, const std::vector<size_t>& columns,
     if (pinned[i] == nullptr) missing.push_back(columns[i]);
   }
 
-  Impl::Locator loc;
-  {
-    ReaderMutexLock lock(impl_->mu);
-    auto it = impl_->locators.find(block_id);
-    if (it == impl_->locators.end()) {
-      return Status::NotFound("table '" + table_name_ + "': no block " +
-                              std::to_string(block_id));
-    }
-    loc = it->second;
+  // Cold read outside every lock. A pin outside a run holds its one block
+  // here; a run's pin fetches only when its range does not hold the block.
+  BlockRun::Held alone;
+  BlockRun::Held* held = &alone;
+  if (run != nullptr) {
+    if (!run->failed_.ok()) return run->failed_;
+    held = run->held_.get();
   }
-
-  // Cold read outside every lock: one GET of the whole object, verify every
-  // page, decode only the missing columns.
   const Seconds t0 = WallNow();
-  auto bytes = store_->GetObject(loc.object_key);
-  if (!bytes.ok()) return bytes.status();
-  auto decoded = block::BlockReader::Decode(*bytes, types_, missing);
+  const bool fetch = !held->Holds(block_id);
+  if (fetch) {
+    // One ranged GET: this block through the run's last block, cached or
+    // not: its admissions may evict a later block before that block's pin,
+    // and a second GET costs more than the bytes the range carries.
+    uint64_t last_id = block_id;
+    if (run != nullptr) last_id = std::max(last_id, run->block_ids_.back());
+    Status fetched = FetchRange(block_id, last_id, held);
+    if (!fetched.ok()) {
+      if (run != nullptr) run->failed_ = fetched;
+      return fetched;
+    }
+  }
+  const size_t i = static_cast<size_t>(block_id - held->first_id);
+  auto decoded =
+      block::BlockReader::DecodeVerified(held->Image(i), held->footers[i],
+                                         missing);
   if (!decoded.ok()) return decoded.status();
   const Seconds elapsed = WallNow() - t0;
 
+  const BlockLocator& loc = held->locs[i];
   const StoragePricing price = pricing_();
   const Dollars miss_cost = price.MissCost(loc.bytes);
   if (cache_ != nullptr) {
-    cache_->RecordMiss(loc.bytes, elapsed, price.get_dollars, stats);
+    if (fetch) {
+      cache_->RecordMiss(static_cast<double>(held->bytes.size()), elapsed,
+                         price.get_dollars, stats);
+    } else {
+      cache_->RecordHeldDecode(elapsed, stats);
+    }
   }
-  for (size_t i = 0, j = 0; i < columns.size(); ++i) {
-    if (pinned[i] != nullptr) continue;
-    pinned[i] = std::make_shared<const ColumnVector>(
+  for (size_t c = 0, j = 0; c < columns.size(); ++c) {
+    if (pinned[c] != nullptr) continue;
+    pinned[c] = std::make_shared<const ColumnVector>(
         std::move(decoded->chunk.column(j++)));
     if (cache_ != nullptr) {
-      cache_->Insert(cache_key, columns[i], pinned[i],
-                     loc.column_bytes[columns[i]], miss_cost, stats);
+      cache_->Insert(cache_key, columns[c], pinned[c],
+                     loc.column_bytes[columns[c]], miss_cost, stats);
     }
   }
   return pinned;
@@ -308,6 +451,7 @@ std::vector<ColdBlockInfo> TableStorage::ScanOrderBlocks() const {
       for (const block::BlockMeta& b : run.blocks) {
         ColdBlockInfo info;
         info.block_id = b.block_id;
+        info.object_id = b.object_id;
         info.rows = b.rows;
         info.bytes = b.bytes;
         info.zones = b.zones;
@@ -341,6 +485,7 @@ BlockManifestSummary TableStorage::Summary() const {
     if (!level.empty()) ++s.levels;
     s.runs += level.size();
     for (const block::RunMeta& run : level) {
+      s.objects += run.objects();
       s.blocks += run.blocks.size();
       for (const block::BlockMeta& b : run.blocks) {
         s.rows += b.rows;

@@ -6,15 +6,16 @@
 ///
 /// Write path: Table::Append keeps a resident memtable (trailing row
 /// groups); once it exceeds the flush threshold the rows are encoded into
-/// blocks (BlockWriter) and PUT as a new level-0 run. Compact() merges a
-/// whole level into the next — block row budgets double per level, so each
-/// merge genuinely reduces block count and the GET fees every future cold
-/// scan pays — when the calibrated cost model says the merge pays for
-/// itself.
+/// blocks (BlockWriter) and written as a new level-0 run. A run's
+/// consecutive blocks are packed back to back into objects of the priced
+/// size (StoragePricing::PricedObjectBytes), one PUT per object. Compact()
+/// merges a whole level into the next when the calibrated cost model says
+/// the merge pays for itself in GETs saved by future scans.
 ///
 /// Read path: Table::PinRowGroup asks PinBlock for the columns a scan
 /// projects; cached columns are served from the BlockCache, and if any is
-/// missing one GET fetches the whole block, every checksum is verified, only
+/// missing one ranged GET fetches the block — or, inside a BlockRun, the
+/// block through the run's last block — every checksum is verified, only
 /// the missing columns are decoded, and each is admitted at the priced miss
 /// cost.
 ///
@@ -24,6 +25,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,12 +74,26 @@ struct StoragePricing {
         bytes / (read_gibps * kGiB) + get_seconds;
     return get_dollars + read_time * node_dollars_per_second;
   }
+
+  /// The object size at which the byte part of MissCost equals its fixed
+  /// part (the GET fee plus get_seconds of node time). A run packs its
+  /// blocks into objects up to this size: below it the request dominates
+  /// what a read costs, above it the bytes do. Unbounded at a zero node
+  /// price, where a run is one object.
+  double PricedObjectBytes() const {
+    if (node_dollars_per_second <= 0.0) {
+      return std::numeric_limits<double>::infinity();
+    }
+    return (get_dollars + get_seconds * node_dollars_per_second) /
+           node_dollars_per_second * read_gibps * kGiB;
+  }
 };
 
 /// Catalog-facing summary of a table's persistent layout.
 struct BlockManifestSummary {
   size_t levels = 0;  // non-empty levels
   size_t runs = 0;
+  size_t objects = 0;  // object-store keys: what a cold full scan GETs
   size_t blocks = 0;
   uint64_t rows = 0;
   double bytes = 0.0;
@@ -89,9 +105,35 @@ struct BlockManifestSummary {
 /// resident per evicted row group (zones for pruning, sizes for costing).
 struct ColdBlockInfo {
   uint64_t block_id = 0;
+  uint64_t object_id = 0;  // equal for blocks stored in one object
   size_t rows = 0;
   double bytes = 0.0;
   std::vector<ZoneMapEntry> zones;
+};
+
+/// Consecutive blocks of one storage object that one thread pins in order:
+/// what LocalEngine dispatches the surviving row groups of an object that
+/// are not all cached as. The run's first pin that needs bytes fetches,
+/// with one ranged GET, its own block through the run's last block, and
+/// verifies every block in that range before any column is used. The
+/// run's later pins decode from the held range; it is released with the
+/// run.
+class BlockRun {
+ public:
+  /// `block_ids`: the run's blocks, in pin order.
+  explicit BlockRun(std::vector<uint64_t> block_ids);
+  ~BlockRun();
+
+  BlockRun(const BlockRun&) = delete;
+  BlockRun& operator=(const BlockRun&) = delete;
+
+ private:
+  friend class TableStorage;
+  struct Held;  // a fetched, verified range (persistent.cc)
+
+  const std::vector<uint64_t> block_ids_;
+  std::unique_ptr<Held> held_;
+  Status failed_;  // a failed fetch, returned again by later pins
 };
 
 class TableStorage {
@@ -123,13 +165,20 @@ class TableStorage {
 
   /// Pin columns `columns` (schema indices) of one block: element i of the
   /// result is column columns[i]. A pin whose columns are all cached makes
-  /// no GET; otherwise it makes one whole-object GET, verifies every page,
-  /// decodes only the missing columns and admits each one, charged its
-  /// encoded column bytes and priced at the whole block's MissCost. `stats`
+  /// no GET. Otherwise the block's bytes come from `run`'s held range, or
+  /// from one ranged GET (of the block alone outside a run, through the
+  /// run's last block inside one); every page is verified,
+  /// only the missing columns are decoded, and each is admitted, charged
+  /// its encoded column bytes and priced at the block's MissCost. `stats`
   /// (optional) receives the per-query counters.
   Result<std::vector<std::shared_ptr<const ColumnVector>>> PinBlock(
       uint64_t block_id, const std::vector<size_t>& columns,
-      BlockCacheStats* stats) const;
+      BlockCacheStats* stats, BlockRun* run = nullptr) const;
+
+  /// Whether `columns` of every block in `block_ids` are cached (a peek:
+  /// no hit is counted).
+  bool Cached(const std::vector<uint64_t>& block_ids,
+              const std::vector<size_t>& columns) const;
 
   /// Cold blocks in scan order (deepest level first, then level-0 runs in
   /// flush order) — what Table rebuilds its evicted row groups from.
@@ -145,6 +194,11 @@ class TableStorage {
 
  private:
   struct Impl;  // holds the block/ manifest types; see persistent.cc
+
+  /// One ranged GET of blocks [first_id, last_id] (consecutive blocks of
+  /// one object), every block verified, into `*held`.
+  Status FetchRange(uint64_t first_id, uint64_t last_id,
+                    BlockRun::Held* held) const;
 
   const std::string table_name_;
   const std::vector<LogicalType> types_;

@@ -145,6 +145,7 @@ void Table::RebuildColdGroups() {
     RowGroup g;
     g.resident = false;
     g.block_id = b.block_id;
+    g.object_id = b.object_id;
     g.cold_rows = b.rows;
     g.zones = std::move(b.zones);
     row_groups_.push_back(std::move(g));
@@ -154,7 +155,7 @@ void Table::RebuildColdGroups() {
 
 Result<Table::RowGroupPin> Table::PinRowGroup(
     size_t group_index, const std::vector<size_t>& columns,
-    BlockCacheStats* stats) const {
+    BlockCacheStats* stats, BlockRun* run) const {
   if (group_index >= row_groups_.size()) {
     return Status::OutOfRange("table " + name_ + ": no row group " +
                               std::to_string(group_index));
@@ -172,12 +173,21 @@ Result<Table::RowGroupPin> Table::PinRowGroup(
     for (size_t c : columns) pin.columns[c] = &group.data.column(c);
     return pin;
   }
-  COSTDB_ASSIGN_OR_RETURN(pin.hold,
-                          storage_->PinBlock(group.block_id, columns, stats));
+  COSTDB_ASSIGN_OR_RETURN(
+      pin.hold, storage_->PinBlock(group.block_id, columns, stats, run));
   for (size_t i = 0; i < columns.size(); ++i) {
     pin.columns[columns[i]] = pin.hold[i].get();
   }
   return pin;
+}
+
+bool Table::Cached(const std::vector<size_t>& groups,
+                   const std::vector<size_t>& columns) const {
+  std::vector<uint64_t> block_ids;
+  for (size_t g : groups) {
+    if (!row_groups_[g].resident) block_ids.push_back(row_groups_[g].block_id);
+  }
+  return block_ids.empty() || storage_->Cached(block_ids, columns);
 }
 
 std::vector<size_t> Table::AllColumnIndices() const {

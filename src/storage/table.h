@@ -13,6 +13,7 @@ namespace costdb {
 
 struct TablePartitioning;  // storage/partition.h
 class TableStorage;        // storage/persistent.h
+class BlockRun;            // storage/persistent.h
 struct BlockCacheStats;    // storage/cache.h
 
 /// Column declaration within a table schema.
@@ -33,8 +34,10 @@ struct RowGroup {
   DataChunk data;
   std::vector<ZoneMapEntry> zones;
   bool resident = true;
-  uint64_t block_id = 0;  // valid when !resident
-  size_t cold_rows = 0;   // row count when !resident
+  uint64_t block_id = 0;   // valid when !resident
+  uint64_t object_id = 0;  // valid when !resident: equal for the groups
+                           // whose blocks share one storage object
+  size_t cold_rows = 0;    // row count when !resident
 
   size_t num_rows() const { return resident ? data.num_rows() : cold_rows; }
 };
@@ -104,12 +107,20 @@ class Table {
 
   /// Pin columns `columns` (schema indices) of group `group_index` for
   /// reading. Cold groups are served from the block cache per column, or
-  /// fetched with one object-store GET, checksum verified in full, and
+  /// read with one ranged object-store GET — or from the range an earlier
+  /// pin of `run` fetched (see BlockRun) — checksum verified in full, and
   /// decoded only for the missing columns; `stats` (optional) accumulates
   /// the per-query hit/miss counters surfaced on ExecutionResult.
   Result<RowGroupPin> PinRowGroup(size_t group_index,
                                   const std::vector<size_t>& columns,
-                                  BlockCacheStats* stats = nullptr) const;
+                                  BlockCacheStats* stats = nullptr,
+                                  BlockRun* run = nullptr) const;
+
+  /// Whether pinning `columns` of every group in `groups` needs no
+  /// object-store bytes: each is resident or has every column cached. A
+  /// peek that counts no hit.
+  bool Cached(const std::vector<size_t>& groups,
+              const std::vector<size_t>& columns) const;
 
   /// Every schema index, in order — the projection of whole-row readers.
   std::vector<size_t> AllColumnIndices() const;

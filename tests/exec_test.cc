@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
 
 #include "chunk_testing.h"
+#include "cloud/object_store.h"
 #include "exec/engine.h"
 #include "exec/evaluator.h"
 #include "optimizer/optimizer.h"
+#include "storage/cache.h"
+#include "storage/persistent.h"
 
 namespace costdb {
 namespace {
@@ -288,6 +292,77 @@ TEST_F(ExecTest, SharedEngineIsReentrant) {
     });
   }
   for (auto& th : threads) th.join();
+}
+
+TEST_F(ExecTest, PersistedScanDispatchesOneRunPerColdObject) {
+  auto big = std::make_shared<Table>(
+      "big", std::vector<ColumnDef>{{"k", LogicalType::kInt64},
+                                    {"g", LogicalType::kInt64},
+                                    {"v", LogicalType::kDouble}},
+      256);
+  DataChunk bc({LogicalType::kInt64, LogicalType::kInt64,
+                LogicalType::kDouble});
+  for (int64_t i = 0; i < 20000; ++i) {
+    bc.AppendRow({Value(i), Value(i % 37), Value(0.5 * (i % 101))});
+  }
+  big->Append(bc);
+  meta_.RegisterTable(big);
+  meta_.AnalyzeAll();
+  const std::string sql =
+      "SELECT g, count(*) AS n, sum(k) AS s FROM big GROUP BY g";
+  Optimizer opt(&meta_);
+  auto plan = opt.OptimizeSql(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  LocalEngine engine(4);
+  auto ram = engine.Execute(plan->get());
+  ASSERT_TRUE(ram.ok()) << ram.status().ToString();
+
+  // Objects of about 150 KB: the GET fee is the whole fixed cost and a
+  // byte costs 1/GiB dollars, so PricedObjectBytes is 150e3.
+  PricingCatalog pricing = PricingCatalog::Default();
+  SimulatedObjectStore store(&pricing);
+  const auto spill =
+      std::filesystem::temp_directory_path() / "costdb_test_exec_runs";
+  std::filesystem::remove_all(spill);
+  ASSERT_TRUE(store.EnableSpill(spill.string()).ok());
+  BlockCache cache(16u << 20);
+  StoragePricing price;
+  price.read_gibps = 1.0;
+  price.get_seconds = 0.0;
+  price.node_dollars_per_second = 1.0;
+  price.get_dollars = 150e3 / kGiB;
+  ASSERT_TRUE(big->AttachStorage(std::make_shared<TableStorage>(
+                                     "big",
+                                     std::vector<LogicalType>{
+                                         LogicalType::kInt64,
+                                         LogicalType::kInt64,
+                                         LogicalType::kDouble},
+                                     256, &store, &cache, StorageOptions(),
+                                     [price] { return price; }))
+                  .ok());
+  const BlockManifestSummary summary = big->storage()->Summary();
+  ASSERT_GT(summary.objects, 1u);
+  ASSERT_LT(summary.objects, summary.blocks);
+
+  // Cold: one run and one GET per object.
+  ExecProfile cold;
+  auto first = engine.Execute(plan->get(), &cold);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(cold.scan.cold_runs, summary.objects);
+  EXPECT_EQ(cold.storage.misses, static_cast<int64_t>(summary.objects));
+  EXPECT_EQ(store.get_requests(), static_cast<int64_t>(summary.objects));
+  std::string why;
+  EXPECT_TRUE(ChunksBitIdentical(ram->chunk, first->chunk, &why)) << why;
+
+  // Fully cached: every morsel its own unit, no run, no GET.
+  ExecProfile warm;
+  auto second = engine.Execute(plan->get(), &warm);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(warm.scan.cold_runs, 0u);
+  EXPECT_EQ(warm.storage.misses, 0);
+  EXPECT_EQ(warm.storage.hits, static_cast<int64_t>(summary.blocks));
+  EXPECT_EQ(store.get_requests(), static_cast<int64_t>(summary.objects));
+  EXPECT_TRUE(ChunksBitIdentical(ram->chunk, second->chunk, &why)) << why;
 }
 
 TEST(LikeMatchTest, Patterns) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <thread>
 
@@ -371,7 +372,16 @@ TEST(SessionTest, SubmitCreatesNoThreadsAfterWarmUp) {
   done = true;
   sampler.join();
   EXPECT_EQ(peak.load(), before + 1);  // + the sampler itself
-  EXPECT_EQ(LiveThreads(), before);
+  // join() returns once the sampler has finished, but /proc/self/task can
+  // list it for a moment longer, so poll the final count, for up to 1 s.
+  int after = LiveThreads();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (after != before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    after = LiveThreads();
+  }
+  EXPECT_EQ(after, before);
 }
 
 TEST(SessionTest, TakeMaterializesUnfetchedStream) {

@@ -5,10 +5,13 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "catalog/catalog.h"
 #include "cloud/object_store.h"
+#include "exec/engine.h"
+#include "optimizer/optimizer.h"
 #include "service/database.h"
 #include "service/session.h"
 #include "storage/block/block_reader.h"
@@ -455,6 +458,59 @@ TEST(BlockCacheTest, PartialLookupCountsBytesHitButNotAHit) {
   EXPECT_EQ(cache.bytes_used(), 50u);
 }
 
+TEST(BlockCacheTest, VictimIsLowestPriorityThenLowestKey) {
+  // Equal sizes and miss costs: every new entry starts at clock + density,
+  // and a hit adds one more density. Ties go to the lowest (block, column).
+  BlockCache cache(300);
+  BlockCacheStats stats;
+  auto insert = [&](const std::string& key, size_t column) {
+    cache.Insert(key, column, TinyColumn(), 100.0, 1e-6, &stats);
+  };
+  auto cached = [&](const std::string& key, size_t column) {
+    std::vector<std::shared_ptr<const ColumnVector>> out;
+    return cache.Lookup(key, {column}, &out, nullptr);
+  };
+
+  // Ties: ("a", 0) < ("a", 1) < ("b", 0) all at one priority.
+  insert("b", 0);
+  insert("a", 1);
+  insert("a", 0);
+  insert("c", 0);  // evicts ("a", 0); the clock rises to the tie
+  insert("d", 0);  // ("a", 1) and ("b", 0) tie below ("c", 0): ("a", 1)
+  EXPECT_EQ(stats.evictions, 2);
+  EXPECT_FALSE(cached("a", 0));
+  EXPECT_FALSE(cached("a", 1));
+  EXPECT_TRUE(cached("b", 0));
+  EXPECT_TRUE(cached("c", 0));
+  EXPECT_TRUE(cached("d", 0));
+
+  // After hits: a hit entry outranks its unhit peers; ties that a hit
+  // creates still break by key.
+  BlockCache hit_cache(300);
+  BlockCacheStats hit_stats;
+  auto hit_insert = [&](const std::string& key) {
+    hit_cache.Insert(key, 0, TinyColumn(), 100.0, 1e-6, &hit_stats);
+  };
+  auto hit_cached = [&](const std::string& key) {
+    std::vector<std::shared_ptr<const ColumnVector>> out;
+    return hit_cache.Lookup(key, {0}, &out, nullptr);
+  };
+  hit_insert("x");
+  hit_insert("y");
+  hit_insert("z");
+  ASSERT_TRUE(hit_cached("y"));  // y: 2 densities; x, z: 1
+  hit_insert("w");  // evicts x (lowest key of the tie at 1)
+  hit_insert("v");  // evicts z; w (clock + 1) now ties y at 2
+  hit_insert("u");  // v, w and y tie at 2: evicts v
+  EXPECT_EQ(hit_stats.evictions, 3);
+  EXPECT_FALSE(hit_cached("x"));
+  EXPECT_FALSE(hit_cached("z"));
+  EXPECT_FALSE(hit_cached("v"));
+  EXPECT_TRUE(hit_cached("w"));
+  EXPECT_TRUE(hit_cached("y"));
+  EXPECT_TRUE(hit_cached("u"));
+}
+
 // --------------------------------------------------------- persistent tier
 
 std::string FreshSpillDir(const std::string& name) {
@@ -478,13 +534,18 @@ struct PersistentFixture {
   }
 
   std::shared_ptr<TableStorage> MakeStorage(const Table& table) {
-    std::vector<LogicalType> types;
-    for (const auto& c : table.columns()) types.push_back(c.type);
     StoragePricing price;
     price.get_dollars = pricing.per_1k_get_requests / 1000.0;
     price.put_dollars = pricing.per_1k_put_requests / 1000.0;
     price.node_dollars_per_second =
         pricing.default_node().price_per_second();
+    return MakeStorage(table, price);
+  }
+
+  std::shared_ptr<TableStorage> MakeStorage(const Table& table,
+                                            StoragePricing price) {
+    std::vector<LogicalType> types;
+    for (const auto& c : table.columns()) types.push_back(c.type);
     return std::make_shared<TableStorage>(
         table.name(), std::move(types), table.row_group_size(), &store,
         &cache, options, [price] { return price; });
@@ -737,6 +798,224 @@ TEST(ObjectStoreTest, ZeroByteObjectRoundTrips) {
   EXPECT_EQ(store.get_requests(), 1);
 }
 
+TEST(ObjectStoreTest, RangedGetIsSizedAndBilledAsOneGet) {
+  PricingCatalog pricing = PricingCatalog::Default();
+  SimulatedObjectStore store(&pricing);
+  ASSERT_TRUE(store.EnableSpill(FreshSpillDir("ranged_get")).ok());
+  const std::string payload = "0123456789abcdef";
+  ASSERT_TRUE(store.PutObject("obj", payload).ok());
+
+  auto middle = store.GetRange("obj", 4, 6);
+  ASSERT_TRUE(middle.ok()) << middle.status().ToString();
+  EXPECT_EQ(*middle, "456789");
+  EXPECT_EQ(store.get_requests(), 1);
+  auto tail = store.GetRange("obj", 16, 0);
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  EXPECT_TRUE(tail->empty());
+  EXPECT_EQ(store.get_requests(), 2);
+
+  // Ranges outside the recorded size are rejected before any read.
+  for (const auto& [offset, length] :
+       std::vector<std::pair<uint64_t, uint64_t>>{{10, 7}, {17, 0}, {0, 17}}) {
+    auto outside = store.GetRange("obj", offset, length);
+    ASSERT_FALSE(outside.ok()) << offset << "+" << length;
+    EXPECT_TRUE(outside.status().IsInternal());
+    EXPECT_NE(outside.status().message().find("size mismatch"),
+              std::string::npos)
+        << outside.status().ToString();
+  }
+  EXPECT_EQ(store.get_requests(), 2);
+
+  // A truncated or grown spill file fails even a range it still covers.
+  const auto path = std::filesystem::path(store.spill_directory()) / "obj";
+  std::filesystem::resize_file(path, payload.size() - 3);
+  auto truncated = store.GetRange("obj", 0, 4);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_NE(truncated.status().message().find("size mismatch"),
+            std::string::npos)
+      << truncated.status().ToString();
+  {
+    std::ofstream grow(path, std::ios::binary | std::ios::trunc);
+    grow << payload << "tail";
+  }
+  auto grown = store.GetRange("obj", 0, 4);
+  ASSERT_FALSE(grown.ok());
+  EXPECT_NE(grown.status().message().find("size mismatch"), std::string::npos)
+      << grown.status().ToString();
+}
+
+// ------------------------------------------------------- multi-block objects
+
+/// Prices that put the PricedObjectBytes boundary at `object_bytes`: the
+/// GET fee alone is the fixed part, and a byte costs 1/GiB dollars.
+StoragePricing PricingForObjectBytes(double object_bytes) {
+  StoragePricing price;
+  price.read_gibps = 1.0;
+  price.get_seconds = 0.0;
+  price.node_dollars_per_second = 1.0;
+  price.get_dollars = object_bytes / kGiB;
+  return price;
+}
+
+constexpr size_t kObjectGroupRows = 256;
+constexpr size_t kObjectBlocks = 10;
+
+/// A table of kObjectBlocks equal blocks (i = row number, sorted; v = i % 7)
+/// persisted three blocks to an object: objects {0,1,2} {3,4,5} {6,7,8} {9}.
+struct ObjectsFixture {
+  PersistentFixture fx;
+  std::shared_ptr<Table> table;
+  MetadataService meta;
+
+  ObjectsFixture(const std::string& name, size_t cache_bytes)
+      : fx(name, cache_bytes) {
+    const std::vector<ColumnDef> columns = {{"i", LogicalType::kInt64},
+                                            {"v", LogicalType::kInt64}};
+    table = std::make_shared<Table>("t", columns, kObjectGroupRows);
+    DataChunk rows({LogicalType::kInt64, LogicalType::kInt64});
+    for (int64_t i = 0; i < int64_t(kObjectBlocks * kObjectGroupRows); ++i) {
+      rows.AppendRow({Value(i), Value(i % 7)});
+    }
+    table->Append(rows);
+    meta.RegisterTable(table);
+    meta.AnalyzeAll();
+
+    DataChunk first({LogicalType::kInt64, LogicalType::kInt64});
+    first.AppendRange(rows, 0, kObjectGroupRows);
+    const std::string block =
+        block::BlockWriter(first.Types()).Encode(first, nullptr, nullptr);
+    EXPECT_TRUE(table
+                    ->AttachStorage(fx.MakeStorage(
+                        *table, PricingForObjectBytes(3.5 * block.size())))
+                    .ok());
+  }
+
+  /// Run `sql` through the vectorized engine.
+  QueryResult Scan(const std::string& sql, ExecProfile* profile) {
+    auto plan = Optimizer(&meta).OptimizeSql(sql);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    if (!plan.ok()) return {};
+    auto result = LocalEngine(4).Execute(plan->get(), profile);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? std::move(*result) : QueryResult{};
+  }
+
+  std::filesystem::path ObjectFile(uint64_t object_id) const {
+    // Keys are "lsm/<table>/<first block id>"; '/' spills as "_s".
+    return std::filesystem::path(fx.store.spill_directory()) /
+           ("lsm_st_s" + std::to_string(object_id));
+  }
+};
+
+TEST(ObjectLayoutTest, ColdFullScanMakesOneGetPerObject) {
+  ObjectsFixture ox("objects_full", /*cache_bytes=*/4u << 20);
+  const BlockManifestSummary summary = ox.table->storage()->Summary();
+  ASSERT_EQ(summary.blocks, kObjectBlocks);
+  ASSERT_EQ(summary.objects, 4u);
+  EXPECT_EQ(ox.fx.store.put_requests(), 4);  // one PUT per object
+
+  const std::string sql = "SELECT count(*) AS n, sum(v) AS s FROM t";
+  const int64_t gets = ox.fx.store.get_requests();
+  ExecProfile cold;
+  const QueryResult first = ox.Scan(sql, &cold);
+  EXPECT_EQ(ox.fx.store.get_requests() - gets, 4);
+  EXPECT_EQ(cold.storage.misses, 4);
+  EXPECT_EQ(cold.storage.hits, 0);
+  EXPECT_EQ(cold.storage.bytes_read, summary.bytes);
+  EXPECT_EQ(cold.scan.cold_runs, 4u);
+
+  // Warm: every pin is a hit; no run, no GET, same rows.
+  ExecProfile warm;
+  const QueryResult second = ox.Scan(sql, &warm);
+  EXPECT_EQ(ox.fx.store.get_requests() - gets, 4);
+  EXPECT_EQ(warm.storage.hits, int64_t(kObjectBlocks));
+  EXPECT_EQ(warm.scan.cold_runs, 0u);
+  EXPECT_EQ(first.chunk.ToString(-1), second.chunk.ToString(-1));
+  int64_t sum = 0;
+  for (int64_t i = 0; i < int64_t(kObjectBlocks * kObjectGroupRows); ++i) {
+    sum += i % 7;
+  }
+  EXPECT_TRUE(first.chunk.column(1).GetValue(0) == Value(sum));
+}
+
+TEST(ObjectLayoutTest, PrunedScanGetsOnlyObjectsWithSurvivingBlocks) {
+  ObjectsFixture ox("objects_pruned", /*cache_bytes=*/4u << 20);
+  // i in [600, 1000) survives in blocks 2 and 3: objects 0 and 1 only.
+  const int64_t gets = ox.fx.store.get_requests();
+  ExecProfile one;
+  const QueryResult r = ox.Scan(
+      "SELECT count(*) AS n FROM t WHERE i >= 600 AND i < 1000", &one);
+  EXPECT_EQ(one.scan.morsels_pruned, kObjectBlocks - 2);
+  EXPECT_EQ(one.scan.cold_runs, 2u);
+  EXPECT_EQ(ox.fx.store.get_requests() - gets, 2);
+  EXPECT_TRUE(r.chunk.column(0).GetValue(0) == Value(int64_t{400}));
+
+  // i in [1700, 2400) survives in blocks 6..9: objects 2 and 3, never 0
+  // or 1 again, and block 5 (object 1, pruned) costs nothing.
+  ExecProfile two;
+  ox.Scan("SELECT count(*) AS n FROM t WHERE i >= 1700 AND i < 2400", &two);
+  EXPECT_EQ(two.scan.cold_runs, 2u);
+  EXPECT_EQ(two.storage.misses, 2);
+  EXPECT_EQ(ox.fx.store.get_requests() - gets, 4);
+}
+
+TEST(ObjectLayoutTest, RejectingCacheStillMakesOneGetPerObject) {
+  // 1 KiB: every 2 KiB column is rejected at admission, so each scan pins
+  // every block cold, and the runs still read each object once.
+  ObjectsFixture ox("objects_tiny_cache", /*cache_bytes=*/1024);
+  const std::string sql = "SELECT sum(i) AS s, max(v) AS m FROM t";
+  std::string first;
+  for (int pass = 0; pass < 2; ++pass) {
+    const int64_t gets = ox.fx.store.get_requests();
+    ExecProfile profile;
+    const QueryResult r = ox.Scan(sql, &profile);
+    EXPECT_EQ(ox.fx.store.get_requests() - gets, 4) << "pass " << pass;
+    EXPECT_EQ(profile.storage.misses, 4);
+    EXPECT_EQ(profile.storage.hits, 0);
+    EXPECT_EQ(profile.storage.rejected, int64_t(2 * kObjectBlocks));
+    if (pass == 0) first = r.chunk.ToString(-1);
+    EXPECT_EQ(r.chunk.ToString(-1), first);
+  }
+  EXPECT_EQ(ox.fx.cache.entries(), 0u);
+}
+
+TEST(ObjectLayoutTest, AnyFlippedByteOfAnObjectFailsTheRunsPin) {
+  ObjectsFixture ox("objects_flip", /*cache_bytes=*/4u << 20);
+  const std::vector<size_t> columns = {0, 1};
+  const std::vector<uint64_t> object0 = {0, 1, 2};  // blocks, in pin order
+  const std::filesystem::path path = ox.ObjectFile(0);
+  const size_t size = std::filesystem::file_size(path);
+  ASSERT_GT(size, 0u);
+  // Three of the ten equal blocks, back to back.
+  ASSERT_EQ(static_cast<double>(size * kObjectBlocks),
+            3.0 * ox.table->storage()->Summary().bytes);
+  std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(file.good());
+  for (size_t pos = 0; pos < size; ++pos) {
+    char byte = 0;
+    file.seekg(static_cast<std::streamoff>(pos));
+    file.get(byte);
+    file.seekp(static_cast<std::streamoff>(pos));
+    file.put(static_cast<char>(byte ^ 0x01));
+    file.flush();
+    BlockRun run(object0);
+    auto pin = ox.table->PinRowGroup(0, columns, nullptr, &run);
+    ASSERT_FALSE(pin.ok()) << "flipped byte " << pos << " of " << size;
+    file.seekp(static_cast<std::streamoff>(pos));
+    file.put(byte);
+    file.flush();
+  }
+  // Intact again: the run's three pins succeed on one GET.
+  const int64_t gets = ox.fx.store.get_requests();
+  BlockRun run(object0);
+  for (size_t g = 0; g < object0.size(); ++g) {
+    auto pin = ox.table->PinRowGroup(g, columns, nullptr, &run);
+    ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+    EXPECT_EQ(pin->column(0).GetInt(0), int64_t(g * kObjectGroupRows));
+  }
+  EXPECT_EQ(ox.fx.store.get_requests() - gets, 1);
+}
+
 // ------------------------------------------------- database-level wiring
 
 std::string SortedLines(const QueryResult& r) {
@@ -863,6 +1142,53 @@ TEST(DatabaseStorageTest, BilledRequestsMatchStoreCountersExactly) {
   Dollars per_get = PricingCatalog::Default().per_1k_get_requests / 1000.0;
   EXPECT_NEAR(r->storage.miss_get_dollars,
               static_cast<double>(r->storage.misses) * per_get, 1e-12);
+}
+
+TEST(DatabaseStorageTest, ConcurrentSessionsScanBitIdenticalThroughSmallCache) {
+  // Two sessions scan one persisted table at once through a cache that holds
+  // a fraction of it, so their runs, ranged GETs, admissions and evictions
+  // interleave; every result must match the RAM-resident one.
+  auto db = MakePersistentSsbDb("db_concurrent", /*cache_bytes=*/16u << 10);
+  const std::vector<std::string> queries = {
+      FindQuery("Q1").sql,
+      "SELECT lo_shipmode, count(*) AS n, sum(lo_revenue) AS rev "
+      "FROM lineorder WHERE lo_quantity < 10 OR lo_discount = 2 "
+      "GROUP BY lo_shipmode ORDER BY rev DESC",
+      FindQuery("Q10").sql,
+  };
+  std::vector<std::string> ram;
+  for (const auto& sql : queries) {
+    auto r = db->ExecuteSql(sql, UserConstraint());
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ram.push_back(SortedLines(r->result));
+  }
+  ASSERT_TRUE(db->PersistTable("lineorder").ok());
+
+  constexpr size_t kClients = 2, kRounds = 3;
+  std::vector<std::vector<std::string>> got(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      Session session(db.get());
+      for (size_t i = 0; i < kRounds * queries.size(); ++i) {
+        auto r = session.ExecuteSql(queries[(i + c) % queries.size()],
+                                    UserConstraint());
+        got[c].push_back(r.ok() ? SortedLines(r->result)
+                                : "failed: " + r.status().ToString());
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (size_t c = 0; c < kClients; ++c) {
+    ASSERT_EQ(got[c].size(), kRounds * queries.size());
+    for (size_t i = 0; i < got[c].size(); ++i) {
+      EXPECT_EQ(got[c][i], ram[(i + c) % queries.size()])
+          << "client " << c << " query " << i;
+    }
+  }
+  const BlockCacheStats totals = db->block_cache()->totals();
+  EXPECT_GT(totals.misses, 0);
+  EXPECT_GT(totals.evictions, 0);
 }
 
 TEST(DatabaseStorageTest, CompactionInvalidatesResultCache) {
