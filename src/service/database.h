@@ -84,7 +84,8 @@ struct DatabaseOptions {
   /// catalog tables — scans of persisted tables then page cold blocks
   /// through the cache, paying (and billing) real GET fees.
   bool enable_persistent_storage = false;
-  /// Byte budget of the shared BlockCache, charged in encoded column bytes.
+  /// Byte budget of the shared BlockCache, charged in plain (decoded)
+  /// column bytes.
   size_t block_cache_bytes = 64u << 20;
   /// Directory for the object store's byte-backed spill files; empty picks
   /// a per-instance directory under the system temp path.

@@ -6,15 +6,20 @@
 /// A block holds one sorted row slice of a table, column at a time:
 ///
 ///   [magic u64]
-///   [page 0][page 1]...[page N-1]        typed column payload + validity
+///   [page 0][page 1]...[page N-1]        column payload + validity
 ///   [footer]                             schema, page table, zone maps
 ///   [footer_size u32][footer_checksum u64][magic u64]
 ///
-/// Every page and the footer carry a Checksum64; the reader verifies every
-/// one (including pages a projected read does not decode) before handing
-/// bytes to the engine, so a corrupt spill file surfaces as a Status
-/// instead of wrong query results. All integers are fixed-width
-/// little-endian so blocks round-trip across toolchains.
+/// Each payload page is stored in the smallest encoding its type has
+/// (PageKind): an int64 page plain or frame-of-reference bit-packed, a
+/// string page plain or as a dictionary plus bit-packed codes; double and
+/// validity pages are always plain. Every page and the footer carry a
+/// Checksum64; the reader verifies every one (including pages a projected
+/// read does not decode) before handing bytes to the engine, and checks a
+/// packed page's header against its size before unpacking it, so a corrupt
+/// spill file surfaces as a Status instead of wrong query results. All
+/// integers are fixed-width little-endian so blocks round-trip across
+/// toolchains.
 
 #include <cstdint>
 #include <cstring>
@@ -29,20 +34,55 @@ namespace block {
 
 /// "CDBBLK1\0" — leading and trailing magic of every block file.
 inline constexpr uint64_t kBlockMagic = 0x0031'4B4C'4242'4443ULL;
-/// Version 2: Checksum64 replaced the byte-serial FNV-1a of version 1.
-inline constexpr uint32_t kBlockFormatVersion = 2;
+/// Version 3: bit-packed int64 and dictionary string pages. Readers accept
+/// only the current version: blocks live in spill files that never outlive
+/// the process that wrote them.
+inline constexpr uint32_t kBlockFormatVersion = 3;
 /// Sentinel page index meaning "column has no validity page" (all valid).
 inline constexpr uint32_t kNoPage = 0xFFFFFFFFu;
+/// Most rows one block holds. The writer never cuts a bigger block, and the
+/// reader rejects a footer that claims more: a bit-packed page of width 0
+/// stores no bytes per row, so only this bound keeps a forged row count
+/// from sizing the decoder's allocations.
+inline constexpr uint64_t kMaxBlockRows = uint64_t{1} << 20;
 
-/// What a page stores. Fixed-width payloads are rows*8 bytes; strings are
-/// u32-length-prefixed; validity is one byte per row (1 = valid, 0 = NULL),
-/// mirroring ColumnVector's in-memory mask exactly.
+/// What a page stores. Validity is one byte per row (1 = valid, 0 = NULL),
+/// mirroring ColumnVector's in-memory mask exactly; a NULL slot's payload
+/// is the type-default filler and is encoded like any other value.
 enum class PageKind : uint8_t {
-  kInt64 = 0,
-  kDouble = 1,
-  kString = 2,
-  kValidity = 3,
+  kInt64 = 0,     // rows × 8 bytes: the flat payload
+  kDouble = 1,    // rows × 8 bytes: the flat payload
+  kString = 2,    // per row: u32 length, bytes
+  kValidity = 3,  // rows × 1 byte
+  // [base u64][width u8][PackedBytes(rows, width)]: value − base, in
+  // `width` bits, base = the page minimum.
+  kInt64Packed = 4,
+  // [entries u32][entries × (u32 length, bytes)][PackedBytes(rows, w)]:
+  // the distinct values in order of first appearance, then each row's
+  // code at w = BitWidth(entries − 1) bits.
+  kStringDict = 5,
 };
+
+inline constexpr size_t kPackedHeaderBytes = 8 + 1;  // kInt64Packed
+inline constexpr size_t kDictHeaderBytes = 4;        // kStringDict
+
+/// Bits needed to store `v`: 0 for 0, 64 for values with the top bit set.
+inline uint32_t BitWidth(uint64_t v) {
+  uint32_t bits = 0;
+  while (v != 0) {
+    ++bits;
+    v >>= 1;
+  }
+  return bits;
+}
+
+/// Bytes of `rows` values bit-packed at `width` bits: ⌈rows·width/64⌉ u64
+/// words, value i in bits [i·width, (i+1)·width) of the little-endian word
+/// stream (LSB first). Callers bound rows by kMaxBlockRows and width by 64
+/// first, so the product cannot overflow.
+inline uint64_t PackedBytes(uint64_t rows, uint32_t width) {
+  return (rows * width + 63) / 64 * 8;
+}
 
 /// One entry of the footer's page table.
 struct PageEntry {

@@ -34,8 +34,10 @@ class BlockReader {
       std::string_view bytes, const std::vector<LogicalType>& expected_types);
 
   /// Decode only `columns` (schema indices, in the order given) of a block
-  /// Verify accepted, in place from `bytes`; fixed-width pages are one bulk
-  /// copy each. The chunk's zones are left empty.
+  /// Verify accepted, in place from `bytes`: a flat page is one bulk copy,
+  /// a packed one is unpacked after its header is checked against the page
+  /// (kind, width, exact size, dictionary bounds and codes). The chunk's
+  /// zones are left empty.
   static Result<DecodedBlock> DecodeVerified(
       std::string_view bytes, const BlockFooter& footer,
       const std::vector<size_t>& columns);

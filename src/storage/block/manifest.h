@@ -30,8 +30,10 @@ struct BlockMeta {
   uint64_t object_id = 0;
   uint64_t offset = 0;  // byte offset of the block's image in its object
   size_t rows = 0;
-  double bytes = 0.0;                // encoded block file size
-  std::vector<double> column_bytes;  // encoded bytes per column
+  double bytes = 0.0;  // encoded image size: what objects pack and GETs read
+  // Plain bytes per column (BlockLayout::column_bytes): what a decoded
+  // column occupies, so what the cache charges and EstimateColumnBytes sums.
+  std::vector<double> column_bytes;
   std::vector<ZoneMapEntry> zones;   // one per column
 };
 

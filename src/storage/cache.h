@@ -3,9 +3,9 @@
 /// BlockCache — a byte-budgeted cache for decoded cold block columns, with
 /// admission and eviction priced in dollars rather than recency alone.
 ///
-/// An entry is one column of one block, charged that column's encoded
-/// bytes (the manifest's column_bytes), so a column is cached once no
-/// matter how many scan projections read it. Each entry's retention
+/// An entry is one column of one block, charged that column's plain
+/// (decoded) bytes (the manifest's column_bytes), so a column is cached
+/// once no matter how many scan projections read it. Each entry's retention
 /// priority follows GDSF (greedy-dual-size-frequency):
 ///
 ///   priority = clock + hits * miss_cost_dollars / bytes
@@ -42,8 +42,8 @@ struct BlockCacheStats {
   int64_t misses = 0;          // object-store GETs the pins issued
   int64_t evictions = 0;       // column entries evicted to fit admissions
   int64_t rejected = 0;        // columns larger than the whole cache budget
-  double bytes_read = 0.0;     // object bytes the GETs fetched
-  double bytes_hit = 0.0;      // encoded bytes (manifest column_bytes) of the
+  double bytes_read = 0.0;     // encoded object bytes the GETs fetched
+  double bytes_hit = 0.0;      // plain bytes (manifest column_bytes) of the
                                // column entries served from the cache, also
                                // when the same pin fetched other columns
   Seconds miss_seconds = 0.0;  // measured wall time of fetch+verify+decode,
@@ -82,7 +82,7 @@ class BlockCache {
   bool Contains(const std::vector<std::string>& block_keys,
                 const std::vector<size_t>& columns) const;
 
-  /// Admit one freshly decoded column. `bytes` is its encoded size and
+  /// Admit one freshly decoded column. `bytes` is its plain size and
   /// `miss_cost_dollars` the priced cost of re-materializing it (a GET of
   /// its block + rented read/decode time) — the GDSF benefit density.
   /// Evicts lowest priority entries to fit; a column larger than the whole

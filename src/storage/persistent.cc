@@ -36,12 +36,13 @@ std::vector<size_t> AllColumns(size_t n) {
   return all;
 }
 
-/// Row budget of a block at `level`: doubles per level (capped), so a merge
-/// into the next level re-cuts the same rows into roughly half the blocks —
-/// the mechanism by which compaction buys down future GET fees.
+/// Row budget of a block at `level`: doubles per level, up to the format's
+/// kMaxBlockRows, so a merge into the next level re-cuts the same rows into
+/// roughly half the blocks — the mechanism by which compaction buys down
+/// future GET fees.
 size_t BudgetRows(size_t block_rows, size_t level) {
   const size_t shift = std::min<size_t>(level, 20);
-  return block_rows << shift;
+  return std::min<size_t>(block_rows << shift, block::kMaxBlockRows);
 }
 
 /// Objects a run of `blocks` blocks of about `block_bytes` each packs into
@@ -58,13 +59,13 @@ size_t ObjectsFor(size_t blocks, double block_bytes, double object_bytes) {
 
 }  // namespace
 
-/// Where one block's image lives, with its encoded sizes: the copy PinBlock
-/// takes under the reader lock so fetch+decode run unlocked.
+/// Where one block's image lives, with its sizes: the copy PinBlock takes
+/// under the reader lock so fetch+decode run unlocked.
 struct BlockLocator {
   uint64_t object_id = 0;
   uint64_t offset = 0;  // in the object
-  double bytes = 0.0;
-  std::vector<double> column_bytes;
+  double bytes = 0.0;   // encoded image
+  std::vector<double> column_bytes;  // plain, per column
 };
 
 /// A fetched range: the images of blocks [first_id, first_id + n) of one

@@ -169,7 +169,7 @@ class TableStorage {
   /// from one ranged GET (of the block alone outside a run, through the
   /// run's last block inside one); every page is verified,
   /// only the missing columns are decoded, and each is admitted, charged
-  /// its encoded column bytes and priced at the block's MissCost. `stats`
+  /// its plain column bytes and priced at the block's MissCost. `stats`
   /// (optional) receives the per-query counters.
   Result<std::vector<std::shared_ptr<const ColumnVector>>> PinBlock(
       uint64_t block_id, const std::vector<size_t>& columns,
@@ -184,8 +184,8 @@ class TableStorage {
   /// flush order) — what Table rebuilds its evicted row groups from.
   std::vector<ColdBlockInfo> ScanOrderBlocks() const;
 
-  /// Encoded bytes of one column across all blocks (EstimateColumnBytes
-  /// fallback for evicted payloads).
+  /// Plain (decoded) bytes of one column across all blocks
+  /// (EstimateColumnBytes for evicted payloads).
   double ColumnBytes(size_t column_index) const;
 
   BlockManifestSummary Summary() const;

@@ -242,7 +242,7 @@ Status Table::ClusterBy(const std::string& column_name) {
 
 double Table::EstimateColumnBytes(size_t column_index) const {
   const LogicalType type = columns_[column_index].type;
-  // Evicted rows: actual encoded block bytes from the manifest.
+  // Evicted rows: the plain column bytes the manifest recorded.
   const double cold_bytes =
       storage_ != nullptr ? storage_->ColumnBytes(column_index) : 0.0;
   size_t resident_rows = 0;

@@ -138,7 +138,8 @@ class Table {
 
   /// Estimated bytes of one column across all row groups. Resident rows
   /// use a light encoding model (fixed width for numerics, observed average
-  /// length for strings); evicted rows use the actual encoded block sizes.
+  /// length for strings); evicted rows use the plain column bytes their
+  /// blocks recorded when written (not the smaller encoded images).
   double EstimateColumnBytes(size_t column_index) const;
 
   /// Fraction of row groups a predicate `column op constant` can skip via

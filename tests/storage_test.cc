@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -347,6 +349,481 @@ TEST(BlockFormatTest, ProjectedDecodeVerifiesPagesItDoesNotDecode) {
   EXPECT_GE(flipped, 4u);
 }
 
+// --------------------------------------------------- block format v3 pages
+
+constexpr size_t kTrailerBytes = 4 + 8 + 8;
+
+/// `body` (magic + pages), then the encoded `footer` and a trailer whose
+/// checksum matches it: a forged footer field then meets the reader's own
+/// bounds checks, not a checksum mismatch.
+std::string SealFooterBytes(const std::string& body, const std::string& f) {
+  std::string out = body + f;
+  block::PutU32(&out, static_cast<uint32_t>(f.size()));
+  block::PutU64(&out, block::Checksum64(f.data(), f.size()));
+  block::PutU64(&out, block::kBlockMagic);
+  return out;
+}
+
+std::string Seal(const std::string& body, const block::BlockFooter& footer) {
+  return SealFooterBytes(body, block::EncodeFooter(footer));
+}
+
+/// A writer-produced image split into its body (magic + pages) and footer.
+struct BlockParts {
+  std::string body;
+  block::BlockFooter footer;
+};
+
+BlockParts Split(const std::string& image) {
+  BlockParts parts;
+  auto footer = block::BlockReader::ReadFooter(image);
+  EXPECT_TRUE(footer.ok()) << footer.status().ToString();
+  if (!footer.ok()) return parts;
+  uint32_t footer_size = 0;
+  std::memcpy(&footer_size, image.data() + image.size() - kTrailerBytes, 4);
+  parts.body = image.substr(0, image.size() - kTrailerBytes - footer_size);
+  parts.footer = std::move(*footer);
+  return parts;
+}
+
+/// One column per page encoding, NULLs in four of them:
+///   0 wide    int64  plain (values span the whole int64 range)
+///   1 packed  int64  frame-of-reference, negative base, NULLs
+///   2 const   int64  packed at width 0
+///   3 price   double plain, NULLs
+///   4 mode    string dictionary (incl. the empty string), NULLs
+///   5 name    string plain (every value distinct)
+///   6 day     date   packed
+///   7 flag    bool   packed at width 1, NULLs
+std::vector<ColumnDef> EveryEncodingColumns() {
+  return {{"wide", LogicalType::kInt64},   {"packed", LogicalType::kInt64},
+          {"const", LogicalType::kInt64},  {"price", LogicalType::kDouble},
+          {"mode", LogicalType::kVarchar}, {"name", LogicalType::kVarchar},
+          {"day", LogicalType::kDate},     {"flag", LogicalType::kBool}};
+}
+
+std::vector<LogicalType> EveryEncodingTypes() {
+  std::vector<LogicalType> types;
+  for (const ColumnDef& c : EveryEncodingColumns()) types.push_back(c.type);
+  return types;
+}
+
+DataChunk EveryEncodingChunk(size_t rows) {
+  const char* modes[] = {"AIR", "RAIL", "", "TRUCK", "MAIL"};
+  DataChunk chunk(EveryEncodingTypes());
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t u = static_cast<uint64_t>(r) * 0x9E3779B97F4A7C15ULL;
+    const auto i = static_cast<int64_t>(r);
+    std::vector<Value> row = {
+        Value(static_cast<int64_t>(u)),
+        Value(-500 + i % 300),
+        Value(int64_t{42}),
+        Value(0.5 * static_cast<double>(r)),
+        Value(std::string(modes[r % 5])),
+        Value("name-" + std::to_string(r) + "-" + std::to_string(u % 1000)),
+        Value(int64_t{9000} + i % 365),
+        Value::Bool(r % 3 == 0)};
+    for (size_t c : {1u, 3u, 4u, 7u}) {
+      if ((r + c) % 11 == 0) row[c] = Value::Null();
+    }
+    chunk.AppendRow(row);
+  }
+  return chunk;
+}
+
+block::PageKind PayloadKind(const block::BlockFooter& f, size_t column) {
+  return f.pages[f.columns[column].payload_page].kind;
+}
+
+/// Encode `chunk`, check the layout's byte counts, and return the decoded
+/// chunk after checking it bit for bit (payloads, fillers and masks).
+DataChunk RoundTrip(const DataChunk& chunk, std::string* image = nullptr) {
+  const std::vector<LogicalType> types = chunk.Types();
+  block::BlockLayout layout;
+  const std::string bytes =
+      block::BlockWriter(types).Encode(chunk, nullptr, &layout);
+  EXPECT_EQ(layout.total_bytes, static_cast<double>(bytes.size()));
+  for (size_t c = 0; c < types.size(); ++c) {
+    // Plain bytes, whatever the encoding: what the cache charges.
+    const ColumnVector& col = chunk.column(c);
+    double plain = 8.0 * static_cast<double>(chunk.num_rows());
+    if (col.physical_type() == PhysicalType::kString) {
+      plain = 0.0;
+      for (const std::string& s : col.strings()) plain += 4.0 + s.size();
+    }
+    if (col.has_nulls()) plain += static_cast<double>(chunk.num_rows());
+    EXPECT_EQ(layout.column_bytes[c], plain) << "column " << c;
+  }
+  auto decoded = block::BlockReader::Decode(bytes, types, Iota(types.size()));
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  if (!decoded.ok()) return DataChunk(types);
+  EXPECT_EQ(decoded->chunk.num_rows(), chunk.num_rows());
+  for (size_t c = 0; c < types.size(); ++c) {
+    ExpectColumnsBitIdentical(decoded->chunk.column(c), chunk.column(c));
+  }
+  if (image != nullptr) *image = bytes;
+  return std::move(decoded->chunk);
+}
+
+TEST(BlockFormatTest, EveryEncodingRoundTrips) {
+  std::string image;
+  RoundTrip(EveryEncodingChunk(300), &image);
+  const BlockParts parts = Split(image);
+  using block::PageKind;
+  const std::vector<PageKind> expected = {
+      PageKind::kInt64,        PageKind::kInt64Packed, PageKind::kInt64Packed,
+      PageKind::kDouble,       PageKind::kStringDict,  PageKind::kString,
+      PageKind::kInt64Packed,  PageKind::kInt64Packed};
+  for (size_t c = 0; c < expected.size(); ++c) {
+    EXPECT_EQ(PayloadKind(parts.footer, c), expected[c]) << "column " << c;
+  }
+  // Width 0 stores the header only; width 1 one bit per row.
+  const auto& pages = parts.footer.pages;
+  EXPECT_EQ(pages[parts.footer.columns[2].payload_page].size,
+            block::kPackedHeaderBytes);
+  EXPECT_EQ(pages[parts.footer.columns[7].payload_page].size,
+            block::kPackedHeaderBytes + block::PackedBytes(300, 1));
+  for (size_t c : {1u, 3u, 4u, 7u}) {
+    EXPECT_NE(parts.footer.columns[c].validity_page, block::kNoPage);
+  }
+
+  // 1-row and 0-row blocks.
+  RoundTrip(EveryEncodingChunk(1));
+  RoundTrip(EveryEncodingChunk(0));
+
+  // All-NULL columns: the fillers (0 and "") pack at width 0.
+  DataChunk nulls({LogicalType::kInt64, LogicalType::kVarchar});
+  for (int r = 0; r < 100; ++r) nulls.AppendRow({Value::Null(), Value::Null()});
+  RoundTrip(nulls, &image);
+  const BlockParts null_parts = Split(image);
+  EXPECT_EQ(PayloadKind(null_parts.footer, 0), PageKind::kInt64Packed);
+  EXPECT_EQ(PayloadKind(null_parts.footer, 1), PageKind::kStringDict);
+
+  // Empty strings only: a one-entry dictionary of "".
+  DataChunk empty({LogicalType::kVarchar});
+  for (int r = 0; r < 50; ++r) empty.AppendRow({Value(std::string())});
+  RoundTrip(empty, &image);
+  EXPECT_EQ(PayloadKind(Split(image).footer, 0), PageKind::kStringDict);
+
+  // INT64_MIN and INT64_MAX in one page need 64 bits: plain wins. Negative
+  // values in a narrow range pack around a negative base.
+  DataChunk extremes({LogicalType::kInt64, LogicalType::kInt64});
+  for (int64_t r = 0; r < 64; ++r) {
+    extremes.AppendRow(
+        {Value(r % 2 == 0 ? std::numeric_limits<int64_t>::min()
+                          : std::numeric_limits<int64_t>::max() - r),
+         Value(-1'000'000'000'000 - r * 3)});
+  }
+  RoundTrip(extremes, &image);
+  const BlockParts ext = Split(image);
+  EXPECT_EQ(PayloadKind(ext.footer, 0), PageKind::kInt64);
+  EXPECT_EQ(PayloadKind(ext.footer, 1), PageKind::kInt64Packed);
+}
+
+TEST(BlockFormatTest, Width64PackedPageDecodes) {
+  // The writer never emits width 64 (plain is smaller), but the format
+  // allows it: hand-build a one-column block holding INT64_MIN..INT64_MAX.
+  const std::vector<int64_t> values = {
+      std::numeric_limits<int64_t>::min(), -1, 0, 7,
+      std::numeric_limits<int64_t>::max()};
+  const auto base = static_cast<uint64_t>(values[0]);
+  std::string page;
+  block::PutU64(&page, base);
+  page.push_back(64);
+  for (int64_t v : values) {
+    block::PutU64(&page, static_cast<uint64_t>(v) - base);
+  }
+
+  block::BlockFooter footer;
+  footer.rows = values.size();
+  footer.columns.push_back({LogicalType::kInt64, 0, block::kNoPage});
+  block::PageEntry pe;
+  pe.offset = 8;
+  pe.size = page.size();
+  pe.checksum = block::Checksum64(page.data(), page.size());
+  pe.kind = block::PageKind::kInt64Packed;
+  footer.pages.push_back(pe);
+  footer.zones.push_back(ZoneMapEntry{});
+  std::string body;
+  block::PutU64(&body, block::kBlockMagic);
+  body += page;
+
+  auto decoded = block::BlockReader::Decode(Seal(body, footer),
+                                            {LogicalType::kInt64}, {0});
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->chunk.column(0).ints(), values);
+}
+
+TEST(BlockFormatTest, Version2ImagesAreRejected) {
+  const std::vector<LogicalType> types = AllTypes();
+  BlockParts parts = Split(
+      block::BlockWriter(types).Encode(AllTypesChunk(64), nullptr, nullptr));
+  parts.footer.version = 2;
+  auto decoded = block::BlockReader::Decode(Seal(parts.body, parts.footer),
+                                            types, Iota(types.size()));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("unsupported format version"),
+            std::string::npos)
+      << decoded.status().ToString();
+}
+
+TEST(BlockFormatTest, ForgedFooterArithmeticCannotWrap) {
+  // Page offset 8 with size 2^64 - 8: offset + size wraps to 0. The range
+  // check must bound each operand first, or Verify checksums past the end.
+  const std::vector<LogicalType> ints = {LogicalType::kInt64};
+  DataChunk wide(ints);
+  for (int64_t r = 0; r < 16; ++r) {
+    wide.AppendRow({Value(r % 2 == 0 ? std::numeric_limits<int64_t>::min()
+                                     : std::numeric_limits<int64_t>::max())});
+  }
+  const BlockParts parts =
+      Split(block::BlockWriter(ints).Encode(wide, nullptr, nullptr));
+  ASSERT_EQ(PayloadKind(parts.footer, 0), block::PageKind::kInt64);
+  ASSERT_EQ(parts.footer.pages[0].size, 128u);
+  block::BlockFooter range = parts.footer;
+  range.pages[0].offset = 8;
+  range.pages[0].size = ~uint64_t{0} - 7;
+  auto wrapped = block::BlockReader::Decode(Seal(parts.body, range), ints, {0});
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_TRUE(wrapped.status().IsInternal());
+
+  // 2^61 + 16 rows over a 128-byte flat page: rows × 8 wraps to 128. Both
+  // the footer's row bound and the page's size check must reject it.
+  const std::vector<LogicalType> doubles = {LogicalType::kDouble};
+  DataChunk sixteen(doubles);
+  for (int r = 0; r < 16; ++r) sixteen.AppendRow({Value(0.5 * r)});
+  for (const auto& [types, chunk] :
+       {std::make_pair(ints, wide), std::make_pair(doubles, sixteen)}) {
+    BlockParts forged =
+        Split(block::BlockWriter(types).Encode(chunk, nullptr, nullptr));
+    ASSERT_EQ(forged.footer.pages[0].size, 128u);
+    forged.footer.rows = (uint64_t{1} << 61) + 16;
+    const std::string image = Seal(forged.body, forged.footer);
+    EXPECT_FALSE(block::BlockReader::Decode(image, types, {0}).ok());
+    // DecodeVerified alone, handed the forged footer past ReadFooter.
+    auto direct = block::BlockReader::DecodeVerified(image, forged.footer, {0});
+    ASSERT_FALSE(direct.ok());
+    EXPECT_TRUE(direct.status().IsInternal());
+  }
+}
+
+/// `parts` with page `p`'s bytes at `at` replaced by `bytes`, the page
+/// checksum and the footer checksum re-sealed.
+std::string WithPageEdit(BlockParts parts, size_t p, size_t at,
+                         const std::string& bytes) {
+  block::PageEntry& pe = parts.footer.pages[p];
+  parts.body.replace(pe.offset + at, bytes.size(), bytes);
+  pe.checksum = block::Checksum64(parts.body.data() + pe.offset, pe.size);
+  return Seal(parts.body, parts.footer);
+}
+
+TEST(BlockFormatTest, PackedPageHeadersAreCheckedBeforeUnpacking) {
+  const std::vector<LogicalType> types = EveryEncodingTypes();
+  const BlockParts parts = Split(
+      block::BlockWriter(types).Encode(EveryEncodingChunk(300), nullptr,
+                                       nullptr));
+  const size_t packed = parts.footer.columns[1].payload_page;
+  const size_t dict = parts.footer.columns[4].payload_page;
+  auto decode_fails = [&](const std::string& image, const char* why) {
+    auto decoded = block::BlockReader::Decode(image, types, Iota(types.size()));
+    ASSERT_FALSE(decoded.ok()) << why;
+    EXPECT_TRUE(decoded.status().IsInternal()) << why;
+  };
+  const char width = parts.body[parts.footer.pages[packed].offset + 8];
+  decode_fails(WithPageEdit(parts, packed, 8, std::string(1, char(65))),
+               "width 65");
+  decode_fails(WithPageEdit(parts, packed, 8, std::string(1, char(width + 1))),
+               "one bit wider than the page holds");
+  std::string one_entry;
+  block::PutU32(&one_entry, 1);
+  decode_fails(WithPageEdit(parts, dict, 0, one_entry), "entry count");
+  std::string long_entry;
+  block::PutU32(&long_entry, 1u << 30);
+  decode_fails(WithPageEdit(parts, dict, 4, long_entry),
+               "entry past the page");
+  // Five entries take 3-bit codes; code 7 names no entry.
+  const uint64_t dict_size = parts.footer.pages[dict].size;
+  decode_fails(WithPageEdit(parts, dict,
+                            dict_size - block::PackedBytes(300, 3),
+                            std::string(1, char(0x07))),
+               "code out of range");
+}
+
+// ------------------------------------------------ block decoder mutations
+
+/// SplitMix64: a fixed-seed generator, so every run applies the same
+/// mutations.
+struct Mutator {
+  uint64_t state;
+  uint64_t Next() {
+    uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+  }
+  size_t Below(size_t n) { return n == 0 ? 0 : Next() % n; }
+  /// An edge value for a field that holds `old`.
+  uint64_t Edge(uint64_t old) {
+    const uint64_t edges[] = {0,
+                              1,
+                              old + 1,
+                              old - 1,
+                              old * 2,
+                              old + 8,
+                              0xFFu,
+                              0xFFFFFFFFu,
+                              uint64_t{1} << 32,
+                              (uint64_t{1} << 61) + 16,
+                              uint64_t{1} << 63,
+                              ~uint64_t{0} - 7,
+                              ~uint64_t{0},
+                              Next()};
+    return edges[Below(sizeof(edges) / sizeof(edges[0]))];
+  }
+};
+
+TEST(BlockDecoderMutationTest, SeededMutationsNeverCrashOrLie) {
+  // Blocks covering every page encoding and NULLs, plus the edge sizes.
+  struct Seed {
+    std::vector<LogicalType> types;
+    std::string image;
+  };
+  std::vector<Seed> seeds;
+  for (size_t rows : {300u, 1u, 0u}) {
+    const std::vector<LogicalType> types = EveryEncodingTypes();
+    seeds.push_back({types, block::BlockWriter(types).Encode(
+                                EveryEncodingChunk(rows), nullptr, nullptr)});
+  }
+  seeds.push_back({AllTypes(), block::BlockWriter(AllTypes()).Encode(
+                                   AllTypesChunk(64), nullptr, nullptr)});
+
+  // Every outcome is a non-OK Status or a chunk of the footer's row count
+  // and the schema's types; nothing crashes, throws or trips a sanitizer.
+  size_t decoded_ok = 0, rejected = 0;
+  // Rejections of re-sealed page edits: what DecodeVerified's own header
+  // and size checks caught.
+  size_t page_edits_rejected = 0;
+  auto check = [&](const Seed& seed, const std::string& image) {
+    auto decoded = block::BlockReader::Decode(image, seed.types,
+                                              Iota(seed.types.size()));
+    if (!decoded.ok()) {
+      ++rejected;
+      return false;
+    }
+    ++decoded_ok;
+    auto footer = block::BlockReader::ReadFooter(image);
+    EXPECT_TRUE(footer.ok());
+    if (!footer.ok()) return true;
+    const DataChunk& chunk = decoded->chunk;
+    EXPECT_EQ(chunk.num_columns(), seed.types.size());
+    EXPECT_EQ(chunk.num_rows(), footer->rows);
+    for (size_t c = 0; c < chunk.num_columns(); ++c) {
+      const ColumnVector& col = chunk.column(c);
+      EXPECT_EQ(col.type(), seed.types[c]);
+      EXPECT_EQ(col.size(), footer->rows);
+      EXPECT_TRUE(col.validity().empty() ||
+                  col.validity().size() == footer->rows);
+    }
+    return true;
+  };
+
+  constexpr size_t kRounds = 5000;  // per seed block
+  Mutator rng{0xB10C'5EEDULL};
+  for (const Seed& seed : seeds) {
+    const BlockParts parts = Split(seed.image);
+    // Re-sealing an untouched footer reproduces the image byte for byte.
+    ASSERT_EQ(Seal(parts.body, parts.footer), seed.image);
+    for (size_t round = 0; round < kRounds; ++round) {
+      switch (round % 5) {
+        case 0: {  // flip bits of one byte
+          std::string bad = seed.image;
+          const size_t pos = rng.Below(bad.size());
+          bad[pos] = static_cast<char>(bad[pos] ^ (1 + rng.Below(255)));
+          check(seed, bad);
+          break;
+        }
+        case 1:  // truncate
+          check(seed, seed.image.substr(0, rng.Below(seed.image.size())));
+          break;
+        case 2: {  // one footer field to an edge value, footer re-sealed
+          block::BlockFooter f = parts.footer;
+          const size_t field = rng.Below(10);
+          block::PageEntry* pe =
+              f.pages.empty() ? nullptr : &f.pages[rng.Below(f.pages.size())];
+          block::ColumnEntry& ce = f.columns[rng.Below(f.columns.size())];
+          auto edge32 = [&](uint32_t old) {
+            return static_cast<uint32_t>(rng.Edge(old));
+          };
+          switch (field) {
+            case 0:
+              f.version = edge32(f.version);
+              break;
+            case 1:
+              f.rows = rng.Edge(f.rows);
+              break;
+            case 2:
+              ce.payload_page = edge32(ce.payload_page);
+              break;
+            case 3:
+              ce.validity_page = edge32(ce.validity_page);
+              break;
+            case 4:
+              ce.type = static_cast<LogicalType>(rng.Below(6));
+              break;
+            case 5:
+              if (pe != nullptr) pe->offset = rng.Edge(pe->offset);
+              break;
+            case 6:
+              if (pe != nullptr) pe->size = rng.Edge(pe->size);
+              break;
+            case 7:
+              if (pe != nullptr) {
+                pe->kind = static_cast<block::PageKind>(rng.Below(7));
+              }
+              break;
+            case 8:
+              if (pe != nullptr) pe->column = edge32(pe->column);
+              break;
+            default:  // drop the last page-table entry
+              if (!f.pages.empty()) f.pages.pop_back();
+              break;
+          }
+          check(seed, Seal(parts.body, f));
+          break;
+        }
+        case 3: {  // one raw footer byte, footer re-sealed
+          std::string footer = block::EncodeFooter(parts.footer);
+          const size_t pos = rng.Below(footer.size());
+          footer[pos] = static_cast<char>(rng.Next());
+          check(seed, SealFooterBytes(parts.body, footer));
+          break;
+        }
+        default: {  // a page header (or any page byte), both checksums
+                    // re-sealed so the decoder's own checks meet it
+          if (parts.footer.pages.empty()) break;
+          const size_t p = rng.Below(parts.footer.pages.size());
+          const uint64_t size = parts.footer.pages[p].size;
+          if (size == 0) break;
+          const size_t at = rng.Below(2) == 0
+                                ? rng.Below(std::min<uint64_t>(size, 16))
+                                : rng.Below(size);
+          const size_t len = std::min<size_t>(1 + rng.Below(4), size - at);
+          std::string bytes(len, '\0');
+          const uint64_t v = rng.Edge(0);
+          std::memcpy(bytes.data(), &v, std::min<size_t>(len, 8));
+          if (!check(seed, WithPageEdit(parts, p, at, bytes))) {
+            ++page_edits_rejected;
+          }
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(page_edits_rejected, 0u);
+  EXPECT_GT(decoded_ok, 0u);
+  EXPECT_GT(rejected, decoded_ok);
+}
+
 // ---------------------------------------------------------------- checksum
 
 std::string PseudoRandomBytes(size_t n, uint64_t seed) {
@@ -379,8 +856,8 @@ TEST(ChecksumTest, EverySingleByteChangeChangesTheChecksum) {
 }
 
 TEST(ChecksumTest, KnownAnswers) {
-  // Block format v2 stores these values on disk: changing the function is
-  // a format change.
+  // Block formats v2 and v3 store these values on disk: changing the
+  // function is a format change.
   EXPECT_EQ(block::Checksum64("", 0), 0xca6e313f06ee3d42ULL);
   const std::string text = "costdb block format v2";
   EXPECT_EQ(block::Checksum64(text.data(), text.size()),
@@ -657,17 +1134,24 @@ std::vector<ColumnDef> AllTypeColumns() {
 
 TEST(PersistentTableTest, EveryProjectedPinMatchesAFullDecode) {
   // A cache too small for any column: every pin decodes its projection
-  // from its own GET, so each subset exercises the projected decode.
+  // from its own GET, so each subset exercises the projected decode, over
+  // blocks holding every page encoding.
   PersistentFixture fx("projections", /*cache_bytes=*/1);
-  auto table = std::make_shared<Table>("t", AllTypeColumns(),
-                                       /*row_group_size=*/64);
-  table->Append(AllTypesChunk(150));
+  auto table = std::make_shared<Table>("t", EveryEncodingColumns(),
+                                       /*row_group_size=*/100);
+  const DataChunk data = EveryEncodingChunk(300);
+  table->Append(data);
   ASSERT_TRUE(table->AttachStorage(fx.MakeStorage(*table)).ok());
   const size_t ncols = table->columns().size();
   ASSERT_EQ(table->row_groups().size(), 3u);
   for (size_t g = 0; g < table->row_groups().size(); ++g) {
     auto full = table->PinRowGroup(g, Iota(ncols));
     ASSERT_TRUE(full.ok()) << full.status().ToString();
+    DataChunk rows(data.Types());
+    rows.AppendRange(data, 100 * g, 100 * (g + 1));
+    for (size_t c = 0; c < ncols; ++c) {
+      ExpectColumnsBitIdentical(full->column(c), rows.column(c));
+    }
     for (uint32_t mask = 0; mask < (1u << ncols); ++mask) {
       std::vector<size_t> subset;
       for (size_t c = 0; c < ncols; ++c) {
