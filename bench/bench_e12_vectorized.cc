@@ -23,6 +23,12 @@
 // unit tests use); end-to-end SQL still enters through the Database facade
 // as ROADMAP.md requires.
 //
+//   top-N       one ORDER BY over every lineorder row through Session, with
+//               and without LIMIT 10: the LIMIT query must return the first
+//               10 rows of the full sort, and its sort pipeline (the one
+//               sinking into the sort, from ExecutionResult::timings) must
+//               take at most half the full sort's seconds in the same run.
+//
 // --json <path> writes the numbers as a flat JSON snapshot (BenchJson);
 // ci/build_and_test.sh persists one per run and gates the gate_* keys
 // against the committed baseline.
@@ -39,6 +45,70 @@ using namespace costdb;
 using namespace costdb::bench;
 
 namespace {
+
+struct TopNPhase {
+  size_t rows = 0;             // rows the LIMIT query returned
+  bool parity = true;          // ...equal to the full sort's first rows
+  double full_seconds = 0.0;   // sort pipeline seconds, best of the runs
+  double limit_seconds = 0.0;  // same, with the LIMIT
+};
+
+/// Seconds of the pipeline that sinks into the plan's sort.
+double SortPipelineSeconds(const ExecutionResult& r) {
+  for (const Pipeline& p : r.plan->pipelines.pipelines) {
+    if (p.sink == nullptr || p.sink->kind != PhysicalPlan::Kind::kSort) {
+      continue;
+    }
+    for (const PipelineTiming& t : r.timings) {
+      if (t.pipeline_id == p.id) return t.seconds;
+    }
+  }
+  return 0.0;
+}
+
+bool SameRows(const DataChunk& a, const DataChunk& b, size_t rows) {
+  if (a.num_columns() != b.num_columns() || a.num_rows() < rows ||
+      b.num_rows() < rows) {
+    return false;
+  }
+  for (size_t c = 0; c < a.num_columns(); ++c) {
+    for (size_t r = 0; r < rows; ++r) {
+      if (a.column(c).GetValue(r) != b.column(c).GetValue(r)) return false;
+    }
+  }
+  return true;
+}
+
+/// The top-N phase over an SSB instance of `scale`: best seconds of
+/// `runs`, parity on every run.
+Result<TopNPhase> RunTopN(double scale, int runs) {
+  DatabaseOptions db_opts;
+  db_opts.enable_calibration = false;  // a fixed plan across the runs
+  Database db(db_opts);
+  SsbOptions opts;
+  opts.scale = scale;
+  opts.row_group_size = 4096;
+  LoadSsb(db.meta(), opts);
+  Session session(&db);
+  const std::string full_sql =
+      "SELECT lo_orderkey, lo_revenue FROM lineorder ORDER BY lo_revenue "
+      "DESC";
+  const std::string limit_sql = full_sql + " LIMIT 10";
+  TopNPhase out;
+  for (int run = 0; run < runs; ++run) {
+    ExecutionResult full, limited;
+    COSTDB_ASSIGN_OR_RETURN(full, session.ExecuteSql(full_sql));
+    COSTDB_ASSIGN_OR_RETURN(limited, session.ExecuteSql(limit_sql));
+    const double fs = SortPipelineSeconds(full);
+    const double ls = SortPipelineSeconds(limited);
+    if (run == 0 || fs < out.full_seconds) out.full_seconds = fs;
+    if (run == 0 || ls < out.limit_seconds) out.limit_seconds = ls;
+    out.rows = limited.result.chunk.num_rows();
+    out.parity = out.parity && out.rows == 10 &&
+                 SameRows(full.result.chunk, limited.result.chunk, 10);
+  }
+  return out;
+}
 
 double ElapsedSeconds(std::chrono::steady_clock::time_point a,
                std::chrono::steady_clock::time_point b) {
@@ -79,7 +149,8 @@ int main(int argc, char** argv) {
   PrintHeader("E12: vectorized scan/filter kernels",
               "Selective SSB filter scan: scalar reference interpreter vs\n"
               "selection-vector kernels vs kernels + zone-map pruning vs\n"
-              "the fused single-pass conjunction kernel.");
+              "the fused single-pass conjunction kernel; then one ORDER BY\n"
+              "with and without LIMIT 10 (top-N sort) through Session.");
 
   MetadataService meta;
   SsbOptions opts;
@@ -313,6 +384,16 @@ int main(int argc, char** argv) {
   // parity (above), pruning, and the hot-shape fused ratio always gate.
   const bool ok = (smoke || speedup >= 3.0) && pruned_frac >= 0.5 &&
                   hot_speedup >= 1.5;
+  Result<TopNPhase> topn = RunTopN(scale, smoke ? 7 : 5);
+  if (!topn.ok()) {
+    std::printf("FAIL: top-N phase: %s\n", topn.status().ToString().c_str());
+    return 1;
+  }
+  const double topn_speedup =
+      topn->limit_seconds > 0.0 ? topn->full_seconds / topn->limit_seconds
+                                : 0.0;
+  const bool topn_sort_2x = topn_speedup >= 2.0;
+  const bool topn_ok = topn->parity && topn_sort_2x;
   std::printf("%s: vectorized+pruned is %.1fx the scalar path "
               "(target >= 3x%s), pruning %.0f%% of morsels (target >= 50%%), "
               "fused is %.2fx the vectorized kernels on the hot shape "
@@ -321,6 +402,12 @@ int main(int argc, char** argv) {
               ok ? "PASS" : "FAIL", speedup,
               smoke ? ", not gated in smoke mode" : "", 100.0 * pruned_frac,
               hot_speedup, fused_speedup);
+  std::printf("%s: ORDER BY ... LIMIT 10 returns the full sort's first %zu "
+              "rows (%s); its sort pipeline takes %.4fs against %.4fs "
+              "without the LIMIT, %.1fx (target >= 2x)\n",
+              topn_ok ? "PASS" : "FAIL", topn->rows,
+              topn->parity ? "parity" : "MISMATCH", topn->limit_seconds,
+              topn->full_seconds, topn_speedup);
 
   if (!json_path.empty()) {
     BenchJson j;
@@ -338,6 +425,9 @@ int main(int argc, char** argv) {
              static_cast<long long>(hot_vec.rows_selected));
     j.Set("gate_pruned_frac", pruned_frac);
     j.SetInt("gate_pass", ok ? 1 : 0);
+    j.SetInt("gate_topn_rows", static_cast<long long>(topn->rows));
+    j.SetInt("gate_topn_parity", topn->parity ? 1 : 0);
+    j.SetInt("gate_topn_sort_2x", topn_sort_2x ? 1 : 0);
     // Trajectory-only metrics: machine-dependent, persisted but ungated.
     j.Set("scalar_seconds", scalar.seconds);
     j.Set("vectorized_seconds", vectorized.seconds);
@@ -350,7 +440,10 @@ int main(int argc, char** argv) {
     j.Set("hot_fused_speedup_vs_vectorized", hot_speedup);
     j.Set("hot_fused_mrows_per_sec",
           static_cast<double>(rows) / hot_fused.seconds / 1e6);
+    j.Set("topn_full_sort_seconds", topn->full_seconds);
+    j.Set("topn_limit_sort_seconds", topn->limit_seconds);
+    j.Set("topn_sort_speedup", topn_speedup);
     if (!j.WriteFile(json_path)) return 1;
   }
-  return ok ? 0 : 1;
+  return ok && topn_ok ? 0 : 1;
 }

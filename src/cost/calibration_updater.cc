@@ -47,7 +47,7 @@ void ReadPipelines(const Inputs& in, std::vector<Pair>* pairs) {
     for (const Pipeline& pipeline : in.graph.pipelines) {
       if (pipeline.id != timing.pipeline_id) continue;
       const double predicted =
-          in.estimator.PipelineDuration(pipeline, /*dop=*/1, in.volumes);
+          in.estimator.PipelineDuration(pipeline, timing.width, in.volumes);
       if (predicted > 0.0) pairs->push_back({predicted, timing.seconds});
       break;
     }

@@ -73,8 +73,8 @@ class CalibrationUpdater {
   /// Fold one run's profile into the calibration, stepping each term group
   /// in TermGroup order; a group reads its pairs after the earlier groups
   /// stepped. `graph` and `volumes` must be the plan the profile came
-  /// from; pipeline predictions are made at one node (the local engine
-  /// stands in for one).
+  /// from; each pipeline is predicted at the width it ran at
+  /// (PipelineTiming::width: one node for the local engine).
   CalibrationReport Observe(const ExecProfile& profile,
                             const PipelineGraph& graph,
                             const VolumeMap& volumes,

@@ -125,8 +125,10 @@ class SortModel : public OperatorModel {
   explicit SortModel(const HardwareCalibration* hw) : hw_(hw) {}
   Seconds StageTime(const StageWorkload& w, int dop) const override {
     double n = std::max(w.rows_in, 2.0);
-    double log_n = std::log2(n);
-    Seconds local = n * log_n / (hw_->sort_rows_per_sec * dop);
+    // Every input row is compared against the rows kept: all n for a full
+    // sort, k for a top-N sort (whose output is min(n, k) rows).
+    double log_kept = std::log2(std::clamp(w.rows_out, 2.0, n));
+    Seconds local = n * log_kept / (hw_->sort_rows_per_sec * dop);
     // Final merge of dop sorted runs happens on one node.
     Seconds merge = dop > 1 ? n * std::log2(static_cast<double>(dop)) /
                                   hw_->sort_rows_per_sec

@@ -33,6 +33,7 @@ NodeVolumes Walk(const PhysicalPlan* node, const CardinalityEstimator& cards,
       v.out_rows = child_volumes[0].out_rows;
       break;
     case PhysicalPlan::Kind::kLimit:
+    case PhysicalPlan::Kind::kSort:  // a top-N sort emits at most its bound
       v.out_rows = node->limit >= 0
                        ? std::min(child_volumes[0].out_rows,
                                   static_cast<double>(node->limit))
@@ -52,9 +53,6 @@ NodeVolumes Walk(const PhysicalPlan* node, const CardinalityEstimator& cards,
                                             node->group_by);
       break;
     }
-    case PhysicalPlan::Kind::kSort:
-      v.out_rows = child_volumes[0].out_rows;
-      break;
   }
   v.out_bytes = v.out_rows * node->est_row_bytes;
   (*out)[node] = v;

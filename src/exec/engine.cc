@@ -1137,19 +1137,12 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
       COSTDB_ASSIGN_OR_RETURN(v, ev.Evaluate(*k.expr, all));
       key_vecs.push_back(std::move(v));
     }
-    std::vector<uint32_t> order(all.num_rows());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
-    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      for (size_t k = 0; k < key_vecs.size(); ++k) {
-        Value va = key_vecs[k].GetValue(a);
-        Value vb = key_vecs[k].GetValue(b);
-        if (va == vb) continue;
-        bool less = va < vb;
-        return sink->sort_keys[k].descending ? !less : less;
-      }
-      return false;
-    });
-    all.Slice(order);
+    std::vector<bool> descending;
+    for (const auto& k : sink->sort_keys) descending.push_back(k.descending);
+    // A top-N sort (a LIMIT directly above, copied onto the node by the
+    // planner) keeps only its first `limit` rows.
+    all.Slice(kernels::SortOrder(key_vecs, descending, all.num_rows(),
+                                 sink->limit));
     bs.materialized = std::move(all);
     bs.materialized_valid = true;
     if (timing != nullptr) {

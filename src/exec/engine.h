@@ -53,6 +53,10 @@ struct PipelineTiming {
   double seconds = 0.0;
   double source_rows = 0.0;
   double output_rows = 0.0;
+  /// Workers the pipeline ran on, the DOP the calibration prices
+  /// `seconds` at: 1 on LocalEngine; on ShardedEngine the widest fragment
+  /// the pipeline ran in (one that crosses a cut runs partly in each).
+  int width = 1;
 };
 
 /// Zone-map pruning counters of one Execute call. A "morsel" here is a
@@ -185,10 +189,14 @@ struct WorkerUsage {
 /// It is the whole input of the calibration loop
 /// (CalibrationUpdater::Observe).
 /// LocalEngine fills timings, scan, fused and storage; ShardedEngine fills
-/// scan, fused and storage summed over workers, plus exchange and usage.
+/// timings per pipeline of the plan it ran, scan, fused and storage summed
+/// over workers, plus exchange and usage.
 struct ExecProfile {
   /// Per-pipeline wall time (the feedback signal of the calibration loop;
-  /// see CalibrationUpdater). Empty on sharded runs.
+  /// see CalibrationUpdater), at most one entry per pipeline id of
+  /// BuildPipelines(root). Sharded runs charge each pipeline its slowest
+  /// worker's seconds per fragment, summed over the fragments it spans;
+  /// fragments run in worker processes report none.
   std::vector<PipelineTiming> timings;
   ScanStats scan;
   /// Which morsels ran through the fused tier the fuse_kernels pass

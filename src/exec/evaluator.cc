@@ -1,6 +1,8 @@
 #include "exec/evaluator.h"
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 
 #include "catalog/hll.h"
 
@@ -1051,6 +1053,57 @@ void MinMaxSelected(const ColumnVector& v, const SelectionVector& sel,
     if (val < *min) *min = val;
     if (*max < val) *max = val;
   }
+}
+
+namespace {
+
+/// Three-way comparison of rows `a` and `b` of one sort-key column, in
+/// SortOrder's ascending order.
+int CompareSortKey(const ColumnVector& col, uint32_t a, uint32_t b) {
+  const bool null_a = col.IsNull(a);
+  const bool null_b = col.IsNull(b);
+  if (null_a || null_b) return int{null_b} - int{null_a};
+  switch (col.physical_type()) {
+    case PhysicalType::kInt64: {
+      const int64_t x = col.GetInt(a), y = col.GetInt(b);
+      return int{x > y} - int{x < y};
+    }
+    case PhysicalType::kDouble: {
+      const double x = col.GetDouble(a), y = col.GetDouble(b);
+      if (x < y) return -1;
+      if (y < x) return 1;
+      return int{std::isnan(x)} - int{std::isnan(y)};
+    }
+    case PhysicalType::kString: {
+      const int c = col.GetString(a).compare(col.GetString(b));
+      return int{c > 0} - int{c < 0};
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
+std::vector<uint32_t> SortOrder(const std::vector<ColumnVector>& keys,
+                                const std::vector<bool>& descending,
+                                size_t rows, int64_t limit) {
+  auto before = [&](uint32_t a, uint32_t b) {
+    for (size_t k = 0; k < keys.size(); ++k) {
+      const int c = CompareSortKey(keys[k], a, b);
+      if (c != 0) return descending[k] ? c > 0 : c < 0;
+    }
+    return a < b;
+  };
+  std::vector<uint32_t> order(rows);
+  std::iota(order.begin(), order.end(), 0u);
+  if (limit >= 0 && static_cast<size_t>(limit) < rows) {
+    const auto kept = order.begin() + limit;
+    std::partial_sort(order.begin(), kept, order.end(), before);
+    order.erase(kept, order.end());
+  } else {
+    std::sort(order.begin(), order.end(), before);
+  }
+  return order;
 }
 
 }  // namespace kernels

@@ -159,6 +159,17 @@ int64_t CountValidSelected(const ColumnVector& v, const SelectionVector& sel);
 void MinMaxSelected(const ColumnVector& v, const SelectionVector& sel,
                     Value* min, Value* max, bool* has_value);
 
+/// Row order of a sort of `rows` rows by `keys` (key k descending when
+/// `descending[k]`), compared on the typed payloads in Value::operator<'s
+/// order: NULL first, int64 exactly, strings bytewise; a NaN double,
+/// which that order leaves incomparable, sorts after every number. The
+/// row index is the last key, so the order is total and equals a stable
+/// sort. With `limit` >= 0 only the first min(limit, rows) positions are
+/// ordered and returned (a top-N sort).
+std::vector<uint32_t> SortOrder(const std::vector<ColumnVector>& keys,
+                                const std::vector<bool>& descending,
+                                size_t rows, int64_t limit);
+
 }  // namespace kernels
 
 }  // namespace costdb

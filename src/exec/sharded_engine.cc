@@ -519,14 +519,18 @@ DataChunk MergeShards(Shards* shards, const std::vector<LogicalType>& types) {
   return out;
 }
 
+/// Clone node -> the plan node it was cloned from (a temp-table scan maps
+/// to the cut exchange it replaces).
+using CloneOrigins = std::map<const PhysicalPlan*, const PhysicalPlan*>;
+
 /// Clone `node` for one worker of `width`: cut exchanges become temp-table
 /// scans, base scans get the worker's row-group range. `input_rows`
 /// accumulates the rows this worker would read (empty workers are
-/// skipped).
+/// skipped); `origins` records where each clone node came from.
 PhysicalPlanPtr CloneForWorker(
     const PhysicalPlan* node, size_t worker, size_t width, bool single,
     const std::map<const PhysicalPlan*, FragmentInput>& inputs,
-    double* input_rows) {
+    double* input_rows, CloneOrigins* origins) {
   auto it = inputs.find(node);
   if (it != inputs.end()) {
     const FragmentInput& fi = it->second;
@@ -540,9 +544,11 @@ PhysicalPlanPtr CloneForWorker(
     std::iota(scan->scan_column_indices.begin(),
               scan->scan_column_indices.end(), 0);
     *input_rows += static_cast<double>(scan->table->num_rows());
+    (*origins)[scan.get()] = node;
     return scan;
   }
   auto copy = std::make_shared<PhysicalPlan>(*node);
+  (*origins)[copy.get()] = node;
   if (copy->kind == PhysicalPlan::Kind::kTableScan) {
     if (!single) {
       auto [begin, end] = WorkerGroupRange(*copy->table, worker, width);
@@ -558,11 +564,100 @@ PhysicalPlanPtr CloneForWorker(
     return copy;
   }
   for (auto& child : copy->children) {
-    child =
-        CloneForWorker(child.get(), worker, width, single, inputs, input_rows);
+    child = CloneForWorker(child.get(), worker, width, single, inputs,
+                           input_rows, origins);
   }
   return copy;
 }
+
+/// Per-pipeline timings of one sharded run, in the ids of the original
+/// plan's pipelines (BuildPipelines(root), so PlannedQuery::pipelines).
+/// Every worker runs a clone of one fragment; a clone pipeline counts
+/// toward the original pipeline of its sink, else of its last operator,
+/// else of its source. A pipeline that crosses a cut runs partly in each
+/// fragment it spans: it is charged, per fragment, the seconds of its
+/// slowest worker, summed over fragments, at the widest width it ran.
+class PipelineAttribution {
+ public:
+  explicit PipelineAttribution(const PhysicalPlan* root)
+      : graph_(BuildPipelines(root)) {
+    for (size_t i = 0; i < graph_.pipelines.size(); ++i) {
+      const Pipeline& p = graph_.pipelines[i];
+      if (p.sink != nullptr) sink_of_[p.sink] = i;
+      stream_of_[p.source] = i;
+      for (const PhysicalPlan* op : p.operators) stream_of_[op] = i;
+    }
+  }
+
+  /// Fold one fragment run at `width`: worker w ran a clone shaped like
+  /// `clone` and filled `slots[w]`; `origins` maps the clone nodes.
+  void AddFragment(const PhysicalPlan* clone, const CloneOrigins& origins,
+                   const std::vector<SlotResult>& slots,
+                   const std::vector<uint8_t>& skip, size_t width) {
+    auto origin = [&](const PhysicalPlan* node) -> const PhysicalPlan* {
+      auto it = origins.find(node);
+      return it == origins.end() ? nullptr : it->second;
+    };
+    struct Target {
+      size_t global = 0;
+      bool starts = false;  // the clone pipeline reads the original source
+      bool sinks = false;   // ...and fills its sink
+    };
+    std::map<int, Target> targets;  // by clone pipeline id
+    for (const Pipeline& p : BuildPipelines(clone).pipelines) {
+      const PhysicalPlan* last =
+          p.operators.empty() ? p.source : p.operators.back();
+      const auto& index = p.sink != nullptr ? sink_of_ : stream_of_;
+      auto it = index.find(origin(p.sink != nullptr ? p.sink : last));
+      if (it == index.end()) continue;
+      const Pipeline& g = graph_.pipelines[it->second];
+      targets[p.id] = {it->second, origin(p.source) == g.source,
+                       p.sink != nullptr};
+    }
+    std::map<size_t, double> slowest;  // global pipeline -> seconds
+    for (size_t w = 0; w < slots.size(); ++w) {
+      if (skip[w]) continue;
+      std::map<size_t, double> seconds;
+      for (const PipelineTiming& t : slots[w].profile.timings) {
+        auto it = targets.find(t.pipeline_id);
+        if (it == targets.end()) continue;
+        const Target& target = it->second;
+        PipelineTiming& g = timings_[target.global];
+        if (target.starts) g.source_rows += t.source_rows;
+        if (target.sinks) g.output_rows += t.output_rows;
+        seconds[target.global] += t.seconds;
+      }
+      for (const auto& [global, s] : seconds) {
+        slowest[global] = std::max(slowest[global], s);
+      }
+    }
+    for (const auto& [global, s] : slowest) {
+      PipelineTiming& g = timings_[global];
+      g.pipeline_id = graph_.pipelines[global].id;
+      g.seconds += s;
+      g.width = std::max(g.width, static_cast<int>(width));
+    }
+  }
+
+  /// The timings in pipeline order; the result pipeline's output is the
+  /// `result_rows` the run returned.
+  std::vector<PipelineTiming> Timings(size_t result_rows) const {
+    std::vector<PipelineTiming> out;
+    for (const auto& [global, timing] : timings_) {
+      out.push_back(timing);
+      if (graph_.pipelines[global].sink == nullptr) {
+        out.back().output_rows = static_cast<double>(result_rows);
+      }
+    }
+    return out;
+  }
+
+ private:
+  PipelineGraph graph_;
+  std::map<const PhysicalPlan*, size_t> sink_of_;    // breaker -> pipeline
+  std::map<const PhysicalPlan*, size_t> stream_of_;  // source/operator -> "
+  std::map<size_t, PipelineTiming> timings_;  // by index in graph_
+};
 
 /// Per-call execution context of ShardedEngine::Execute: the width, the
 /// exchange transport, the clocks and the counters one call mutates. It
@@ -581,6 +676,7 @@ class Call {
         active_(std::max<size_t>(1, width)),
         held_(active_),
         cuts_remaining_(CountCuts(root)),
+        pipelines_(root),
         exec_start_(NowSeconds()),
         segment_start_(exec_start_) {
     profile_->exchange.transport = transport_->kind();
@@ -590,12 +686,14 @@ class Call {
 
   Result<Shards> RunNode(const PhysicalPlan* node);
 
-  /// Close the books at the end of a successful run: the last width
-  /// segment, the wall time, and the transport's counters.
-  void Finish() {
+  /// Close the books at the end of a successful run that returned
+  /// `result_rows`: the last width segment, the wall time, the pipeline
+  /// timings and the transport's counters.
+  void Finish(size_t result_rows) {
     const double end = NowSeconds();
     CloseUsageSegment(end);
     profile_->usage.wall_seconds = end - exec_start_;
+    profile_->timings = pipelines_.Timings(result_rows);
     profile_->exchange.transport_stats = transport_->stats();
   }
 
@@ -640,6 +738,7 @@ class Call {
   size_t active_;  // current execution width
   size_t held_;    // widest width this call has held (spin-up ledger)
   size_t cuts_remaining_;
+  PipelineAttribution pipelines_;
   int boundary_index_ = 0;
   double exec_start_;
   double segment_start_;  // start of the current constant-width span
@@ -946,9 +1045,11 @@ Result<Shards> Call::RunFragment(const PhysicalPlan* frag_root) {
   const size_t dop = single ? 1 : width;
   std::vector<PhysicalPlanPtr> plans(dop);
   std::vector<uint8_t> skip(dop, 0);
+  CloneOrigins origins;
   for (size_t w = 0; w < dop; ++w) {
     double rows_in = 0.0;
-    plans[w] = CloneForWorker(frag_root, w, width, single, inputs, &rows_in);
+    plans[w] = CloneForWorker(frag_root, w, width, single, inputs, &rows_in,
+                              &origins);
     // A worker with no input contributes nothing — skipping it (rather
     // than running the engine on zero rows) keeps empty shards from
     // fabricating global-aggregate zero rows; the single-worker finalize
@@ -985,6 +1086,7 @@ Result<Shards> Call::RunFragment(const PhysicalPlan* frag_root) {
     profile_->fused.MergeFrom(slots[w].profile.fused);
     profile_->storage.MergeFrom(slots[w].profile.storage);
   }
+  pipelines_.AddFragment(plans[0].get(), origins, slots, skip, dop);
   return out;
 }
 
@@ -1038,7 +1140,7 @@ Result<QueryResult> ShardedEngine::Execute(const PhysicalPlan* root,
   COSTDB_ASSIGN_OR_RETURN(shards, call.RunNode(root));
   DataChunk chunk = MergeShards(&shards, root->output_types);
   TruncateChunk(&chunk, RootLimit(root));
-  call.Finish();
+  call.Finish(chunk.num_rows());
 
   QueryResult result;
   result.names = root->output_names;

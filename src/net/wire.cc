@@ -131,6 +131,9 @@ Result<DataChunk> DecodeChunk(const char* data, size_t size) {
         break;
       }
       case PhysicalType::kString: {
+        // Every string carries a 4-byte length, so the page bounds the row
+        // count before anything is reserved or looped over.
+        if (rows > payload_size / 4) return Corrupt("payload size mismatch");
         ByteCursor sc{payload, payload_size, 0, true};
         col.strings().reserve(rows);
         for (uint64_t r = 0; r < rows; ++r) {

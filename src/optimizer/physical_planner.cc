@@ -398,6 +398,10 @@ Result<PhysicalPlanPtr> PhysicalPlanner::Lower(
       PhysicalPlanPtr child;
       COSTDB_ASSIGN_OR_RETURN(child, Lower(node->children[0]));
       p->limit = node->limit;
+      // A sort directly below keeps only the rows this limit passes: it
+      // becomes a top-N sort. The limit node stays; it also truncates the
+      // gathered result of a sharded run.
+      if (child->kind == PhysicalPlan::Kind::kSort) child->limit = p->limit;
       p->output_names = child->output_names;
       p->output_types = child->output_types;
       p->est_row_bytes = child->est_row_bytes;

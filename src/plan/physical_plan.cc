@@ -78,6 +78,9 @@ std::string PhysicalPlan::ToString(int indent) const {
     case Kind::kLimit:
       out += " " + std::to_string(limit);
       break;
+    case Kind::kSort:
+      if (limit >= 0) out += " top " + std::to_string(limit);
+      break;
     default:
       break;
   }

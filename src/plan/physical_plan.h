@@ -90,7 +90,9 @@ struct PhysicalPlan {
   // kSort
   std::vector<BoundOrderItem> sort_keys;
 
-  // kLimit
+  // kLimit: rows to pass (-1 = all). kSort: the top-N bound of a LIMIT
+  // directly above the sort, which then keeps only its first `limit` rows
+  // (-1 = full sort).
   int64_t limit = -1;
 
   // kExchange

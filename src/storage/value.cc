@@ -17,7 +17,12 @@ bool Value::operator<(const Value& other) const {
   int fb = FamilyRank(other);
   if (fa != fb) return fa < fb;
   if (fa == 0) return false;  // NULL == NULL for ordering
-  if (fa == 1) return AsDouble() < other.AsDouble();
+  if (fa == 1) {
+    // Two int64s compare exactly: through double, distinct values above
+    // 2^53 would tie and the ordering would stop being strict-weak.
+    if (is_int() && other.is_int()) return AsInt() < other.AsInt();
+    return AsDouble() < other.AsDouble();
+  }
   return AsString() < other.AsString();
 }
 

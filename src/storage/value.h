@@ -32,7 +32,8 @@ class Value {
   }
   const std::string& AsString() const { return std::get<std::string>(v_); }
 
-  /// Numeric values compare numerically across int/double; strings compare
+  /// Numeric values compare numerically across int/double (two int64s
+  /// exactly, an int against a double through double); strings compare
   /// lexicographically; NULL sorts first. Cross-family comparisons order by
   /// family index (stable but arbitrary), mirroring what the engine needs
   /// for sorting mixed zone-map keys.

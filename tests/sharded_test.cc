@@ -515,6 +515,139 @@ TEST_F(ShardedTest, SortLimitAndEmptyResultsAcrossWorkers) {
       "GROUP BY cust");
 }
 
+TEST_F(ShardedTest, TopNReturnsTheFirstRowsOfTheFullSortOnEveryTier) {
+  // Int, double and string keys with ties and NULLs over ten row groups.
+  auto keys = std::make_shared<Table>(
+      "keys", std::vector<ColumnDef>{{"id", LogicalType::kInt64},
+                                     {"i", LogicalType::kInt64},
+                                     {"d", LogicalType::kDouble},
+                                     {"s", LogicalType::kVarchar}},
+      32);
+  DataChunk kc({LogicalType::kInt64, LogicalType::kInt64,
+                LogicalType::kDouble, LogicalType::kVarchar});
+  const char* words[] = {"pear", "apple", "fig", "", "kiwi"};
+  for (int64_t id = 0; id < 300; ++id) {
+    kc.AppendRow(
+        {Value(id), id % 11 == 0 ? Value() : Value((id * 7) % 13),
+         id % 7 == 3 ? Value() : Value(0.5 * static_cast<double>(id * 5 % 9)),
+         id % 13 == 5 ? Value() : Value(std::string(words[id * 3 % 5]))});
+  }
+  keys->Append(kc);
+  plain_->meta()->RegisterTable(keys);
+  plain_->meta()->AnalyzeAll();
+
+  const std::string queries[] = {
+      "SELECT id, i FROM keys ORDER BY i",
+      "SELECT id, d FROM keys ORDER BY d DESC",
+      "SELECT s, id FROM keys ORDER BY s",
+      "SELECT id, s, i, d FROM keys ORDER BY s DESC, i, d DESC",
+      "SELECT d, i, id FROM keys WHERE id > 40 ORDER BY i DESC, d",
+  };
+  LocalEngine local(4);
+  for (const std::string& sql : queries) {
+    auto full_plan = plain_->PlanSql(sql, UserConstraint());
+    ASSERT_TRUE(full_plan.ok()) << sql << ": "
+                                << full_plan.status().ToString();
+    auto full = local.Execute(full_plan->plan.get());
+    ASSERT_TRUE(full.ok()) << sql << ": " << full.status().ToString();
+    const size_t n = full->chunk.num_rows();
+    ASSERT_GT(n, 8u) << sql;
+    for (size_t k : {size_t{0}, size_t{1}, size_t{7}, n - 1, n, n + 5}) {
+      const std::string limited = sql + " LIMIT " + std::to_string(k);
+      auto planned = plain_->PlanSql(limited, UserConstraint());
+      ASSERT_TRUE(planned.ok()) << limited << ": "
+                                << planned.status().ToString();
+      // The planner made the sort below the LIMIT a top-N sort.
+      const PhysicalPlan* sort = planned->plan.get();
+      while (sort->kind != PhysicalPlan::Kind::kSort &&
+             !sort->children.empty()) {
+        sort = sort->children[0].get();
+      }
+      ASSERT_EQ(sort->kind, PhysicalPlan::Kind::kSort) << limited;
+      EXPECT_EQ(sort->limit, static_cast<int64_t>(k)) << limited;
+
+      DataChunk expected(full->chunk.Types());
+      expected.AppendRange(full->chunk, 0, std::min(k, n));
+      auto got = local.Execute(planned->plan.get());
+      ASSERT_TRUE(got.ok()) << limited << ": " << got.status().ToString();
+      std::string why;
+      EXPECT_TRUE(ChunksBitIdentical(expected, got->chunk, &why))
+          << limited << " on LocalEngine: " << why;
+      for (TransportKind transport :
+           {TransportKind::kInProcess, TransportKind::kSocket}) {
+        ShardedEngineOptions options;
+        options.transport = transport;
+        ShardedEngine sharded(options);
+        for (size_t workers : {1u, 2u, 4u, 7u}) {
+          auto r = sharded.Execute(planned->plan.get(), workers);
+          ASSERT_TRUE(r.ok()) << limited << " @" << workers << ": "
+                              << r.status().ToString();
+          EXPECT_TRUE(ChunksBitIdentical(expected, r->chunk, &why))
+              << limited << " @" << workers << " "
+              << TransportName(transport) << ": " << why;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ShardedTest, Int64OrderIsExactAboveTwoToThe53) {
+  // Values above 2^53 that doubles cannot tell apart, two per row group:
+  // MIN/MAX merge them across morsels and workers, and sorts compare
+  // them, exactly.
+  const int64_t big = int64_t{1} << 53;
+  auto wide = std::make_shared<Table>(
+      "wide", std::vector<ColumnDef>{{"off", LogicalType::kInt64},
+                                     {"x", LogicalType::kInt64}},
+      2);
+  DataChunk wc({LogicalType::kInt64, LogicalType::kInt64});
+  const int64_t offsets[] = {1, 3, 0, 2};
+  for (int64_t off : offsets) wc.AppendRow({Value(off), Value(big + off)});
+  wide->Append(wc);
+  plain_->meta()->RegisterTable(wide);
+  plain_->meta()->AnalyzeAll();
+
+  struct Case {
+    std::string sql;
+    std::vector<std::vector<int64_t>> rows;
+  };
+  const Case cases[] = {
+      {"SELECT min(x) AS lo, max(x) AS hi FROM wide", {{big, big + 3}}},
+      {"SELECT off, x FROM wide ORDER BY x",
+       {{0, big}, {1, big + 1}, {2, big + 2}, {3, big + 3}}},
+      {"SELECT off, x FROM wide ORDER BY x DESC",
+       {{3, big + 3}, {2, big + 2}, {1, big + 1}, {0, big}}},
+      {"SELECT off, x FROM wide ORDER BY x DESC LIMIT 3",
+       {{3, big + 3}, {2, big + 2}, {1, big + 1}}},
+  };
+  auto expect_rows = [](const Case& c, const DataChunk& chunk,
+                        const std::string& where) {
+    ASSERT_EQ(chunk.num_rows(), c.rows.size()) << c.sql << where;
+    for (size_t r = 0; r < c.rows.size(); ++r) {
+      for (size_t col = 0; col < c.rows[r].size(); ++col) {
+        EXPECT_EQ(chunk.column(col).GetInt(r), c.rows[r][col])
+            << c.sql << where << " row " << r << " column " << col;
+      }
+    }
+  };
+  LocalEngine local(4);
+  ShardedEngine sharded;
+  for (const Case& c : cases) {
+    auto planned = plain_->PlanSql(c.sql, UserConstraint());
+    ASSERT_TRUE(planned.ok()) << c.sql << ": "
+                              << planned.status().ToString();
+    auto got = local.Execute(planned->plan.get());
+    ASSERT_TRUE(got.ok()) << c.sql << ": " << got.status().ToString();
+    expect_rows(c, got->chunk, " on LocalEngine");
+    for (size_t workers : {1u, 2u, 4u, 7u}) {
+      auto r = sharded.Execute(planned->plan.get(), workers);
+      ASSERT_TRUE(r.ok()) << c.sql << " @" << workers << ": "
+                          << r.status().ToString();
+      expect_rows(c, r->chunk, " @" + std::to_string(workers));
+    }
+  }
+}
+
 TEST_F(ShardedTest, RandomizedQueriesBitIdenticalAcrossWorkers) {
   // Property sweep: randomized filters, group keys, and join shapes on all
   // three catalogs must agree with LocalEngine bit-for-bit at 1/2/4/7
@@ -760,6 +893,60 @@ TEST_F(ShardedTest, ShuffleCalibrationTightensWithObservations) {
   EXPECT_LE(last.q_error_after, last.q_error_before * 1.0001);
   EXPECT_NE(db.hardware()->shuffle_gibps, gibps_before);
   EXPECT_NE(db.calibration().drift(TermGroup::kShuffle), 1.0);
+}
+
+TEST_F(ShardedTest, ShardedRunsTimeEveryPipelineOfThePlan) {
+  DatabaseOptions opts;
+  opts.enable_calibration = true;
+  Database db(opts);
+  auto orders = *plain_->meta()->GetTable("orders");
+  db.meta()->RegisterTable(orders);
+  db.meta()->RegisterTable(*plain_->meta()->GetTable("customer"));
+  db.meta()->AnalyzeAll();
+
+  const std::string queries[] = {
+      "SELECT c.region, sum(o.id) AS s FROM orders o JOIN customer c "
+      "ON o.cust = c.key GROUP BY c.region",
+      "SELECT id, amount FROM orders WHERE amount > 990.0 ORDER BY id DESC "
+      "LIMIT 50",
+  };
+  for (const std::string& sql : queries) {
+    double orders_scanned = -1.0;  // by the local run
+    for (int workers : {1, 4}) {
+      auto r = db.ExecuteSql(sql, UserConstraint().WithWorkers(workers));
+      ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+      ASSERT_EQ(r->workers, static_cast<size_t>(workers)) << sql;
+      // Exactly one timing per pipeline of the plan, in the plan's ids
+      // and order, at a width the run held.
+      const std::vector<Pipeline>& pipelines = r->plan->pipelines.pipelines;
+      ASSERT_EQ(r->timings.size(), pipelines.size())
+          << sql << " @" << workers;
+      int widest = 0;
+      for (size_t i = 0; i < pipelines.size(); ++i) {
+        const PipelineTiming& t = r->timings[i];
+        EXPECT_EQ(t.pipeline_id, pipelines[i].id) << sql << " @" << workers;
+        EXPECT_GE(t.seconds, 0.0);
+        EXPECT_GE(t.width, 1);
+        EXPECT_LE(t.width, workers);
+        widest = std::max(widest, t.width);
+        // The sharded scan of orders reads what the local one read,
+        // summed over the workers that shared it.
+        const Pipeline& p = pipelines[i];
+        if (!p.source_is_breaker && p.source->table == orders) {
+          if (orders_scanned < 0.0) orders_scanned = t.source_rows;
+          EXPECT_EQ(t.source_rows, orders_scanned) << sql << " @" << workers;
+          EXPECT_GT(t.source_rows, 0.0);
+        }
+        if (p.sink == nullptr) {
+          EXPECT_EQ(t.output_rows,
+                    static_cast<double>(r->result.chunk.num_rows()))
+              << sql << " @" << workers;
+        }
+      }
+      EXPECT_EQ(widest, workers) << sql;
+      EXPECT_GT(r->calibration[TermGroup::kPipelines].observed, 0) << sql;
+    }
+  }
 }
 
 TEST_F(ShardedTest, BitIdenticalAcrossTransportsAndWorkerModes) {

@@ -13,6 +13,7 @@
 #include "catalog/catalog.h"
 #include "cloud/object_store.h"
 #include "exec/engine.h"
+#include "mutation_testing.h"
 #include "optimizer/optimizer.h"
 #include "service/database.h"
 #include "service/session.h"
@@ -60,6 +61,11 @@ TEST(ValueTest, ComparisonAcrossNumericFamilies) {
   EXPECT_TRUE(Value(std::string("a")) < Value(std::string("b")));
   EXPECT_TRUE(Value::Null() < Value(int64_t{0}));  // NULL sorts first
   EXPECT_FALSE(Value(int64_t{1}) == Value(std::string("1")));
+  // Two int64s compare exactly, also where doubles cannot tell them apart.
+  const int64_t big = int64_t{1} << 53;
+  EXPECT_TRUE(Value(big) < Value(big + 1));
+  EXPECT_FALSE(Value(big + 1) < Value(big));
+  EXPECT_TRUE(Value(-big - 1) < Value(-big));
 }
 
 TEST(ValueTest, ToString) {
@@ -650,37 +656,6 @@ TEST(BlockFormatTest, PackedPageHeadersAreCheckedBeforeUnpacking) {
 }
 
 // ------------------------------------------------ block decoder mutations
-
-/// SplitMix64: a fixed-seed generator, so every run applies the same
-/// mutations.
-struct Mutator {
-  uint64_t state;
-  uint64_t Next() {
-    uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-  }
-  size_t Below(size_t n) { return n == 0 ? 0 : Next() % n; }
-  /// An edge value for a field that holds `old`.
-  uint64_t Edge(uint64_t old) {
-    const uint64_t edges[] = {0,
-                              1,
-                              old + 1,
-                              old - 1,
-                              old * 2,
-                              old + 8,
-                              0xFFu,
-                              0xFFFFFFFFu,
-                              uint64_t{1} << 32,
-                              (uint64_t{1} << 61) + 16,
-                              uint64_t{1} << 63,
-                              ~uint64_t{0} - 7,
-                              ~uint64_t{0},
-                              Next()};
-    return edges[Below(sizeof(edges) / sizeof(edges[0]))];
-  }
-};
 
 TEST(BlockDecoderMutationTest, SeededMutationsNeverCrashOrLie) {
   // Blocks covering every page encoding and NULLs, plus the edge sizes.
