@@ -5,12 +5,12 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
-#include <unordered_map>
 
-#include "catalog/hll.h"
 #include "common/annotated_mutex.h"
 #include "exec/evaluator.h"
+#include "exec/hash_table.h"
 #include "storage/persistent.h"
 #include "storage/table.h"
 
@@ -19,61 +19,6 @@ namespace costdb {
 namespace {
 
 constexpr size_t kMorselRows = 4096;
-
-/// Running state of one aggregate function for one group.
-struct AggState {
-  int64_t count = 0;
-  int64_t isum = 0;
-  double dsum = 0.0;
-  Value min;
-  Value max;
-  bool has_value = false;
-};
-
-/// Commutative merge of two partial aggregate states (morsel-local partials
-/// are merged in morsel order, so results are deterministic for any thread
-/// count).
-void MergeAggState(AggState* into, const AggState& from) {
-  into->count += from.count;
-  into->isum += from.isum;
-  into->dsum += from.dsum;
-  if (from.has_value) {
-    if (!into->has_value) {
-      into->min = from.min;
-      into->max = from.max;
-      into->has_value = true;
-    } else {
-      if (from.min < into->min) into->min = from.min;
-      if (into->max < from.max) into->max = from.max;
-    }
-  }
-}
-
-struct GroupState {
-  std::vector<Value> group_values;
-  std::vector<AggState> aggs;
-};
-
-bool KeysEqual(const std::vector<ColumnVector>& a, size_t ra,
-               const std::vector<ColumnVector>& b, size_t rb) {
-  for (size_t k = 0; k < a.size(); ++k) {
-    if (a[k].IsNull(ra) || b[k].IsNull(rb)) return false;  // NULL joins nothing
-    const bool a_str = a[k].physical_type() == PhysicalType::kString;
-    const bool b_str = b[k].physical_type() == PhysicalType::kString;
-    if (a_str != b_str) return false;
-    if (a_str) {
-      if (a[k].GetString(ra) != b[k].GetString(rb)) return false;
-      continue;
-    }
-    auto num = [](const ColumnVector& v, size_t i) {
-      return v.physical_type() == PhysicalType::kDouble
-                 ? v.GetDouble(i)
-                 : static_cast<double>(v.GetInt(i));
-    };
-    if (num(a[k], ra) != num(b[k], rb)) return false;
-  }
-  return true;
-}
 
 /// One column's contribution to the serialized row key (see
 /// EncodeRowKeyInto in engine.h for the format contract).
@@ -112,43 +57,272 @@ void EncodeKeyColumn(const ColumnVector& g, size_t row, std::string* key) {
   *key += '\x01';
 }
 
-/// Morsel-local partial aggregation: group index + one state per group.
-/// Merged into the global (ordered) table in morsel order after the
-/// parallel loop, so no lock is held on the per-row path and results are
-/// deterministic; the partial itself can stay unordered — per-key merge
-/// order is slot order either way.
-struct SlotAggPartial {
-  std::unordered_map<std::string, GroupState> groups;
-  size_t rows_folded = 0;
+bool IsMinMax(AggFunc f) { return f == AggFunc::kMin || f == AggFunc::kMax; }
+
+/// Running states of one aggregate, one entry per group id: COUNT keeps
+/// `count`; SUM and AVG `count`, `isum` and `dsum`; MIN and MAX
+/// `has_value` and the bounds, typed like their input.
+struct AggStates {
+  AggFunc func = AggFunc::kCountStar;
+  std::vector<int64_t> count;
+  std::vector<int64_t> isum;
+  std::vector<double> dsum;
+  std::vector<uint8_t> has_value;
+  ColumnVector min;
+  ColumnVector max;
+
+  void Resize(size_t groups) {
+    if (!IsMinMax(func)) {
+      count.resize(groups);
+      if (func == AggFunc::kSum || func == AggFunc::kAvg) {
+        isum.resize(groups);
+        dsum.resize(groups);
+      }
+      return;
+    }
+    has_value.resize(groups);
+    for (ColumnVector* v : {&min, &max}) {
+      switch (v->physical_type()) {
+        case PhysicalType::kInt64:
+          v->ints().resize(groups);
+          break;
+        case PhysicalType::kDouble:
+          v->doubles().resize(groups);
+          break;
+        case PhysicalType::kString:
+          v->strings().resize(groups);
+          break;
+      }
+    }
+  }
 };
 
-/// Column-at-a-time fold of one morsel's chunk into `partial`.
+/// Widen group `g`'s bounds by [lo, hi]. The first bounds seed it; later
+/// ones replace a bound only when strictly beyond it, in Value::operator<'s
+/// order, so a NaN seen first stays and the first of two equal zeros
+/// stays.
+template <typename T>
+void FoldBounds(const T& lo, const T& hi, size_t g, std::vector<T>* mins,
+                std::vector<T>* maxs, uint8_t* has_value) {
+  if (!*has_value) {
+    (*mins)[g] = lo;
+    (*maxs)[g] = hi;
+    *has_value = 1;
+    return;
+  }
+  if (lo < (*mins)[g]) (*mins)[g] = lo;
+  if ((*maxs)[g] < hi) (*maxs)[g] = hi;
+}
+
+/// MIN/MAX sweep: row r of `in` folds into group row_group[r], or into
+/// group 0 when `row_group` is null.
+template <typename T>
+void FoldExtrema(const ColumnVector& in, const std::vector<T>& vals,
+                 const uint32_t* row_group, std::vector<T>* mins,
+                 std::vector<T>* maxs, std::vector<uint8_t>* has_value) {
+  const size_t rows = vals.size();
+  if (row_group == nullptr) {
+    // One group: find its extreme rows by the same rule, then fold once.
+    size_t lo = rows;
+    size_t hi = rows;
+    for (size_t r = 0; r < rows; ++r) {
+      if (in.IsNull(r)) continue;
+      if (lo == rows) {
+        lo = hi = r;
+        continue;
+      }
+      if (vals[r] < vals[lo]) lo = r;
+      if (vals[hi] < vals[r]) hi = r;
+    }
+    if (lo < rows) {
+      FoldBounds(vals[lo], vals[hi], 0, mins, maxs, &(*has_value)[0]);
+    }
+    return;
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    if (in.IsNull(r)) continue;
+    const uint32_t g = row_group[r];
+    FoldBounds(vals[r], vals[r], g, mins, maxs, &(*has_value)[g]);
+  }
+}
+
+Status FoldExtrema(const ColumnVector& in, const uint32_t* row_group,
+                   AggStates* st) {
+  if (in.physical_type() != st->min.physical_type()) {
+    return Status::Internal("MIN/MAX input changed type");
+  }
+  switch (in.physical_type()) {
+    case PhysicalType::kInt64:
+      FoldExtrema(in, in.ints(), row_group, &st->min.ints(), &st->max.ints(),
+                  &st->has_value);
+      break;
+    case PhysicalType::kDouble:
+      FoldExtrema(in, in.doubles(), row_group, &st->min.doubles(),
+                  &st->max.doubles(), &st->has_value);
+      break;
+    case PhysicalType::kString:
+      FoldExtrema(in, in.strings(), row_group, &st->min.strings(),
+                  &st->max.strings(), &st->has_value);
+      break;
+  }
+  return Status::OK();
+}
+
+/// Folds group `src` of `from` into group `dst` of `into`; `seed` when
+/// `from` is the first partial that holds the group.
+void MergeStates(const AggStates& from, uint32_t src, bool seed,
+                 AggStates* into, uint32_t dst) {
+  if (!IsMinMax(from.func)) {
+    into->count[dst] += from.count[src];
+    if (from.isum.empty()) return;
+    into->isum[dst] += from.isum[src];
+    // The seed's sum is copied bit for bit: adding it to the new group's
+    // zero would turn a -0.0 into 0.0.
+    into->dsum[dst] = seed ? from.dsum[src] : into->dsum[dst] + from.dsum[src];
+    return;
+  }
+  if (!from.has_value[src]) return;
+  uint8_t* has_value = &into->has_value[dst];
+  switch (into->min.physical_type()) {
+    case PhysicalType::kInt64:
+      FoldBounds(from.min.ints()[src], from.max.ints()[src], dst,
+                 &into->min.ints(), &into->max.ints(), has_value);
+      break;
+    case PhysicalType::kDouble:
+      FoldBounds(from.min.doubles()[src], from.max.doubles()[src], dst,
+                 &into->min.doubles(), &into->max.doubles(), has_value);
+      break;
+    case PhysicalType::kString:
+      FoldBounds(from.min.strings()[src], from.max.strings()[src], dst,
+                 &into->min.strings(), &into->max.strings(), has_value);
+      break;
+  }
+}
+
+/// Morsel-local partial aggregation, and the table the partials merge into
+/// after the parallel loop: dense group ids plus typed per-aggregate
+/// states. No lock is held on the per-row path.
+struct AggPartial {
+  GroupTable groups;
+  std::vector<AggStates> aggs;
+  size_t rows_folded = 0;
+
+  /// Size the aggregate states on first use; MIN/MAX bounds take the type
+  /// of their input, `input_types[a]`.
+  void Init(const PhysicalPlan* sink,
+            const std::vector<LogicalType>& input_types) {
+    if (!aggs.empty() || sink->aggregates.empty()) return;
+    aggs.resize(sink->aggregates.size());
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      aggs[a].func = sink->aggregates[a]->agg;
+      if (IsMinMax(aggs[a].func)) {
+        aggs[a].min = ColumnVector(input_types[a]);
+        aggs[a].max = ColumnVector(input_types[a]);
+      }
+    }
+  }
+
+  /// The one group of an aggregate without GROUP BY.
+  uint32_t GlobalGroup() {
+    const uint32_t g = groups.FindOrAdd({}, 0, 0);
+    for (auto& st : aggs) st.Resize(groups.size());
+    return g;
+  }
+
+  /// Merge a later morsel's partial (morsel order keeps every double sum
+  /// in one fixed order). The first partial that holds a group seeds it.
+  Status MergeFrom(AggPartial&& from) {
+    rows_folded += from.rows_folded;
+    if (from.groups.size() == 0) return Status::OK();
+    if (groups.size() == 0) {
+      const size_t rows = rows_folded;
+      *this = std::move(from);
+      rows_folded = rows;
+      return Status::OK();
+    }
+    for (size_t k = 0; k < groups.keys().size(); ++k) {
+      if (groups.keys()[k].physical_type() !=
+          from.groups.keys()[k].physical_type()) {
+        return Status::Internal("group key changed type");
+      }
+    }
+    for (size_t a = 0; a < aggs.size(); ++a) {
+      if (aggs[a].min.physical_type() != from.aggs[a].min.physical_type()) {
+        return Status::Internal("MIN/MAX input changed type");
+      }
+    }
+    for (uint32_t g = 0; g < from.groups.size(); ++g) {
+      const uint32_t before = groups.size();
+      const uint32_t into =
+          groups.FindOrAdd(from.groups.keys(), g, from.groups.hash(g));
+      const bool seed = into == before;
+      for (size_t a = 0; a < aggs.size(); ++a) {
+        if (seed) aggs[a].Resize(groups.size());
+        MergeStates(from.aggs[a], g, seed, &aggs[a], into);
+      }
+    }
+    return Status::OK();
+  }
+};
+
+/// Fold one morsel's state from the fused filter→aggregate fold, which
+/// reports its MIN/MAX bounds boxed, into group `g` of a fresh partial.
+void FoldFusedState(const FusedAggState& fs, uint32_t g, AggStates* st) {
+  if (!IsMinMax(st->func)) {
+    st->count[g] += fs.count;
+    if (st->isum.empty()) return;
+    st->isum[g] += fs.isum;
+    st->dsum[g] += fs.dsum;
+    return;
+  }
+  if (!fs.has_value) return;
+  st->has_value[g] = 1;
+  switch (st->min.physical_type()) {
+    case PhysicalType::kInt64:
+      st->min.ints()[g] = fs.min.AsInt();
+      st->max.ints()[g] = fs.max.AsInt();
+      break;
+    case PhysicalType::kDouble:
+      st->min.doubles()[g] = fs.min.AsDouble();
+      st->max.doubles()[g] = fs.max.AsDouble();
+      break;
+    case PhysicalType::kString:
+      st->min.strings()[g] = fs.min.AsString();
+      st->max.strings()[g] = fs.max.AsString();
+      break;
+  }
+}
+
+std::vector<LogicalType> AggInputTypes(
+    const std::vector<ColumnVector>& agg_inputs) {
+  std::vector<LogicalType> types;
+  types.reserve(agg_inputs.size());
+  for (const auto& in : agg_inputs) types.push_back(in.type());
+  return types;
+}
+
+/// Column-at-a-time fold of one morsel's chunk into `partial`: one pass
+/// maps each row to its group id through the hash table, then one typed
+/// sweep per aggregate folds the rows into the group's states.
 Status FoldChunkIntoGroups(const PhysicalPlan* sink,
                            const std::vector<ColumnVector>& group_vecs,
                            const std::vector<ColumnVector>& agg_inputs,
-                           size_t rows, SlotAggPartial* partial) {
+                           size_t rows, AggPartial* partial) {
   partial->rows_folded += rows;
-  // Pass 1: per-row group lookup (the only row-at-a-time step; the key
-  // buffer is reused so the loop does not allocate once groups repeat).
-  std::vector<GroupState*> row_group(rows);
-  std::string key;
+  partial->Init(sink, AggInputTypes(agg_inputs));
+  std::vector<uint64_t> hashes;
+  kernels::HashRows(group_vecs, std::vector<bool>(group_vecs.size(), false),
+                    rows, &hashes);
+  std::vector<uint32_t> row_group(rows);
   for (size_t r = 0; r < rows; ++r) {
-    EncodeRowKeyInto(group_vecs, r, &key);
-    auto [it, inserted] = partial->groups.try_emplace(key);
-    GroupState& gs = it->second;
-    if (inserted) {  // aggs may stay empty (aggregate-free GROUP BY)
-      gs.aggs.resize(sink->aggregates.size());
-      for (const auto& g : group_vecs) {
-        gs.group_values.push_back(g.GetValue(r));
-      }
-    }
-    row_group[r] = &gs;
+    row_group[r] = partial->groups.FindOrAdd(group_vecs, r, hashes[r]);
   }
-  // Pass 2: one vectorized sweep per aggregate over the typed payloads.
+  for (auto& st : partial->aggs) st.Resize(partial->groups.size());
   for (size_t a = 0; a < sink->aggregates.size(); ++a) {
     const Expr& agg = *sink->aggregates[a];
+    AggStates& st = partial->aggs[a];
     if (agg.agg == AggFunc::kCountStar) {
-      for (size_t r = 0; r < rows; ++r) ++row_group[r]->aggs[a].count;
+      for (size_t r = 0; r < rows; ++r) ++st.count[row_group[r]];
       continue;
     }
     const ColumnVector& in = agg_inputs[a];
@@ -157,7 +331,7 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
         // COUNT(col) counts non-null rows of any type — never touch the
         // typed payload (it may be a string column).
         for (size_t r = 0; r < rows; ++r) {
-          if (!in.IsNull(r)) ++row_group[r]->aggs[a].count;
+          if (!in.IsNull(r)) ++st.count[row_group[r]];
         }
         break;
       case AggFunc::kSum:
@@ -166,37 +340,24 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
           const auto& vals = in.ints();
           for (size_t r = 0; r < rows; ++r) {
             if (in.IsNull(r)) continue;
-            AggState& st = row_group[r]->aggs[a];
-            ++st.count;
-            st.isum += vals[r];
-            st.dsum += static_cast<double>(vals[r]);
+            const uint32_t g = row_group[r];
+            ++st.count[g];
+            st.isum[g] += vals[r];
+            st.dsum[g] += static_cast<double>(vals[r]);
           }
         } else {
           const auto& vals = in.doubles();
           for (size_t r = 0; r < rows; ++r) {
             if (in.IsNull(r)) continue;
-            AggState& st = row_group[r]->aggs[a];
-            ++st.count;
-            st.dsum += vals[r];
+            const uint32_t g = row_group[r];
+            ++st.count[g];
+            st.dsum[g] += vals[r];
           }
         }
         break;
       case AggFunc::kMin:
       case AggFunc::kMax:
-        for (size_t r = 0; r < rows; ++r) {
-          if (in.IsNull(r)) continue;
-          AggState& st = row_group[r]->aggs[a];
-          ++st.count;
-          Value v = in.GetValue(r);
-          if (!st.has_value) {
-            st.min = v;
-            st.max = v;
-            st.has_value = true;
-          } else {
-            if (v < st.min) st.min = v;
-            if (st.max < v) st.max = v;
-          }
-        }
+        COSTDB_RETURN_NOT_OK(FoldExtrema(in, row_group.data(), &st));
         break;
       default:
         return Status::Internal("unexpected aggregate function");
@@ -205,33 +366,33 @@ Status FoldChunkIntoGroups(const PhysicalPlan* sink,
   return Status::OK();
 }
 
-/// Global-aggregate fast path (no GROUP BY): pure column reductions, no
-/// key encoding at all.
+/// Global-aggregate fast path (no GROUP BY): pure column reductions into
+/// the one group, no hashing at all.
 Status FoldChunkIntoGlobal(const PhysicalPlan* sink,
                            const std::vector<ColumnVector>& agg_inputs,
-                           size_t rows, SlotAggPartial* partial) {
+                           size_t rows, AggPartial* partial) {
   partial->rows_folded += rows;
-  GroupState& gs = partial->groups[std::string()];
-  if (gs.aggs.empty()) gs.aggs.resize(sink->aggregates.size());
+  partial->Init(sink, AggInputTypes(agg_inputs));
+  const uint32_t g = partial->GlobalGroup();
   for (size_t a = 0; a < sink->aggregates.size(); ++a) {
     const Expr& agg = *sink->aggregates[a];
-    AggState& st = gs.aggs[a];
+    AggStates& st = partial->aggs[a];
     if (agg.agg == AggFunc::kCountStar) {
-      st.count += static_cast<int64_t>(rows);
+      st.count[g] += static_cast<int64_t>(rows);
       continue;
     }
     const ColumnVector& in = agg_inputs[a];
     switch (agg.agg) {
       case AggFunc::kCount:
-        st.count += kernels::CountValid(in);  // any type, nulls skipped
+        st.count[g] += kernels::CountValid(in);  // any type, nulls skipped
         break;
       case AggFunc::kSum:
       case AggFunc::kAvg:
-        kernels::Accumulate(in, &st.count, &st.isum, &st.dsum);
+        kernels::Accumulate(in, &st.count[g], &st.isum[g], &st.dsum[g]);
         break;
       case AggFunc::kMin:
       case AggFunc::kMax:
-        kernels::MinMax(in, &st.min, &st.max, &st.has_value);
+        COSTDB_RETURN_NOT_OK(FoldExtrema(in, nullptr, &st));
         break;
       default:
         return Status::Internal("unexpected aggregate function");
@@ -256,6 +417,111 @@ void EncodeChunkKeyInto(const DataChunk& chunk, size_t num_columns, size_t row,
   }
 }
 
+namespace {
+
+Value TypeZero(LogicalType t) {
+  switch (PhysicalTypeOf(t)) {
+    case PhysicalType::kDouble:
+      return Value(0.0);
+    case PhysicalType::kString:
+      return Value(std::string());
+    case PhysicalType::kInt64:
+    default:
+      return Value(int64_t{0});
+  }
+}
+
+/// dst->AppendValue(src.GetValue(row)) without boxing a same-typed cell.
+void AppendCell(const ColumnVector& src, size_t row, ColumnVector* dst) {
+  if (src.IsNull(row)) {
+    dst->AppendNull();
+  } else if (src.physical_type() == dst->physical_type()) {
+    dst->AppendFrom(src, row);
+  } else {
+    dst->AppendValue(src.GetValue(row));
+  }
+}
+
+/// The aggregate sink's output: one row per group, the groups sorted by
+/// their EncodeRowKeyInto bytes, encoded once per group here. Result chunks
+/// stay NULL-free by convention: empty inputs and all-NULL MIN/MAX groups
+/// zero-fill instead of emitting NULL (the engine's consumers index typed
+/// payloads directly).
+Result<DataChunk> EmitGroups(const PhysicalPlan* sink,
+                             const AggPartial& merged) {
+  DataChunk out(sink->output_types);
+  const size_t num_keys = sink->group_by.size();
+  if (out.num_columns() != num_keys + sink->aggregates.size()) {
+    return Status::Internal("aggregate output schema mismatch");
+  }
+  if (merged.rows_folded == 0 && sink->group_by.empty() &&
+      !sink->agg_is_partial) {
+    // Global aggregate over empty input: one row of zeros. A *partial*
+    // aggregate instead emits nothing — its consumer is the final
+    // aggregate, and a fabricated zero from one empty shard would poison
+    // the global MIN/MAX merged across workers.
+    for (size_t a = 0; a < sink->aggregates.size(); ++a) {
+      out.column(a).AppendValue(TypeZero(sink->aggregates[a]->type));
+    }
+    return out;
+  }
+  const uint32_t groups = merged.groups.size();
+  if (groups == 0) return out;
+  std::vector<std::string> encoded(groups);
+  for (uint32_t g = 0; g < groups; ++g) {
+    EncodeRowKeyInto(merged.groups.keys(), g, &encoded[g]);
+  }
+  std::vector<uint32_t> order(groups);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return encoded[a] < encoded[b];
+  });
+  for (size_t k = 0; k < num_keys; ++k) {
+    for (uint32_t g : order) {
+      AppendCell(merged.groups.keys()[k], g, &out.column(k));
+    }
+  }
+  for (size_t a = 0; a < sink->aggregates.size(); ++a) {
+    const Expr& agg = *sink->aggregates[a];
+    const AggStates& st = merged.aggs[a];
+    ColumnVector& col = out.column(num_keys + a);
+    for (uint32_t g : order) {
+      switch (agg.agg) {
+        case AggFunc::kCountStar:
+        case AggFunc::kCount:
+          col.AppendValue(Value(st.count[g]));
+          break;
+        case AggFunc::kSum:
+          col.AppendValue(agg.type == LogicalType::kInt64 ? Value(st.isum[g])
+                                                          : Value(st.dsum[g]));
+          break;
+        case AggFunc::kAvg: {
+          const double n = static_cast<double>(st.count[g]);
+          col.AppendValue(Value(st.count[g] == 0 ? 0.0 : st.dsum[g] / n));
+          break;
+        }
+        case AggFunc::kMin:
+        case AggFunc::kMax:
+          // Value-less MIN/MAX: the NULL-free result convention zero-fills
+          // — except in a partial, whose consumer (the final aggregate)
+          // skips NULL inputs, so NULL is the only emission that cannot
+          // corrupt the merged extremum.
+          if (st.has_value[g]) {
+            AppendCell(agg.agg == AggFunc::kMin ? st.min : st.max, g, &col);
+          } else if (sink->agg_is_partial) {
+            col.AppendNull();
+          } else {
+            col.AppendValue(TypeZero(agg.type));
+          }
+          break;
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 std::string QueryResult::ToString(int64_t limit) const {
   std::string out;
   for (size_t i = 0; i < names.size(); ++i) {
@@ -271,8 +537,7 @@ std::string QueryResult::ToString(int64_t limit) const {
 struct LocalEngine::BreakerState {
   // Join build.
   DataChunk build_data;
-  std::vector<ColumnVector> build_key_vectors;
-  std::unordered_multimap<uint64_t, uint32_t> build_index;
+  JoinTable build_table;
   std::vector<bool> keys_as_double;
   // Aggregate / sort output.
   DataChunk materialized;
@@ -370,21 +635,7 @@ struct MorselProcessor {
                       &hashes);
     SelectionVector probe_sel;
     std::vector<uint32_t> build_sel;
-    const size_t probe_rows = chunk->num_rows();
-    for (uint32_t r = 0; r < probe_rows; ++r) {
-      // SQL three-valued logic: a NULL probe key matches nothing. Skip
-      // before the lookup — NULL keys share one hash tag, so probing
-      // would walk the whole NULL chain just for KeysEqual to reject it.
-      if (kernels::AnyKeyNull(probe_keys, r)) continue;
-      auto range = bs.build_index.equal_range(hashes[r]);
-      for (auto m = range.first; m != range.second; ++m) {
-        if (!KeysEqual(probe_keys, r, bs.build_key_vectors, m->second)) {
-          continue;
-        }
-        probe_sel.push_back(r);
-        build_sel.push_back(m->second);
-      }
-    }
+    bs.build_table.Probe(probe_keys, hashes, &probe_sel, &build_sel);
     DataChunk out(join->output_types);
     const size_t probe_cols = chunk->num_columns();
     for (size_t c = 0; c < probe_cols; ++c) {
@@ -423,18 +674,7 @@ struct MorselProcessor {
     kernels::HashRows(probe_keys, bs.keys_as_double, sel.size(), &hashes);
     SelectionVector probe_sel;  // indices into the survivor domain
     std::vector<uint32_t> build_sel;
-    const size_t probe_rows = sel.size();
-    for (uint32_t r = 0; r < probe_rows; ++r) {
-      if (kernels::AnyKeyNull(probe_keys, r)) continue;
-      auto range = bs.build_index.equal_range(hashes[r]);
-      for (auto m = range.first; m != range.second; ++m) {
-        if (!KeysEqual(probe_keys, r, bs.build_key_vectors, m->second)) {
-          continue;
-        }
-        probe_sel.push_back(r);
-        build_sel.push_back(m->second);
-      }
-    }
+    bs.build_table.Probe(probe_keys, hashes, &probe_sel, &build_sel);
     // Translate survivor-domain matches back to absolute view rows.
     SelectionVector abs_sel(probe_sel.size());
     for (size_t k = 0; k < probe_sel.size(); ++k) {
@@ -593,7 +833,7 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   // ---- 2. Process morsels in parallel, collecting per-slot outputs ----
   std::vector<DataChunk> slot_outputs(morsels.size());
   std::vector<Status> slot_status(morsels.size());
-  std::vector<SlotAggPartial> slot_aggs;  // aggregate sink partials
+  std::vector<AggPartial> slot_aggs;  // aggregate sink partials
 
   MorselProcessor processor{&pipeline, ctx, &ctx->breakers};
   const PhysicalPlan* sink = pipeline.sink;
@@ -749,21 +989,19 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
           ++fstats.fused_agg_morsels;
           fstats.fused_rows += view_rows;
           if (*survivors > 0) {
-            SlotAggPartial& partial = slot_aggs[slot];
+            AggPartial& partial = slot_aggs[slot];
             partial.rows_folded += *survivors;
-            GroupState& gs = partial.groups[std::string()];
-            gs.aggs.resize(sink->aggregates.size());
+            std::vector<LogicalType> input_types;
+            for (const FusedAggSpec& spec : fused_agg_specs) {
+              input_types.push_back(
+                  spec.col < 0 ? LogicalType::kInt64
+                               : view.column(static_cast<size_t>(spec.col))
+                                     .type());
+            }
+            partial.Init(sink, input_types);
+            const uint32_t g = partial.GlobalGroup();
             for (size_t a = 0; a < fused_agg_specs.size(); ++a) {
-              AggState& st = gs.aggs[a];
-              const FusedAggState& fs = states[a];
-              st.count += fs.count;
-              st.isum += fs.isum;
-              st.dsum += fs.dsum;
-              if (fs.has_value) {
-                st.min = fs.min;
-                st.max = fs.max;
-                st.has_value = true;
-              }
+              FoldFusedState(states[a], g, &partial.aggs[a]);
             }
           }
           return;  // nothing materialized per slot
@@ -960,18 +1198,9 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
 
   // Merge aggregate partials in morsel order (deterministic for any thread
   // count; the per-row path above never took a lock).
-  std::map<std::string, GroupState> agg_groups;
-  size_t agg_rows_folded = 0;
+  AggPartial merged;
   for (auto& partial : slot_aggs) {
-    agg_rows_folded += partial.rows_folded;
-    for (auto& [key, gs] : partial.groups) {
-      auto [it, inserted] = agg_groups.try_emplace(key, std::move(gs));
-      if (inserted) continue;
-      GroupState& into = it->second;
-      for (size_t a = 0; a < into.aggs.size(); ++a) {
-        MergeAggState(&into.aggs[a], gs.aggs[a]);
-      }
-    }
+    COSTDB_RETURN_NOT_OK(merged.MergeFrom(std::move(partial)));
   }
 
   if (timing != nullptr) {
@@ -1028,97 +1257,23 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
                        sink->probe_keys[k]->type == LogicalType::kDouble;
       bs.keys_as_double.push_back(as_double);
     }
+    std::vector<ColumnVector> keys;
     for (const auto& k : sink->build_keys) {
       ColumnVector v;
       COSTDB_ASSIGN_OR_RETURN(v, ev.Evaluate(*k, bs.build_data));
-      bs.build_key_vectors.push_back(std::move(v));
+      keys.push_back(std::move(v));
     }
     const size_t rows = bs.build_data.num_rows();
     std::vector<uint64_t> hashes;
-    kernels::HashRows(bs.build_key_vectors, bs.keys_as_double, rows, &hashes);
-    bs.build_index.reserve(rows * 2);
-    for (size_t r = 0; r < rows; ++r) {
-      // A NULL build key can never be matched; indexing it would only
-      // lengthen the shared NULL-tag chain every probe miss walks.
-      if (kernels::AnyKeyNull(bs.build_key_vectors, r)) continue;
-      bs.build_index.emplace(hashes[r], static_cast<uint32_t>(r));
-    }
+    kernels::HashRows(keys, bs.keys_as_double, rows, &hashes);
+    bs.build_table.Build(std::move(keys), hashes);
     if (timing != nullptr) timing->output_rows = double(rows);
     return Status::OK();
   }
 
   if (sink->kind == PhysicalPlan::Kind::kHashAggregate) {
     BreakerState& bs = ctx->breakers[sink];
-    DataChunk out(sink->output_types);
-    // Result chunks stay NULL-free by convention: empty inputs and
-    // all-NULL MIN/MAX groups zero-fill instead of emitting NULL (the
-    // engine's consumers index typed payloads directly).
-    auto type_zero = [](LogicalType t) {
-      switch (PhysicalTypeOf(t)) {
-        case PhysicalType::kDouble:
-          return Value(0.0);
-        case PhysicalType::kString:
-          return Value(std::string());
-        case PhysicalType::kInt64:
-        default:
-          return Value(int64_t{0});
-      }
-    };
-    if (agg_rows_folded == 0 && sink->group_by.empty() &&
-        !sink->agg_is_partial) {
-      // Global aggregate over empty input: one row of zeros. A *partial*
-      // aggregate instead emits nothing — its consumer is the final
-      // aggregate, and a fabricated zero from one empty shard would
-      // poison the global MIN/MAX merged across workers.
-      agg_groups.clear();
-      std::vector<Value> row;
-      for (const auto& a : sink->aggregates) {
-        row.push_back(type_zero(a->type));
-      }
-      out.AppendRow(row);
-    }
-    for (const auto& [key, gs] : agg_groups) {
-      std::vector<Value> row = gs.group_values;
-      for (size_t a = 0; a < sink->aggregates.size(); ++a) {
-        const Expr& agg = *sink->aggregates[a];
-        const AggState& st = gs.aggs[a];
-        switch (agg.agg) {
-          case AggFunc::kCountStar:
-          case AggFunc::kCount:
-            row.push_back(Value(st.count));
-            break;
-          case AggFunc::kSum:
-            if (agg.type == LogicalType::kInt64) {
-              row.push_back(Value(st.isum));
-            } else {
-              row.push_back(Value(st.dsum));
-            }
-            break;
-          case AggFunc::kAvg:
-            row.push_back(Value(st.count == 0
-                                    ? 0.0
-                                    : st.dsum / static_cast<double>(st.count)));
-            break;
-          case AggFunc::kMin:
-          case AggFunc::kMax: {
-            // Value-less MIN/MAX: the NULL-free result convention
-            // zero-fills — except in a partial, whose consumer (the
-            // final aggregate) skips NULL inputs, so NULL is the only
-            // emission that cannot corrupt the merged extremum.
-            const Value& extremum = agg.agg == AggFunc::kMin ? st.min : st.max;
-            if (st.has_value) {
-              row.push_back(extremum);
-            } else {
-              row.push_back(sink->agg_is_partial ? Value::Null()
-                                                 : type_zero(agg.type));
-            }
-            break;
-          }
-        }
-      }
-      out.AppendRow(row);
-    }
-    bs.materialized = std::move(out);
+    COSTDB_ASSIGN_OR_RETURN(bs.materialized, EmitGroups(sink, merged));
     bs.materialized_valid = true;
     if (timing != nullptr) {
       timing->output_rows = double(bs.materialized.num_rows());

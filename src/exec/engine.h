@@ -36,10 +36,11 @@ class ChunkSink {
 };
 
 /// Serialized, type-tagged row-key encoding ('\x01'-separated; strings
-/// length-prefixed; doubles bit-exact with -0.0 normalized to 0.0). Both
-/// the engine's ordered aggregate-group table and the sharded engine's
-/// key-merge gather order grouped results by exactly this byte string, so
-/// grouped output order is identical across engines and worker counts.
+/// length-prefixed; doubles bit-exact with -0.0 normalized to 0.0). The
+/// aggregate sink encodes each group once at finalize and emits the groups
+/// sorted by these bytes, and the sharded engine's key-merge gather orders
+/// grouped results by exactly this byte string, so grouped output order is
+/// identical across engines and worker counts.
 void EncodeRowKeyInto(const std::vector<ColumnVector>& columns, size_t row,
                       std::string* key);
 /// Same encoding over the first `num_columns` columns of a chunk.

@@ -889,65 +889,6 @@ void Accumulate(const ColumnVector& v, int64_t* count, int64_t* isum,
   }
 }
 
-void MinMax(const ColumnVector& v, Value* min, Value* max, bool* has_value) {
-  const size_t n = v.size();
-  // Typed scan first, boxed Values only at the boundary.
-  if (v.physical_type() == PhysicalType::kInt64) {
-    bool seen = false;
-    int64_t lo = 0, hi = 0;
-    const auto& vals = v.ints();
-    for (size_t i = 0; i < n; ++i) {
-      if (v.IsNull(i)) continue;
-      if (!seen) {
-        lo = hi = vals[i];
-        seen = true;
-        continue;
-      }
-      if (vals[i] < lo) lo = vals[i];
-      if (vals[i] > hi) hi = vals[i];
-    }
-    if (!seen) return;
-    Value vlo(lo), vhi(hi);
-    if (!*has_value || vlo < *min) *min = vlo;
-    if (!*has_value || *max < vhi) *max = vhi;
-    *has_value = true;
-    return;
-  }
-  if (v.physical_type() == PhysicalType::kDouble) {
-    bool seen = false;
-    double lo = 0.0, hi = 0.0;
-    const auto& vals = v.doubles();
-    for (size_t i = 0; i < n; ++i) {
-      if (v.IsNull(i)) continue;
-      if (!seen) {
-        lo = hi = vals[i];
-        seen = true;
-        continue;
-      }
-      if (vals[i] < lo) lo = vals[i];
-      if (vals[i] > hi) hi = vals[i];
-    }
-    if (!seen) return;
-    Value vlo(lo), vhi(hi);
-    if (!*has_value || vlo < *min) *min = vlo;
-    if (!*has_value || *max < vhi) *max = vhi;
-    *has_value = true;
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (v.IsNull(i)) continue;
-    Value val = v.GetValue(i);
-    if (!*has_value) {
-      *min = val;
-      *max = val;
-      *has_value = true;
-      continue;
-    }
-    if (val < *min) *min = val;
-    if (*max < val) *max = val;
-  }
-}
-
 void AccumulateSelected(const ColumnVector& v, const SelectionVector& sel,
                         int64_t* count, int64_t* isum, double* dsum) {
   // Branch structure mirrors Accumulate over a gathered copy: a gathered

@@ -139,14 +139,14 @@ void Accumulate(const ColumnVector& v, int64_t* count, int64_t* isum,
 /// Number of non-null rows, any column type (the COUNT(col) kernel).
 int64_t CountValid(const ColumnVector& v);
 
-/// Min/max of non-null rows; `has_value` stays false on an all-null input.
-void MinMax(const ColumnVector& v, Value* min, Value* max, bool* has_value);
-
 // Selected-row variants, used by the fused filter→aggregate fold: fold
 // only the rows in `sel` (ascending), without materializing a gathered
 // copy first. Each mirrors its unselected sibling's branch structure —
 // same accumulation order, same no-nulls fast path — so folding `sel`
 // directly is bit-identical to gathering `sel` and folding the copy.
+// MinMaxSelected's sibling is the aggregate sink's typed MIN/MAX fold: the
+// first non-NULL value seeds both bounds, and a later one replaces a bound
+// only when strictly beyond it.
 
 /// Accumulate(v.Gather(sel), ...) without the gather.
 void AccumulateSelected(const ColumnVector& v, const SelectionVector& sel,
@@ -155,7 +155,8 @@ void AccumulateSelected(const ColumnVector& v, const SelectionVector& sel,
 /// CountValid(v.Gather(sel)) without the gather.
 int64_t CountValidSelected(const ColumnVector& v, const SelectionVector& sel);
 
-/// MinMax(v.Gather(sel), ...) without the gather.
+/// Min/max of the non-NULL rows in `sel`; `has_value` stays false when
+/// there are none.
 void MinMaxSelected(const ColumnVector& v, const SelectionVector& sel,
                     Value* min, Value* max, bool* has_value);
 

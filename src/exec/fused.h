@@ -105,8 +105,8 @@ struct FusedAggSpec {
   int col = -1;
 };
 
-/// Partial state of one fused aggregate — mirrors the engine's per-group
-/// AggState field for field so the morsel-order merge is unchanged.
+/// Partial state of one fused aggregate: the fields of the engine's
+/// per-group aggregate states, with the MIN/MAX bounds boxed.
 struct FusedAggState {
   int64_t count = 0;
   int64_t isum = 0;
@@ -121,8 +121,9 @@ struct FusedAggState {
 /// columns into `states` — the interpreted path's gather + per-aggregate
 /// input evaluation never happens. Accumulation visits survivors in
 /// ascending row order with the same branch structure as the unfused
-/// kernels (Accumulate/CountValid/MinMax over a gathered column), so
-/// floating-point sums are bit-identical. Returns the survivor count.
+/// folds (Accumulate/CountValid and the typed MIN/MAX fold over a gathered
+/// column), so floating-point sums are bit-identical. Returns the survivor
+/// count.
 Result<size_t> FusedFilterAggregate(const FusedPredicate* pred,
                                     const ChunkView& view,
                                     const std::vector<FusedAggSpec>& specs,

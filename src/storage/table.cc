@@ -28,14 +28,6 @@ std::vector<LogicalType> Table::ColumnTypes() const {
   return types;
 }
 
-void Table::RebuildZones(RowGroup* group) {
-  group->zones.clear();
-  group->zones.reserve(columns_.size());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    group->zones.push_back(ZoneMapEntry::Build(group->data.column(c)));
-  }
-}
-
 void Table::ClearRows() {
   row_groups_.clear();
   num_rows_ = 0;
@@ -61,13 +53,24 @@ void Table::Append(const DataChunk& chunk) {
       row_groups_.push_back(std::move(g));
     }
     RowGroup& group = row_groups_.back();
-    size_t space = row_group_size_ - group.num_rows();
-    size_t take = std::min(space, total - offset);
-    for (size_t i = 0; i < take; ++i) {
-      group.data.AppendRowFrom(chunk, offset + i);
+    const size_t old_rows = group.num_rows();
+    size_t take = std::min(row_group_size_ - old_rows, total - offset);
+    group.zones.resize(columns_.size());
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      ColumnVector& column = group.data.column(c);
+      const bool had_mask = column.has_nulls();
+      column.AppendRange(chunk.column(c), offset, offset + take);
+      // AppendRange carries the source's validity mask along even over a
+      // NULL-free slice. Drop it then, so a column has a mask only when it
+      // holds a NULL, and kernels keep their no-NULL fast paths.
+      const auto& valid = column.validity();
+      if (!had_mask && column.has_nulls() &&
+          std::find(valid.begin() + old_rows, valid.end(), 0) == valid.end()) {
+        column.MutableValidity().clear();
+      }
+      group.zones[c].Extend(column, old_rows);
     }
     offset += take;
-    RebuildZones(&group);
   }
   num_rows_ += total;
   if (storage_ != nullptr) MaybeFlushAndCompact();

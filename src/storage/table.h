@@ -180,7 +180,6 @@ class Table {
   uint64_t layout_version() const { return layout_version_; }
 
  private:
-  void RebuildZones(RowGroup* group);
   /// Re-derive the cold (evicted) row groups from the storage manifest's
   /// scan order, keeping the resident memtable tail in place.
   void RebuildColdGroups();

@@ -36,22 +36,65 @@ CompareOp SwapCompareOp(CompareOp op) {
 }
 
 ZoneMapEntry ZoneMapEntry::Build(const ColumnVector& column) {
+  ZoneMapEntry z;
+  z.Extend(column, 0);
+  return z;
+}
+
+namespace {
+
+/// Left fold of the non-NULL rows [begin, size) into [*min, *max]: the
+/// first value seeds both bounds, and a later one replaces a bound only
+/// when strictly beyond it in Value::operator<'s order (so a NaN seed
+/// stays, and of two equal zeros the first stays).
+template <typename T>
+void FoldBounds(const ColumnVector& column, const std::vector<T>& vals,
+                size_t begin, Value* min, Value* max,
+                T (*unbox)(const Value&)) {
+  bool seen = !min->is_null();
+  T lo{}, hi{};
+  if (seen) {
+    lo = unbox(*min);
+    hi = unbox(*max);
+  }
+  for (size_t i = begin; i < vals.size(); ++i) {
+    if (column.IsNull(i)) continue;
+    const T& v = vals[i];
+    if (!seen) {
+      lo = v;
+      hi = v;
+      seen = true;
+      continue;
+    }
+    if (v < lo) lo = v;
+    if (hi < v) hi = v;
+  }
+  if (!seen) return;
+  *min = Value(lo);
+  *max = Value(hi);
+}
+
+}  // namespace
+
+void ZoneMapEntry::Extend(const ColumnVector& column, size_t begin) {
   // NULL rows are excluded from the bounds: a comparison predicate is never
   // true on a NULL, so pruning by non-null min/max cannot drop a qualifying
   // row. An all-NULL (or empty) column keeps NULL bounds and never prunes.
-  ZoneMapEntry z;
-  for (size_t i = 0; i < column.size(); ++i) {
-    if (column.IsNull(i)) continue;
-    Value v = column.GetValue(i);
-    if (z.min.is_null()) {
-      z.min = v;
-      z.max = v;
-      continue;
-    }
-    if (v < z.min) z.min = v;
-    if (z.max < v) z.max = v;
+  switch (column.physical_type()) {
+    case PhysicalType::kInt64:
+      FoldBounds<int64_t>(column, column.ints(), begin, &min, &max,
+                          [](const Value& v) { return v.AsInt(); });
+      break;
+    case PhysicalType::kDouble:
+      FoldBounds<double>(column, column.doubles(), begin, &min, &max,
+                         [](const Value& v) { return v.AsDouble(); });
+      break;
+    case PhysicalType::kString:
+      FoldBounds<std::string>(
+          column, column.strings(), begin, &min, &max,
+          [](const Value& v) { return v.AsString(); });
+      break;
   }
-  return z;
 }
 
 bool ZoneMapEntry::MayMatch(CompareOp op, const Value& constant) const {

@@ -31,6 +31,11 @@ struct ZoneMapEntry {
   /// prune).
   static ZoneMapEntry Build(const ColumnVector& column);
 
+  /// Continue Build's fold over rows [begin, size) of `column`, on typed
+  /// payloads: Build of a column equals its bounds over rows [0, begin)
+  /// extended by the rest, so an append folds only the appended rows.
+  void Extend(const ColumnVector& column, size_t begin);
+
   /// True when `col op constant` can match some row in this zone; false
   /// means the whole row group is skippable.
   bool MayMatch(CompareOp op, const Value& constant) const;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "catalog/hll.h"
 #include "common/rng.h"
+#include "storage/partition.h"
 
 namespace costdb {
 namespace {
@@ -211,6 +214,56 @@ TEST(MetadataServiceTest, MaterializedViewRegistry) {
   meta.RegisterMaterializedView(info);
   ASSERT_EQ(meta.materialized_views().size(), 1u);
   EXPECT_EQ(meta.materialized_views()[0].name, "mv1");
+}
+
+// Known answers of the hash mixers. Shuffle buckets, hash partitions and
+// the sketches all derive from them, so a changed output would move rows
+// between workers; these values pin the functions as they are.
+TEST(HashMixerTest, KnownAnswers) {
+  EXPECT_EQ(HashInt64(0), 0x0000000000000000ULL);
+  EXPECT_EQ(HashInt64(1), 0xb456bcfc34c2cb2cULL);
+  EXPECT_EQ(HashInt64(-1), 0x64b5720b4b825f21ULL);
+  EXPECT_EQ(HashInt64(42), 0x810879608e4259ccULL);
+  EXPECT_EQ(HashInt64(int64_t{1} << 53), 0x0b94f08fb8685d83ULL);
+  EXPECT_EQ(HashInt64(std::numeric_limits<int64_t>::min()),
+            0x8f780810af31a493ULL);
+
+  EXPECT_EQ(HashDouble(0.0), 0x0000000000000000ULL);
+  EXPECT_EQ(HashDouble(-0.0), 0x0000000000000000ULL);
+  EXPECT_EQ(HashDouble(1.5), 0x885dcc874e75b6f0ULL);
+  EXPECT_EQ(HashDouble(-2.25), 0xc5e733307c1e9d1bULL);
+  EXPECT_EQ(HashDouble(1e300), 0xd63198ea99f9e52eULL);
+
+  EXPECT_EQ(HashString(""), 0xefd01f60ba992926ULL);
+  EXPECT_EQ(HashString("a"), 0x82a2a958a9bece5bULL);
+  EXPECT_EQ(HashString("ASIA"), 0x70c8c3a3d43264f4ULL);
+  EXPECT_EQ(HashString("MFGR#2221"), 0xff4f98cde1c01314ULL);
+
+  EXPECT_EQ(HashCombine(0x9e3779b97f4a7c15ULL, 0), 0x53cb9a23a5b0c7eaULL);
+  EXPECT_EQ(HashCombine(1, 2), 0xf9122d6051144cc9ULL);
+  EXPECT_EQ(HashCombine(0x9e3779b97f4a7c15ULL, HashInt64(7)),
+            0xb3cd514b15a7468dULL);
+}
+
+TEST(HashMixerTest, PartitionKnownAnswers) {
+  const std::vector<Value> keys = {Value(int64_t{7}), Value(int64_t{-3}),
+                                   Value(7.0),        Value(-0.0),
+                                   Value(std::string("MFGR#12")), Value()};
+  const std::vector<std::pair<size_t, std::vector<size_t>>> expected = {
+      {4, {1, 0, 1, 0, 0, 0}},
+      {7, {2, 6, 2, 0, 1, 0}},
+      {16, {9, 4, 9, 0, 0, 0}},
+  };
+  for (const auto& [partitions, buckets] : expected) {
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(HashPartitionOf(keys[i], partitions), buckets[i])
+          << keys[i].ToString() << " over " << partitions;
+    }
+  }
+  const std::vector<size_t> first_ints = {0, 2, 0, 1, 0, 3, 2, 1, 3, 1, 0, 2};
+  for (int64_t k = 0; k < 12; ++k) {
+    EXPECT_EQ(HashPartitionOf(Value(k), 4), first_ints[k]) << k;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "common/rng.h"
 #include "cloud/object_store.h"
 #include "exec/engine.h"
 #include "mutation_testing.h"
@@ -131,6 +133,105 @@ TEST(ZoneMapTest, EmptyColumnNeverPrunes) {
   ColumnVector v(LogicalType::kInt64);
   ZoneMapEntry z = ZoneMapEntry::Build(v);
   EXPECT_TRUE(z.MayMatch(CompareOp::kEq, Value(int64_t{1})));
+}
+
+/// Zone bounds equal bit for bit: NaN equals the same NaN, -0.0 differs
+/// from 0.0, and an int bound differs from an equal double bound.
+bool SameBound(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() == b.is_null();
+  if (a.is_int() != b.is_int() || a.is_double() != b.is_double()) {
+    return false;
+  }
+  if (a.is_double()) {
+    const double x = a.AsDouble();
+    const double y = b.AsDouble();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return a == b;
+}
+
+TEST(ZoneMapTest, AppendsExtendZonesAsAFullBuildWould) {
+  const std::vector<LogicalType> types = {
+      LogicalType::kInt64, LogicalType::kDate, LogicalType::kDouble,
+      LogicalType::kVarchar, LogicalType::kInt64};
+  Table t("z", {{"i", types[0]},
+                {"d", types[1]},
+                {"x", types[2]},
+                {"s", types[3]},
+                {"none", types[4]}},
+          /*row_group_size=*/16);
+  Rng rng(0x20E5);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  size_t row = 0;
+  bool nan_first = false;  // some group's first x is NaN
+  bool nan_later = false;  // some group meets a NaN after a number
+  for (int append = 0; append < 60; ++append) {
+    const int64_t rows = rng.UniformInt(0, 23);  // crosses group boundaries
+    DataChunk chunk(types);
+    for (int64_t r = 0; r < rows; ++r, ++row) {
+      auto sparse = [&](Value v) {
+        return rng.UniformInt(0, 6) == 0 ? Value::Null() : v;
+      };
+      double x = rng.Uniform(-4.0, 4.0);
+      switch (rng.UniformInt(0, 7)) {
+        case 0:
+          x = nan;
+          break;
+        case 1:
+          x = -0.0;
+          break;
+        case 2:
+          x = 0.0;
+          break;
+        default:
+          break;
+      }
+      const size_t in_group = row % 16;
+      if (in_group == 0 && (row / 16) % 2 == 0) x = nan;
+      nan_first |= in_group == 0 && std::isnan(x);
+      nan_later |= in_group > 0 && std::isnan(x);
+      const int64_t i = rng.UniformInt(-1000, 1000);
+      const int64_t d = 9000 + rng.UniformInt(0, 400);
+      const std::string str(static_cast<size_t>(rng.UniformInt(1, 3)),
+                            static_cast<char>('a' + rng.UniformInt(0, 5)));
+      chunk.AppendRow({sparse(Value(i)), sparse(Value(d)),
+                       in_group == 0 ? Value(x) : sparse(Value(x)),
+                       sparse(Value(str)), Value::Null()});
+    }
+    t.Append(chunk);
+    for (size_t g = 0; g < t.row_groups().size(); ++g) {
+      const RowGroup& group = t.row_groups()[g];
+      ASSERT_EQ(group.zones.size(), types.size());
+      for (size_t c = 0; c < types.size(); ++c) {
+        const ColumnVector& column = group.data.column(c);
+        const ZoneMapEntry built = ZoneMapEntry::Build(column);
+        EXPECT_TRUE(SameBound(group.zones[c].min, built.min))
+            << "append " << append << " group " << g << " column " << c
+            << ": " << group.zones[c].min.ToString() << " vs "
+            << built.min.ToString();
+        EXPECT_TRUE(SameBound(group.zones[c].max, built.max))
+            << "append " << append << " group " << g << " column " << c
+            << ": " << group.zones[c].max.ToString() << " vs "
+            << built.max.ToString();
+        // A column carries a validity mask only when it holds a NULL, as
+        // when rows were copied one at a time.
+        bool any_null = false;
+        for (size_t r = 0; r < column.size(); ++r) any_null |= column.IsNull(r);
+        EXPECT_EQ(column.has_nulls(), any_null)
+            << "append " << append << " group " << g << " column " << c;
+      }
+    }
+  }
+  EXPECT_EQ(t.num_rows(), row);
+  EXPECT_GT(t.row_groups().size(), 20u);
+  EXPECT_TRUE(nan_first);
+  EXPECT_TRUE(nan_later);
+  for (const RowGroup& group : t.row_groups()) {
+    EXPECT_TRUE(group.zones[4].min.is_null());  // the all-NULL column
+  }
+  // A NaN that opens a group pins both x bounds; -0.0 and 0.0 keep the
+  // first one seen, both checked bit for bit above.
+  EXPECT_TRUE(std::isnan(t.row_groups()[0].zones[2].min.AsDouble()));
 }
 
 TEST(CompareOpTest, SwapIsInvolutionOnInequalities) {

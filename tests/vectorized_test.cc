@@ -296,7 +296,7 @@ TEST(VectorizedKernels, AccumulateAndMinMaxSkipNulls) {
   EXPECT_DOUBLE_EQ(dsum, 12.0);
   Value lo, hi;
   bool has_value = false;
-  kernels::MinMax(v, &lo, &hi, &has_value);
+  kernels::MinMaxSelected(v, {0, 1, 2, 3}, &lo, &hi, &has_value);
   ASSERT_TRUE(has_value);
   EXPECT_EQ(lo.AsInt(), -2);
   EXPECT_EQ(hi.AsInt(), 10);
@@ -305,7 +305,7 @@ TEST(VectorizedKernels, AccumulateAndMinMaxSkipNulls) {
   all_null.AppendNull();
   all_null.AppendNull();
   has_value = false;
-  kernels::MinMax(all_null, &lo, &hi, &has_value);
+  kernels::MinMaxSelected(all_null, {0, 1}, &lo, &hi, &has_value);
   EXPECT_FALSE(has_value);
 }
 
