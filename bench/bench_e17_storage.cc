@@ -1,7 +1,7 @@
 // E17 — the persistent block tier under the scan path:
 //
-//   part 1  RAM -> cold -> warm: run a three-tier query suite (a
-//           disjunctive vectorized aggregate, fused Q1, sharded Q2)
+//   part 1  RAM -> cold -> warm: run a three-query suite (a
+//           disjunctive grouped aggregate, Q1, sharded Q2)
 //           against the resident table, persist it (PersistTable evicts
 //           the RAM copy), then run the same suite twice more. The first
 //           query projects every column the others read, so the cold pass
@@ -110,11 +110,11 @@ std::string SortedLines(const QueryResult& r) {
   return out;
 }
 
-/// One query per engine tier, so bit-identity covers the fused kernels,
-/// the general vectorized operators, and the sharded merge path. The first
-/// query projects the union of the suite's columns (lo_extendedprice for
-/// Q1, lo_shipmode and lo_revenue for Q2), so a cold pass makes one GET
-/// per object.
+/// Two local queries and one sharded one, so bit-identity covers a
+/// disjunctive and a conjunctive scan filter and the sharded merge path.
+/// The first query projects the union of the suite's columns
+/// (lo_extendedprice for Q1, lo_shipmode and lo_revenue for Q2), so a cold
+/// pass makes one GET per object.
 std::vector<std::pair<std::string, UserConstraint>> Suite() {
   return {
       {"SELECT lo_shipmode, count(*) AS n, sum(lo_revenue) AS rev, "

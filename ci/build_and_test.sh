@@ -310,8 +310,7 @@ run_asan_stage() {
   # corruption/truncation fixtures flip every byte), and the socket
   # transport round-trips frames larger than kernel buffers through raw
   # read/write loops — exactly ASAN's bounds/lifetime domain. sharded_test
-  # in turn drives the socket transport and forked worker processes through
-  # whole-query exchanges.
+  # in turn drives the socket transport through whole-query exchanges.
   # cost_test rides along: the calibration updater walks a table of
   # member pointers into HardwareCalibration and clamps floating-point
   # steps — the indexing and arithmetic UBSan checks.
@@ -336,9 +335,10 @@ run_tsan_stage() {
   # streaming result sinks) and the multi-worker sharded engine are the
   # concurrency hot spots; race them under ThreadSanitizer. Scoped to
   # those tests to keep CI time sane.
-  # vectorized_test rides along because the fused kernel tier shares one
-  # stateless registry across all morsel-processing threads — the parity
-  # suite is the densest driver of that shared dispatch point.
+  # vectorized_test rides along for its engine tests: they run the same
+  # plans at 1, 2, 4 and 8 threads over the process-wide morsel pool, each
+  # morsel folding a private aggregate partial that merges after the
+  # barrier.
   # tenant_test is required here by design: the concurrent-cancel ledger
   # property and the 16-way single-flight result-cache test only prove
   # anything under the race detector.

@@ -46,8 +46,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// The process-wide pool, sized by hardware_concurrency() and built on
-  /// first use. A forked child must not touch it (its threads did not
-  /// survive the fork); children build a private pool instead.
+  /// first use.
   static ThreadPool& Shared();
 
   /// Run fn(0) .. fn(n - 1) on at most `parallelism` threads; returns

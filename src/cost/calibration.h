@@ -74,25 +74,12 @@ struct HardwareCalibration {
   double vector_batch_rows = 4096;
   Seconds batch_dispatch_seconds = 5e-7;
 
-  // Fused-kernel tier: a compiled conjunction (and the probe/aggregate
-  // fused onto it) runs as ONE single-pass kernel per morsel instead of
-  // one vectorized kernel invocation per conjunct. The single pass
-  // evaluates every surviving conjunct per row with short-circuit, so its
-  // row rate is *below* one simple vectorized pass — fusion wins by
-  // eliminating the per-conjunct passes and per-kernel dispatch, not by
-  // being a faster loop. That makes fusion a genuine costed trade the
-  // fuse_kernels pass prices per scan (it loses on single cheap
-  // conjuncts), and these two terms are what measured fused-pipeline
-  // timings recalibrate (CalibrationUpdater's fused group).
-  double fused_filter_rows_per_sec = 300e6;  // whole conjunction, one pass
-  Seconds fused_dispatch_seconds = 8e-7;     // per morsel, whole fused chain
-
   // Persistent block storage (docs/STORAGE.md): a cold block read costs
   // bytes / (storage_read_gibps * GiB) + storage_get_seconds of node time
   // on top of the object-store GET fee. These price the block cache's
   // admission benefit and the LSM compaction trade, and measured cold
   // reads recalibrate them (CalibrationUpdater's storage group) — the
-  // same two-term rate+fixed split as the shuffle and fused tiers. The
+  // same two-term rate+fixed split as the shuffle and link tiers. The
   // seed bandwidth is deliberately below scan_gibps_per_node: cold reads
   // pay decode + checksum verification on top of raw I/O.
   double storage_read_gibps = 0.5;     // cold-block fetch+decode bandwidth

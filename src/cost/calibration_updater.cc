@@ -81,17 +81,6 @@ void ReadLink(const Inputs& in, std::vector<Pair>* pairs) {
   }
 }
 
-void ReadFused(const Inputs& in, std::vector<Pair>* pairs) {
-  const FusedExecStats& f = in.profile.fused;
-  if (!f.any_fused() || f.fused_seconds <= 0.0) return;
-  const double batches = static_cast<double>(
-      f.fused_filter_morsels + f.fused_probe_morsels + f.fused_agg_morsels);
-  const double predicted =
-      static_cast<double>(f.fused_rows) / in.hw.fused_filter_rows_per_sec +
-      batches * in.hw.fused_dispatch_seconds;
-  if (predicted > 0.0) pairs->push_back({predicted, f.fused_seconds});
-}
-
 void ReadStorage(const Inputs& in, std::vector<Pair>* pairs) {
   const BlockCacheStats& s = in.profile.storage;
   if (s.misses <= 0 || s.miss_seconds <= 0.0) return;
@@ -115,11 +104,11 @@ const std::array<GroupRow, kNumTermGroups>& Groups() {
         &HW::agg_rows_per_sec, &HW::agg_merge_groups_per_sec,
         &HW::sort_rows_per_sec, &HW::exchange_rows_per_sec,
         &HW::shuffle_gibps, &HW::wire_serialize_gibps, &HW::link_gibps,
-        &HW::fused_filter_rows_per_sec, &HW::storage_read_gibps},
+        &HW::storage_read_gibps},
        {&HW::shuffle_dispatch_seconds, &HW::link_rtt_seconds,
-        &HW::fused_dispatch_seconds, &HW::storage_get_seconds,
-        &HW::shuffle_sync_per_node, &HW::pipeline_startup,
-        &HW::worker_spinup_seconds, &HW::batch_dispatch_seconds},
+        &HW::storage_get_seconds, &HW::shuffle_sync_per_node,
+        &HW::pipeline_startup, &HW::worker_spinup_seconds,
+        &HW::batch_dispatch_seconds},
        &ReadPipelines},
       // kShuffle: bytes / shuffle_gibps + partitions * dispatch.
       {{&HW::shuffle_gibps}, {&HW::shuffle_dispatch_seconds}, &ReadShuffles},
@@ -127,10 +116,6 @@ const std::array<GroupRow, kNumTermGroups>& Groups() {
       {{&HW::wire_serialize_gibps, &HW::link_gibps},
        {&HW::link_rtt_seconds},
        &ReadLink},
-      // kFused: rows / fused_rate + morsels * fused_dispatch.
-      {{&HW::fused_filter_rows_per_sec},
-       {&HW::fused_dispatch_seconds},
-       &ReadFused},
       // kStorage: bytes / read_bw + GETs * per-GET latency.
       {{&HW::storage_read_gibps}, {&HW::storage_get_seconds}, &ReadStorage},
   }};

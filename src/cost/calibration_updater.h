@@ -17,11 +17,10 @@ struct ExecProfile;  // exec/engine.h; kept forward to avoid a cycle
 ///               link share;
 ///   kLink       the serialize + link + RTT terms, from the link share of
 ///               exchanges that ran over a serializing transport;
-///   kFused      the fused-kernel rate and dispatch, from fused wall time;
 ///   kStorage    cold-read bandwidth and per-GET latency, from block-cache
 ///               miss time.
-enum class TermGroup { kPipelines, kShuffle, kLink, kFused, kStorage };
-inline constexpr size_t kNumTermGroups = 5;
+enum class TermGroup { kPipelines, kShuffle, kLink, kStorage };
+inline constexpr size_t kNumTermGroups = 4;
 
 /// Clamp on one step's scale.
 inline constexpr double kCalibrationMaxStep = 8.0;
@@ -91,7 +90,7 @@ class CalibrationUpdater {
 
  private:
   HardwareCalibration* hw_;
-  std::array<double, kNumTermGroups> drift_ = {1.0, 1.0, 1.0, 1.0, 1.0};
+  std::array<double, kNumTermGroups> drift_ = {1.0, 1.0, 1.0, 1.0};
   int rounds_ = 0;
 };
 

@@ -86,12 +86,11 @@ Seconds CostEstimator::PipelineDuration(const Pipeline& pipeline, int dop,
   };
 
   // Source stage. A scan source also charges the CPU of its pushed filter
-  // chain (the IO model is bytes-only): interpreted per-conjunct kernels
-  // or — when the fuse_kernels pass annotated the scan — the fused
-  // single-pass kernel. Dispatch is charged per *surviving* morsel: the
-  // engine never touches a zone-map-pruned row group, so pruned morsels
-  // cost no batch dispatch (SurvivingScanMorsels uses the real row-group
-  // geometry; src_w.rows_in is already post-pruning).
+  // chain (the IO model is bytes-only): one vectorized kernel per
+  // conjunct. Dispatch is charged per *surviving* morsel: the engine never
+  // touches a zone-map-pruned row group, so pruned morsels cost no batch
+  // dispatch (SurvivingScanMorsels uses the real row-group geometry;
+  // src_w.rows_in is already post-pruning).
   StageWorkload src_w = SourceWorkload(pipeline, volumes);
   double scan_batches = -1.0;
   if (!pipeline.source_is_breaker) {
@@ -104,11 +103,8 @@ Seconds CostEstimator::PipelineDuration(const Pipeline& pipeline, int dop,
           src_w.rows_in > 0.0
               ? std::min(1.0, src_w.rows_out / src_w.rows_in)
               : 1.0;
-      cpu_total +=
-          pipeline.source->fuse_scan_filter
-              ? FusedFilterChainTime(*hw_, src_w.rows_in, scan_batches, dop)
-              : InterpretedFilterChainTime(*hw_, src_w.rows_in, conjuncts,
-                                           selectivity, scan_batches, dop);
+      cpu_total += InterpretedFilterChainTime(*hw_, src_w.rows_in, conjuncts,
+                                              selectivity, scan_batches, dop);
     }
   } else {
     // Reading a materialized intermediate: memory-speed pass.

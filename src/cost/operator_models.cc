@@ -76,38 +76,31 @@ class HashBuildModel : public OperatorModel {
 
 class HashProbeModel : public OperatorModel {
  public:
-  HashProbeModel(const HardwareCalibration* hw, bool fused)
-      : hw_(hw), fused_(fused) {}
+  explicit HashProbeModel(const HardwareCalibration* hw) : hw_(hw) {}
   Seconds StageTime(const StageWorkload& w, int dop) const override {
     double eff = EffectiveParallelism(dop, hw_->parallel_alpha);
     double work = w.rows_in + 0.5 * w.rows_out;  // matches cost extra emits
     // Probe hashes column-at-a-time and gathers matches in bulk, so it
-    // pays the same per-chunk dispatch fee as the other batch operators —
-    // unless it is fused onto the scan's filter chain, whose single fused
-    // dispatch already covers it.
-    Seconds dispatch =
-        fused_ ? 0.0 : BatchDispatch(hw_, w.rows_in, dop, w.dispatch_batches);
+    // pays the same per-chunk dispatch fee as the other batch operators.
+    Seconds dispatch = BatchDispatch(hw_, w.rows_in, dop, w.dispatch_batches);
     return work / (hw_->hash_probe_rows_per_sec * eff) + dispatch;
   }
   const char* name() const override { return "hash_probe"; }
 
  private:
   const HardwareCalibration* hw_;
-  bool fused_;
 };
 
 class AggregateModel : public OperatorModel {
  public:
-  AggregateModel(const HardwareCalibration* hw, bool fused)
-      : hw_(hw), fused_(fused) {}
+  explicit AggregateModel(const HardwareCalibration* hw) : hw_(hw) {}
   Seconds StageTime(const StageWorkload& w, int dop) const override {
     // Local aggregation parallelizes (morsel partials fold batch-at-a-
-    // time, so the per-chunk dispatch fee applies — waived when the fold
-    // is fused onto the scan's filter chain); merging per-node partial
-    // tables does not — each extra node adds another partial of `groups`
-    // entries. This term is why aggregation has a finite cost-optimal DOP.
-    Seconds dispatch =
-        fused_ ? 0.0 : BatchDispatch(hw_, w.rows_in, dop, w.dispatch_batches);
+    // time, so the per-chunk dispatch fee applies); merging per-node
+    // partial tables does not — each extra node adds another partial of
+    // `groups` entries. This term is why aggregation has a finite
+    // cost-optimal DOP.
+    Seconds dispatch = BatchDispatch(hw_, w.rows_in, dop, w.dispatch_batches);
     Seconds local = w.rows_in / (hw_->agg_rows_per_sec * dop) + dispatch;
     Seconds merge =
         w.groups * std::max(0, dop - 1) / hw_->agg_merge_groups_per_sec;
@@ -117,7 +110,6 @@ class AggregateModel : public OperatorModel {
 
  private:
   const HardwareCalibration* hw_;
-  bool fused_;
 };
 
 class SortModel : public OperatorModel {
@@ -268,9 +260,9 @@ std::unique_ptr<OperatorModel> MakeAnalyticModel(
     case PhysicalPlan::Kind::kLimit:
       return std::make_unique<FilterModel>(hw, hw->project_rows_per_sec);
     case PhysicalPlan::Kind::kHashJoin:
-      return std::make_unique<HashProbeModel>(hw, op.fuse_probe);
+      return std::make_unique<HashProbeModel>(hw);
     case PhysicalPlan::Kind::kHashAggregate:
-      return std::make_unique<AggregateModel>(hw, op.fuse_aggregate);
+      return std::make_unique<AggregateModel>(hw);
     case PhysicalPlan::Kind::kSort:
       return std::make_unique<SortModel>(hw);
     case PhysicalPlan::Kind::kExchange:
@@ -322,15 +314,6 @@ Seconds InterpretedFilterChainTime(const HardwareCalibration& hw, double rows,
   return rows * touched / (hw.filter_rows_per_sec * d) +
          static_cast<double>(conjuncts) * batches *
              hw.batch_dispatch_seconds / d;
-}
-
-Seconds FusedFilterChainTime(const HardwareCalibration& hw, double rows,
-                             double batches, int dop) {
-  if (rows <= 0.0) return 0.0;
-  if (batches < 0.0) batches = std::ceil(rows / hw.vector_batch_rows);
-  const double d = std::max(1, dop);
-  return rows / (hw.fused_filter_rows_per_sec * d) +
-         batches * hw.fused_dispatch_seconds / d;
 }
 
 std::vector<double> RegressionOperatorModel::Features(const StageWorkload& w,

@@ -38,9 +38,7 @@ class OperatorModel {
 double EffectiveParallelism(int dop, double alpha);
 
 /// Factory for the analytic model of a physical operator. `hw` must
-/// outlive the returned model. Fusion annotations on the node change the
-/// model: a fused probe/aggregate pays no per-batch dispatch of its own
-/// (the fused chain's single dispatch covers it).
+/// outlive the returned model.
 std::unique_ptr<OperatorModel> MakeAnalyticModel(
     const PhysicalPlan& op, const HardwareCalibration* hw);
 
@@ -61,14 +59,6 @@ double SurvivingScanMorsels(const PhysicalPlan& scan);
 Seconds InterpretedFilterChainTime(const HardwareCalibration& hw, double rows,
                                    int conjuncts, double selectivity,
                                    double batches, int dop);
-
-/// Cost of the same chain as one fused single-pass kernel: every row is
-/// touched once (short-circuit across conjuncts) at the calibrated fused
-/// row rate, and each surviving morsel pays one fused dispatch for the
-/// whole chain. The fuse_kernels pass compares this against
-/// InterpretedFilterChainTime to decide fusion per scan.
-Seconds FusedFilterChainTime(const HardwareCalibration& hw, double rows,
-                             double batches, int dop);
 
 /// Pre-trained regression model for exchange-heavy operators (paper: "we
 /// pre-train regression models for them with synthetic workloads that

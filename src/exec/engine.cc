@@ -265,34 +265,6 @@ struct AggPartial {
   }
 };
 
-/// Fold one morsel's state from the fused filter→aggregate fold, which
-/// reports its MIN/MAX bounds boxed, into group `g` of a fresh partial.
-void FoldFusedState(const FusedAggState& fs, uint32_t g, AggStates* st) {
-  if (!IsMinMax(st->func)) {
-    st->count[g] += fs.count;
-    if (st->isum.empty()) return;
-    st->isum[g] += fs.isum;
-    st->dsum[g] += fs.dsum;
-    return;
-  }
-  if (!fs.has_value) return;
-  st->has_value[g] = 1;
-  switch (st->min.physical_type()) {
-    case PhysicalType::kInt64:
-      st->min.ints()[g] = fs.min.AsInt();
-      st->max.ints()[g] = fs.max.AsInt();
-      break;
-    case PhysicalType::kDouble:
-      st->min.doubles()[g] = fs.min.AsDouble();
-      st->max.doubles()[g] = fs.max.AsDouble();
-      break;
-    case PhysicalType::kString:
-      st->min.strings()[g] = fs.min.AsString();
-      st->max.strings()[g] = fs.max.AsString();
-      break;
-  }
-}
-
 std::vector<LogicalType> AggInputTypes(
     const std::vector<ColumnVector>& agg_inputs) {
   std::vector<LogicalType> types;
@@ -563,14 +535,10 @@ struct MorselProcessor {
   LocalEngine::ExecContext* ctx;  // breaker states (read-only during probe)
   std::map<const PhysicalPlan*, LocalEngine::BreakerState>* breakers;
 
-  /// Apply the streaming operators from `first_op` on to `chunk` (schema
-  /// `names` updated in place). A fused filter→probe morsel enters here
-  /// *after* the join it fused through, so it resumes at the next
-  /// operator. Returns an error or the transformed chunk (possibly empty).
-  Status Apply(DataChunk* chunk, std::vector<std::string>* names,
-               size_t first_op = 0) const {
-    for (size_t oi = first_op; oi < pipeline->operators.size(); ++oi) {
-      const PhysicalPlan* op = pipeline->operators[oi];
+  /// Apply the streaming operators to `chunk` (schema `names` updated in
+  /// place). Returns an error or the transformed chunk (possibly empty).
+  Status Apply(DataChunk* chunk, std::vector<std::string>* names) const {
+    for (const PhysicalPlan* op : pipeline->operators) {
       if (chunk->num_rows() == 0 &&
           op->kind != PhysicalPlan::Kind::kHashJoin) {
         *names = op->output_names;
@@ -649,48 +617,6 @@ struct MorselProcessor {
     return Status::OK();
   }
 
-  /// Fused filter→hash-probe: probe straight off the scan's borrowed
-  /// row-group columns. `sel` holds the filter survivors (absolute view
-  /// rows); only the key columns of survivors are gathered before hashing,
-  /// and output columns are gathered once, for *matching* rows only — the
-  /// interpreted path's full filtered-chunk materialization never happens.
-  /// Hashing, NULL-key rejection, and match order are shared with Probe
-  /// (same kernels, same row order), so output is bit-identical.
-  Status FusedProbe(const PhysicalPlan* join, const ChunkView& view,
-                    const SelectionVector& sel,
-                    const std::vector<uint32_t>& key_cols,
-                    DataChunk* out_chunk) const {
-    auto it = breakers->find(join);
-    if (it == breakers->end()) {
-      return Status::Internal("probe before build");
-    }
-    const LocalEngine::BreakerState& bs = it->second;
-    std::vector<ColumnVector> probe_keys;
-    probe_keys.reserve(key_cols.size());
-    for (uint32_t c : key_cols) {
-      probe_keys.push_back(view.column(c).Gather(sel));
-    }
-    std::vector<uint64_t> hashes;
-    kernels::HashRows(probe_keys, bs.keys_as_double, sel.size(), &hashes);
-    SelectionVector probe_sel;  // indices into the survivor domain
-    std::vector<uint32_t> build_sel;
-    bs.build_table.Probe(probe_keys, hashes, &probe_sel, &build_sel);
-    // Translate survivor-domain matches back to absolute view rows.
-    SelectionVector abs_sel(probe_sel.size());
-    for (size_t k = 0; k < probe_sel.size(); ++k) {
-      abs_sel[k] = sel[probe_sel[k]];
-    }
-    DataChunk out(join->output_types);
-    const size_t probe_cols = view.num_columns();
-    for (size_t c = 0; c < probe_cols; ++c) {
-      out.column(c) = view.column(c).Gather(abs_sel);
-    }
-    for (size_t c = 0; c < bs.build_data.num_columns(); ++c) {
-      out.column(probe_cols + c) = bs.build_data.column(c).Gather(build_sel);
-    }
-    *out_chunk = std::move(out);
-    return Status::OK();
-  }
 };
 
 }  // namespace
@@ -846,74 +772,6 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
           ? CombineConjuncts(src->scan_filters)
           : nullptr;
 
-  // ---- fused-kernel setup (annotations from the fuse_kernels pass) ----
-  // Compiled once per pipeline through the same registry the optimizer
-  // priced with; a shape that fails to compile here (stale annotation on a
-  // hand-built plan) falls back to the vectorized path per morsel.
-  const FusedKernelRegistry& fused_registry = FusedKernelRegistry::Global();
-  std::optional<FusedPredicate> fused_pred;
-  if (!pipeline.source_is_breaker && src->fuse_scan_filter &&
-      combined_scan_filter != nullptr) {
-    fused_pred = fused_registry.Compile(*combined_scan_filter,
-                                        src->output_names, src->output_types);
-  }
-  const bool fused_filter_bound =
-      combined_scan_filter == nullptr || fused_pred.has_value();
-  // Columns to gather for a plain fused select+gather scan: all of them.
-  std::vector<size_t> fused_gather_cols;
-  if (fused_pred.has_value()) {
-    fused_gather_cols.resize(src->scan_column_indices.size());
-    for (size_t i = 0; i < fused_gather_cols.size(); ++i) {
-      fused_gather_cols[i] = i;
-    }
-  }
-  // Fused filter→aggregate: global-agg sink fed by the scan through
-  // exchanges only, every aggregate input a bare scan column.
-  std::vector<FusedAggSpec> fused_agg_specs;
-  bool fused_agg = false;
-  if (agg_sink && sink->fuse_aggregate && sink->group_by.empty() &&
-      !pipeline.source_is_breaker && fused_filter_bound) {
-    bool ops_ok = true;
-    for (const PhysicalPlan* op : pipeline.operators) {
-      if (op->kind != PhysicalPlan::Kind::kExchange) ops_ok = false;
-    }
-    fused_agg = ops_ok && fused_registry.CompileAggregates(
-                              sink->aggregates, src->output_names,
-                              src->output_types, &fused_agg_specs);
-  }
-  // Fused filter→hash-probe: the first non-exchange streaming operator is
-  // the annotated join and its probe keys are bare scan columns.
-  const PhysicalPlan* fused_join = nullptr;
-  size_t fused_join_index = 0;
-  std::vector<uint32_t> fused_probe_key_cols;
-  if (!pipeline.source_is_breaker && !fused_agg && fused_filter_bound) {
-    for (size_t i = 0; i < pipeline.operators.size(); ++i) {
-      const PhysicalPlan* op = pipeline.operators[i];
-      if (op->kind == PhysicalPlan::Kind::kExchange) continue;
-      if (op->kind == PhysicalPlan::Kind::kHashJoin && op->fuse_probe) {
-        std::vector<uint32_t> cols;
-        bool ok = true;
-        for (const auto& k : op->probe_keys) {
-          const size_t idx = k->kind == Expr::Kind::kColumn
-                                 ? src->FindColumn(k->column)
-                                 : static_cast<size_t>(-1);
-          if (idx == static_cast<size_t>(-1)) {
-            ok = false;
-            break;
-          }
-          cols.push_back(static_cast<uint32_t>(idx));
-        }
-        if (ok && !cols.empty()) {
-          fused_join = op;
-          fused_join_index = i;
-          fused_probe_key_cols = std::move(cols);
-        }
-      }
-      break;  // only the operator adjacent to the scan can fuse with it
-    }
-  }
-  std::vector<FusedExecStats> slot_fused(morsels.size());
-
   double source_rows = 0.0;
   for (const Morsel& m : morsels) source_rows += double(m.end - m.begin);
 
@@ -935,18 +793,11 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   size_t pushed_rows = 0;
   Status push_status;  // first sink failure; surfaced after the barrier
 
-  auto fused_elapsed = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-
   auto process_inner = [&](size_t slot, BlockRun* run) {
     const Morsel& m = morsels[slot];
     // Assemble the source chunk.
     DataChunk chunk;
     std::vector<std::string> names = source_names;
-    size_t first_op = 0;  // fused probes resume Apply after their join
     if (m.row_group != nullptr) {
       // Pin the group's payload for the duration of the morsel: resident
       // groups borrow in place, cold groups come through the block cache
@@ -965,135 +816,35 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
         }
         pin = std::move(*pinned);
       }
-      ChunkView view;
-      for (size_t idx : src->scan_column_indices) {
-        view.AddColumn(&pin.column(idx));
-      }
-      const size_t view_rows = view.num_rows();
-      FusedExecStats& fstats = slot_fused[slot];
-      bool scan_done = false;
-      bool pred_bind_failed = false;
-
-      if (fused_agg) {
-        // Fused filter→aggregate fold: survivors go straight from the
-        // borrowed row-group columns into the aggregate states — no
-        // materialization at all.
-        std::vector<FusedAggState> states(fused_agg_specs.size());
-        SelectionVector sel;
-        auto t0 = std::chrono::steady_clock::now();
-        Result<size_t> survivors =
-            FusedFilterAggregate(fused_pred ? &*fused_pred : nullptr, view,
-                                 fused_agg_specs, &states, &sel);
-        if (survivors.ok()) {
-          fstats.fused_seconds += fused_elapsed(t0);
-          ++fstats.fused_agg_morsels;
-          fstats.fused_rows += view_rows;
-          if (*survivors > 0) {
-            AggPartial& partial = slot_aggs[slot];
-            partial.rows_folded += *survivors;
-            std::vector<LogicalType> input_types;
-            for (const FusedAggSpec& spec : fused_agg_specs) {
-              input_types.push_back(
-                  spec.col < 0 ? LogicalType::kInt64
-                               : view.column(static_cast<size_t>(spec.col))
-                                     .type());
-            }
-            partial.Init(sink, input_types);
-            const uint32_t g = partial.GlobalGroup();
-            for (size_t a = 0; a < fused_agg_specs.size(); ++a) {
-              FoldFusedState(states[a], g, &partial.aggs[a]);
-            }
-          }
-          return;  // nothing materialized per slot
+      DataChunk projected;
+      if (combined_scan_filter != nullptr) {
+        // Filter before materializing: the predicate runs on borrowed
+        // row-group columns, and only surviving rows are ever copied.
+        ChunkView view;
+        for (size_t idx : src->scan_column_indices) {
+          view.AddColumn(&pin.column(idx));
         }
-        ++fstats.fallback_morsels;  // stale shape: interpreted path below
-        pred_bind_failed = true;
-      }
-
-      if (!scan_done && !pred_bind_failed && fused_join != nullptr) {
-        // Fused filter→hash-probe pipeline.
-        SelectionVector sel;
-        Status fst;
-        auto t0 = std::chrono::steady_clock::now();
-        if (fused_pred.has_value()) {
-          fst = fused_pred->Select(view, &sel);
-        } else {
-          sel.resize(view_rows);
-          for (uint32_t i = 0; i < view_rows; ++i) sel[i] = i;
+        Evaluator ev(&names);
+        auto sel = ev.EvaluateSelection(*combined_scan_filter, view);
+        if (!sel.ok()) {
+          slot_status[slot] = sel.status();
+          return;
         }
-        if (fst.ok()) {
-          DataChunk out;
-          Status pst = processor.FusedProbe(fused_join, view, sel,
-                                            fused_probe_key_cols, &out);
-          fstats.fused_seconds += fused_elapsed(t0);
-          if (!pst.ok()) {
-            slot_status[slot] = pst;  // real error (e.g. probe before build)
-            return;
-          }
-          ++fstats.fused_probe_morsels;
-          fstats.fused_rows += view_rows;
-          chunk = std::move(out);
-          names = fused_join->output_names;
-          first_op = fused_join_index + 1;
-          scan_done = true;
-        } else {
-          ++fstats.fallback_morsels;
-          pred_bind_failed = true;
+        for (size_t idx : src->scan_column_indices) {
+          projected.AddColumn(pin.column(idx).Gather(*sel));
+        }
+      } else {
+        for (size_t idx : src->scan_column_indices) {
+          projected.AddColumn(pin.column(idx));
         }
       }
-
-      if (!scan_done && !pred_bind_failed && fused_pred.has_value()) {
-        // Fused select+gather: one pass decides survivors, one gather
-        // materializes them — no per-conjunct selection vectors.
-        DataChunk projected;
-        SelectionVector sel;
-        auto t0 = std::chrono::steady_clock::now();
-        Status fst =
-            fused_pred->SelectGather(view, fused_gather_cols, &projected, &sel);
-        if (fst.ok()) {
-          fstats.fused_seconds += fused_elapsed(t0);
-          ++fstats.fused_filter_morsels;
-          fstats.fused_rows += view_rows;
-          chunk = std::move(projected);
-          scan_done = true;
-        } else {
-          ++fstats.fallback_morsels;
-        }
-      }
-      if (!scan_done && src->fuse_scan_filter &&
-          combined_scan_filter != nullptr && !fused_pred.has_value()) {
-        ++fstats.fallback_morsels;  // annotated fused, shape never compiled
-      }
-
-      if (!scan_done) {
-        if (combined_scan_filter != nullptr) {
-          // Filter before materializing: the predicate runs on borrowed
-          // row-group columns, and only surviving rows are ever copied.
-          Evaluator ev(&names);
-          auto sel = ev.EvaluateSelection(*combined_scan_filter, view);
-          if (!sel.ok()) {
-            slot_status[slot] = sel.status();
-            return;
-          }
-          DataChunk projected;
-          for (size_t idx : src->scan_column_indices) {
-            projected.AddColumn(pin.column(idx).Gather(*sel));
-          }
-          chunk = std::move(projected);
-        } else {
-          DataChunk projected;
-          for (size_t idx : src->scan_column_indices) {
-            projected.AddColumn(pin.column(idx));
-          }
-          chunk = std::move(projected);
-        }
-      }
+      chunk = std::move(projected);
     } else {
       DataChunk sliced(m.source_chunk->Types());
       sliced.AppendRange(*m.source_chunk, m.begin, m.end);
       chunk = std::move(sliced);
     }
-    Status st = processor.Apply(&chunk, &names, first_op);
+    Status st = processor.Apply(&chunk, &names);
     if (!st.ok()) {
       slot_status[slot] = st;
       return;
@@ -1191,9 +942,6 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   for (const auto& st : slot_status) {
     COSTDB_RETURN_NOT_OK(st);
   }
-  // Per-slot fused counters merge after the barrier (no atomics on the
-  // morsel path), like the aggregate partials.
-  for (const auto& fs : slot_fused) ctx->profile->fused.MergeFrom(fs);
   for (const auto& bs : slot_blocks) ctx->profile->storage.MergeFrom(bs);
 
   // Merge aggregate partials in morsel order (deterministic for any thread

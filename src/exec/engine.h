@@ -6,10 +6,10 @@
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "exec/fused.h"
 #include "net/transport.h"
 #include "plan/pipeline.h"
 #include "storage/cache.h"
+#include "storage/data_chunk.h"
 
 namespace costdb {
 
@@ -189,21 +189,23 @@ struct WorkerUsage {
 /// it — so concurrent calls on one engine never see each other's numbers.
 /// It is the whole input of the calibration loop
 /// (CalibrationUpdater::Observe).
-/// LocalEngine fills timings, scan, fused and storage; ShardedEngine fills
-/// timings per pipeline of the plan it ran, scan, fused and storage summed
-/// over workers, plus exchange and usage.
+/// LocalEngine fills timings, scan and storage; ShardedEngine fills
+/// timings per pipeline of the plan it ran, scan and storage summed over
+/// workers, plus exchange and usage.
 struct ExecProfile {
   /// Per-pipeline wall time (the feedback signal of the calibration loop;
   /// see CalibrationUpdater), at most one entry per pipeline id of
   /// BuildPipelines(root). Sharded runs charge each pipeline its slowest
-  /// worker's seconds per fragment, summed over the fragments it spans;
-  /// fragments run in worker processes report none.
+  /// worker's seconds per fragment, summed over the fragments it spans.
   std::vector<PipelineTiming> timings;
   ScanStats scan;
-  /// Which morsels ran through the fused tier the fuse_kernels pass
-  /// annotated, which hit the runtime fallback, and the wall time inside
-  /// fused kernels (what the calibration's fused group folds back).
-  FusedExecStats fused;
+  /// Always zero: the engine has one vectorized path and no fused-kernel
+  /// tier. The field remains only because costbench
+  /// (bench/costbench/costbench.cc) still reports it as
+  /// exec.fused_ms_per_query; it goes with that metric.
+  struct {
+    double fused_seconds = 0.0;
+  } fused;
   /// Block-cache counters: cold-block hits, misses (each one object-store
   /// GET), and the measured read+decode time the calibration's storage
   /// group folds back. All-zero for purely RAM-resident scans.

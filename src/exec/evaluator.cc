@@ -889,113 +889,6 @@ void Accumulate(const ColumnVector& v, int64_t* count, int64_t* isum,
   }
 }
 
-void AccumulateSelected(const ColumnVector& v, const SelectionVector& sel,
-                        int64_t* count, int64_t* isum, double* dsum) {
-  // Branch structure mirrors Accumulate over a gathered copy: a gathered
-  // no-null column hits the local-partial-sum fast path, and a gathered
-  // nullable column (the mask travels through Gather) hits the per-row
-  // path — so the floating-point addition order is identical either way.
-  if (v.physical_type() == PhysicalType::kDouble) {
-    const auto& vals = v.doubles();
-    if (!v.has_nulls()) {
-      double s = 0.0;
-      for (uint32_t i : sel) s += vals[i];
-      *dsum += s;
-      *count += static_cast<int64_t>(sel.size());
-      return;
-    }
-    const auto& valid = v.validity();
-    for (uint32_t i : sel) {
-      if (!valid[i]) continue;
-      *dsum += vals[i];
-      ++*count;
-    }
-    return;
-  }
-  const auto& vals = v.ints();
-  if (!v.has_nulls()) {
-    int64_t s = 0;
-    for (uint32_t i : sel) s += vals[i];
-    *isum += s;
-    *dsum += static_cast<double>(s);
-    *count += static_cast<int64_t>(sel.size());
-    return;
-  }
-  const auto& valid = v.validity();
-  for (uint32_t i : sel) {
-    if (!valid[i]) continue;
-    *isum += vals[i];
-    *dsum += static_cast<double>(vals[i]);
-    ++*count;
-  }
-}
-
-int64_t CountValidSelected(const ColumnVector& v, const SelectionVector& sel) {
-  if (!v.has_nulls()) return static_cast<int64_t>(sel.size());
-  const auto& valid = v.validity();
-  int64_t count = 0;
-  for (uint32_t i : sel) count += valid[i];
-  return count;
-}
-
-void MinMaxSelected(const ColumnVector& v, const SelectionVector& sel,
-                    Value* min, Value* max, bool* has_value) {
-  if (v.physical_type() == PhysicalType::kInt64) {
-    bool seen = false;
-    int64_t lo = 0, hi = 0;
-    const auto& vals = v.ints();
-    for (uint32_t i : sel) {
-      if (v.IsNull(i)) continue;
-      if (!seen) {
-        lo = hi = vals[i];
-        seen = true;
-        continue;
-      }
-      if (vals[i] < lo) lo = vals[i];
-      if (vals[i] > hi) hi = vals[i];
-    }
-    if (!seen) return;
-    Value vlo(lo), vhi(hi);
-    if (!*has_value || vlo < *min) *min = vlo;
-    if (!*has_value || *max < vhi) *max = vhi;
-    *has_value = true;
-    return;
-  }
-  if (v.physical_type() == PhysicalType::kDouble) {
-    bool seen = false;
-    double lo = 0.0, hi = 0.0;
-    const auto& vals = v.doubles();
-    for (uint32_t i : sel) {
-      if (v.IsNull(i)) continue;
-      if (!seen) {
-        lo = hi = vals[i];
-        seen = true;
-        continue;
-      }
-      if (vals[i] < lo) lo = vals[i];
-      if (vals[i] > hi) hi = vals[i];
-    }
-    if (!seen) return;
-    Value vlo(lo), vhi(hi);
-    if (!*has_value || vlo < *min) *min = vlo;
-    if (!*has_value || *max < vhi) *max = vhi;
-    *has_value = true;
-    return;
-  }
-  for (uint32_t i : sel) {
-    if (v.IsNull(i)) continue;
-    Value val = v.GetValue(i);
-    if (!*has_value) {
-      *min = val;
-      *max = val;
-      *has_value = true;
-      continue;
-    }
-    if (val < *min) *min = val;
-    if (*max < val) *max = val;
-  }
-}
-
 namespace {
 
 /// Three-way comparison of rows `a` and `b` of one sort-key column, in

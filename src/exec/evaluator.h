@@ -139,27 +139,6 @@ void Accumulate(const ColumnVector& v, int64_t* count, int64_t* isum,
 /// Number of non-null rows, any column type (the COUNT(col) kernel).
 int64_t CountValid(const ColumnVector& v);
 
-// Selected-row variants, used by the fused filter→aggregate fold: fold
-// only the rows in `sel` (ascending), without materializing a gathered
-// copy first. Each mirrors its unselected sibling's branch structure —
-// same accumulation order, same no-nulls fast path — so folding `sel`
-// directly is bit-identical to gathering `sel` and folding the copy.
-// MinMaxSelected's sibling is the aggregate sink's typed MIN/MAX fold: the
-// first non-NULL value seeds both bounds, and a later one replaces a bound
-// only when strictly beyond it.
-
-/// Accumulate(v.Gather(sel), ...) without the gather.
-void AccumulateSelected(const ColumnVector& v, const SelectionVector& sel,
-                        int64_t* count, int64_t* isum, double* dsum);
-
-/// CountValid(v.Gather(sel)) without the gather.
-int64_t CountValidSelected(const ColumnVector& v, const SelectionVector& sel);
-
-/// Min/max of the non-NULL rows in `sel`; `has_value` stays false when
-/// there are none.
-void MinMaxSelected(const ColumnVector& v, const SelectionVector& sel,
-                    Value* min, Value* max, bool* has_value);
-
 /// Row order of a sort of `rows` rows by `keys` (key k descending when
 /// `descending[k]`), compared on the typed payloads in Value::operator<'s
 /// order: NULL first, int64 exactly, strings bytewise; a NaN double,

@@ -6,12 +6,7 @@
 #include <memory>
 #include <numeric>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "exec/evaluator.h"
-#include "net/wire.h"
-#include "storage/block/block_format.h"
 #include "storage/partition.h"
 
 namespace costdb {
@@ -274,207 +269,11 @@ struct FragmentInput {
   }
 };
 
-/// Per-worker result of one fragment execution (thread slots and process
-/// children both land here).
+/// Per-worker result of one fragment execution.
 struct SlotResult {
   Result<QueryResult> result{Status::Internal("not run")};
-  ExecProfile profile;  // scan, fused and storage counters travel back
+  ExecProfile profile;  // scan and storage counters travel back
 };
-
-// -- Worker-process result protocol ----------------------------------------
-// A forked worker ships its fragment result back over a socketpair as one
-// length-prefixed frame: [body_len u64][body], where body is
-//   [ok u32]
-//   on error: [code u32][msg_len u32][msg]
-//   on ok:    ScanStats (5 u64) + FusedExecStats (5 u64 + double)
-//             + BlockCacheStats (4 u64 + 4 double) + wire::EncodeChunk
-// The chunk rides in the checksummed wire format, so a torn child write
-// surfaces as a decode Status, not silent row corruption.
-
-std::string EncodeSlotBody(const SlotResult& slot) {
-  std::string body;
-  if (!slot.result.ok()) {
-    block::PutU32(&body, 1);
-    const Status& st = slot.result.status();
-    block::PutU32(&body, static_cast<uint32_t>(st.code()));
-    block::PutU32(&body, static_cast<uint32_t>(st.message().size()));
-    body.append(st.message());
-    return body;
-  }
-  block::PutU32(&body, 0);
-  const ScanStats& sc = slot.profile.scan;
-  block::PutU64(&body, sc.morsels_total);
-  block::PutU64(&body, sc.morsels_pruned);
-  block::PutU64(&body, sc.rows_scanned);
-  block::PutU64(&body, sc.rows_pruned);
-  block::PutU64(&body, sc.cold_runs);
-  const FusedExecStats& fu = slot.profile.fused;
-  block::PutU64(&body, fu.fused_filter_morsels);
-  block::PutU64(&body, fu.fused_probe_morsels);
-  block::PutU64(&body, fu.fused_agg_morsels);
-  block::PutU64(&body, fu.fallback_morsels);
-  block::PutU64(&body, fu.fused_rows);
-  block::PutDouble(&body, fu.fused_seconds);
-  const BlockCacheStats& bc = slot.profile.storage;
-  block::PutU64(&body, static_cast<uint64_t>(bc.hits));
-  block::PutU64(&body, static_cast<uint64_t>(bc.misses));
-  block::PutU64(&body, static_cast<uint64_t>(bc.evictions));
-  block::PutU64(&body, static_cast<uint64_t>(bc.rejected));
-  block::PutDouble(&body, bc.bytes_read);
-  block::PutDouble(&body, bc.bytes_hit);
-  block::PutDouble(&body, bc.miss_seconds);
-  block::PutDouble(&body, bc.miss_get_dollars);
-  wire::EncodeChunk(slot.result.value().chunk, &body);
-  return body;
-}
-
-Status RemakeStatus(uint32_t code, std::string msg) {
-  switch (static_cast<Status::Code>(code)) {
-    case Status::Code::kInvalidArgument:
-      return Status::InvalidArgument(std::move(msg));
-    case Status::Code::kNotFound:
-      return Status::NotFound(std::move(msg));
-    case Status::Code::kNotSupported:
-      return Status::NotSupported(std::move(msg));
-    case Status::Code::kOutOfRange:
-      return Status::OutOfRange(std::move(msg));
-    case Status::Code::kResourceExhausted:
-      return Status::ResourceExhausted(std::move(msg));
-    case Status::Code::kSlaViolation:
-      return Status::SlaViolation(std::move(msg));
-    case Status::Code::kCancelled:
-      return Status::Cancelled(std::move(msg));
-    default:
-      return Status::Internal(std::move(msg));
-  }
-}
-
-Status DecodeSlotBody(const std::string& body, SlotResult* slot) {
-  block::ByteCursor cur{body.data(), body.size(), 0, true};
-  const uint32_t failed = cur.GetU32();
-  if (failed != 0) {
-    const uint32_t code = cur.GetU32();
-    const uint32_t len = cur.GetU32();
-    std::string msg = cur.GetBytes(len);
-    if (!cur.ok) return Status::Internal("worker frame: malformed error body");
-    slot->result = RemakeStatus(code, std::move(msg));
-    return Status::OK();
-  }
-  ScanStats& sc = slot->profile.scan;
-  sc.morsels_total = cur.GetU64();
-  sc.morsels_pruned = cur.GetU64();
-  sc.rows_scanned = cur.GetU64();
-  sc.rows_pruned = cur.GetU64();
-  sc.cold_runs = cur.GetU64();
-  FusedExecStats& fu = slot->profile.fused;
-  fu.fused_filter_morsels = cur.GetU64();
-  fu.fused_probe_morsels = cur.GetU64();
-  fu.fused_agg_morsels = cur.GetU64();
-  fu.fallback_morsels = cur.GetU64();
-  fu.fused_rows = cur.GetU64();
-  fu.fused_seconds = cur.GetDouble();
-  BlockCacheStats& bc = slot->profile.storage;
-  bc.hits = static_cast<int64_t>(cur.GetU64());
-  bc.misses = static_cast<int64_t>(cur.GetU64());
-  bc.evictions = static_cast<int64_t>(cur.GetU64());
-  bc.rejected = static_cast<int64_t>(cur.GetU64());
-  bc.bytes_read = cur.GetDouble();
-  bc.bytes_hit = cur.GetDouble();
-  bc.miss_seconds = cur.GetDouble();
-  bc.miss_get_dollars = cur.GetDouble();
-  if (!cur.ok) return Status::Internal("worker frame: malformed stats body");
-  Result<DataChunk> chunk =
-      wire::DecodeChunk(body.data() + cur.pos, body.size() - cur.pos);
-  COSTDB_RETURN_NOT_OK(chunk.status());
-  QueryResult qr;
-  qr.chunk = std::move(chunk).value();
-  slot->result = std::move(qr);
-  return Status::OK();
-}
-
-/// Execute one fragment plan per worker, each in a forked child process.
-/// Each child builds a fresh LocalEngine over a private pool — the shared
-/// pool's threads did not survive the fork — runs its plan over the
-/// inherited (copy-on-write) tables, writes one result frame, and
-/// _exit()s without unwinding.
-Status RunPlansInProcesses(const std::vector<PhysicalPlanPtr>& plans,
-                           const std::vector<uint8_t>& skip,
-                           size_t threads_per_worker,
-                           std::vector<SlotResult>* slots) {
-  struct Child {
-    pid_t pid = -1;
-    int fd = -1;
-  };
-  std::vector<Child> children(plans.size());
-  Status status = Status::OK();
-  for (size_t w = 0; w < plans.size(); ++w) {
-    if (skip[w]) continue;
-    int fds[2];
-    Status sp = MakeSocketPair(fds);
-    if (!sp.ok()) {
-      status = sp;
-      break;
-    }
-    pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      status = Status::Internal("worker fork failed");
-      break;
-    }
-    if (pid == 0) {
-      // Child: run the fragment, ship one frame, exit without unwinding
-      // (skips atexit/leak-check machinery the parent owns).
-      ::close(fds[0]);
-      SlotResult slot;
-      {
-        ThreadPool pool(threads_per_worker);
-        LocalEngine engine(threads_per_worker, &pool);
-        slot.result = engine.Execute(plans[w].get(), &slot.profile);
-        std::string body = EncodeSlotBody(slot);
-        std::string frame;
-        block::PutU64(&frame, body.size());
-        frame.append(body);
-        (void)WriteFull(fds[1], frame.data(), frame.size());
-      }
-      ::_exit(0);
-    }
-    ::close(fds[1]);
-    children[w] = Child{pid, fds[0]};
-  }
-  // Drain results in worker order; on any failure keep draining so every
-  // child is still reaped below (no zombies, no blocked writers).
-  std::string body;
-  for (size_t w = 0; w < plans.size(); ++w) {
-    if (children[w].fd < 0) continue;
-    if (status.ok()) {
-      uint64_t len = 0;
-      Status rd = ReadFull(children[w].fd, &len, sizeof(len));
-      if (rd.ok() && len > (1ull << 40)) {
-        rd = Status::Internal("worker frame: implausible length");
-      }
-      if (rd.ok()) {
-        body.resize(len);
-        rd = ReadFull(children[w].fd, body.data(), len);
-      }
-      if (rd.ok()) rd = DecodeSlotBody(body, &(*slots)[w]);
-      if (!rd.ok()) status = rd.WithContext("worker " + std::to_string(w));
-    }
-    ::close(children[w].fd);
-  }
-  for (size_t w = 0; w < plans.size(); ++w) {
-    if (children[w].pid > 0) {
-      int wstatus = 0;
-      (void)::waitpid(children[w].pid, &wstatus, 0);
-      if (status.ok() &&
-          (!WIFEXITED(wstatus) || WEXITSTATUS(wstatus) != 0)) {
-        status = Status::Internal("worker " + std::to_string(w) +
-                                  " exited abnormally");
-      }
-    }
-  }
-  return status;
-}
 
 /// Concatenate (or key-merge) shards into one chunk, in worker order.
 DataChunk MergeShards(Shards* shards, const std::vector<LogicalType>& types) {
@@ -1059,18 +858,12 @@ Result<Shards> Call::RunFragment(const PhysicalPlan* frag_root) {
 
   const double frag_start = NowSeconds();
   std::vector<SlotResult> slots(dop);
-  if (options_.worker_mode == WorkerMode::kProcesses) {
-    COSTDB_RETURN_NOT_OK(RunPlansInProcesses(
-        plans, skip, options_.threads_per_worker, &slots));
-  } else {
-    // Workers fan out over the shared pool; nested morsel loops inside
-    // each worker engine use the same pool from its own threads.
-    ThreadPool::Shared().ParallelFor(dop, dop, [&](size_t w) {
-      if (skip[w]) return;
-      slots[w].result =
-          worker_engine_.Execute(plans[w].get(), &slots[w].profile);
-    });
-  }
+  // Workers fan out over the shared pool; nested morsel loops inside each
+  // worker engine use the same pool from its own threads.
+  ThreadPool::Shared().ParallelFor(dop, dop, [&](size_t w) {
+    if (skip[w]) return;
+    slots[w].result = worker_engine_.Execute(plans[w].get(), &slots[w].profile);
+  });
   profile_->usage.fragments.push_back(
       FragmentUsage{dop, NowSeconds() - frag_start});
 
@@ -1083,7 +876,6 @@ Result<Shards> Call::RunFragment(const PhysicalPlan* frag_root) {
     COSTDB_RETURN_NOT_OK(slots[w].result.status());
     out.chunks[w] = std::move(slots[w].result->chunk);
     profile_->scan.MergeFrom(slots[w].profile.scan);
-    profile_->fused.MergeFrom(slots[w].profile.fused);
     profile_->storage.MergeFrom(slots[w].profile.storage);
   }
   pipelines_.AddFragment(plans[0].get(), origins, slots, skip, dop);
@@ -1091,16 +883,6 @@ Result<Shards> Call::RunFragment(const PhysicalPlan* frag_root) {
 }
 
 }  // namespace
-
-const char* WorkerModeName(WorkerMode mode) {
-  switch (mode) {
-    case WorkerMode::kThreads:
-      return "threads";
-    case WorkerMode::kProcesses:
-      return "processes";
-  }
-  return "unknown";
-}
 
 double ChunkPayloadBytes(const DataChunk& chunk) {
   double total = 0.0;

@@ -7,19 +7,6 @@
 
 namespace costdb {
 
-/// How worker shards execute: on the in-process LocalEngine fanned out over
-/// the shared thread pool (the historical mode), or in forked worker
-/// processes whose results travel back serialized in the wire format.
-/// Process mode is the configuration where the socket transport's link
-/// costs stop being a simulation: every byte a fragment returns genuinely
-/// crosses an address space.
-enum class WorkerMode {
-  kThreads = 0,
-  kProcesses = 1,
-};
-
-const char* WorkerModeName(WorkerMode mode);
-
 /// What an elastic width decision can observe at one fragment boundary —
 /// the repartition point where an exchange is about to rebucket its input
 /// anyway, so changing the consumer's worker count costs only the delta
@@ -47,16 +34,13 @@ using WidthDecider = std::function<size_t(const FragmentBoundary&)>;
 /// calibration account as "bytes on the wire".
 double ChunkPayloadBytes(const DataChunk& chunk);
 
-/// Construction knobs of a ShardedEngine — per-worker threading and the
-/// two orthogonal distribution axes (how exchanged partitions travel, and
-/// where fragments execute). Any transport composes with any worker mode;
-/// results are bit-identical across all four combinations for
-/// order-stable plans (tested in sharded_test). The width is not among
-/// them: every Execute call names its own.
+/// Construction knobs of a ShardedEngine — per-worker threading and how
+/// exchanged partitions travel. Results are bit-identical across both
+/// transports at any width (tested in sharded_test). The width is not
+/// among them: every Execute call names its own.
 struct ShardedEngineOptions {
   size_t threads_per_worker = 1;
   TransportKind transport = TransportKind::kInProcess;
-  WorkerMode worker_mode = WorkerMode::kThreads;
 };
 
 /// Partitioned multi-worker execution: runs a physical plan across N
@@ -112,8 +96,8 @@ class ShardedEngine {
   /// changes at fragment boundaries only through `decider`. Reentrant —
   /// every per-run datum (width, exchange transport, clocks, counters)
   /// lives in a per-call context, so one engine serves concurrent calls at
-  /// any widths. `profile` (optional) receives scan, fused and storage
-  /// counters summed over workers, the exchange stats and the
+  /// any widths. `profile` (optional) receives scan and storage counters
+  /// summed over workers, the exchange stats and the
   /// worker-second ledger. With a `sink`, the gathered result is pushed
   /// to it as one chunk and the returned chunk is empty but correctly
   /// typed. `decider` (optional) is consulted at each resizable fragment
@@ -126,9 +110,8 @@ class ShardedEngine {
 
  private:
   ShardedEngineOptions options_;
-  /// Runs every worker's fragment plan in thread mode; reentrant, so all
-  /// workers of all calls share it. Unused in process mode, where each
-  /// forked child builds its own engine over a private pool.
+  /// Runs every worker's fragment plan; reentrant, so all workers of all
+  /// calls share it.
   LocalEngine worker_engine_;
 };
 

@@ -1,9 +1,5 @@
 #include "optimizer/passes.h"
 
-#include <algorithm>
-
-#include "cost/operator_models.h"
-#include "exec/fused.h"
 #include "optimizer/cardinality.h"
 
 namespace costdb {
@@ -83,102 +79,6 @@ Status PhysicalPlanPass::Run(QueryPlanContext* ctx) const {
   return Status::OK();
 }
 
-namespace {
-
-/// Scan leaf reachable from `child` through exchanges only (the shapes the
-/// engine can run fused: nothing between the fused kernel and its consumer
-/// but data movement). nullptr when any other operator intervenes.
-PhysicalPlan* ScanThroughExchanges(const PhysicalPlanPtr& child) {
-  PhysicalPlan* n = child.get();
-  while (n != nullptr && n->kind == PhysicalPlan::Kind::kExchange &&
-         n->children.size() == 1) {
-    n = n->children[0].get();
-  }
-  return (n != nullptr && n->kind == PhysicalPlan::Kind::kTableScan) ? n
-                                                                     : nullptr;
-}
-
-/// All keys are bare references to columns the scan outputs — the fused
-/// probe hashes them straight off the borrowed row-group payloads.
-bool KeysAreScanColumns(const std::vector<ExprPtr>& keys,
-                        const PhysicalPlan& scan) {
-  if (keys.empty()) return false;
-  for (const auto& k : keys) {
-    if (k == nullptr || k->kind != Expr::Kind::kColumn) return false;
-    if (scan.FindColumn(k->column) == static_cast<size_t>(-1)) return false;
-  }
-  return true;
-}
-
-/// Bottom-up fusion annotation of one candidate plan. Scans decide first
-/// (cost-modeled), then probes/aggregates ride on a fused (or filterless)
-/// scan when their shape has an instantiation.
-void AnnotateFusion(PhysicalPlan* node, const VolumeMap& volumes,
-                    const HardwareCalibration& hw) {
-  if (node == nullptr) return;
-  for (auto& c : node->children) AnnotateFusion(c.get(), volumes, hw);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-
-  if (node->kind == PhysicalPlan::Kind::kTableScan &&
-      !node->scan_filters.empty()) {
-    ExprPtr combined = CombineConjuncts(node->scan_filters);
-    if (combined != nullptr &&
-        registry.CanCompile(*combined, node->output_names,
-                            node->output_types)) {
-      NodeVolumes v;
-      auto it = volumes.find(node);
-      if (it != volumes.end()) v = it->second;
-      const double rows = v.source_rows;
-      const double selectivity =
-          rows > 0.0 ? std::min(1.0, v.out_rows / rows) : 1.0;
-      const double batches = SurvivingScanMorsels(*node);
-      // dop cancels out of the comparison; price at 1 node.
-      const Seconds interpreted = InterpretedFilterChainTime(
-          hw, rows, static_cast<int>(node->scan_filters.size()), selectivity,
-          batches, 1);
-      const Seconds fused = FusedFilterChainTime(hw, rows, batches, 1);
-      node->fuse_scan_filter = fused < interpreted;
-    }
-  }
-
-  if (node->kind == PhysicalPlan::Kind::kHashJoin &&
-      !node->children.empty()) {
-    PhysicalPlan* scan = ScanThroughExchanges(node->children[0]);
-    if (scan != nullptr &&
-        (scan->scan_filters.empty() || scan->fuse_scan_filter) &&
-        KeysAreScanColumns(node->probe_keys, *scan)) {
-      node->fuse_probe = true;
-    }
-  }
-
-  if (node->kind == PhysicalPlan::Kind::kHashAggregate &&
-      node->group_by.empty() && node->children.size() == 1) {
-    PhysicalPlan* scan = ScanThroughExchanges(node->children[0]);
-    if (scan != nullptr &&
-        (scan->scan_filters.empty() || scan->fuse_scan_filter)) {
-      std::vector<FusedAggSpec> specs;
-      if (registry.CompileAggregates(node->aggregates, scan->output_names,
-                                     scan->output_types, &specs)) {
-        node->fuse_aggregate = true;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-Status FuseKernelsPass::Run(QueryPlanContext* ctx) const {
-  if (ctx->candidates.empty()) {
-    return Status::Internal("fuse_kernels: no physical candidates");
-  }
-  if (ctx->estimator == nullptr) return Status::OK();  // nothing to price with
-  const HardwareCalibration& hw = ctx->estimator->hardware();
-  for (auto& candidate : ctx->candidates) {
-    AnnotateFusion(candidate.plan.get(), candidate.volumes, hw);
-  }
-  return Status::OK();
-}
-
 Status DopPlanPass::Run(QueryPlanContext* ctx) const {
   if (ctx->candidates.empty()) {
     return Status::Internal("dop_plan: no physical candidates");
@@ -230,7 +130,6 @@ PassPipeline MakeDefaultPassPipeline(bool explore_bushy) {
   passes.push_back(std::make_unique<DagPlanPass>());
   if (explore_bushy) passes.push_back(std::make_unique<BushyRewritePass>());
   passes.push_back(std::make_unique<PhysicalPlanPass>());
-  passes.push_back(std::make_unique<FuseKernelsPass>());
   passes.push_back(std::make_unique<DopPlanPass>());
   return passes;
 }

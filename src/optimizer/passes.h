@@ -85,22 +85,6 @@ class PhysicalPlanPass : public OptimizerPass {
   Status Run(QueryPlanContext* ctx) const override;
 };
 
-/// Annotates each physical candidate with fused-kernel decisions the
-/// engine honors (PhysicalPlan::fuse_scan_filter / fuse_probe /
-/// fuse_aggregate). Fusion is chosen per scan only where the calibrated
-/// cost model prices the fused single-pass chain below the per-kernel
-/// vectorized chain (FusedFilterChainTime vs InterpretedFilterChainTime
-/// over the candidate's believed volumes and real surviving-morsel
-/// geometry), and only for shapes the FusedKernelRegistry can actually
-/// instantiate — the same registry the engine compiles through, so plan
-/// and runtime can never disagree about fusability. Runs before
-/// dop_plan so DOP pricing sees the fused operator costs.
-class FuseKernelsPass : public OptimizerPass {
- public:
-  const char* name() const override { return "fuse_kernels"; }
-  Status Run(QueryPlanContext* ctx) const override;
-};
-
 /// Prices every candidate with the DOP planner and selects the best one
 /// under the user constraint (feasible first, then the constrained
 /// objective).
@@ -111,8 +95,7 @@ class DopPlanPass : public OptimizerPass {
 };
 
 /// The paper's two-stage bi-objective optimizer as an explicit pipeline:
-/// bind -> dag_plan [-> bushy_rewrite] -> physical_plan -> fuse_kernels
-/// -> dop_plan.
+/// bind -> dag_plan [-> bushy_rewrite] -> physical_plan -> dop_plan.
 PassPipeline MakeDefaultPassPipeline(bool explore_bushy = true);
 
 /// Run `passes` in order over `ctx`; fails if no pass produced a plan.

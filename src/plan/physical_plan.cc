@@ -55,7 +55,6 @@ std::string PhysicalPlan::ToString(int indent) const {
         }
         out += "]";
       }
-      if (fuse_scan_filter) out += " fused";
       break;
     }
     case Kind::kFilter:
@@ -66,12 +65,8 @@ std::string PhysicalPlan::ToString(int indent) const {
         out += " " + probe_keys[i]->ToString() + "=" +
                build_keys[i]->ToString();
       }
-      if (fuse_probe) out += " fused";
       break;
     }
-    case Kind::kHashAggregate:
-      if (fuse_aggregate) out += " fused";
-      break;
     case Kind::kExchange:
       out += std::string(" ") + ExchangeKindName(exchange_kind);
       break;

@@ -102,23 +102,6 @@ struct PhysicalPlan {
   /// for join-side shuffles, group-by columns for aggregate shuffles.
   std::vector<ExprPtr> partition_exprs;
 
-  // ---- fused-kernel annotations (set by the fuse_kernels optimizer pass,
-  // honored by the engine). Fusion is a *costed* decision: the pass prices
-  // the fused single-pass kernel against the per-kernel vectorized chain
-  // with the calibrated fused dispatch/throughput terms, and annotates only
-  // where the model says fused is net-positive. The engine falls back to
-  // the vectorized path at runtime if the shape fails to bind. Plain bools
-  // so BindPlanParams / CloneForWorker copy-construction carries them to
-  // cached prepared plans and sharded workers unchanged.
-  /// kTableScan: run scan_filters as one fused single-pass select+gather.
-  bool fuse_scan_filter = false;
-  /// kHashJoin: probe straight off the scan's borrowed columns (fused
-  /// filter→hash-probe pipeline; no intermediate filtered chunk).
-  bool fuse_probe = false;
-  /// kHashAggregate (global): fold survivors straight into the aggregate
-  /// states (fused filter→aggregate; no materialization at all).
-  bool fuse_aggregate = false;
-
   const char* KindName() const;
 
   /// EXPLAIN-style indented rendering.

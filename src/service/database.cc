@@ -16,8 +16,7 @@ Database::Database(DatabaseOptions options)
       node_(pricing_.default_node()),
       local_engine_(options_.exec_threads),
       sharded_engine_(ShardedEngineOptions{options_.sharded_threads_per_worker,
-                                           options_.exchange_transport,
-                                           options_.worker_mode}) {
+                                           options_.exchange_transport}) {
   // One worker-count cap end to end: the optimizer's 0-auto resolution
   // honors the facade's limit.
   options_.optimizer.max_workers =

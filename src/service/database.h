@@ -51,11 +51,6 @@ struct DatabaseOptions {
   /// calibration's link group learns the link terms from them, and moved
   /// wire bytes are billed at the egress rate.
   TransportKind exchange_transport = TransportKind::kInProcess;
-  /// Where sharded fragments execute: LocalEngines on a thread pool, or
-  /// forked worker processes whose results return serialized over
-  /// sockets. Results are bit-identical across both for order-stable
-  /// plans.
-  WorkerMode worker_mode = WorkerMode::kThreads;
   /// Cap on UserConstraint::workers == 0 auto-resolution and on explicit
   /// worker requests routed to the sharded backend.
   size_t max_workers = 16;

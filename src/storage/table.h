@@ -47,7 +47,7 @@ struct RowGroup {
 /// persistent tier (LSM-lite block runs in the simulated object store, see
 /// docs/STORAGE.md) under the same row-group scan interface, which is what
 /// lets datasets larger than RAM — and larger than the block cache — run
-/// through the unchanged vectorized/fused/sharded engines.
+/// through the unchanged local and sharded engines.
 class Table {
  public:
   Table(std::string name, std::vector<ColumnDef> columns,

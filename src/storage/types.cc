@@ -4,20 +4,6 @@
 
 namespace costdb {
 
-PhysicalType PhysicalTypeOf(LogicalType type) {
-  switch (type) {
-    case LogicalType::kInt64:
-    case LogicalType::kBool:
-    case LogicalType::kDate:
-      return PhysicalType::kInt64;
-    case LogicalType::kDouble:
-      return PhysicalType::kDouble;
-    case LogicalType::kVarchar:
-      return PhysicalType::kString;
-  }
-  return PhysicalType::kInt64;
-}
-
 double TypeWidthBytes(LogicalType type, double avg_varchar_len) {
   switch (type) {
     case LogicalType::kInt64:

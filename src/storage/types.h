@@ -25,7 +25,19 @@ enum class PhysicalType {
   kString,
 };
 
-PhysicalType PhysicalTypeOf(LogicalType type);
+inline PhysicalType PhysicalTypeOf(LogicalType type) {
+  switch (type) {
+    case LogicalType::kInt64:
+    case LogicalType::kBool:
+    case LogicalType::kDate:
+      return PhysicalType::kInt64;
+    case LogicalType::kDouble:
+      return PhysicalType::kDouble;
+    case LogicalType::kVarchar:
+      return PhysicalType::kString;
+  }
+  return PhysicalType::kInt64;
+}
 
 /// Uncompressed width in bytes of one value (VARCHAR uses an average width
 /// estimate; the storage layer refines it with observed data).

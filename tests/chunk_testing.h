@@ -51,11 +51,6 @@ inline std::string ProfileCounters(const ExecProfile& p) {
   add("pruned", static_cast<double>(p.scan.morsels_pruned));
   add("rows_scanned", static_cast<double>(p.scan.rows_scanned));
   add("rows_pruned", static_cast<double>(p.scan.rows_pruned));
-  add("fused_filter", static_cast<double>(p.fused.fused_filter_morsels));
-  add("fused_probe", static_cast<double>(p.fused.fused_probe_morsels));
-  add("fused_agg", static_cast<double>(p.fused.fused_agg_morsels));
-  add("fallback", static_cast<double>(p.fused.fallback_morsels));
-  add("fused_rows", static_cast<double>(p.fused.fused_rows));
   add("block_pins", static_cast<double>(p.storage.hits + p.storage.misses));
   add("exchanges", static_cast<double>(p.exchange.exchanges()));
   add("rows_moved", static_cast<double>(p.exchange.rows_moved()));

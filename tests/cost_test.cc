@@ -246,8 +246,7 @@ TEST_F(CostTest, FilterChainChargesDispatchOnlyForSurvivingMorsels) {
   // Zone-map pruning drops whole morsels before any kernel runs, so the
   // batch-dispatch term must be charged per *surviving* morsel. With rows
   // and selectivity held fixed, shrinking `batches` from 200 to 20 must
-  // cut exactly the dispatch fee of the 180 pruned morsels — per conjunct
-  // on the interpreted chain, once for the whole fused chain.
+  // cut exactly the dispatch fee of the 180 pruned morsels, per conjunct.
   const double rows = 1e6;
   const int conjuncts = 3;
   const double sel = 0.2;
@@ -258,17 +257,6 @@ TEST_F(CostTest, FilterChainChargesDispatchOnlyForSurvivingMorsels) {
   EXPECT_LT(pruned, full);
   EXPECT_NEAR(full - pruned,
               conjuncts * 180.0 * hw_.batch_dispatch_seconds, 1e-12);
-
-  Seconds fused_full = FusedFilterChainTime(hw_, rows, 200.0, 1);
-  Seconds fused_pruned = FusedFilterChainTime(hw_, rows, 20.0, 1);
-  EXPECT_NEAR(fused_full - fused_pruned, 180.0 * hw_.fused_dispatch_seconds,
-              1e-12);
-
-  // The fused chain's whole point: one dispatch per morsel instead of one
-  // per conjunct per morsel, and one row pass instead of k narrowing
-  // passes — cheaper on a multi-conjunct mid-selectivity chain.
-  EXPECT_LT(FusedFilterChainTime(hw_, rows, 200.0, 1),
-            InterpretedFilterChainTime(hw_, rows, 4, 0.3, 200.0, 1));
 }
 
 TEST_F(CostTest, SurvivingMorselsFollowPlannerPruneFraction) {
@@ -289,43 +277,6 @@ TEST_F(CostTest, SurvivingMorselsFollowPlannerPruneFraction) {
   EXPECT_EQ(SurvivingScanMorsels(scan), std::ceil(total * 0.25));
   scan.prune_keep_fraction = 0.0;
   EXPECT_EQ(SurvivingScanMorsels(scan), 0.0);
-}
-
-TEST_F(CostTest, FusedGroupMovesOnlyTheFusedTerms) {
-  HardwareCalibration hw;
-  const HardwareCalibration before = hw;
-  CostEstimator estimator(&hw, &node_);
-  CalibrationUpdater updater(&hw);
-
-  // The fused kernels run 4x slower here than the seeded calibration
-  // claims: predictions must grow by ~scale, nothing else may move.
-  ExecProfile profile;
-  FusedExecStats& f = profile.fused;
-  f.fused_rows = 1000000;
-  f.fused_filter_morsels = 120;
-  f.fused_seconds = 4.0 * (1e6 / hw.fused_filter_rows_per_sec +
-                           120.0 * hw.fused_dispatch_seconds);
-  CalibrationReport report =
-      updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
-  const GroupReport& fused = report[TermGroup::kFused];
-  EXPECT_EQ(fused.observed, 1);
-  EXPECT_GT(fused.applied_scale, 1.0);
-  EXPECT_LT(fused.q_error_after, fused.q_error_before);
-  EXPECT_DOUBLE_EQ(updater.drift(TermGroup::kFused), fused.applied_scale);
-
-  // Fused rate slowed, fused dispatch grew...
-  EXPECT_LT(hw.fused_filter_rows_per_sec, before.fused_filter_rows_per_sec);
-  EXPECT_GT(hw.fused_dispatch_seconds, before.fused_dispatch_seconds);
-  // ...and the interpreted rates fusion competes against stayed put.
-  EXPECT_DOUBLE_EQ(hw.filter_rows_per_sec, before.filter_rows_per_sec);
-  EXPECT_DOUBLE_EQ(hw.batch_dispatch_seconds, before.batch_dispatch_seconds);
-  EXPECT_DOUBLE_EQ(hw.scan_gibps_per_node, before.scan_gibps_per_node);
-  EXPECT_DOUBLE_EQ(hw.shuffle_gibps, before.shuffle_gibps);
-
-  // Converges: repeated identical observations shrink the remaining gap.
-  CalibrationReport second =
-      updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
-  EXPECT_LT(second[TermGroup::kFused].q_error_before, fused.q_error_before);
 }
 
 /// One exchange over the socket transport whose link share runs
@@ -384,8 +335,6 @@ TEST_F(CostTest, LinkGroupMovesOnlyTheLinkTerms) {
                    before.shuffle_dispatch_seconds);
   EXPECT_DOUBLE_EQ(hw.scan_gibps_per_node, before.scan_gibps_per_node);
   EXPECT_DOUBLE_EQ(hw.filter_rows_per_sec, before.filter_rows_per_sec);
-  EXPECT_DOUBLE_EQ(hw.fused_filter_rows_per_sec,
-                   before.fused_filter_rows_per_sec);
   EXPECT_DOUBLE_EQ(hw.storage_read_gibps, before.storage_read_gibps);
   // The configuration knob is not a calibrated term.
   EXPECT_EQ(hw.exchange_transport, before.exchange_transport);
@@ -423,7 +372,6 @@ TEST_F(CostTest, ShuffleGroupMovesOnlyTheShuffleTerms) {
       &HW::agg_rows_per_sec, &HW::agg_merge_groups_per_sec,
       &HW::sort_rows_per_sec, &HW::exchange_rows_per_sec,
       &HW::vector_batch_rows, &HW::batch_dispatch_seconds,
-      &HW::fused_filter_rows_per_sec, &HW::fused_dispatch_seconds,
       &HW::storage_read_gibps, &HW::storage_get_seconds,
       &HW::parallel_alpha, &HW::shuffle_sync_per_node,
       &HW::pipeline_startup, &HW::worker_spinup_seconds};
@@ -518,8 +466,6 @@ TEST_F(CostTest, StorageGroupMovesOnlyTheStorageTerms) {
   EXPECT_DOUBLE_EQ(hw.scan_gibps_per_node, before.scan_gibps_per_node);
   EXPECT_DOUBLE_EQ(hw.filter_rows_per_sec, before.filter_rows_per_sec);
   EXPECT_DOUBLE_EQ(hw.shuffle_gibps, before.shuffle_gibps);
-  EXPECT_DOUBLE_EQ(hw.fused_filter_rows_per_sec,
-                   before.fused_filter_rows_per_sec);
 
   // The pipeline group moves the storage terms too, and the storage drift
   // records that movement.
@@ -553,11 +499,6 @@ TEST_F(CostTest, CalibrationClampsAndGroupOrderWithinARound) {
         {p.id, kSlow * estimator.PipelineDuration(p, 1, q.volumes)});
   }
   profile.exchange.timings.push_back(SocketExchange(hw, kSlow, kSlow));
-  profile.fused.fused_rows = 1000000;
-  profile.fused.fused_filter_morsels = 120;
-  profile.fused.fused_seconds =
-      kSlow * (1e6 / hw.fused_filter_rows_per_sec +
-               120.0 * hw.fused_dispatch_seconds);
   profile.storage.misses = 16;
   profile.storage.bytes_read = 8.0 * kMiB;
   profile.storage.miss_seconds =
@@ -565,8 +506,7 @@ TEST_F(CostTest, CalibrationClampsAndGroupOrderWithinARound) {
                16.0 * hw.storage_get_seconds);
 
   const TermGroup groups[] = {TermGroup::kPipelines, TermGroup::kShuffle,
-                              TermGroup::kLink, TermGroup::kFused,
-                              TermGroup::kStorage};
+                              TermGroup::kLink, TermGroup::kStorage};
   CalibrationUpdater updater(&hw);
   for (int round = 0; round < 5; ++round) {
     double before[kNumTermGroups];

@@ -223,53 +223,7 @@ TEST(QueryServiceTest, DefaultPassOrder) {
   auto db = MakeSsbDatabase();
   EXPECT_EQ(db->query_service()->PassNames(),
             (std::vector<std::string>{"bind", "dag_plan", "bushy_rewrite",
-                                      "physical_plan", "fuse_kernels",
-                                      "dop_plan"}));
-}
-
-TEST(QueryServiceTest, FusionDecisionFollowsCalibratedFusedTerms) {
-  // The fuse_kernels pass prices FusedFilterChainTime against
-  // InterpretedFilterChainTime with the facade's live calibration, so the
-  // same query must flip from fused to interpreted when the calibrated
-  // fused terms say this hardware runs fused kernels terribly.
-  const std::string sql =
-      "SELECT lo_revenue FROM lineorder WHERE lo_orderkey < 600 "
-      "AND lo_discount >= 1 AND lo_discount <= 3 AND lo_quantity < 25";
-  struct FindScan {
-    static const PhysicalPlan* In(const PhysicalPlan* p) {
-      if (p == nullptr) return nullptr;
-      if (p->kind == PhysicalPlan::Kind::kTableScan) return p;
-      for (const auto& c : p->children) {
-        if (const PhysicalPlan* f = In(c.get())) return f;
-      }
-      return nullptr;
-    }
-  };
-
-  auto db = MakeSsbDatabase();
-  auto planned = db->PlanSql(sql, UserConstraint());
-  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
-  const PhysicalPlan* scan = FindScan::In(planned->plan.get());
-  ASSERT_NE(scan, nullptr);
-  EXPECT_TRUE(scan->fuse_scan_filter)
-      << "seeded calibration must fuse a 4-conjunct pushed chain";
-
-  // And the annotation is honored end to end: the facade's engine reports
-  // morsels actually executed through the fused tier.
-  Session session(db.get());
-  auto run = session.ExecuteSql(sql, UserConstraint::Sla(60.0));
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  EXPECT_GT(run->fused.fused_filter_morsels, 0u);
-
-  auto slow_fused = MakeSsbDatabase();
-  slow_fused->hardware()->fused_filter_rows_per_sec = 1e3;
-  slow_fused->hardware()->fused_dispatch_seconds = 1.0;
-  auto replanned = slow_fused->PlanSql(sql, UserConstraint());
-  ASSERT_TRUE(replanned.ok()) << replanned.status().ToString();
-  const PhysicalPlan* slow_scan = FindScan::In(replanned->plan.get());
-  ASSERT_NE(slow_scan, nullptr);
-  EXPECT_FALSE(slow_scan->fuse_scan_filter)
-      << "degraded fused calibration must fall back to the per-kernel path";
+                                      "physical_plan", "dop_plan"}));
 }
 
 TEST(QueryServiceTest, RemovingBushyRewriteStillPlans) {

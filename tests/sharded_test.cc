@@ -4,18 +4,6 @@
 #include <thread>
 
 #include "chunk_testing.h"
-
-// Process-mode runs fork one child per worker; TSan's runtime does not
-// support fork-then-continue children and reports spurious races, so the
-// process-mode matrix legs skip under it.
-#if defined(__SANITIZE_THREAD__)
-#define COSTDB_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define COSTDB_TSAN 1
-#endif
-#endif
-
 #include "common/rng.h"
 #include "exec/sharded_engine.h"
 #include "service/database.h"
@@ -421,34 +409,15 @@ TEST_F(ShardedTest, JoinsBitIdenticalAcrossWorkers) {
       "JOIN customer c ON o.cust = c.key GROUP BY c.region");
 }
 
-TEST_F(ShardedTest, FusedPipelinesBitIdenticalAcrossWorkers) {
-  // Force the fused execution tier on (regardless of the cost model's
-  // verdict for this small catalog) and require every worker count to
-  // reproduce the interpreted reference bit-for-bit. The sharded engine
-  // runs one fused dispatch per worker morsel, so this is the densest
-  // cross-thread exercise of the shared kernel registry.
-  struct AnnotateFusable {
-    static void Apply(PhysicalPlan* n) {
-      if (n == nullptr) return;
-      for (auto& c : n->children) Apply(c.get());
-      if (n->kind == PhysicalPlan::Kind::kTableScan &&
-          !n->scan_filters.empty()) {
-        n->fuse_scan_filter = true;
-      }
-      if (n->kind == PhysicalPlan::Kind::kHashAggregate &&
-          n->group_by.empty()) {
-        n->fuse_aggregate = true;
-      }
-      if (n->kind == PhysicalPlan::Kind::kHashJoin) n->fuse_probe = true;
-    }
-  };
+TEST_F(ShardedTest, ScanFilterAndGlobalAggregateBitIdenticalAcrossWorkers) {
+  // Multi-conjunct pushed filters, with and without a global aggregate on
+  // top: every worker count must reproduce the LocalEngine reference
+  // bit-for-bit.
   const char* queries[] = {
-      // fused select+gather off the scan's borrowed columns
       "SELECT id, amount FROM orders WHERE id < 5000 AND cust >= 100",
-      // fused filter -> global aggregate fold. Integer SUM and double
-      // MIN/MAX are exactly associative; SUM over doubles re-associates
-      // across worker counts and is deliberately not asserted here (see
-      // AggregatesBitIdenticalAcrossWorkers).
+      // Integer SUM and double MIN/MAX are exactly associative; SUM over
+      // doubles re-associates across worker counts and is deliberately not
+      // asserted here (see AggregatesBitIdenticalAcrossWorkers).
       "SELECT count(*) AS n, sum(id) AS s, min(amount) AS lo, "
       "max(amount) AS hi "
       "FROM orders WHERE amount > 100.0 AND amount < 900.0 AND cust >= 10",
@@ -456,20 +425,14 @@ TEST_F(ShardedTest, FusedPipelinesBitIdenticalAcrossWorkers) {
   for (const char* sql : queries) {
     auto planned = plain_->PlanSql(sql, UserConstraint());
     ASSERT_TRUE(planned.ok()) << sql << ": " << planned.status().ToString();
-    AnnotateFusable::Apply(planned->plan.get());
     LocalEngine local(4);
-    ExecProfile local_profile;
-    auto reference = local.Execute(planned->plan.get(), &local_profile);
+    auto reference = local.Execute(planned->plan.get());
     ASSERT_TRUE(reference.ok()) << sql;
-    EXPECT_TRUE(local_profile.fused.any_fused()) << sql;
     ShardedEngine sharded;
     for (size_t workers : {1u, 2u, 4u, 7u}) {
-      ExecProfile profile;
-      auto result = sharded.Execute(planned->plan.get(), workers, &profile);
+      auto result = sharded.Execute(planned->plan.get(), workers);
       ASSERT_TRUE(result.ok())
           << sql << " @" << workers << ": " << result.status().ToString();
-      EXPECT_TRUE(profile.fused.any_fused())
-          << sql << " @" << workers << " fell back to interpreted";
       std::string why;
       EXPECT_TRUE(ChunksBitIdentical(reference->chunk, result->chunk, &why))
           << sql << " diverged at " << workers << " workers: " << why;
@@ -949,21 +912,20 @@ TEST_F(ShardedTest, ShardedRunsTimeEveryPipelineOfThePlan) {
   }
 }
 
-TEST_F(ShardedTest, BitIdenticalAcrossTransportsAndWorkerModes) {
-  // The full distribution matrix: {in-process, socket} transports x
-  // {threads, processes} worker modes x {1, 2, 4, 7} widths. At a fixed
-  // width, the transport serializes every moved partition through the
-  // checksummed wire format and process mode ships whole fragment results
-  // between address spaces — neither may change a single byte relative to
-  // the in-process/threads engine at that width, even for plans whose
-  // double aggregates are association-sensitive. Order-stable plans (no
-  // floating-point re-association across partials) must additionally match
-  // the LocalEngine reference at every width.
+TEST_F(ShardedTest, BitIdenticalAcrossTransports) {
+  // The distribution matrix: {in-process, socket} transports x
+  // {1, 2, 4, 7} widths. At a fixed width, the socket transport serializes
+  // every moved partition through the checksummed wire format — which may
+  // not change a single byte relative to the in-process engine at that
+  // width, even for plans whose double aggregates are
+  // association-sensitive. Order-stable plans (no floating-point
+  // re-association across partials) must additionally match the
+  // LocalEngine reference at every width.
   struct MatrixQuery {
     std::string sql;
     // sum(amount) over doubles re-associates across worker partials, so
     // its result is a function of the partitioning width; it still must be
-    // invariant to transport and worker mode at any given width.
+    // invariant to transport at any given width.
     bool order_stable;
   };
   const MatrixQuery queries[] = {
@@ -982,11 +944,14 @@ TEST_F(ShardedTest, BitIdenticalAcrossTransportsAndWorkerModes) {
     LocalEngine local(4);
     auto reference = local.Execute(planned->plan.get());
     ASSERT_TRUE(reference.ok());
+    ShardedEngineOptions socket_options;
+    socket_options.transport = TransportKind::kSocket;
+    ShardedEngine in_process_engine;
+    ShardedEngine socket_engine(socket_options);
     for (size_t workers : {1u, 2u, 4u, 7u}) {
-      // The width-reference leg every other transport x mode combination
-      // must reproduce byte-for-byte.
-      ShardedEngine base_engine;
-      auto base = base_engine.Execute(planned->plan.get(), workers);
+      // The in-process leg is the width reference the socket leg must
+      // reproduce byte-for-byte.
+      auto base = in_process_engine.Execute(planned->plan.get(), workers);
       ASSERT_TRUE(base.ok()) << q.sql << " @" << workers << ": "
                              << base.status().ToString();
       if (q.order_stable) {
@@ -995,33 +960,14 @@ TEST_F(ShardedTest, BitIdenticalAcrossTransportsAndWorkerModes) {
             << q.sql << " diverged from LocalEngine @" << workers << ": "
             << why;
       }
-      for (TransportKind transport :
-           {TransportKind::kInProcess, TransportKind::kSocket}) {
-        for (WorkerMode mode :
-             {WorkerMode::kThreads, WorkerMode::kProcesses}) {
-#ifdef COSTDB_TSAN
-          if (mode == WorkerMode::kProcesses) continue;
-#endif
-          if (transport == TransportKind::kInProcess &&
-              mode == WorkerMode::kThreads) {
-            continue;  // that is the width-reference leg itself
-          }
-          ShardedEngineOptions options;
-          options.transport = transport;
-          options.worker_mode = mode;
-          ShardedEngine engine(options);
-          auto result = engine.Execute(planned->plan.get(), workers);
-          ASSERT_TRUE(result.ok())
-              << q.sql << " @" << workers << " " << TransportName(transport)
-              << "/" << WorkerModeName(mode) << ": "
-              << result.status().ToString();
-          std::string why;
-          EXPECT_TRUE(ChunksBitIdentical(base->chunk, result->chunk, &why))
-              << q.sql << " diverged @" << workers << " "
-              << TransportName(transport) << "/" << WorkerModeName(mode)
-              << ": " << why;
-        }
-      }
+      auto result = socket_engine.Execute(planned->plan.get(), workers);
+      ASSERT_TRUE(result.ok()) << q.sql << " @" << workers << " "
+                               << TransportName(TransportKind::kSocket)
+                               << ": " << result.status().ToString();
+      std::string why;
+      EXPECT_TRUE(ChunksBitIdentical(base->chunk, result->chunk, &why))
+          << q.sql << " diverged @" << workers << " "
+          << TransportName(TransportKind::kSocket) << ": " << why;
     }
   }
 }

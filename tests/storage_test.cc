@@ -1618,10 +1618,9 @@ std::unique_ptr<Database> MakePersistentSsbDb(const std::string& spill_name,
 TEST(DatabaseStorageTest, PersistedScansBitIdenticalAcrossEngineTiers) {
   auto db = MakePersistentSsbDb("db_tiers", 8u << 20);
   const std::vector<std::pair<std::string, UserConstraint>> runs = {
-      // Fused tier: Q1's conjunctive scan filter is the fuse_kernels
-      // pass's home turf.
+      // Local engine: Q1's conjunctive scan filter and global aggregate.
       {FindQuery("Q1").sql, UserConstraint()},
-      // Vectorized (non-fused) tier: a disjunctive predicate.
+      // Local engine: a disjunctive predicate and a grouped aggregate.
       {"SELECT lo_shipmode, count(*) AS n, sum(lo_revenue) AS rev "
        "FROM lineorder WHERE lo_quantity < 10 OR lo_discount = 2 "
        "GROUP BY lo_shipmode ORDER BY rev DESC",
@@ -1817,8 +1816,8 @@ TEST(DatabaseStorageTest, MixedProjectionColdScansBitIdenticalAcrossTiers) {
       "SELECT count(*) AS n, sum(lo_quantity) AS q, max(lo_revenue) AS top "
       "FROM lineorder WHERE lo_quantity < 10 OR lo_discount = 2";
   const std::vector<std::pair<std::string, UserConstraint>> runs = {
-      {FindQuery("Q1").sql, UserConstraint()},                // fused
-      {disjunctive, UserConstraint()},                        // vectorized
+      {FindQuery("Q1").sql, UserConstraint()},                // conjunction
+      {disjunctive, UserConstraint()},                        // disjunction
       {FindQuery("Q2").sql, UserConstraint().WithWorkers(2)},  // sharded
       {FindQuery("Q10").sql, UserConstraint()},
       {FindQuery("Q3").sql, UserConstraint()},

@@ -11,7 +11,6 @@
 #include "cost/operator_models.h"
 #include "exec/engine.h"
 #include "exec/evaluator.h"
-#include "exec/fused.h"
 #include "optimizer/optimizer.h"
 #include "storage/table.h"
 
@@ -282,7 +281,7 @@ TEST(VectorizedParity, LogicalOpsCoerceDoubleOperands) {
   }
 }
 
-TEST(VectorizedKernels, AccumulateAndMinMaxSkipNulls) {
+TEST(VectorizedKernels, AccumulateSkipsNulls) {
   ColumnVector v(LogicalType::kInt64);
   v.AppendInt(4);
   v.AppendNull();
@@ -294,19 +293,7 @@ TEST(VectorizedKernels, AccumulateAndMinMaxSkipNulls) {
   EXPECT_EQ(count, 3);
   EXPECT_EQ(isum, 12);
   EXPECT_DOUBLE_EQ(dsum, 12.0);
-  Value lo, hi;
-  bool has_value = false;
-  kernels::MinMaxSelected(v, {0, 1, 2, 3}, &lo, &hi, &has_value);
-  ASSERT_TRUE(has_value);
-  EXPECT_EQ(lo.AsInt(), -2);
-  EXPECT_EQ(hi.AsInt(), 10);
-
-  ColumnVector all_null(LogicalType::kDouble);
-  all_null.AppendNull();
-  all_null.AppendNull();
-  has_value = false;
-  kernels::MinMaxSelected(all_null, {0, 1}, &lo, &hi, &has_value);
-  EXPECT_FALSE(has_value);
+  EXPECT_EQ(kernels::CountValid(v), 3);
 }
 
 TEST(ZoneMapPruning, NeverDropsQualifyingRows) {
@@ -350,20 +337,11 @@ TEST(ZoneMapPruning, NeverDropsQualifyingRows) {
   }
 }
 
-// ------------------------------------------------------------ fused tier
-// Three-way parity: the fused single-pass kernels must agree with the
-// per-kernel vectorized path AND the scalar reference interpreter on the
-// same randomized chunks. The registry is the shared dispatch point, so
-// these tests also pin down exactly which shapes compile.
-
-const std::vector<LogicalType> kSchemaTypes = {
-    LogicalType::kInt64, LogicalType::kInt64, LogicalType::kDouble,
-    LogicalType::kVarchar};
-
-/// Random conjunction drawn only from shapes the registry instantiates:
+/// Random conjunction of the predicate shapes scan filters push down:
 /// column-vs-constant compares over every type family, numeric
-/// column-vs-column, and LIKE with and without ESCAPE.
-ExprPtr RandomFusableConjunction(Rng* rng) {
+/// column-vs-column (int-vs-int and int-vs-double), and LIKE with and
+/// without ESCAPE.
+ExprPtr RandomConjunction(Rng* rng) {
   const CompareOp ops[] = {CompareOp::kEq, CompareOp::kNe, CompareOp::kLt,
                            CompareOp::kLe, CompareOp::kGt, CompareOp::kGe};
   const int terms = static_cast<int>(rng->UniformInt(1, 4));
@@ -386,7 +364,7 @@ ExprPtr RandomFusableConjunction(Rng* rng) {
       case 2:
         kids.push_back(Expr::MakeCompare(op, IntCol("a"), IntCol("b")));
         break;
-      case 3:  // mixed int-vs-double column compare (kNumColCol)
+      case 3:  // mixed int-vs-double column compare
         kids.push_back(Expr::MakeCompare(
             op, IntCol("b"), Expr::MakeColumn("x", LogicalType::kDouble)));
         break;
@@ -408,61 +386,51 @@ ExprPtr RandomFusableConjunction(Rng* rng) {
   return Expr::MakeAnd(std::move(kids));
 }
 
-TEST(FusedParity, RandomConjunctionsMatchVectorizedAndScalar) {
+TEST(VectorizedParity, RandomConjunctionsMatchScalarReference) {
   Rng rng(31);
   Evaluator ev(&kSchema);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  SelectionVector fused_sel;
   for (int iter = 0; iter < 150; ++iter) {
     const bool with_nulls = iter % 2 == 1;
     DataChunk chunk = RandomChunk(&rng, 193, with_nulls);
-    ExprPtr pred = RandomFusableConjunction(&rng);
-    ASSERT_TRUE(registry.CanCompile(*pred, kSchema, kSchemaTypes))
-        << pred->ToString();
-    auto fused = registry.Compile(*pred, kSchema, kSchemaTypes);
-    ASSERT_TRUE(fused.has_value()) << pred->ToString();
-    ASSERT_TRUE(fused->Select(chunk, &fused_sel).ok()) << pred->ToString();
+    ExprPtr pred = RandomConjunction(&rng);
     auto fast = ev.EvaluateSelection(*pred, chunk);
     auto slow = ev.EvaluateSelectionScalar(*pred, chunk);
     ASSERT_TRUE(fast.ok()) << pred->ToString();
     ASSERT_TRUE(slow.ok()) << pred->ToString();
-    EXPECT_EQ(fused_sel, *fast) << "iter " << iter << " nulls=" << with_nulls
-                                << " pred " << pred->ToString();
-    EXPECT_EQ(fused_sel, *slow) << "iter " << iter << " nulls=" << with_nulls
-                                << " pred " << pred->ToString();
+    EXPECT_EQ(*fast, *slow) << "iter " << iter << " nulls=" << with_nulls
+                            << " pred " << pred->ToString();
   }
 }
 
-TEST(FusedParity, EmptyAllPassAndNullConstantSelections) {
+TEST(VectorizedParity, EmptyAllPassAndNullConstantSelections) {
   Rng rng(43);
   Evaluator ev(&kSchema);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
   DataChunk chunk = RandomChunk(&rng, 211, /*with_nulls=*/true);
-  SelectionVector fused_sel;
+  DataChunk empty({LogicalType::kInt64, LogicalType::kInt64,
+                   LogicalType::kDouble, LogicalType::kVarchar});
 
-  auto check = [&](const ExprPtr& pred) {
-    auto fused = registry.Compile(*pred, kSchema, kSchemaTypes);
-    ASSERT_TRUE(fused.has_value()) << pred->ToString();
-    ASSERT_TRUE(fused->Select(chunk, &fused_sel).ok());
-    auto slow = ev.EvaluateSelectionScalar(*pred, chunk);
-    ASSERT_TRUE(slow.ok());
-    EXPECT_EQ(fused_sel, *slow) << pred->ToString();
+  auto check = [&](const ExprPtr& pred, const DataChunk& input) {
+    auto fast = ev.EvaluateSelection(*pred, input);
+    auto slow = ev.EvaluateSelectionScalar(*pred, input);
+    ASSERT_TRUE(fast.ok()) << pred->ToString();
+    ASSERT_TRUE(slow.ok()) << pred->ToString();
+    EXPECT_EQ(*fast, *slow) << pred->ToString();
   };
 
   // Empty selection: no row satisfies a < -1000.
   ExprPtr none = Expr::MakeCompare(
       CompareOp::kLt, IntCol("a"),
       Expr::MakeConstant(Value(int64_t{-1000}), LogicalType::kInt64));
-  check(none);
+  check(none, chunk);
 
   // All-pass on the non-NULL rows: a <= 1000 keeps every valid row but
   // must still deselect NULLs (SQL three-valued logic).
   ExprPtr all = Expr::MakeCompare(
       CompareOp::kLe, IntCol("a"),
       Expr::MakeConstant(Value(int64_t{1000}), LogicalType::kInt64));
-  check(all);
+  check(all, chunk);
 
-  // A conjunct comparing against a NULL constant compiles to always-false.
+  // A conjunct comparing against a NULL constant selects nothing.
   ExprPtr with_null = Expr::MakeAnd({
       Expr::MakeCompare(CompareOp::kLe, IntCol("a"),
                         Expr::MakeConstant(Value(int64_t{1000}),
@@ -471,21 +439,19 @@ TEST(FusedParity, EmptyAllPassAndNullConstantSelections) {
                         Expr::MakeConstant(Value::Null(),
                                            LogicalType::kInt64)),
   });
-  auto fused = registry.Compile(*with_null, kSchema, kSchemaTypes);
-  ASSERT_TRUE(fused.has_value());
-  EXPECT_TRUE(fused->always_false());
-  check(with_null);
+  check(with_null, chunk);
+  auto nothing = ev.EvaluateSelection(*with_null, chunk);
+  ASSERT_TRUE(nothing.ok());
+  EXPECT_TRUE(nothing->empty());
 
-  // Zero-row chunk: every path agrees on the empty selection.
-  DataChunk empty({LogicalType::kInt64, LogicalType::kInt64,
-                   LogicalType::kDouble, LogicalType::kVarchar});
-  auto fused_all = registry.Compile(*all, kSchema, kSchemaTypes);
-  ASSERT_TRUE(fused_all.has_value());
-  ASSERT_TRUE(fused_all->Select(empty, &fused_sel).ok());
-  EXPECT_TRUE(fused_sel.empty());
+  // Zero-row chunk: both paths agree on the empty selection.
+  check(all, empty);
+  auto zero = ev.EvaluateSelection(*all, empty);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_TRUE(zero->empty());
 }
 
-TEST(FusedParity, LikeEscapeInFusedConjunction) {
+TEST(VectorizedParity, LikeEscapeInConjunction) {
   DataChunk chunk({LogicalType::kInt64, LogicalType::kInt64,
                    LogicalType::kDouble, LogicalType::kVarchar});
   const char* samples[] = {"50%",  "50x", "a_b", "axb",    "a!b", "100%",
@@ -497,10 +463,8 @@ TEST(FusedParity, LikeEscapeInFusedConjunction) {
   }
   chunk.AppendRow({Value(i), Value(int64_t{0}), Value(0.0), Value::Null()});
   Evaluator ev(&kSchema);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  SelectionVector fused_sel;
   for (const char* pattern : {"50!%", "a!_b", "a!!b", "!%%", "%!%%", "!_"}) {
-    // LIKE ESCAPE riding inside a fused conjunction with a numeric term.
+    // LIKE ESCAPE inside a conjunction with a numeric term.
     ExprPtr pred = Expr::MakeAnd({
         Expr::MakeCompare(CompareOp::kGe, IntCol("a"),
                           Expr::MakeConstant(Value(int64_t{0}),
@@ -508,146 +472,11 @@ TEST(FusedParity, LikeEscapeInFusedConjunction) {
         Expr::MakeLike(Expr::MakeColumn("s", LogicalType::kVarchar), pattern,
                        '!'),
     });
-    auto fused = registry.Compile(*pred, kSchema, kSchemaTypes);
-    ASSERT_TRUE(fused.has_value()) << pattern;
-    ASSERT_TRUE(fused->Select(chunk, &fused_sel).ok()) << pattern;
     auto fast = ev.EvaluateSelection(*pred, chunk);
     auto slow = ev.EvaluateSelectionScalar(*pred, chunk);
     ASSERT_TRUE(fast.ok()) << pattern;
     ASSERT_TRUE(slow.ok()) << pattern;
-    EXPECT_EQ(fused_sel, *fast) << pattern;
-    EXPECT_EQ(fused_sel, *slow) << pattern;
-  }
-}
-
-TEST(FusedRegistry, DeclinesUnsupportedShapes) {
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  auto int_const = [](int64_t v) {
-    return Expr::MakeConstant(Value(v), LogicalType::kInt64);
-  };
-  ExprPtr cmp_a = Expr::MakeCompare(CompareOp::kLt, IntCol("a"), int_const(3));
-  ExprPtr cmp_b = Expr::MakeCompare(CompareOp::kGt, IntCol("b"), int_const(1));
-  // OR, NOT, and arithmetic operands have no fused instantiation.
-  for (const ExprPtr& bad :
-       {Expr::MakeOr({cmp_a->Clone(), cmp_b->Clone()}),
-        Expr::MakeNot(cmp_a->Clone()),
-        Expr::MakeCompare(CompareOp::kLt,
-                          Expr::MakeArith('+', IntCol("a"), IntCol("b")),
-                          int_const(5))}) {
-    EXPECT_FALSE(registry.CanCompile(*bad, kSchema, kSchemaTypes))
-        << bad->ToString();
-    EXPECT_FALSE(registry.Compile(*bad, kSchema, kSchemaTypes).has_value())
-        << bad->ToString();
-  }
-  // ...and one unsupported conjunct spoils the whole conjunction.
-  ExprPtr mixed = Expr::MakeAnd(
-      {cmp_a->Clone(), Expr::MakeNot(cmp_b->Clone())});
-  EXPECT_FALSE(registry.CanCompile(*mixed, kSchema, kSchemaTypes));
-
-  // String-vs-numeric mixes decline; SUM over a string column declines.
-  ExprPtr str_num = Expr::MakeCompare(
-      CompareOp::kEq, Expr::MakeColumn("s", LogicalType::kVarchar),
-      int_const(1));
-  EXPECT_FALSE(registry.CanCompile(*str_num, kSchema, kSchemaTypes));
-  std::vector<FusedAggSpec> specs;
-  std::vector<ExprPtr> bad_aggs;
-  bad_aggs.push_back(Expr::MakeAgg(
-      AggFunc::kSum, Expr::MakeColumn("s", LogicalType::kVarchar)));
-  EXPECT_FALSE(
-      registry.CompileAggregates(bad_aggs, kSchema, kSchemaTypes, &specs));
-  std::vector<ExprPtr> computed_aggs;
-  computed_aggs.push_back(Expr::MakeAgg(
-      AggFunc::kSum, Expr::MakeArith('+', IntCol("a"), IntCol("b"))));
-  EXPECT_FALSE(registry.CompileAggregates(computed_aggs, kSchema,
-                                          kSchemaTypes, &specs));
-}
-
-TEST(FusedParity, SelectGatherMatchesSelectPlusGather) {
-  Rng rng(57);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  for (int iter = 0; iter < 40; ++iter) {
-    DataChunk chunk = RandomChunk(&rng, 173, iter % 2 == 1);
-    ExprPtr pred = RandomFusableConjunction(&rng);
-    auto fused = registry.Compile(*pred, kSchema, kSchemaTypes);
-    ASSERT_TRUE(fused.has_value());
-    SelectionVector sel;
-    ASSERT_TRUE(fused->Select(chunk, &sel).ok());
-    DataChunk projected({LogicalType::kInt64, LogicalType::kVarchar});
-    SelectionVector scratch;
-    ASSERT_TRUE(
-        fused->SelectGather(chunk, {0, 3}, &projected, &scratch).ok());
-    ASSERT_EQ(projected.num_rows(), sel.size());
-    DataChunk manual({LogicalType::kInt64, LogicalType::kVarchar});
-    manual.column(0) = chunk.column(0).Gather(sel);
-    manual.column(1) = chunk.column(3).Gather(sel);
-    EXPECT_EQ(projected.ToString(-1), manual.ToString(-1)) << "iter " << iter;
-  }
-}
-
-TEST(FusedParity, FilterAggregateFoldMatchesSelectedKernels) {
-  Rng rng(71);
-  const FusedKernelRegistry& registry = FusedKernelRegistry::Global();
-  std::vector<ExprPtr> aggs;
-  aggs.push_back(Expr::MakeAgg(AggFunc::kCountStar, nullptr));
-  aggs.push_back(Expr::MakeAgg(AggFunc::kCount,
-                               Expr::MakeColumn("x", LogicalType::kDouble)));
-  aggs.push_back(Expr::MakeAgg(AggFunc::kSum, IntCol("a")));
-  aggs.push_back(Expr::MakeAgg(AggFunc::kAvg,
-                               Expr::MakeColumn("x", LogicalType::kDouble)));
-  aggs.push_back(Expr::MakeAgg(AggFunc::kMin, IntCol("a")));
-  aggs.push_back(Expr::MakeAgg(AggFunc::kMax,
-                               Expr::MakeColumn("x", LogicalType::kDouble)));
-  std::vector<FusedAggSpec> specs;
-  ASSERT_TRUE(registry.CompileAggregates(aggs, kSchema, kSchemaTypes, &specs));
-  ASSERT_EQ(specs.size(), aggs.size());
-
-  Evaluator ev(&kSchema);
-  for (int iter = 0; iter < 30; ++iter) {
-    DataChunk chunk = RandomChunk(&rng, 149, iter % 2 == 1);
-    ExprPtr pred = RandomFusableConjunction(&rng);
-    auto fused = registry.Compile(*pred, kSchema, kSchemaTypes);
-    ASSERT_TRUE(fused.has_value());
-    std::vector<FusedAggState> states(specs.size());
-    SelectionVector scratch;
-    auto survivors =
-        FusedFilterAggregate(&*fused, chunk, specs, &states, &scratch);
-    ASSERT_TRUE(survivors.ok());
-
-    auto sel = ev.EvaluateSelectionScalar(*pred, chunk);
-    ASSERT_TRUE(sel.ok());
-    EXPECT_EQ(*survivors, sel->size());
-    // COUNT(*).
-    EXPECT_EQ(states[0].count, static_cast<int64_t>(sel->size()));
-    // COUNT(x).
-    EXPECT_EQ(states[1].count,
-              kernels::CountValidSelected(chunk.column(2), *sel));
-    // SUM(a): integer accumulation stays exact.
-    int64_t count = 0, isum = 0;
-    double dsum = 0.0;
-    kernels::AccumulateSelected(chunk.column(0), *sel, &count, &isum, &dsum);
-    EXPECT_EQ(states[2].count, count);
-    EXPECT_EQ(states[2].isum, isum);
-    EXPECT_EQ(states[2].dsum, dsum);  // bit-identical, not approximately
-    // AVG(x): double accumulation must be bit-identical to the unfused
-    // kernel (same visit order, same branch structure).
-    count = 0; isum = 0; dsum = 0.0;
-    kernels::AccumulateSelected(chunk.column(2), *sel, &count, &isum, &dsum);
-    EXPECT_EQ(states[3].count, count);
-    EXPECT_EQ(states[3].dsum, dsum);
-    // MIN(a) / MAX(x).
-    Value lo, hi;
-    bool has_value = false;
-    kernels::MinMaxSelected(chunk.column(0), *sel, &lo, &hi, &has_value);
-    EXPECT_EQ(states[4].has_value, has_value);
-    if (has_value) {
-      EXPECT_EQ(states[4].min.AsInt(), lo.AsInt());
-    }
-    has_value = false;
-    kernels::MinMaxSelected(chunk.column(2), *sel, &lo, &hi, &has_value);
-    EXPECT_EQ(states[5].has_value, has_value);
-    if (has_value) {
-      EXPECT_EQ(states[5].max.AsDouble(), hi.AsDouble());
-    }
+    EXPECT_EQ(*fast, *slow) << pattern;
   }
 }
 
@@ -857,7 +686,7 @@ TEST_F(VectorizedEngineTest, JoinAndFilterMatchScalarOracle) {
   EXPECT_EQ(r->chunk.column(0).GetInt(0), expected);
 }
 
-// ---------------------------------------------------- fused engine paths
+// ------------------------------------------------ engine vs scalar oracle
 
 PhysicalPlan* FindNodeOfKind(PhysicalPlan* n, PhysicalPlan::Kind kind) {
   if (n == nullptr) return nullptr;
@@ -868,66 +697,83 @@ PhysicalPlan* FindNodeOfKind(PhysicalPlan* n, PhysicalPlan::Kind kind) {
   return nullptr;
 }
 
-/// Annotate every fusable site the way the fuse_kernels pass would when it
-/// prices fusion net-positive: scans with pushed filters, global
-/// aggregates, hash-join probes. Lets the engine tests exercise the fused
-/// execution paths without depending on the cost model's verdict.
-void AnnotateAllFusable(PhysicalPlan* n) {
-  if (n == nullptr) return;
-  for (auto& c : n->children) AnnotateAllFusable(c.get());
-  if (n->kind == PhysicalPlan::Kind::kTableScan && !n->scan_filters.empty()) {
-    n->fuse_scan_filter = true;
+/// Rows of `all` (the fact table's k, grp, amount columns) that the scalar
+/// reference interpreter selects with `pred`, in table order.
+SelectionVector OracleRows(const DataChunk& all, const Expr& pred) {
+  const std::vector<std::string> schema = {"k", "grp", "amount"};
+  Evaluator ev(&schema);
+  auto sel = ev.EvaluateSelectionScalar(pred, all);
+  EXPECT_TRUE(sel.ok()) << pred.ToString();
+  return sel.ok() ? *sel : SelectionVector();
+}
+
+ExprPtr IntCompare(const char* col, CompareOp op, int64_t v) {
+  return Expr::MakeCompare(op, IntCol(col),
+                           Expr::MakeConstant(Value(v), LogicalType::kInt64));
+}
+
+TEST_F(VectorizedEngineTest, ScanFiltersMatchScalarOracle) {
+  // A pushed conjunction and a pushed disjunction, each run through the
+  // optimizer and engine and compared row for row with the scalar
+  // interpreter over the whole table.
+  const DataChunk all = meta_.GetTable("fact").value()->Scan();
+  struct Case {
+    std::string sql;
+    ExprPtr pred;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"SELECT k FROM fact WHERE k < 256 AND grp >= 2",
+                   Expr::MakeAnd({IntCompare("k", CompareOp::kLt, 256),
+                                  IntCompare("grp", CompareOp::kGe, 2)})});
+  cases.push_back({"SELECT k FROM fact WHERE k < 256 OR grp = 3",
+                   Expr::MakeOr({IntCompare("k", CompareOp::kLt, 256),
+                                 IntCompare("grp", CompareOp::kEq, 3)})});
+  for (const Case& c : cases) {
+    LocalEngine engine(4);
+    auto r = Run(c.sql, &engine);
+    ASSERT_TRUE(r.ok()) << c.sql << ": " << r.status().ToString();
+    const SelectionVector want = OracleRows(all, *c.pred);
+    EXPECT_GT(want.size(), 0u) << c.sql;
+    ASSERT_EQ(r->chunk.num_rows(), want.size()) << c.sql;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(r->chunk.column(0).GetInt(i), all.column(0).GetInt(want[i]))
+          << c.sql << " row " << i;
+    }
   }
-  if (n->kind == PhysicalPlan::Kind::kHashAggregate && n->group_by.empty()) {
-    n->fuse_aggregate = true;
+}
+
+TEST_F(VectorizedEngineTest, FilteredGlobalAggregateMatchesScalarOracle) {
+  LocalEngine engine(4);
+  auto r = Run("SELECT count(*) AS n, sum(amount) AS s, min(k) AS lo, "
+               "max(k) AS hi, avg(amount) AS mean FROM fact "
+               "WHERE k < 1024 AND grp >= 2",
+               &engine);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const DataChunk all = meta_.GetTable("fact").value()->Scan();
+  const SelectionVector want =
+      OracleRows(all, *Expr::MakeAnd({IntCompare("k", CompareOp::kLt, 1024),
+                                      IntCompare("grp", CompareOp::kGe, 2)}));
+  ASSERT_GT(want.size(), 0u);
+  double sum = 0.0;
+  int64_t lo = all.column(0).GetInt(want[0]);
+  int64_t hi = lo;
+  for (uint32_t row : want) {
+    sum += all.column(2).GetDouble(row);
+    lo = std::min(lo, all.column(0).GetInt(row));
+    hi = std::max(hi, all.column(0).GetInt(row));
   }
-  if (n->kind == PhysicalPlan::Kind::kHashJoin) n->fuse_probe = true;
+  const double n = static_cast<double>(want.size());
+  ASSERT_EQ(r->chunk.num_rows(), 1u);
+  EXPECT_EQ(r->chunk.column(0).GetInt(0), static_cast<int64_t>(want.size()));
+  // The engine sums per morsel, then merges in morsel order: the same
+  // doubles in another association, so equal up to rounding.
+  EXPECT_NEAR(r->chunk.column(1).GetDouble(0), sum, 1e-9 * sum);
+  EXPECT_EQ(r->chunk.column(2).GetInt(0), lo);
+  EXPECT_EQ(r->chunk.column(3).GetInt(0), hi);
+  EXPECT_NEAR(r->chunk.column(4).GetDouble(0), sum / n, 1e-9 * sum / n);
 }
 
-TEST_F(VectorizedEngineTest, FusedScanFilterBitIdenticalToInterpreted) {
-  const std::string sql = "SELECT k FROM fact WHERE k < 256 AND grp >= 2";
-  LocalEngine plain_engine(4);
-  ExecProfile plain_profile;
-  auto plain = Run(sql, &plain_engine, &plain_profile);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_FALSE(plain_profile.fused.any_fused())
-      << "unannotated plan must stay on the interpreted path";
-
-  Optimizer opt(&meta_);
-  auto plan = opt.OptimizeSql(sql);
-  ASSERT_TRUE(plan.ok());
-  AnnotateAllFusable(plan->get());
-  LocalEngine fused_engine(4);
-  ExecProfile profile;
-  auto fused = fused_engine.Execute(plan->get(), &profile);
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_GT(profile.fused.fused_filter_morsels, 0u);
-  EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
-}
-
-TEST_F(VectorizedEngineTest, FusedGlobalAggregateBitIdenticalToInterpreted) {
-  const std::string sql =
-      "SELECT count(*) AS n, sum(amount) AS s, min(k) AS lo, max(k) AS hi, "
-      "avg(amount) AS mean FROM fact WHERE k < 1024 AND grp >= 2";
-  LocalEngine plain_engine(4);
-  auto plain = Run(sql, &plain_engine);
-  ASSERT_TRUE(plain.ok());
-
-  Optimizer opt(&meta_);
-  auto plan = opt.OptimizeSql(sql);
-  ASSERT_TRUE(plan.ok());
-  AnnotateAllFusable(plan->get());
-  LocalEngine fused_engine(4);
-  ExecProfile profile;
-  auto fused = fused_engine.Execute(plan->get(), &profile);
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_GT(profile.fused.fused_agg_morsels, 0u);
-  // Bit-exact double sums: the fused fold mirrors the unfused kernels'
-  // branch structure and visit order.
-  EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
-}
-
-TEST_F(VectorizedEngineTest, FusedProbePipelineBitIdenticalToInterpreted) {
+TEST_F(VectorizedEngineTest, FilteredJoinProbeMatchesScalarOracle) {
   auto dim = std::make_shared<Table>(
       "fdim", std::vector<ColumnDef>{{"id", LogicalType::kInt64},
                                      {"label", LogicalType::kVarchar}});
@@ -939,24 +785,27 @@ TEST_F(VectorizedEngineTest, FusedProbePipelineBitIdenticalToInterpreted) {
   meta_.RegisterTable(dim);
   meta_.AnalyzeAll();
 
-  const std::string sql =
-      "SELECT k, label FROM fact, fdim WHERE grp = id AND k < 256";
-  LocalEngine plain_engine(4);
-  auto plain = Run(sql, &plain_engine);
-  ASSERT_TRUE(plain.ok());
-
-  Optimizer opt(&meta_);
-  auto plan = opt.OptimizeSql(sql);
-  ASSERT_TRUE(plan.ok());
-  AnnotateAllFusable(plan->get());
-  ASSERT_NE(FindNodeOfKind(plan->get(), PhysicalPlan::Kind::kHashJoin),
-            nullptr);
-  LocalEngine fused_engine(4);
-  ExecProfile profile;
-  auto fused = fused_engine.Execute(plan->get(), &profile);
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  EXPECT_GT(profile.fused.fused_probe_morsels, 0u);
-  EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
+  LocalEngine engine(4);
+  auto r = Run("SELECT k, label FROM fact, fdim WHERE grp = id AND k < 256",
+               &engine);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Every fact row with k < 256 matches exactly one dim row (grp is in
+  // [0, 8)); compare (k, label) pairs as a multiset.
+  const DataChunk all = meta_.GetTable("fact").value()->Scan();
+  std::vector<std::pair<int64_t, std::string>> want;
+  for (uint32_t row : OracleRows(all, *IntCompare("k", CompareOp::kLt, 256))) {
+    want.emplace_back(all.column(0).GetInt(row),
+                      all.column(1).GetInt(row) % 2 == 0 ? "even" : "odd");
+  }
+  std::vector<std::pair<int64_t, std::string>> got;
+  for (size_t i = 0; i < r->chunk.num_rows(); ++i) {
+    got.emplace_back(r->chunk.column(0).GetInt(i),
+                     r->chunk.column(1).GetString(i));
+  }
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(want.size(), 256u);
+  EXPECT_EQ(got, want);
 }
 
 TEST_F(VectorizedEngineTest, SurvivingMorselPredictionMatchesEngineScanStats) {
@@ -987,30 +836,6 @@ TEST_F(VectorizedEngineTest, SurvivingMorselPredictionMatchesEngineScanStats) {
   // k < 256 keeps 4 of 32 ordered row groups: the pruned scan must be
   // charged far fewer dispatches than an unpruned one.
   EXPECT_LT(predicted, static_cast<double>(stats.morsels_total) / 2.0);
-}
-
-TEST_F(VectorizedEngineTest, UnfusableShapeFallsBackAndStillAgrees) {
-  // OR inside the pushed filter: the registry declines, the engine counts
-  // a fallback morsel, and the interpreted path serves the query.
-  const std::string sql =
-      "SELECT k FROM fact WHERE k < 256 OR grp = 3";
-  Optimizer opt(&meta_);
-  auto plan = opt.OptimizeSql(sql);
-  ASSERT_TRUE(plan.ok());
-  LocalEngine plain_engine(4);
-  auto plain = plain_engine.Execute(plan->get());
-  ASSERT_TRUE(plain.ok());
-
-  auto annotated = opt.OptimizeSql(sql);
-  ASSERT_TRUE(annotated.ok());
-  AnnotateAllFusable(annotated->get());
-  LocalEngine fused_engine(4);
-  ExecProfile profile;
-  auto fused = fused_engine.Execute(annotated->get(), &profile);
-  ASSERT_TRUE(fused.ok()) << fused.status().ToString();
-  const FusedExecStats& stats = profile.fused;
-  EXPECT_FALSE(stats.any_fused());
-  EXPECT_EQ(fused->chunk.ToString(-1), plain->chunk.ToString(-1));
 }
 
 }  // namespace
