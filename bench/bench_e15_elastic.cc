@@ -116,7 +116,7 @@ int Main(int argc, char** argv) {
   ShardedEngine engine;
   ExecProfile grown_profile;
   auto grown =
-      engine.Execute(planned->plan.get(), 2, &grown_profile, /*sink=*/nullptr,
+      engine.Execute(planned->plan.get(), 2, &grown_profile,
                      [](const FragmentBoundary&) { return size_t{6}; });
   if (!grown.ok()) {
     std::fprintf(stderr, "elastic execute failed: %s\n",
@@ -178,7 +178,7 @@ int Main(int argc, char** argv) {
   accepter.BeginQuery(&planned->pipelines, &planned->volumes,
                       UserConstraint(), planned->estimate.latency, 2);
   auto cheap_run = engine.Execute(
-      planned->plan.get(), 2, /*profile=*/nullptr, /*sink=*/nullptr,
+      planned->plan.get(), 2, /*profile=*/nullptr,
       [&accepter](const FragmentBoundary& b) { return accepter.Decide(b); });
 
   HardwareCalibration dear_hw;
@@ -188,7 +188,7 @@ int Main(int argc, char** argv) {
   decliner.BeginQuery(&planned->pipelines, &planned->volumes,
                       UserConstraint(), planned->estimate.latency, 2);
   auto dear_run = engine.Execute(
-      planned->plan.get(), 2, /*profile=*/nullptr, /*sink=*/nullptr,
+      planned->plan.get(), 2, /*profile=*/nullptr,
       [&decliner](const FragmentBoundary& b) { return decliner.Decide(b); });
 
   auto print_decisions = [](const char* label,

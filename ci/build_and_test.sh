@@ -314,16 +314,18 @@ run_asan_stage() {
   # cost_test rides along: the calibration updater walks a table of
   # member pointers into HardwareCalibration and clamps floating-point
   # steps — the indexing and arithmetic UBSan checks.
-  echo "== ASAN/UBSAN (exec + vectorized + sharded + elastic + tenant + storage + net + cost) =="
+  # sql_test rides along: its mutation test feeds 20000 mutated statements
+  # through the lexer, parser and binder — untrusted text, bounds territory.
+  echo "== ASAN/UBSAN (exec + vectorized + sharded + elastic + tenant + storage + net + cost + sql) =="
   local build_dir="${ASAN_BUILD_DIR:-build-asan}"
   cmake -B "$build_dir" -S . -DCOSTDB_ASAN=ON -DCMAKE_BUILD_TYPE=Debug \
     "${CMAKE_LAUNCHER_ARGS[@]}"
   cmake --build "$build_dir" -j "$JOBS" \
     --target exec_test vectorized_test sharded_test elastic_test \
-    tenant_test storage_test net_test cost_test
+    tenant_test storage_test net_test cost_test sql_test
   local t
   for t in exec_test vectorized_test sharded_test elastic_test tenant_test \
-           storage_test net_test cost_test; do
+           storage_test net_test cost_test sql_test; do
     ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "$build_dir/$t"
   done
@@ -332,7 +334,7 @@ run_asan_stage() {
 
 run_tsan_stage() {
   # ---- TSAN: the async service layer (admission queue, session ledgers,
-  # streaming result sinks) and the multi-worker sharded engine are the
+  # query-handle completion) and the multi-worker sharded engine are the
   # concurrency hot spots; race them under ThreadSanitizer. Scoped to
   # those tests to keep CI time sane.
   # vectorized_test rides along for its engine tests: they run the same

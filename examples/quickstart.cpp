@@ -81,21 +81,16 @@ int main() {
                 (*stmt)->times_planned(), (*stmt)->executions());
   }
 
-  // 5. Async submission with streaming results: Submit returns a handle,
-  //    the admission controller orders the run queue by estimated cost,
-  //    and FetchChunk pulls rows while the query may still be running.
+  // 5. Async submission: Submit returns a handle, the admission
+  //    controller orders the run queue by estimated cost, and Take waits
+  //    for the run and moves its materialized result out.
   auto handle = session.Submit(sql);
   if (handle.ok()) {
-    DataChunk chunk;
-    size_t chunks = 0, rows = 0;
-    while (true) {
-      auto got = (*handle)->FetchChunk(&chunk);
-      if (!got.ok() || !*got) break;
-      ++chunks;
-      rows += chunk.num_rows();
+    auto taken = (*handle)->Take();
+    if (taken.ok()) {
+      std::printf("submitted run returned %zu row(s) via Take\n\n",
+                  taken->result.chunk.num_rows());
     }
-    std::printf("streamed %zu row(s) in %zu chunk(s) via FetchChunk\n\n",
-                rows, chunks);
   }
 
   // 6. The calibration loop: the first run's wall-clock timings flowed

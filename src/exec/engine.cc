@@ -8,7 +8,6 @@
 #include <numeric>
 #include <optional>
 
-#include "common/annotated_mutex.h"
 #include "exec/evaluator.h"
 #include "exec/hash_table.h"
 #include "storage/persistent.h"
@@ -520,9 +519,6 @@ struct LocalEngine::ExecContext {
   std::map<const PhysicalPlan*, BreakerState> breakers;
   DataChunk result;
   bool result_valid = false;
-  /// When set, the result pipeline streams into this sink (in morsel
-  /// order, as prefixes complete) instead of materializing `result`.
-  ChunkSink* result_sink = nullptr;
   ExecProfile* profile = nullptr;  // this call's counters; never null
 };
 
@@ -775,25 +771,7 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   double source_rows = 0.0;
   for (const Morsel& m : morsels) source_rows += double(m.end - m.begin);
 
-  // Streaming result path: the final pipeline pushes each morsel's output
-  // to the client sink as soon as every earlier morsel has been delivered
-  // — deterministic morsel order without materializing the whole result.
-  const bool streaming = sink == nullptr && ctx->result_sink != nullptr;
-  int64_t limit_remaining = -1;  // result-pipeline LIMIT, applied on push
-  if (streaming) {
-    for (const PhysicalPlan* op : pipeline.operators) {
-      if (op->kind == PhysicalPlan::Kind::kLimit && op->limit >= 0) {
-        limit_remaining = op->limit;
-      }
-    }
-  }
-  Mutex push_mu;
-  std::vector<uint8_t> slot_ready(morsels.size(), 0);
-  size_t next_push = 0;
-  size_t pushed_rows = 0;
-  Status push_status;  // first sink failure; surfaced after the barrier
-
-  auto process_inner = [&](size_t slot, BlockRun* run) {
+  auto process_one = [&](size_t slot, BlockRun* run) {
     const Morsel& m = morsels[slot];
     // Assemble the source chunk.
     DataChunk chunk;
@@ -888,42 +866,6 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     slot_outputs[slot] = std::move(chunk);
   };
 
-  auto process_one = [&](size_t slot, BlockRun* run) {
-    process_inner(slot, run);
-    if (!streaming) return;
-    // Mark this slot delivered (even on error — a stuck prefix would
-    // otherwise pin every later chunk) and push all consecutive ready
-    // slots. The lock serializes pushes; order is morsel order.
-    MutexLock lock(push_mu);
-    slot_ready[slot] = 1;
-    while (next_push < slot_ready.size() && slot_ready[next_push]) {
-      DataChunk& ready = slot_outputs[next_push];
-      // A failed morsel latches: nothing after it is pushed, so whatever
-      // the client streamed before the error is a correct prefix of the
-      // true result (never a row sequence with a hole in the middle).
-      if (push_status.ok() && !slot_status[next_push].ok()) {
-        push_status = slot_status[next_push];
-      }
-      const bool ok_to_push = push_status.ok() && ready.num_rows() > 0 &&
-                              limit_remaining != 0;
-      ++next_push;
-      if (!ok_to_push) continue;
-      if (limit_remaining > 0 &&
-          static_cast<int64_t>(ready.num_rows()) > limit_remaining) {
-        std::vector<uint32_t> head(static_cast<size_t>(limit_remaining));
-        for (size_t i = 0; i < head.size(); ++i) {
-          head[i] = static_cast<uint32_t>(i);
-        }
-        ready.Slice(head);
-      }
-      if (limit_remaining > 0) {
-        limit_remaining -= static_cast<int64_t>(ready.num_rows());
-      }
-      pushed_rows += ready.num_rows();
-      push_status = ctx->result_sink->Push(std::move(ready));
-    }
-  };
-
   ThreadPool& pool = pool_ != nullptr ? *pool_ : ThreadPool::Shared();
   pool.ParallelFor(units.size(), num_threads_, [&](size_t u) {
     const Unit& unit = units[u];
@@ -964,14 +906,6 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
     }
     return all;
   };
-
-  if (sink == nullptr && ctx->result_sink != nullptr) {
-    // Streaming result: every chunk already went out in morsel order.
-    COSTDB_RETURN_NOT_OK(push_status);
-    ctx->result_valid = true;
-    if (timing != nullptr) timing->output_rows = double(pushed_rows);
-    return Status::OK();
-  }
 
   if (sink == nullptr) {
     // Result sink. The streamed schema is the root's output schema.
@@ -1058,11 +992,9 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
 }
 
 Result<QueryResult> LocalEngine::Execute(const PhysicalPlan* root,
-                                         ExecProfile* profile,
-                                         ChunkSink* sink) const {
+                                         ExecProfile* profile) const {
   ExecProfile local_profile;
   ExecContext ctx;
-  ctx.result_sink = sink;
   ctx.profile = profile != nullptr ? profile : &local_profile;
   *ctx.profile = ExecProfile();
   PipelineGraph graph = BuildPipelines(root);
@@ -1081,9 +1013,7 @@ Result<QueryResult> LocalEngine::Execute(const PhysicalPlan* root,
   QueryResult result;
   result.names = root->output_names;
   result.types = root->output_types;
-  // Streamed rows already went to the sink; the chunk stays empty.
-  result.chunk = sink != nullptr ? DataChunk(result.types)
-                                 : std::move(ctx.result);
+  result.chunk = std::move(ctx.result);
   return result;
 }
 

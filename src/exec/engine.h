@@ -22,19 +22,6 @@ struct QueryResult {
   std::string ToString(int64_t limit = 20) const;
 };
 
-/// Consumer side of the engine's pull-based result path. The final
-/// pipeline hands result chunks to the sink in deterministic morsel order
-/// as soon as every earlier morsel has been delivered — it never
-/// concatenates the whole result first, so a client draining the sink
-/// concurrently sees rows while later morsels are still executing.
-/// Push calls are serialized by the engine (one at a time, but possibly
-/// from different worker threads); a non-OK return aborts the query.
-class ChunkSink {
- public:
-  virtual ~ChunkSink() = default;
-  virtual Status Push(DataChunk chunk) = 0;
-};
-
 /// Serialized, type-tagged row-key encoding ('\x01'-separated; strings
 /// length-prefixed; doubles bit-exact with -0.0 normalized to 0.0). The
 /// aggregate sink encodes each group once at finalize and emits the groups
@@ -242,14 +229,10 @@ class LocalEngine {
   /// null — see ThreadPool::ParallelFor.
   explicit LocalEngine(size_t num_threads = 8, ThreadPool* pool = nullptr);
 
-  /// Run the plan. `profile` (optional) receives what this call measured.
-  /// With a `sink`, the final pipeline streams into it instead of
-  /// materializing (intermediate breakers still materialize): chunk order
-  /// and content match the materialized result exactly, including LIMIT
-  /// truncation, and the returned chunk is empty but correctly typed.
+  /// Run the plan and return its materialized rows. `profile` (optional)
+  /// receives what this call measured.
   Result<QueryResult> Execute(const PhysicalPlan* root,
-                              ExecProfile* profile = nullptr,
-                              ChunkSink* sink = nullptr) const;
+                              ExecProfile* profile = nullptr) const;
 
   // Execution state shared across the pipelines of one query; public so the
   // morsel-processing helpers in engine.cc can see it.

@@ -908,7 +908,6 @@ ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
 Result<QueryResult> ShardedEngine::Execute(const PhysicalPlan* root,
                                            size_t workers,
                                            ExecProfile* profile,
-                                           ChunkSink* sink,
                                            const WidthDecider& decider) const {
   if (root == nullptr) return Status::InvalidArgument("null plan");
   COSTDB_RETURN_NOT_OK(ValidateCoPartitioning(root));
@@ -927,14 +926,6 @@ Result<QueryResult> ShardedEngine::Execute(const PhysicalPlan* root,
   QueryResult result;
   result.names = root->output_names;
   result.types = root->output_types;
-  if (sink != nullptr) {
-    // Sharded plans gather before they finish, so the whole result goes to
-    // the sink as one chunk.
-    if (chunk.num_rows() > 0) {
-      COSTDB_RETURN_NOT_OK(sink->Push(std::move(chunk)));
-    }
-    chunk = DataChunk(result.types);
-  }
   result.chunk = std::move(chunk);
   return result;
 }

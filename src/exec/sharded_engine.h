@@ -97,15 +97,12 @@ class ShardedEngine {
   /// every per-run datum (width, exchange transport, clocks, counters)
   /// lives in a per-call context, so one engine serves concurrent calls at
   /// any widths. `profile` (optional) receives scan and storage counters
-  /// summed over workers, the exchange stats and the
-  /// worker-second ledger. With a `sink`, the gathered result is pushed
-  /// to it as one chunk and the returned chunk is empty but correctly
-  /// typed. `decider` (optional) is consulted at each resizable fragment
+  /// summed over workers, the exchange stats and the worker-second
+  /// ledger. `decider` (optional) is consulted at each resizable fragment
   /// boundary on the calling thread; it must be fast and must not call
   /// back into the engine.
   Result<QueryResult> Execute(const PhysicalPlan* root, size_t workers,
                               ExecProfile* profile = nullptr,
-                              ChunkSink* sink = nullptr,
                               const WidthDecider& decider = {}) const;
 
  private:

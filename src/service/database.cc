@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 
 #include "common/table_printer.h"
@@ -16,7 +17,10 @@ Database::Database(DatabaseOptions options)
       node_(pricing_.default_node()),
       local_engine_(options_.exec_threads),
       sharded_engine_(ShardedEngineOptions{options_.sharded_threads_per_worker,
-                                           options_.exchange_transport}) {
+                                           options_.exchange_transport}),
+      result_cache_(&calibration_version_,
+                    {std::max<size_t>(1, options_.result_cache_max_entries),
+                     options_.result_cache_max_bytes}) {
   // One worker-count cap end to end: the optimizer's 0-auto resolution
   // honors the facade's limit.
   options_.optimizer.max_workers =
@@ -91,7 +95,7 @@ Status Database::PersistTable(const std::string& name) {
   };
   auto storage = std::make_shared<TableStorage>(
       name, std::move(types), table->row_group_size(), storage_store_.get(),
-      block_cache_.get(), options_.storage, std::move(pricing));
+      block_cache_.get(), StorageOptions(), std::move(pricing));
   return table->AttachStorage(std::move(storage));
 }
 
@@ -171,104 +175,27 @@ std::string Database::ResultKey(const std::string& shape,
   return key;
 }
 
-namespace {
-
-/// Every table a plan scans, with the layout version it was planned
-/// against (see Database::CacheEntry::table_layouts).
-void CollectScanTables(
-    const PhysicalPlan* node,
-    std::vector<std::pair<std::shared_ptr<Table>, uint64_t>>* out) {
-  if (node == nullptr) return;
-  if (node->kind == PhysicalPlan::Kind::kTableScan && node->table != nullptr) {
-    out->emplace_back(node->table, node->table->layout_version());
-  }
-  for (const auto& c : node->children) CollectScanTables(c.get(), out);
-}
-
-bool TableLayoutsCurrent(
-    const std::vector<std::pair<std::shared_ptr<Table>, uint64_t>>& layouts) {
-  for (const auto& [table, version] : layouts) {
-    if (table->layout_version() != version) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<std::shared_ptr<const PlannedQuery>> Database::PlanCachedImpl(
+Result<std::shared_ptr<const PlannedQuery>> Database::PlanCached(
     const std::string& cache_key,
     const std::function<Result<PlannedQuery>()>& plan_fn, bool* cache_hit) {
-  *cache_hit = false;
-  int planned_under_version = 0;
-  std::shared_ptr<PlanInFlight> flight;
-  {
-    UniqueMutexLock lock(cache_mu_);
-    while (true) {
-      auto it = plan_cache_.find(cache_key);
-      if (it != plan_cache_.end()) {
-        if (it->second.calibration_version == calibration_version_ &&
-            TableLayoutsCurrent(it->second.table_layouts)) {
-          ++cache_stats_.hits;
-          *cache_hit = true;
-          return it->second.plan;
-        }
-        // Calibration moved since this plan was priced, or a scanned
-        // table's physical layout changed (append / recluster /
-        // repartition); replan.
-        plan_cache_.erase(it);
-        ++cache_stats_.invalidations;
-        break;
-      }
-      // Single-flight: if another thread is already planning this shape,
-      // wait for its entry instead of running the optimizer again — under
-      // concurrent sessions sharing a statement shape, the optimizer runs
-      // once per shape, not once per session.
-      auto in_flight = planning_.find(cache_key);
-      if (in_flight == planning_.end()) break;  // become the planner
-      auto ticket = in_flight->second;
-      while (!ticket->done) ticket->cv.wait(lock);
-      // Re-check: the planner filled the cache (hit), failed (we take
-      // over), or the calibration moved meanwhile (we replan).
-    }
-    ++cache_stats_.misses;
-    // Snapshot before planning: if calibration moves while we plan, the
-    // entry must record the version the estimates were made under.
-    planned_under_version = calibration_version_;
-    flight = std::make_shared<PlanInFlight>();
-    planning_[cache_key] = flight;
-  }
-  std::shared_ptr<const PlannedQuery> shared;
-  Status failed;
-  {
-    // The estimator reads hw_ on every estimate; hold off calibration
-    // writers while planning.
-    ReaderMutexLock hw_lock(hw_mu_);
-    auto planned = plan_fn();
-    if (planned.ok()) {
-      shared = std::make_shared<const PlannedQuery>(std::move(*planned));
-    } else {
-      failed = planned.status();
-    }
-  }
-  {
-    MutexLock lock(cache_mu_);
-    if (shared != nullptr) {
-      CacheEntry entry{shared, planned_under_version, {}};
-      CollectScanTables(shared->plan.get(), &entry.table_layouts);
-      plan_cache_[cache_key] = std::move(entry);
-    }
-    planning_.erase(cache_key);
-    flight->done = true;
-  }
-  flight->cv.notify_all();
-  if (shared == nullptr) return failed;
-  return shared;
+  return plan_cache_.GetOrCompute(
+      cache_key,
+      [&]() -> Result<StampedCache<PlannedQuery>::Fill> {
+        // The estimator reads hw_ on every estimate; hold off calibration
+        // writers while planning.
+        ReaderMutexLock hw_lock(hw_mu_);
+        PlannedQuery planned;
+        COSTDB_ASSIGN_OR_RETURN(planned, plan_fn());
+        auto shared = std::make_shared<const PlannedQuery>(std::move(planned));
+        return StampedCache<PlannedQuery>::Fill{shared, shared->plan.get()};
+      },
+      cache_hit);
 }
 
 Result<std::shared_ptr<const PlannedQuery>> Database::PlanCachedSql(
     const std::string& sql, const UserConstraint& constraint,
     bool* cache_hit) {
-  return PlanCachedImpl(
+  return PlanCached(
       CacheKey(NormalizeStatementShape(sql), constraint),
       [&] { return query_service_->PlanSql(sql, constraint); }, cache_hit);
 }
@@ -276,7 +203,7 @@ Result<std::shared_ptr<const PlannedQuery>> Database::PlanCachedSql(
 Result<std::shared_ptr<const PlannedQuery>> Database::PlanCachedBound(
     const BoundQuery& query, const std::string& shape_key,
     const UserConstraint& constraint, bool* cache_hit) {
-  return PlanCachedImpl(
+  return PlanCached(
       CacheKey(shape_key, constraint),
       [&] { return query_service_->Plan(query, constraint); }, cache_hit);
 }
@@ -314,8 +241,7 @@ Result<PlannedQuery> Database::BindPreparedPlan(
 }
 
 Result<ExecutionResult> Database::Execute(
-    std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-    ChunkSink* sink) {
+    std::shared_ptr<const PlannedQuery> plan, bool cache_hit) {
   ExecutionResult out;
   out.plan = std::move(plan);
   out.plan_cache_hit = cache_hit;
@@ -324,8 +250,7 @@ Result<ExecutionResult> Database::Execute(
   out.workers = static_cast<size_t>(std::max(1, out.plan->workers));
   const PhysicalPlan* root = out.plan->plan.get();
   if (out.workers == 1) {
-    COSTDB_ASSIGN_OR_RETURN(out.result,
-                            local_engine_.Execute(root, &out, sink));
+    COSTDB_ASSIGN_OR_RETURN(out.result, local_engine_.Execute(root, &out));
   } else {
     // Per-query elastic state: a fresh DOP monitor proposes widths from
     // the engine's real fragment timings, the controller prices each
@@ -358,7 +283,7 @@ Result<ExecutionResult> Database::Execute(
     }
     COSTDB_ASSIGN_OR_RETURN(
         out.result,
-        sharded_engine_.Execute(root, out.workers, &out, sink, decider));
+        sharded_engine_.Execute(root, out.workers, &out, decider));
     if (controller != nullptr) out.elastic = controller->decisions();
   }
   if (out.workers == 1) return out;
@@ -405,126 +330,35 @@ BillingMeter Database::billing_snapshot() const {
 
 Result<ExecutionResult> Database::ExecutePlannedCached(
     std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-    const std::string& result_key, ChunkSink* sink) {
+    const std::string& result_key) {
   if (!options_.enable_result_cache || result_key.empty()) {
-    return Execute(std::move(plan), cache_hit, sink);
+    return Execute(std::move(plan), cache_hit);
   }
-  std::shared_ptr<PlanInFlight> flight;
-  int executed_under_version = 0;
-  {
-    UniqueMutexLock lock(cache_mu_);
-    while (true) {
-      auto it = result_cache_.find(result_key);
-      if (it != result_cache_.end()) {
-        if (it->second.calibration_version == calibration_version_ &&
-            TableLayoutsCurrent(it->second.table_layouts)) {
-          ++result_cache_stats_.hits;
-          it->second.last_used = ++result_cache_tick_;
-          std::shared_ptr<const QueryResult> rows = it->second.result;
-          lock.unlock();
-          // Serve the materialized rows; no engine runs, timings stay
-          // empty (the calibration loop correctly observes nothing).
-          ExecutionResult out;
-          out.plan = std::move(plan);
-          out.plan_cache_hit = cache_hit;
-          out.result_cache_hit = true;
-          out.result.names = rows->names;
-          out.result.types = rows->types;
-          if (sink != nullptr) {
-            out.result.chunk = DataChunk(rows->types);
-            if (rows->chunk.num_rows() > 0) {
-              DataChunk copy = rows->chunk;
-              COSTDB_RETURN_NOT_OK(sink->Push(std::move(copy)));
-            }
-          } else {
-            out.result.chunk = rows->chunk;
-          }
-          return out;
-        }
-        // The calibration moved or a scanned table's layout changed since
-        // these rows were produced; they may describe data that no longer
-        // exists. Drop and re-execute.
-        result_cache_bytes_ -= it->second.payload_bytes;
-        result_cache_.erase(it);
-        ++result_cache_stats_.invalidations;
-        break;
-      }
-      // Single-flight: someone is already executing this exact statement;
-      // wait for their rows instead of running the same plan again.
-      auto in_flight = result_flights_.find(result_key);
-      if (in_flight == result_flights_.end()) break;  // become the leader
-      auto ticket = in_flight->second;
-      while (!ticket->done) ticket->cv.wait(lock);
-      // Re-check: the leader published (hit), failed (we take over), or
-      // the entry went stale meanwhile (we re-execute).
-    }
-    ++result_cache_stats_.misses;
-    // Snapshot before executing: if calibration moves during the run, the
-    // entry must record the version the rows were produced under.
-    executed_under_version = calibration_version_;
-    flight = std::make_shared<PlanInFlight>();
-    result_flights_[result_key] = flight;
-  }
-  // Leader: run once, materialized (the cache stores rows).
-  auto executed = Execute(plan, cache_hit, /*sink=*/nullptr);
-  {
-    MutexLock lock(cache_mu_);
-    if (executed.ok()) {
-      ResultCacheEntry entry;
-      entry.result = std::make_shared<const QueryResult>(executed->result);
-      entry.calibration_version = executed_under_version;
-      CollectScanTables(plan->plan.get(), &entry.table_layouts);
-      entry.last_used = ++result_cache_tick_;
-      entry.payload_bytes = ChunkPayloadBytes(entry.result->chunk);
-      auto [slot, inserted] = result_cache_.try_emplace(result_key);
-      if (!inserted) result_cache_bytes_ -= slot->second.payload_bytes;
-      result_cache_bytes_ += entry.payload_bytes;
-      slot->second = std::move(entry);
-      // LRU eviction under both budgets: the entry cap first, then the
-      // byte budget — a handful of huge results can no longer pin
-      // "max_entries worth" of arbitrary memory.
-      auto evict_lru = [&] {
-        auto victim = result_cache_.begin();
-        for (auto it = result_cache_.begin(); it != result_cache_.end();
-             ++it) {
-          if (it->second.last_used < victim->second.last_used) victim = it;
-        }
-        result_cache_bytes_ -= victim->second.payload_bytes;
-        result_cache_.erase(victim);
-        ++result_cache_stats_.evictions;
-      };
-      while (result_cache_.size() >
-             std::max<size_t>(1, options_.result_cache_max_entries)) {
-        evict_lru();
-      }
-      while (options_.result_cache_max_bytes > 0 && result_cache_.size() > 1 &&
-             result_cache_bytes_ >
-                 static_cast<double>(options_.result_cache_max_bytes)) {
-        // size() > 1: the newest entry always stays — evicting the rows we
-        // just produced would make an over-budget result uncacheable *and*
-        // churn the rest of the cache.
-        evict_lru();
-      }
-    }
-    // On failure the flight is simply abandoned — the next waiter wakes,
-    // finds no entry, and takes over as leader.
-    result_flights_.erase(result_key);
-    flight->done = true;
-  }
-  flight->cv.notify_all();
-  if (!executed.ok()) return executed.status();
-  if (sink != nullptr) {
-    // Streaming contract: rows go through the sink, the result keeps an
-    // empty correctly-laid-out chunk.
-    QueryResult materialized = std::move(executed->result);
-    executed->result.names = materialized.names;
-    executed->result.types = materialized.types;
-    executed->result.chunk = DataChunk(materialized.types);
-    if (materialized.chunk.num_rows() > 0) {
-      COSTDB_RETURN_NOT_OK(sink->Push(std::move(materialized.chunk)));
-    }
-  }
-  return executed;
+  // Set only when this call ran the plan: the cache keeps a copy of the
+  // rows, the caller gets the whole run.
+  std::optional<ExecutionResult> executed;
+  bool hit = false;
+  std::shared_ptr<const QueryResult> rows;
+  COSTDB_ASSIGN_OR_RETURN(
+      rows, result_cache_.GetOrCompute(
+                result_key,
+                [&]() -> Result<StampedCache<QueryResult>::Fill> {
+                  COSTDB_ASSIGN_OR_RETURN(executed, Execute(plan, cache_hit));
+                  auto copy = std::make_shared<const QueryResult>(
+                      executed->result);
+                  return StampedCache<QueryResult>::Fill{
+                      copy, plan->plan.get(), ChunkPayloadBytes(copy->chunk)};
+                },
+                &hit));
+  if (executed.has_value()) return std::move(*executed);
+  // Served from the cache: no engine ran, so the profile stays empty and
+  // the calibration loop observes nothing.
+  ExecutionResult out;
+  out.plan = std::move(plan);
+  out.plan_cache_hit = cache_hit;
+  out.result_cache_hit = true;
+  out.result = *rows;
+  return out;
 }
 
 Dollars Database::SettleTenantBill(const std::string& tenant,
@@ -583,21 +417,6 @@ std::map<std::string, Database::TenantBill> Database::tenant_billing() const {
   return tenant_billing_;
 }
 
-Database::ResultCacheStats Database::result_cache_stats() const {
-  MutexLock lock(cache_mu_);
-  ResultCacheStats stats = result_cache_stats_;
-  stats.entries = result_cache_.size();
-  stats.bytes = static_cast<size_t>(result_cache_bytes_);
-  return stats;
-}
-
-void Database::ClearResultCache() {
-  MutexLock lock(cache_mu_);
-  result_cache_.clear();
-  result_cache_stats_ = ResultCacheStats{};
-  result_cache_bytes_ = 0.0;
-}
-
 CalibrationReport Database::Calibrate(const ExecutionResult& executed) {
   WriterMutexLock hw_lock(hw_mu_);
   CalibrationReport report = calibration_->Observe(
@@ -605,8 +424,7 @@ CalibrationReport Database::Calibrate(const ExecutionResult& executed) {
       *estimator_);
   if (report.moved) {
     // Estimates produced before this round are stale; lazily invalidate
-    // cached plans by versioning.
-    MutexLock cache_lock(cache_mu_);
+    // cached plans and results by versioning.
     ++calibration_version_;
   }
   return report;
@@ -626,7 +444,7 @@ Result<ExecutionResult> Database::ExecuteSql(const std::string& sql,
   std::shared_ptr<const PlannedQuery> plan;
   COSTDB_ASSIGN_OR_RETURN(plan, PlanCachedSql(sql, constraint, &cache_hit));
   ExecutionResult out;
-  COSTDB_ASSIGN_OR_RETURN(out, Execute(std::move(plan), cache_hit, nullptr));
+  COSTDB_ASSIGN_OR_RETURN(out, Execute(std::move(plan), cache_hit));
   CalibrateExecution(&out);
   return out;
 }
@@ -693,19 +511,6 @@ Result<SimResult> Database::SimulateSql(const std::string& sql,
   // The simulator estimates against hw_ too; shut out calibration writers.
   ReaderMutexLock hw_lock(hw_mu_);
   return SimulateQuery(prepared, *simulator_, policy, constraint, env);
-}
-
-Database::CacheStats Database::plan_cache_stats() const {
-  MutexLock lock(cache_mu_);
-  CacheStats stats = cache_stats_;
-  stats.entries = plan_cache_.size();
-  return stats;
-}
-
-void Database::ClearPlanCache() {
-  MutexLock lock(cache_mu_);
-  plan_cache_.clear();
-  cache_stats_ = CacheStats{};
 }
 
 }  // namespace costdb

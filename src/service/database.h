@@ -1,6 +1,6 @@
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -18,6 +18,7 @@
 #include "runtime/policies.h"
 #include "service/admission.h"
 #include "service/query_service.h"
+#include "service/stamped_cache.h"
 #include "sim/harness.h"
 #include "storage/persistent.h"
 
@@ -85,9 +86,6 @@ struct DatabaseOptions {
   /// Directory for the object store's byte-backed spill files; empty picks
   /// a per-instance directory under the system temp path.
   std::string storage_spill_dir;
-  /// LSM-lite layout knobs shared by every persisted table (flush
-  /// threshold, level fanout, compaction horizon).
-  StorageOptions storage;
   /// Per-tenant billing shape (tiered volume pricing, cache-hit rate).
   TenantPricingOptions pricing;
   /// Feed every execution's profile back into the hardware calibration
@@ -219,18 +217,16 @@ class Database {
   /// partitioned ShardedEngine (results bit-identical for order-stable
   /// plans; the returned ExchangeStats report what the exchanges moved),
   /// the rest on the LocalEngine; both are facade-owned and reentrant, so
-  /// concurrent callers share them. With a `sink` the rows stream into it
-  /// (exec/engine.h) and the result keeps an empty, correctly typed chunk.
-  /// With the result cache enabled and a non-empty `result_key`, a valid
-  /// cached entry is served without running anything (result_cache_hit
-  /// set, rows copied — to `sink` when streaming); a miss executes once
-  /// under a single-flight guard, so concurrent identical submits wait for
-  /// the one leader instead of running the same plan N times, then
-  /// publishes the materialized rows for later submits. No calibration;
-  /// pair with CalibrateExecution.
+  /// concurrent callers share them. With the result cache enabled and a
+  /// non-empty `result_key`, a valid cached entry is served without
+  /// running anything (result_cache_hit set, rows copied); a miss executes
+  /// once under a single-flight guard, so concurrent identical submits
+  /// wait for the one leader instead of running the same plan N times,
+  /// then publishes the materialized rows for later submits. No
+  /// calibration; pair with CalibrateExecution.
   Result<ExecutionResult> ExecutePlannedCached(
       std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-      const std::string& result_key = {}, ChunkSink* sink = nullptr);
+      const std::string& result_key = {});
 
   /// Result-cache identity of one executable statement: the plan-cache
   /// key (shape + constraint) extended with the bound parameter vector,
@@ -370,63 +366,27 @@ class Database {
   /// version they were planned under; any entry older than the current
   /// version is invalidated lazily on its next lookup, so estimates that
   /// drifted materially can never serve a stale plan.
-  int calibration_version() const {
-    // Locked read: Calibrate bumps the version concurrently with running
-    // queries, and a torn/stale read here would let a racing lookup serve
-    // a plan priced under a calibration the reader believes is current.
-    MutexLock lock(cache_mu_);
-    return calibration_version_;
+  int calibration_version() const { return calibration_version_.load(); }
+
+  // -- Plan and result caches --------------------------------------------
+  /// Both caches are StampedCaches and count alike. The plan cache has no
+  /// caps and reports no sizes, so its evictions and bytes stay 0; the
+  /// result cache's bytes sum ChunkPayloadBytes of the cached rows.
+  using CacheStats = StampedCacheStats;
+  using ResultCacheStats = StampedCacheStats;
+  CacheStats plan_cache_stats() const { return plan_cache_.stats(); }
+  void ClearPlanCache() { plan_cache_.Clear(); }
+  ResultCacheStats result_cache_stats() const {
+    return result_cache_.stats();
   }
-
-  // -- Plan cache --------------------------------------------------------
-  struct CacheStats {
-    size_t hits = 0;
-    size_t misses = 0;
-    size_t invalidations = 0;
-    size_t entries = 0;
-  };
-  CacheStats plan_cache_stats() const;
-  void ClearPlanCache();
-
-  // -- Result cache ------------------------------------------------------
-  struct ResultCacheStats {
-    size_t hits = 0;
-    size_t misses = 0;
-    size_t invalidations = 0;  // stale entries dropped on lookup
-    size_t evictions = 0;      // LRU capacity evictions
-    size_t entries = 0;
-    size_t bytes = 0;  // cached payload bytes (ChunkPayloadBytes sum)
-  };
-  ResultCacheStats result_cache_stats() const;
-  void ClearResultCache();
+  void ClearResultCache() { result_cache_.Clear(); }
 
   const DatabaseOptions& options() const { return options_; }
 
  private:
-  struct CacheEntry {
-    std::shared_ptr<const PlannedQuery> plan;
-    int calibration_version = 0;
-    /// Layout versions of every table the plan scans, captured at plan
-    /// time. A hit whose tables have physically changed (append,
-    /// recluster, repartition) replans instead of serving a plan whose
-    /// pruning fractions or co-partitioned exchanges describe data that
-    /// moved.
-    std::vector<std::pair<std::shared_ptr<Table>, uint64_t>> table_layouts;
-  };
-
-  /// Single-flight marker: one optimizer run per missed shape, with
-  /// concurrent misses waiting on the planner instead of duplicating it.
-  struct PlanInFlight {
-    std::condition_variable_any cv;
-    /// Guarded by the owning Database's cache_mu_ (not annotatable here:
-    /// the analysis cannot express a member guarded by another object's
-    /// mutex; waiters access it only under that lock).
-    bool done = false;
-  };
-
-  /// Cache lookup + fill shared by the SQL and bound planning paths;
+  /// Plan-cache lookup shared by the SQL and bound planning paths;
   /// `plan_fn` runs only on a miss (under the hardware read lock).
-  Result<std::shared_ptr<const PlannedQuery>> PlanCachedImpl(
+  Result<std::shared_ptr<const PlannedQuery>> PlanCached(
       const std::string& cache_key,
       const std::function<Result<PlannedQuery>()>& plan_fn, bool* cache_hit);
 
@@ -437,7 +397,7 @@ class Database {
   /// Run a plan on the engine its resolved width picks, which writes its
   /// profile straight into the result, and bill sharded runs.
   Result<ExecutionResult> Execute(std::shared_ptr<const PlannedQuery> plan,
-                                  bool cache_hit, ChunkSink* sink);
+                                  bool cache_hit);
 
   /// Cache key: normalized statement shape + constraint slot.
   static std::string CacheKey(const std::string& shape,
@@ -475,8 +435,8 @@ class Database {
   /// OK when available or never requested.
   Status storage_env_status_;
 
-  /// Real-execution cloud bill (sharded worker-seconds); own lock so the
-  /// concurrent (sink) execution path can charge without the engine lock.
+  /// Real-execution cloud bill (sharded worker-seconds); own lock so
+  /// concurrent runs charge it without contending on anything else.
   mutable Mutex billing_mu_;
   BillingMeter billing_ GUARDED_BY(billing_mu_);
   /// Monotone start offset for usage records.
@@ -492,40 +452,19 @@ class Database {
   mutable Mutex tenant_mu_;
   std::map<std::string, TenantBill> tenant_billing_ GUARDED_BY(tenant_mu_);
 
-  mutable Mutex cache_mu_;
-  std::map<std::string, CacheEntry> plan_cache_ GUARDED_BY(cache_mu_);
-  std::map<std::string, std::shared_ptr<PlanInFlight>> planning_
-      GUARDED_BY(cache_mu_);
-  CacheStats cache_stats_ GUARDED_BY(cache_mu_);
-
-  /// One materialized result, stamped like a plan-cache entry: served
-  /// only while the calibration version and every scanned table's layout
-  /// version still match.
-  struct ResultCacheEntry {
-    std::shared_ptr<const QueryResult> result;
-    int calibration_version = 0;
-    std::vector<std::pair<std::shared_ptr<Table>, uint64_t>> table_layouts;
-    uint64_t last_used = 0;        // LRU tick
-    double payload_bytes = 0.0;    // ChunkPayloadBytes of the cached rows
-  };
-  /// Result cache + its single-flight markers; guarded by cache_mu_ like
-  /// the plan cache (lookups are map probes, never executions).
-  std::map<std::string, ResultCacheEntry> result_cache_ GUARDED_BY(cache_mu_);
-  std::map<std::string, std::shared_ptr<PlanInFlight>> result_flights_
-      GUARDED_BY(cache_mu_);
-  ResultCacheStats result_cache_stats_ GUARDED_BY(cache_mu_);
-  uint64_t result_cache_tick_ GUARDED_BY(cache_mu_) = 0;
-  /// Payload bytes currently held by result_cache_ (the byte-budget
-  /// eviction's ledger; mirrors the sum of entry payload_bytes).
-  double result_cache_bytes_ GUARDED_BY(cache_mu_) = 0.0;
-
   /// Readers (planning, simulation) take it shared; the calibration
   /// writer takes it exclusive — the estimator reads hw_ on every
   /// estimate, so planning must not overlap an update.
   SharedMutex hw_mu_;
-  /// Bumped by Calibrate under cache_mu_ (it stamps cache entries), so it
-  /// shares that guard rather than hw_mu_.
-  int calibration_version_ GUARDED_BY(cache_mu_) = 0;
+  /// Bumped by Calibrate; both caches stamp their entries with it and
+  /// read it under their own lock on every lookup.
+  std::atomic<int> calibration_version_{0};
+
+  /// Plans keyed by (statement shape, constraint); no caps.
+  StampedCache<PlannedQuery> plan_cache_{&calibration_version_};
+  /// Materialized rows keyed by ResultKey, under the LRU caps of
+  /// DatabaseOptions (the entry cap is at least 1).
+  StampedCache<QueryResult> result_cache_;
 
   Mutex batch_mu_;
 

@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <functional>
+#include <utility>
 
 #include "common/table_printer.h"
 
@@ -121,6 +122,45 @@ struct Session::Ledger {
   }
 };
 
+// ---------------------------------------------------------- charged run
+
+/// One run against a reservation already charged to `ledger`: the step
+/// both the synchronous path and the admission closure take. It holds
+/// nothing of the Session, because an admitted run may outlive it.
+struct Session::ChargedRun {
+  Database* db = nullptr;
+  RunnablePlan runnable;
+  bool calibrate = true;
+  std::string tenant;
+  std::shared_ptr<Ledger> ledger;
+  Dollars charged = 0.0;
+
+  /// Execute, calibrate when asked, and settle the charge to what the run
+  /// cost the tenant: the measured sharded/elastic bill, the tiered-volume
+  /// price, or the cache rate on a result-cache hit. A failed run is
+  /// refunded.
+  Result<ExecutionResult> operator()() const {
+    auto executed = db->ExecutePlannedCached(
+        runnable.plan, runnable.cache_hit, runnable.result_key);
+    if (!executed.ok()) {
+      ledger->Refund(charged);
+      return executed.status();
+    }
+    if (calibrate) db->CalibrateExecution(&*executed);
+    const Dollars actual = db->SettleTenantBill(tenant, &*executed, charged);
+    if (actual != charged) ledger->Settle(charged, actual);
+    return executed;
+  }
+};
+
+Result<Session::ChargedRun> Session::Charge(RunnablePlan runnable,
+                                            bool calibrate) {
+  const Dollars estimated = runnable.plan->estimate.cost;
+  COSTDB_RETURN_NOT_OK(ledger_->Charge(estimated));
+  return ChargedRun{db_,      std::move(runnable), calibrate,
+                    options_.tenant_id, ledger_,   estimated};
+}
+
 // ------------------------------------------------- prepared statements
 
 size_t PreparedStatement::times_planned() const {
@@ -140,45 +180,39 @@ size_t PreparedStatement::executions() const {
 
 // --------------------------------------------------------- query handle
 
-/// Completion state + chunk queue shared by the handle, the admission
-/// run closure, and the engine's result sink. The run closure owns a
-/// reference, so the state (and the plan it pins) outlives both the
-/// handle and the session.
-struct QueryHandle::SharedState : ChunkSink {
+/// Completion state shared by the handle and the admission closures. The
+/// closures own a reference, so the state (and the plan it pins) outlives
+/// both the handle and the session.
+struct QueryHandle::SharedState {
   // Immutable after Submit.
-  Database* db = nullptr;
-  std::shared_ptr<const PlannedQuery> planned;
-  bool cache_hit = false;
-  bool calibrate = true;
-  std::string tenant;
-  std::string result_key;
+  Session::ChargedRun run;
   AdmissionController* controller = nullptr;
   AdmissionController::TicketPtr ticket;
-  std::shared_ptr<Session::Ledger> ledger;
-  Dollars charged = 0.0;
 
   Mutex mu;
   std::condition_variable_any cv;
-  std::deque<DataChunk> chunks GUARDED_BY(mu);
-  bool producer_done GUARDED_BY(mu) = false;
+  bool done GUARDED_BY(mu) = false;
   Status final_status GUARDED_BY(mu);
-  // Rows stay in `chunks` until drained.
   ExecutionResult result GUARDED_BY(mu);
 
-  Status Push(DataChunk chunk) override {
+  void Finish(Result<ExecutionResult> outcome) {
     {
       MutexLock lock(mu);
-      chunks.push_back(std::move(chunk));
+      if (outcome.ok()) {
+        result = std::move(*outcome);
+      } else {
+        final_status = outcome.status();
+      }
+      done = true;
     }
     cv.notify_all();
-    return Status::OK();
   }
 };
 
 QueryHandle::State QueryHandle::Poll() const {
   {
     MutexLock lock(state_->mu);
-    if (state_->producer_done) {
+    if (state_->done) {
       if (state_->final_status.IsCancelled()) return State::kCancelled;
       return state_->final_status.ok() ? State::kDone : State::kFailed;
     }
@@ -190,8 +224,8 @@ QueryHandle::State QueryHandle::Poll() const {
       return State::kCancelled;
     case AdmissionController::Ticket::State::kRunning:
     case AdmissionController::Ticket::State::kDone:
-      // kDone with the producer flag not yet set is the closing race of
-      // the run closure; report it as still running.
+      // kDone with the done flag not yet set is the closing race of the
+      // run closure; report it as still running.
       return State::kRunning;
   }
   return State::kRunning;
@@ -199,34 +233,23 @@ QueryHandle::State QueryHandle::Poll() const {
 
 Status QueryHandle::Wait() const {
   UniqueMutexLock lock(state_->mu);
-  while (!state_->producer_done) state_->cv.wait(lock);
+  while (!state_->done) state_->cv.wait(lock);
   return state_->final_status;
 }
 
 Result<ExecutionResult> QueryHandle::Take() {
   COSTDB_RETURN_NOT_OK(Wait());
   MutexLock lock(state_->mu);
-  ExecutionResult out = std::move(state_->result);
-  for (auto& chunk : state_->chunks) {
-    out.result.chunk.Append(chunk);
-  }
-  state_->chunks.clear();
-  state_->result = ExecutionResult();
-  return out;
+  return std::exchange(state_->result, ExecutionResult());
 }
 
 Result<bool> QueryHandle::FetchChunk(DataChunk* out) {
-  UniqueMutexLock lock(state_->mu);
-  while (state_->chunks.empty() && !state_->producer_done) {
-    state_->cv.wait(lock);
-  }
-  if (!state_->chunks.empty()) {
-    *out = std::move(state_->chunks.front());
-    state_->chunks.pop_front();
-    return true;
-  }
-  COSTDB_RETURN_NOT_OK(state_->final_status);
-  return false;
+  COSTDB_RETURN_NOT_OK(Wait());
+  MutexLock lock(state_->mu);
+  QueryResult& rows = state_->result.result;
+  if (rows.chunk.num_rows() == 0) return false;
+  *out = std::exchange(rows.chunk, DataChunk(rows.types));
+  return true;
 }
 
 bool QueryHandle::Cancel() {
@@ -235,7 +258,9 @@ bool QueryHandle::Cancel() {
   return state_->controller->Cancel(state_->ticket);
 }
 
-const PlannedQuery& QueryHandle::plan() const { return *state_->planned; }
+const PlannedQuery& QueryHandle::plan() const {
+  return *state_->run.runnable.plan;
+}
 
 // --------------------------------------------------------------- session
 
@@ -353,21 +378,10 @@ Result<Session::RunnablePlan> Session::PlanRaw(
 }
 
 Result<ExecutionResult> Session::RunSync(RunnablePlan runnable) {
-  const Dollars estimated = runnable.plan->estimate.cost;
-  COSTDB_RETURN_NOT_OK(ledger_->Charge(estimated));
-  auto executed = db_->ExecutePlannedCached(runnable.plan, runnable.cache_hit,
-                                            runnable.result_key);
-  if (!executed.ok()) {
-    ledger_->Refund(estimated);
-    return executed.status();
-  }
-  db_->CalibrateExecution(&*executed);
-  // Settle the reservation to what the run actually cost the tenant —
-  // the measured sharded/elastic bill, the tiered-volume price, or the
-  // cache rate on a result-cache hit.
-  const Dollars actual =
-      db_->SettleTenantBill(options_.tenant_id, &*executed, estimated);
-  if (actual != estimated) ledger_->Settle(estimated, actual);
+  ChargedRun run;
+  COSTDB_ASSIGN_OR_RETURN(run, Charge(std::move(runnable), /*calibrate=*/true));
+  ExecutionResult executed;
+  COSTDB_ASSIGN_OR_RETURN(executed, run());
   MutexLock lock(mu_);
   ++stats_.executions;
   return executed;
@@ -447,24 +461,15 @@ Result<QueryHandlePtr> Session::SubmitPlanned(RunnablePlan runnable,
                                               const UserConstraint& constraint,
                                               bool calibrate,
                                               const std::string& query_class) {
-  const Dollars estimated = runnable.plan->estimate.cost;
-  COSTDB_RETURN_NOT_OK(ledger_->Charge(estimated));
-
   auto state = std::make_shared<QueryHandle::SharedState>();
-  state->db = db_;
-  state->planned = std::move(runnable.plan);
-  state->cache_hit = runnable.cache_hit;
-  state->calibrate = calibrate;
-  state->tenant = options_.tenant_id;
-  state->result_key = std::move(runnable.result_key);
+  COSTDB_ASSIGN_OR_RETURN(state->run, Charge(std::move(runnable), calibrate));
   state->controller = db_->admission();
-  state->ledger = ledger_;
-  state->charged = estimated;
+  const PlannedQuery& planned = *state->run.runnable.plan;
 
   AdmissionController::Submission submission;
-  submission.est_latency = state->planned->estimate.latency;
-  submission.est_cost = estimated;
-  submission.est_memory_bytes = EstimateWorkingSetBytes(*state->planned);
+  submission.est_latency = planned.estimate.latency;
+  submission.est_cost = state->run.charged;
+  submission.est_memory_bytes = EstimateWorkingSetBytes(planned);
   submission.sla_deadline =
       constraint.mode == UserConstraint::Mode::kMinCostUnderSla
           ? constraint.latency_sla
@@ -472,50 +477,18 @@ Result<QueryHandlePtr> Session::SubmitPlanned(RunnablePlan runnable,
   submission.tenant = options_.tenant_id;
   submission.query_class = query_class;
   submission.client = pace_;
-  submission.run = [state] {
-    // The facade's shared engines run the query on helpers from the
-    // process-wide pool — no per-query threads.
-    auto executed = state->db->ExecutePlannedCached(
-        state->planned, state->cache_hit, state->result_key, state.get());
-    ExecutionResult result;
-    Status final_status;
-    if (executed.ok()) {
-      result = std::move(*executed);
-      if (state->calibrate) state->db->CalibrateExecution(&result);
-      // Settle the reservation to what the run actually cost the tenant
-      // (see RunSync).
-      const Dollars actual = state->db->SettleTenantBill(
-          state->tenant, &result, state->charged);
-      if (actual != state->charged && state->ledger != nullptr) {
-        state->ledger->Settle(state->charged, actual);
-      }
-    } else {
-      final_status = executed.status();
-      if (state->ledger != nullptr) state->ledger->Refund(state->charged);
-    }
-    {
-      MutexLock lock(state->mu);
-      state->result = std::move(result);
-      state->final_status = final_status;
-      state->producer_done = true;
-    }
-    state->cv.notify_all();
-  };
+  // The facade's shared engines run the query on helpers from the
+  // process-wide pool — no per-query threads.
+  submission.run = [state] { state->Finish(state->run()); };
 
   // One completion path for every way a query can fail to run: cancelled
   // while queued (QueryHandle::Cancel), controller shutdown, or a Submit
   // into an already-draining controller.
   submission.on_cancel = [state] {
     // Refund before signalling completion, so a waiter that wakes on
-    // producer_done already sees the reservation returned.
-    if (state->ledger != nullptr) state->ledger->Refund(state->charged);
-    {
-      MutexLock lock(state->mu);
-      state->final_status =
-          Status::Cancelled("query cancelled before admission");
-      state->producer_done = true;
-    }
-    state->cv.notify_all();
+    // `done` already sees the reservation returned.
+    state->run.ledger->Refund(state->run.charged);
+    state->Finish(Status::Cancelled("query cancelled before admission"));
   };
 
   state->ticket = state->controller->Submit(std::move(submission));

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -82,12 +81,11 @@ class PreparedStatement {
   size_t executions_ GUARDED_BY(mu_) = 0;
 };
 
-/// Future-like handle to an asynchronously submitted query. Rows stream
-/// from the engine's pull-based result sink: FetchChunk() yields
-/// DataChunks incrementally (in deterministic order) while the query may
-/// still be running; Take() waits and materializes whatever has not been
-/// fetched. Cancel() withdraws a query that has not been admitted yet.
-/// Handles stay valid after their Session is destroyed.
+/// Future-like handle to an asynchronously submitted query. The handle
+/// keeps the finished ExecutionResult: Take() moves it out, and
+/// FetchChunk() hands out its rows once the run is done. Cancel()
+/// withdraws a query that has not been admitted yet. Handles stay valid
+/// after their Session is destroyed.
 class QueryHandle {
  public:
   enum class State { kQueued, kRunning, kDone, kFailed, kCancelled };
@@ -98,13 +96,15 @@ class QueryHandle {
   /// the final status (OK only for a successful run).
   Status Wait() const;
 
-  /// Wait, then move out the execution result. Chunks already consumed
-  /// via FetchChunk are not replayed — the result holds the remainder.
+  /// Wait, then move out the execution result. Rows already handed out by
+  /// FetchChunk are not replayed: the result then holds an empty chunk of
+  /// the result's types.
   Result<ExecutionResult> Take();
 
-  /// Pull the next result chunk, blocking until one is available or the
-  /// stream ends. True: `*out` holds rows. False: clean end of stream.
-  /// Error status: the query failed or was cancelled.
+  /// Wait for the run, then hand out its rows: the first call moves every
+  /// row into `*out` as one chunk and returns true; later calls, and a
+  /// run that produced no rows, return false. Error status: the query
+  /// failed or was cancelled.
   Result<bool> FetchChunk(DataChunk* out);
 
   /// Withdraw from the admission queue. True iff the query had not
@@ -186,6 +186,7 @@ class Session {
   /// Dollar ledger, shared with in-flight handles so a cancelled
   /// submission can refund its reservation even if the session is gone.
   struct Ledger;
+  struct ChargedRun;
 
   /// A run-ready plan: shared cached plan, or a parameter-bound copy.
   struct RunnablePlan {
@@ -201,8 +202,10 @@ class Session {
                                      const UserConstraint& constraint);
   Result<RunnablePlan> PlanRaw(const std::string& sql,
                                const UserConstraint& constraint);
-  /// Shared synchronous path: charge, execute while the calling thread
-  /// waits, refund on failure, calibrate, count.
+  /// Reserve the plan's estimated cost on the ledger; ResourceExhausted
+  /// past the budget.
+  Result<ChargedRun> Charge(RunnablePlan runnable, bool calibrate);
+  /// Synchronous path: charge, run on the calling thread, count.
   Result<ExecutionResult> RunSync(RunnablePlan runnable);
   Result<QueryHandlePtr> SubmitPlanned(RunnablePlan runnable,
                                        const UserConstraint& constraint,

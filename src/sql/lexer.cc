@@ -1,6 +1,8 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 
 namespace costdb {
 
@@ -38,12 +40,20 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         while (i < n && std::isdigit(static_cast<unsigned char>(sql[i]))) ++i;
       }
       std::string text = sql.substr(start, i - start);
+      errno = 0;
       if (is_float) {
         t.kind = TokenKind::kFloat;
-        t.float_val = std::stod(text);
+        t.float_val = std::strtod(text.c_str(), nullptr);
       } else {
         t.kind = TokenKind::kInt;
-        t.int_val = std::stoll(text);
+        t.int_val = std::strtoll(text.c_str(), nullptr, 10);
+      }
+      // An integer past int64, or a float that overflows or underflows a
+      // double, is malformed input rather than a fatal exception.
+      if (errno == ERANGE) {
+        return Status::InvalidArgument(
+            "numeric literal out of range at offset " +
+            std::to_string(t.offset));
       }
       t.text = std::move(text);
       tokens.push_back(std::move(t));

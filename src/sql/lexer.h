@@ -27,7 +27,8 @@ struct Token {
   size_t offset = 0;  // byte offset in the SQL text, for error messages
 };
 
-/// Tokenize SQL text. Fails on unterminated strings or unexpected bytes.
+/// Tokenize SQL text. Fails with InvalidArgument on unterminated strings,
+/// unexpected bytes, or numeric literals out of range; never throws.
 Result<std::vector<Token>> Tokenize(const std::string& sql);
 
 /// Case-insensitive keyword comparison for identifier tokens.

@@ -97,7 +97,7 @@ class ElasticTest : public ::testing::Test {
     ShardedEngine elastic;
     ExecProfile profile;
     auto result = elastic.Execute(
-        planned->plan.get(), initial, &profile, /*sink=*/nullptr,
+        planned->plan.get(), initial, &profile,
         [&schedule](const FragmentBoundary& b) {
           const size_t i = std::min<size_t>(static_cast<size_t>(b.index),
                                             schedule.size() - 1);
@@ -162,7 +162,7 @@ TEST_F(ElasticTest, CoPartitionedJoinSurvivesResizes) {
     auto sched = schedule;
     ExecProfile profile;
     auto result = elastic.Execute(
-        planned->plan.get(), initial, &profile, /*sink=*/nullptr,
+        planned->plan.get(), initial, &profile,
         [sched](const FragmentBoundary& b) {
           return sched[std::min<size_t>(static_cast<size_t>(b.index),
                                         sched.size() - 1)];
@@ -249,7 +249,7 @@ TEST_F(ElasticTest, EngineWidthResetsBetweenQueries) {
   ShardedEngine engine;
   ExecProfile resized;
   ASSERT_TRUE(engine
-                  .Execute(planned->plan.get(), 2, &resized, /*sink=*/nullptr,
+                  .Execute(planned->plan.get(), 2, &resized,
                            [](const FragmentBoundary&) { return size_t{5}; })
                   .ok());
   EXPECT_EQ(resized.usage.peak_workers, 5u);

@@ -214,18 +214,6 @@ TEST_F(ExecTest, ThreeWayJoinChain) {
   EXPECT_EQ(r.chunk.column(0).GetInt(0), 10);  // tiers unique -> 1:1
 }
 
-/// Collects streamed chunks in arrival order.
-class CollectSink : public ChunkSink {
- public:
-  explicit CollectSink(std::vector<LogicalType> types)
-      : rows(std::move(types)) {}
-  Status Push(DataChunk chunk) override {
-    rows.Append(chunk);
-    return Status::OK();
-  }
-  DataChunk rows;
-};
-
 TEST_F(ExecTest, SharedEngineIsReentrant) {
   // Many morsels per scan, so concurrent calls interleave inside
   // pipelines, not just between them.
@@ -275,22 +263,18 @@ TEST_F(ExecTest, SharedEngineIsReentrant) {
     expected_counters.push_back(ProfileCounters(profile));
   }
 
-  // Eight threads, one engine, different plans at once; odd rounds stream
-  // through a sink. Every call must reproduce its serial run exactly.
+  // Eight threads, one engine, different plans at once. Every call must
+  // reproduce its serial run exactly.
   std::vector<std::thread> threads;
   for (size_t t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       for (size_t round = 0; round < 12; ++round) {
         const size_t q = (t + round) % plans.size();
         ExecProfile profile;
-        CollectSink sink(expected[q].types);
-        const bool stream = round % 2 == 1;
-        auto r = engine.Execute(plans[q].get(), &profile,
-                                stream ? &sink : nullptr);
+        auto r = engine.Execute(plans[q].get(), &profile);
         ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
-        const DataChunk& rows = stream ? sink.rows : r->chunk;
         std::string why;
-        EXPECT_TRUE(ChunksBitIdentical(expected[q].chunk, rows, &why))
+        EXPECT_TRUE(ChunksBitIdentical(expected[q].chunk, r->chunk, &why))
             << queries[q] << " (thread " << t << "): " << why;
         EXPECT_EQ(ProfileCounters(profile), expected_counters[q])
             << queries[q] << " (thread " << t << ")";

@@ -167,6 +167,33 @@ TEST(DatabaseTest, PlanCacheHitsOnRepeatedSqlWhenCalibrationOff) {
   EXPECT_EQ(stats.entries, 2u);
 }
 
+TEST(DatabaseTest, PlanCacheSingleFlightUnder16ConcurrentPlans) {
+  DatabaseOptions opts = SmallDbOptions();
+  opts.enable_calibration = false;
+  auto db = MakeSsbDatabase(opts);
+  const std::string sql = FindQuery("Q3").sql;
+  std::vector<std::shared_ptr<const PlannedQuery>> plans(16);
+  std::atomic<int> hits{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    threads.emplace_back([&, i] {
+      bool hit = false;
+      auto planned = db->PlanCachedSql(sql, UserConstraint::Sla(60.0), &hit);
+      EXPECT_TRUE(planned.ok()) << planned.status().ToString();
+      if (planned.ok()) plans[i] = *planned;
+      if (hit) ++hits;
+    });
+  }
+  for (auto& t : threads) t.join();
+  // One optimizer run: every caller holds the leader's shared plan.
+  auto stats = db->plan_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 15u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(hits.load(), 15);
+  for (const auto& plan : plans) EXPECT_EQ(plan, plans[0]);
+}
+
 // ------------------------------------------------------- concurrent batch
 
 TEST(DatabaseTest, SubmitBatchOfEightIsDeterministic) {

@@ -275,7 +275,7 @@ TEST(SessionTest, ConcurrentSessionsSpendDisjointBudgets) {
   EXPECT_EQ(bob.spent(), 0.0);
 }
 
-// -------------------------------------------------------- streaming results
+// ------------------------------------------------------- FetchChunk / Take
 
 TEST(SessionTest, FetchChunkParityWithMaterializedExecuteSql) {
   DatabaseOptions opts = SmallDbOptions();
@@ -320,6 +320,27 @@ TEST(SessionTest, FetchChunkParityWithMaterializedExecuteSql) {
     EXPECT_EQ(taken->result.chunk.num_rows(), 0u) << "already fetched";
     EXPECT_FALSE(taken->timings.empty());
   }
+}
+
+TEST(SessionTest, FetchChunkOnEmptyResultEndsCleanly) {
+  DatabaseOptions opts = SmallDbOptions();
+  opts.enable_calibration = false;
+  auto db = MakeSsbDatabase(opts);
+  Session session(db.get());
+  auto handle = session.Submit(
+      "SELECT lo_quantity, lo_discount FROM lineorder WHERE lo_quantity < 0");
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  DataChunk chunk;
+  auto got = (*handle)->FetchChunk(&chunk);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_FALSE(*got);
+  auto taken = (*handle)->Take();
+  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+  EXPECT_EQ(taken->result.chunk.num_rows(), 0u);
+  EXPECT_EQ(taken->result.types,
+            (std::vector<LogicalType>{LogicalType::kInt64,
+                                      LogicalType::kInt64}));
+  EXPECT_EQ(taken->result.chunk.Types(), taken->result.types);
 }
 
 /// Threads alive in this process (-1 where /proc/self/task is missing).

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
+#include "mutation_testing.h"
 #include "sql/binder.h"
+#include "workload/ssb.h"
 
 namespace costdb {
 namespace {
@@ -31,6 +37,33 @@ TEST(LexerTest, TwoCharOperators) {
 TEST(LexerTest, Errors) {
   EXPECT_TRUE(Tokenize("SELECT 'oops").status().IsInvalidArgument());
   EXPECT_TRUE(Tokenize("SELECT @x").status().IsInvalidArgument());
+}
+
+TEST(LexerTest, OutOfRangeNumericLiteralsAreInvalidArgument) {
+  const std::string prefix = "SELECT a FROM t WHERE a = ";
+  const std::vector<std::string> literals = {
+      "99999999999999999999",                   // 20 digits: past int64
+      "1" + std::string(400, '0') + ".5",       // overflows a double
+      "0." + std::string(400, '0') + "1",       // underflows a double
+  };
+  for (const std::string& literal : literals) {
+    const std::string sql = prefix + literal;
+    auto tokens = Tokenize(sql);
+    ASSERT_TRUE(tokens.status().IsInvalidArgument())
+        << literal.substr(0, 24) << ": " << tokens.status().ToString();
+    EXPECT_NE(tokens.status().ToString().find(
+                  "offset " + std::to_string(prefix.size())),
+              std::string::npos)
+        << tokens.status().ToString();
+    EXPECT_TRUE(ParseQuery(sql).status().IsInvalidArgument());
+  }
+  // The edges still lex.
+  auto max = Tokenize(prefix + "9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().ToString();
+  EXPECT_EQ((*max)[7].int_val, INT64_MAX);
+  auto tiny = Tokenize(prefix + "0.5");
+  ASSERT_TRUE(tiny.ok());
+  EXPECT_DOUBLE_EQ((*tiny)[7].float_val, 0.5);
 }
 
 TEST(ParserTest, SimpleSelect) {
@@ -256,6 +289,100 @@ TEST_F(BinderTest, SelectStarExpandsAllRelations) {
   auto q = binder.BindSql("SELECT * FROM orders, customer");
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->select_exprs.size(), 6u);
+}
+
+// --------------------------------------------- SQL front-end mutations
+
+/// The statements the tests above lex, parse and bind: mutation seeds next
+/// to the SSB suite.
+const char* const kFrontEndInputs[] = {
+    "SELECT a.b, 42, 3.5, 'it''s' FROM t WHERE x <= 7;",
+    "a <= b >= c <> d != e",
+    "SELECT a, b FROM t WHERE a > 5 ORDER BY b DESC LIMIT 3",
+    "SELECT * FROM orders o, customer AS c",
+    "SELECT o.id FROM orders o JOIN customer c ON o.cid = c.id "
+    "INNER JOIN nation n ON c.nid = n.id",
+    "SELECT k, sum(v) AS total FROM t GROUP BY k HAVING sum(v) > 10",
+    "SELECT a FROM t WHERE a IN (1, 2, 3) AND b BETWEEN 5 AND 9 "
+    "AND s LIKE 'abc%' AND d >= DATE '1995-01-01'",
+    "SELECT a FROM t WHERE s LIKE '50!%%' ESCAPE '!'",
+    "SELECT a + b * c FROM t",
+    "SELECT o.amount, odate FROM orders o",
+    "SELECT cid, sum(amount) AS total, count(*) FROM orders "
+    "GROUP BY cid HAVING sum(amount) > 100 ORDER BY total DESC",
+    "SELECT name FROM customer WHERE name LIKE '100!%%' ESCAPE '!'",
+    "SELECT id FROM orders WHERE cid IN (1,2) AND amount BETWEEN 5 AND 9",
+    "SELECT id FROM orders WHERE odate < DATE '2020-06-01'",
+};
+
+/// Fixed-seed mutations of SQL text through the whole front end (lexer,
+/// parser, binder over an SSB catalog): every mutant must come back as a
+/// Status or a bound query — no exception, no crash. Mutants are bound,
+/// never planned: a mutated FROM list can multiply the relations.
+TEST(SqlMutationTest, EveryMutantBindsOrFailsWithAStatus) {
+  MetadataService meta;
+  SsbOptions data;
+  data.scale = 0.01;
+  LoadSsb(&meta, data);
+  Binder binder(&meta);
+
+  std::vector<std::string> seeds;
+  for (const QueryTemplate& q : SsbQueries()) seeds.push_back(q.sql);
+  for (const char* sql : kFrontEndInputs) seeds.push_back(sql);
+  const char* const kTokens[] = {"(",    ")",       "'",      "?",
+                                 ",",    "AND",     "LIKE",   "ESCAPE",
+                                 "IN (", "BETWEEN", "DATE",   "LIMIT"};
+  constexpr size_t kTokenCount = sizeof(kTokens) / sizeof(kTokens[0]);
+
+  Mutator rng{0x5C1'F0A7ULL};
+  auto mutate = [&](std::string* sql) {
+    const size_t pos = rng.Below(sql->size() + 1);
+    switch (rng.Below(5)) {
+      case 0:  // flip bits of one byte
+        if (!sql->empty()) {
+          const size_t at = rng.Below(sql->size());
+          (*sql)[at] = static_cast<char>((*sql)[at] ^ (1 + rng.Below(255)));
+        }
+        break;
+      case 1:  // delete a span
+        sql->erase(pos, 1 + rng.Below(12));
+        break;
+      case 2:  // duplicate a span
+        sql->insert(pos, sql->substr(pos, 1 + rng.Below(24)));
+        break;
+      case 3: {  // insert a token
+        std::string token = kTokens[rng.Below(kTokenCount)];
+        sql->insert(pos, " " + token + " ");
+        break;
+      }
+      default: {  // insert a run of 1-40 digits
+        std::string digits(1 + rng.Below(40), '0');
+        for (char& d : digits) d = static_cast<char>('0' + rng.Below(10));
+        sql->insert(pos, digits);
+        break;
+      }
+    }
+  };
+
+  constexpr size_t kMutations = 20000;
+  size_t bound = 0;
+  std::map<Status::Code, size_t> rejected;
+  for (size_t round = 0; round < kMutations; ++round) {
+    std::string sql = seeds[round % seeds.size()];
+    const size_t edits = 1 + rng.Below(3);
+    for (size_t e = 0; e < edits; ++e) mutate(&sql);
+    auto q = binder.BindSql(sql);
+    if (q.ok()) {
+      ++bound;
+      continue;
+    }
+    EXPECT_FALSE(q.status().IsInternal())
+        << q.status().ToString() << " for: " << sql;
+    ++rejected[q.status().code()];
+  }
+  EXPECT_GT(bound, 0u);
+  EXPECT_GT(rejected[Status::Code::kInvalidArgument], 0u);
+  EXPECT_GT(rejected[Status::Code::kNotFound], 0u);
 }
 
 }  // namespace

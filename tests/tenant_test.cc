@@ -600,6 +600,108 @@ TEST(ResultCacheTest, SingleFlightUnder16ConcurrentIdenticalSubmits) {
   EXPECT_EQ(bill.result_cache_hits, 15u);
 }
 
+// Every counter transition of both caches in one deterministic sequence:
+// misses, hits, invalidations on a calibration bump and on a layout bump,
+// and evictions at the entry cap. Runs skip the automatic feedback round,
+// so the one explicit CalibrateExecution below makes the only bump.
+TEST(ResultCacheTest, CounterTransitionsOfBothCaches) {
+  DatabaseOptions opts = TenantDbOptions();
+  opts.enable_calibration = true;
+  opts.result_cache_max_entries = 2;
+  auto db = MakeSsbDatabase(opts);
+  Session session(db.get());
+  Session::SubmitOptions no_feedback;
+  no_feedback.calibrate = false;
+  auto run = [&](const std::string& sql) -> Result<ExecutionResult> {
+    QueryHandlePtr handle;
+    COSTDB_ASSIGN_OR_RETURN(handle, session.Submit(sql, no_feedback));
+    return handle->Take();
+  };
+  auto plan_counters = [&] {
+    const Database::CacheStats s = db->plan_cache_stats();
+    return std::vector<size_t>{s.hits, s.misses, s.invalidations, s.entries};
+  };
+  auto result_counters = [&] {
+    const Database::ResultCacheStats s = db->result_cache_stats();
+    return std::vector<size_t>{s.hits,      s.misses,  s.invalidations,
+                               s.evictions, s.entries, s.bytes};
+  };
+  const std::string a = "SELECT count(*) AS n FROM supplier";
+  const std::string b = a + " WHERE s_suppkey < 5";
+  const std::string c = a + " WHERE s_suppkey < 6";
+
+  auto first = run(a);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(run(a).ok());
+  EXPECT_EQ(plan_counters(), (std::vector<size_t>{1, 1, 0, 1}));
+  EXPECT_EQ(result_counters(), (std::vector<size_t>{1, 1, 0, 0, 1, 8}));
+
+  // A calibration bump invalidates both entries on their next lookup.
+  const int version_before = db->calibration_version();
+  db->CalibrateExecution(&*first);
+  ASSERT_GT(db->calibration_version(), version_before)
+      << "test premise: the first observed run must move the calibration";
+  ASSERT_TRUE(run(a).ok());
+  EXPECT_EQ(plan_counters(), (std::vector<size_t>{1, 2, 1, 1}));
+  EXPECT_EQ(result_counters(), (std::vector<size_t>{1, 2, 1, 0, 1, 8}));
+
+  // So does a layout bump of the scanned table.
+  auto table = db->meta()->GetTable("supplier");
+  ASSERT_TRUE(table.ok());
+  DataChunk all = (*table)->Scan();
+  DataChunk one(all.Types());
+  one.AppendRowFrom(all, 0);
+  (*table)->Append(one);
+  ASSERT_TRUE(run(a).ok());
+  EXPECT_EQ(plan_counters(), (std::vector<size_t>{1, 3, 2, 1}));
+  EXPECT_EQ(result_counters(), (std::vector<size_t>{1, 3, 2, 0, 1, 8}));
+
+  // The entry cap evicts the least recently used result; the plan cache
+  // has no cap.
+  ASSERT_TRUE(run(b).ok());
+  ASSERT_TRUE(run(c).ok());
+  EXPECT_EQ(plan_counters(), (std::vector<size_t>{1, 5, 2, 3}));
+  EXPECT_EQ(result_counters(), (std::vector<size_t>{1, 5, 2, 1, 2, 16}));
+  auto again = run(a);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->plan_cache_hit);
+  EXPECT_FALSE(again->result_cache_hit) << "evicted rows were served";
+  EXPECT_EQ(plan_counters(), (std::vector<size_t>{2, 5, 2, 3}));
+  EXPECT_EQ(result_counters(), (std::vector<size_t>{1, 6, 2, 2, 2, 16}));
+}
+
+TEST(ResultCacheTest, NewestEntrySurvivesTheByteBudget) {
+  DatabaseOptions opts = TenantDbOptions();
+  opts.result_cache_max_bytes = 4;  // below one 8-byte result
+  auto db = MakeSsbDatabase(opts);
+  Session session(db.get());
+  auto stmt = session.Prepare(
+      "SELECT count(*) AS n FROM lineorder WHERE lo_quantity < ?");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  auto run = [&](int64_t q) {
+    auto r = session.Execute(*stmt, {Value(q)});
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() && r->result_cache_hit;
+  };
+
+  // An over-budget result stays cached as long as it is the newest.
+  EXPECT_FALSE(run(10));
+  auto stats = db->result_cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, 8u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_TRUE(run(10));
+
+  // The next insert evicts it and stays in its place.
+  EXPECT_FALSE(run(11));
+  stats = db->result_cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, 8u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_TRUE(run(11));
+  EXPECT_FALSE(run(10));
+}
+
 TEST(ResultCacheTest, CacheHitBilledAtCacheRate) {
   DatabaseOptions opts = TenantDbOptions();
   opts.pricing.result_cache_hit_factor = 0.25;
