@@ -5,8 +5,10 @@
 //      join planned as a repartition shuffle, and the optimizer picks the
 //      co-partitioned plan on its own (kLocal exchanges, cheaper estimate);
 //  (b) scan+aggregate scales: 4 workers finish in < 0.5x the 1-worker
-//      wall time, with results bit-identical across every worker count
-//      (the scaling curve 1..8 is printed in full mode);
+//      wall time when a spin kernel timed before and after the arms finds
+//      at least 3 effective cores (else within 1.5x), with results
+//      bit-identical across every worker count (the scaling curve 1..8 is
+//      printed in full mode);
 //  (c) the shuffle-term calibration folds measured exchange times back in
 //      and the simulator's scaling prediction agrees with reality.
 //
@@ -14,11 +16,14 @@
 // `--json <path>` snapshots the gates plus the per-exchange-kind
 // breakdown (shuffle/broadcast/gather counts, rows, bytes) for the CI
 // baseline comparator.
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -114,6 +119,41 @@ double BestOf(int runs, const ShardedEngine& engine, size_t workers,
     if (out != nullptr) *out = std::move(r->chunk);
   }
   return best;
+}
+
+/// Wall seconds of a fixed integer spin run on `threads` threads at once.
+double SpinSeconds(int threads) {
+  std::atomic<uint64_t> sink{0};
+  auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::thread> spinners;
+  for (int i = 0; i < threads; ++i) {
+    spinners.emplace_back([&sink, i] {
+      uint64_t x = 0x9e3779b97f4a7c15ull + static_cast<uint64_t>(i);
+      for (int k = 0; k < 20'000'000; ++k) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+      }
+      sink += x;
+    });
+  }
+  for (auto& t : spinners) t.join();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Cores the process gets right now, out of the 4 the scaling claim
+/// needs: 4 threads of the fixed spin take 4x one thread's wall time on
+/// one core and 1x on four (best of 3 each, so one preemption does not
+/// count). A host's core count alone cannot tell: a VM short of CPU still
+/// reports all of its cores.
+double EffectiveCores() {
+  double one = 1e18, four = 1e18;
+  for (int i = 0; i < 3; ++i) {
+    one = std::min(one, SpinSeconds(1));
+    four = std::min(four, SpinSeconds(4));
+  }
+  return std::min(4.0, 4.0 * one / four);
 }
 
 std::string ChunkFingerprint(const DataChunk& chunk) {
@@ -216,42 +256,52 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "agg planning failed\n");
     return 1;
   }
+  constexpr int kRounds = 5;
   std::printf("\n-- scan+agg scaling (%zu rows, best of %d) --\n", sales_rows,
-              smoke ? 3 : 5);
+              kRounds);
   std::printf("%-8s %10s %9s %14s\n", "workers", "wall", "speedup",
               "result rows");
-  double t1 = 0.0, t4 = 0.0;
-  std::string fingerprint;
-  bool identical = true;
-  for (size_t w : {1u, 2u, 4u, 8u}) {
-    DataChunk rows;
-    double secs = BestOf(smoke ? 3 : 5, engine, w, agg_plan->plan.get(), &rows);
-    if (w == 1) t1 = secs;
-    if (w == 4) t4 = secs;
-    std::string fp = ChunkFingerprint(rows);
-    if (fingerprint.empty()) {
-      fingerprint = fp;
-    } else if (fp != fingerprint) {
-      identical = false;
+  const size_t widths[] = {1, 2, 4, 8};
+  double best[4] = {1e18, 1e18, 1e18, 1e18};
+  DataChunk rows[4];
+  const double cores_before = EffectiveCores();
+  // Each round runs every width once, so a slow spell of the host slows
+  // all widths alike instead of the one whose runs it overlapped.
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t i = 0; i < 4; ++i) {
+      best[i] = std::min(best[i], BestOf(1, engine, widths[i],
+                                         agg_plan->plan.get(), &rows[i]));
     }
-    std::printf("%-8zu %8.1fms %8.2fx %14zu\n", w, secs * 1e3,
-                t1 / std::max(secs, 1e-9), rows.num_rows());
+  }
+  const double t1 = best[0];
+  const double t4 = best[2];
+  bool identical = true;
+  for (size_t i = 0; i < 4; ++i) {
+    identical = identical && ChunkFingerprint(rows[i]) ==
+                                 ChunkFingerprint(rows[0]);
+    std::printf("%-8zu %8.1fms %8.2fx %14zu\n", widths[i], best[i] * 1e3,
+                t1 / std::max(best[i], 1e-9), rows[i].num_rows());
   }
   // The 0.5x wall-time gate needs parallel hardware; on a starved host
-  // (CI containers are sometimes pinned to one core) the honest check is
-  // that sharding costs bounded overhead while determinism still holds.
-  const unsigned cores = std::thread::hardware_concurrency();
+  // (a shared VM can get about one core's worth of CPU for minutes) the
+  // honest check is that sharding costs bounded overhead while determinism
+  // still holds. The capacity is measured right before and right after the
+  // arms, and the more starved reading decides.
+  const double cores_after = EffectiveCores();
+  const double cores = std::min(cores_before, cores_after);
+  std::printf("effective cores: %.2f (%.2f before the arms, %.2f after)\n",
+              cores, cores_before, cores_after);
   bool claim_b;
-  if (cores >= 4) {
+  if (cores >= 3.0) {
     claim_b = identical && t4 < 0.5 * t1;
     std::printf("bit-identical across workers: %s; t4 < 0.5*t1: %s "
-                "(t1 %.1fms, t4 %.1fms, %u cores)\n",
+                "(t1 %.1fms, t4 %.1fms)\n",
                 identical ? "yes" : "NO", t4 < 0.5 * t1 ? "yes" : "NO",
-                t1 * 1e3, t4 * 1e3, cores);
+                t1 * 1e3, t4 * 1e3);
   } else {
     claim_b = identical && t4 < 1.5 * t1;
     std::printf("bit-identical across workers: %s; speedup gate SKIPPED "
-                "(host has %u core(s)); overhead bound t4 < 1.5*t1: %s "
+                "(%.2f effective cores); overhead bound t4 < 1.5*t1: %s "
                 "(t1 %.1fms, t4 %.1fms)\n",
                 identical ? "yes" : "NO", cores,
                 t4 < 1.5 * t1 ? "yes" : "NO", t1 * 1e3, t4 * 1e3);
@@ -323,6 +373,7 @@ int Main(int argc, char** argv) {
     json.Set("sh_wall_seconds", sh_secs);
     json.Set("agg_wall_1w_seconds", t1);
     json.Set("agg_wall_4w_seconds", t4);
+    json.Set("effective_cores", cores);
     if (!json.WriteFile(json_path)) return 1;
   }
   return claim_a && claim_b ? 0 : 1;

@@ -19,7 +19,7 @@ NodeVolumes Walk(const PhysicalPlan* node, const CardinalityEstimator& cards,
       // truth); the base row count comes from this view's statistics.
       double base = cards.BaseRows(node->alias);
       v.source_rows = base * node->prune_keep_fraction;
-      v.scanned_bytes = v.source_rows * node->est_row_bytes;
+      v.scanned_bytes = v.source_rows * node->est_read_row_bytes;
       double rows = v.source_rows;
       for (const auto& f : node->scan_filters) rows *= cards.Selectivity(f);
       v.out_rows = std::max(rows, 0.0);

@@ -493,6 +493,21 @@ Result<DataChunk> EmitGroups(const PhysicalPlan* sink,
 
 }  // namespace
 
+double ChunkPayloadBytes(const DataChunk& chunk) {
+  double total = 0.0;
+  for (size_t c = 0; c < chunk.num_columns(); ++c) {
+    const ColumnVector& col = chunk.column(c);
+    if (col.physical_type() == PhysicalType::kString) {
+      for (const auto& s : col.strings()) {
+        total += static_cast<double>(s.size()) + 4.0;
+      }
+    } else {
+      total += 8.0 * static_cast<double>(col.size());
+    }
+  }
+  return total;
+}
+
 std::string QueryResult::ToString(int64_t limit) const {
   std::string out;
   for (size_t i = 0; i < names.size(); ++i) {
@@ -524,17 +539,56 @@ struct LocalEngine::ExecContext {
 
 namespace {
 
+/// Where one output column of a filter or join comes from: a position in
+/// the operator's input chunk, or in the join's build data.
+struct ColumnSource {
+  bool build = false;
+  size_t index = 0;
+};
+
 /// Schema (column names) flowing *into* each streaming operator is the
 /// output schema of whatever preceded it; we track it as we apply ops.
 struct MorselProcessor {
   const Pipeline* pipeline;
   LocalEngine::ExecContext* ctx;  // breaker states (read-only during probe)
   std::map<const PhysicalPlan*, LocalEngine::BreakerState>* breakers;
+  /// Per operator, the sources of its output columns: filled for filters
+  /// and joins, which emit a subset of what they read.
+  std::vector<std::vector<ColumnSource>> layouts;
+
+  /// Resolve every filter's and join's output columns by name, once per
+  /// pipeline rather than per morsel.
+  Status ResolveLayouts() {
+    constexpr size_t kNone = static_cast<size_t>(-1);
+    const PhysicalPlan* input = pipeline->source;
+    for (const PhysicalPlan* op : pipeline->operators) {
+      std::vector<ColumnSource>& layout = layouts.emplace_back();
+      if (op->kind == PhysicalPlan::Kind::kFilter ||
+          op->kind == PhysicalPlan::Kind::kHashJoin) {
+        for (const std::string& name : op->output_names) {
+          const size_t i = input->FindColumn(name);
+          const size_t b = op->kind == PhysicalPlan::Kind::kHashJoin
+                               ? op->children[1]->FindColumn(name)
+                               : kNone;
+          if (i == kNone && b == kNone) {
+            return Status::Internal(std::string(op->KindName()) +
+                                    " output column not in its input: " +
+                                    name);
+          }
+          layout.push_back(i != kNone ? ColumnSource{false, i}
+                                      : ColumnSource{true, b});
+        }
+      }
+      input = op;
+    }
+    return Status::OK();
+  }
 
   /// Apply the streaming operators to `chunk` (schema `names` updated in
   /// place). Returns an error or the transformed chunk (possibly empty).
   Status Apply(DataChunk* chunk, std::vector<std::string>* names) const {
-    for (const PhysicalPlan* op : pipeline->operators) {
+    for (size_t i = 0; i < pipeline->operators.size(); ++i) {
+      const PhysicalPlan* op = pipeline->operators[i];
       if (chunk->num_rows() == 0 &&
           op->kind != PhysicalPlan::Kind::kHashJoin) {
         *names = op->output_names;
@@ -548,7 +602,12 @@ struct MorselProcessor {
           SelectionVector sel;
           COSTDB_ASSIGN_OR_RETURN(sel,
                                   ev.EvaluateSelection(*op->predicate, *chunk));
-          chunk->Slice(sel);
+          DataChunk out;
+          for (const ColumnSource& c : layouts[i]) {
+            out.AddColumn(chunk->column(c.index).Gather(sel));
+          }
+          *chunk = std::move(out);
+          *names = op->output_names;
           break;
         }
         case PhysicalPlan::Kind::kProject: {
@@ -568,7 +627,7 @@ struct MorselProcessor {
         case PhysicalPlan::Kind::kLimit:
           break;  // applied at result finalization
         case PhysicalPlan::Kind::kHashJoin: {
-          COSTDB_RETURN_NOT_OK(Probe(op, chunk, names));
+          COSTDB_RETURN_NOT_OK(Probe(op, layouts[i], chunk, names));
           break;
         }
         default:
@@ -579,9 +638,10 @@ struct MorselProcessor {
   }
 
   /// Vectorized probe: hash every probe row column-at-a-time, collect the
-  /// matching (probe, build) row pairs, then gather output columns in bulk.
-  Status Probe(const PhysicalPlan* join, DataChunk* chunk,
-               std::vector<std::string>* names) const {
+  /// matching (probe, build) row pairs, then gather the join's output
+  /// columns in bulk.
+  Status Probe(const PhysicalPlan* join, const std::vector<ColumnSource>& layout,
+               DataChunk* chunk, std::vector<std::string>* names) const {
     auto it = breakers->find(join);
     if (it == breakers->end()) {
       return Status::Internal("probe before build");
@@ -600,19 +660,15 @@ struct MorselProcessor {
     SelectionVector probe_sel;
     std::vector<uint32_t> build_sel;
     bs.build_table.Probe(probe_keys, hashes, &probe_sel, &build_sel);
-    DataChunk out(join->output_types);
-    const size_t probe_cols = chunk->num_columns();
-    for (size_t c = 0; c < probe_cols; ++c) {
-      out.column(c) = chunk->column(c).Gather(probe_sel);
-    }
-    for (size_t c = 0; c < bs.build_data.num_columns(); ++c) {
-      out.column(probe_cols + c) = bs.build_data.column(c).Gather(build_sel);
+    DataChunk out;
+    for (const ColumnSource& c : layout) {
+      out.AddColumn(c.build ? bs.build_data.column(c.index).Gather(build_sel)
+                            : chunk->column(c.index).Gather(probe_sel));
     }
     *chunk = std::move(out);
     *names = join->output_names;
     return Status::OK();
   }
-
 };
 
 }  // namespace
@@ -636,11 +692,22 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   const PhysicalPlan* src = pipeline.source;
   if (src == nullptr) return Status::Internal("pipeline without source");
 
+  // A scan pins and filters every column it reads; it emits these.
+  std::vector<size_t> emitted_columns;
   if (!pipeline.source_is_breaker) {
     // TableScan source: one morsel per row group that survives zone-map
     // pruning. A pruned morsel is never touched again — its rows are not
     // read, filtered, or materialized.
     source_names = src->output_names;
+    const auto& read = src->scan_column_names;
+    for (const std::string& name : src->output_names) {
+      auto it = std::find(read.begin(), read.end(), name);
+      if (it == read.end()) {
+        return Status::Internal("scan emits a column it does not read: " +
+                                name);
+      }
+      emitted_columns.push_back(src->scan_column_indices[it - read.begin()]);
+    }
     const auto& groups = src->table->row_groups();
     // A sharded worker scans only its contiguous row-group share; the
     // default [0, SIZE_MAX) covers the whole table.
@@ -757,7 +824,8 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
   std::vector<Status> slot_status(morsels.size());
   std::vector<AggPartial> slot_aggs;  // aggregate sink partials
 
-  MorselProcessor processor{&pipeline, ctx, &ctx->breakers};
+  MorselProcessor processor{&pipeline, ctx, &ctx->breakers, {}};
+  COSTDB_RETURN_NOT_OK(processor.ResolveLayouts());
   const PhysicalPlan* sink = pipeline.sink;
   const bool agg_sink =
       sink != nullptr && sink->kind == PhysicalPlan::Kind::kHashAggregate &&
@@ -802,17 +870,17 @@ Status LocalEngine::RunPipeline(const Pipeline& pipeline, ExecContext* ctx,
         for (size_t idx : src->scan_column_indices) {
           view.AddColumn(&pin.column(idx));
         }
-        Evaluator ev(&names);
+        Evaluator ev(&src->scan_column_names);
         auto sel = ev.EvaluateSelection(*combined_scan_filter, view);
         if (!sel.ok()) {
           slot_status[slot] = sel.status();
           return;
         }
-        for (size_t idx : src->scan_column_indices) {
+        for (size_t idx : emitted_columns) {
           projected.AddColumn(pin.column(idx).Gather(*sel));
         }
       } else {
-        for (size_t idx : src->scan_column_indices) {
+        for (size_t idx : emitted_columns) {
           projected.AddColumn(pin.column(idx));
         }
       }
@@ -1009,6 +1077,10 @@ Result<QueryResult> LocalEngine::Execute(const PhysicalPlan* root,
   }
   if (!ctx.result_valid) {
     return Status::Internal("query produced no result sink");
+  }
+  for (const auto& [node, bs] : ctx.breakers) {
+    ctx.profile->breaker_bytes +=
+        ChunkPayloadBytes(bs.build_data) + ChunkPayloadBytes(bs.materialized);
   }
   QueryResult result;
   result.names = root->output_names;

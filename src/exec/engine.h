@@ -34,6 +34,12 @@ void EncodeRowKeyInto(const std::vector<ColumnVector>& columns, size_t row,
 void EncodeChunkKeyInto(const DataChunk& chunk, size_t num_columns, size_t row,
                         std::string* key);
 
+/// In-memory payload bytes of a chunk (fixed 8B numerics, observed string
+/// lengths + a 4B offset word) — what the exchange stats and the shuffle
+/// calibration account as "bytes on the wire", and what ExecProfile counts
+/// as breaker bytes.
+double ChunkPayloadBytes(const DataChunk& chunk);
+
 /// Wall-clock measurement of one pipeline run, used to calibrate the cost
 /// estimator's per-operator throughput parameters.
 struct PipelineTiming {
@@ -197,6 +203,10 @@ struct ExecProfile {
   /// GET), and the measured read+decode time the calibration's storage
   /// group folds back. All-zero for purely RAM-resident scans.
   BlockCacheStats storage;
+  /// ChunkPayloadBytes the run's pipeline breakers hold once its last
+  /// pipeline has run: join build sides plus aggregate and sort outputs.
+  /// Sharded runs report the largest fragment, summed over its workers.
+  double breaker_bytes = 0.0;
   /// Sharded runs only: what the exchanges moved (the shuffle- and
   /// link-term calibration signal) and the worker-second ledger.
   ExchangeStats exchange;

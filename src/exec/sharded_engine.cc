@@ -339,6 +339,7 @@ PhysicalPlanPtr CloneForWorker(
     scan->alias = "__exchange";
     scan->output_names = node->output_names;
     scan->output_types = node->output_types;
+    scan->scan_column_names = node->output_names;
     scan->scan_column_indices.resize(node->output_names.size());
     std::iota(scan->scan_column_indices.begin(),
               scan->scan_column_indices.end(), 0);
@@ -871,33 +872,21 @@ Result<Shards> Call::RunFragment(const PhysicalPlan* frag_root) {
   out.single = single;
   out.key_prefix = MergeKeyPrefixOf(frag_root);
   out.chunks.assign(dop, DataChunk(frag_root->output_types));
+  double breaker_bytes = 0.0;
   for (size_t w = 0; w < dop; ++w) {
     if (skip[w]) continue;
     COSTDB_RETURN_NOT_OK(slots[w].result.status());
     out.chunks[w] = std::move(slots[w].result->chunk);
     profile_->scan.MergeFrom(slots[w].profile.scan);
     profile_->storage.MergeFrom(slots[w].profile.storage);
+    breaker_bytes += slots[w].profile.breaker_bytes;
   }
+  profile_->breaker_bytes = std::max(profile_->breaker_bytes, breaker_bytes);
   pipelines_.AddFragment(plans[0].get(), origins, slots, skip, dop);
   return out;
 }
 
 }  // namespace
-
-double ChunkPayloadBytes(const DataChunk& chunk) {
-  double total = 0.0;
-  for (size_t c = 0; c < chunk.num_columns(); ++c) {
-    const ColumnVector& col = chunk.column(c);
-    if (col.physical_type() == PhysicalType::kString) {
-      for (const auto& s : col.strings()) {
-        total += static_cast<double>(s.size()) + 4.0;
-      }
-    } else {
-      total += 8.0 * static_cast<double>(col.size());
-    }
-  }
-  return total;
-}
 
 ShardedEngine::ShardedEngine(const ShardedEngineOptions& options)
     : options_(options), worker_engine_(options.threads_per_worker) {

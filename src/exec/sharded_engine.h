@@ -29,11 +29,6 @@ struct FragmentBoundary {
 /// [1, +inf) and missing workers are spun up on demand.
 using WidthDecider = std::function<size_t(const FragmentBoundary&)>;
 
-/// In-memory payload bytes of a chunk (fixed 8B numerics, observed string
-/// lengths + a 4B offset word) — what the exchange stats and the shuffle
-/// calibration account as "bytes on the wire".
-double ChunkPayloadBytes(const DataChunk& chunk);
-
 /// Construction knobs of a ShardedEngine — per-worker threading and how
 /// exchanged partitions travel. Results are bit-identical across both
 /// transports at any width (tested in sharded_test). The width is not

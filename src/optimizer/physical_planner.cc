@@ -1,5 +1,6 @@
 #include "optimizer/physical_planner.h"
 
+#include <set>
 #include <utility>
 
 #include "storage/partition.h"
@@ -43,6 +44,27 @@ bool KeysReferenceColumn(const std::vector<ExprPtr>& keys,
     }
   }
   return false;
+}
+
+/// Positions of the entries of `names` in `live`, in order; position 0
+/// alone when none is, because a zero-column chunk reports zero rows.
+std::vector<size_t> LivePositions(const std::vector<std::string>& names,
+                                  const std::set<std::string>& live) {
+  std::vector<size_t> out;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (live.count(names[i]) > 0) out.push_back(i);
+  }
+  if (out.empty() && !names.empty()) out.push_back(0);
+  return out;
+}
+
+template <typename T>
+std::vector<T> Pick(const std::vector<T>& values,
+                    const std::vector<size_t>& positions) {
+  std::vector<T> out;
+  out.reserve(positions.size());
+  for (size_t i : positions) out.push_back(values[i]);
+  return out;
 }
 
 }  // namespace
@@ -106,7 +128,83 @@ Result<PhysicalPlanPtr> PhysicalPlanner::Plan(
     }
     if (!gathered) root = WrapExchange(std::move(root), ExchangeKind::kGather);
   }
+  KeepLiveColumns(root.get(), std::set<std::string>(root->output_names.begin(),
+                                                    root->output_names.end()));
   return root;
+}
+
+void PhysicalPlanner::KeepLiveColumns(PhysicalPlan* node,
+                                      const std::set<std::string>& live) const {
+  // What the children must provide: what this node's expressions read,
+  // plus, through an operator that passes its input on, what its
+  // ancestors read. A projection or aggregate computes its output instead.
+  const std::vector<std::string> own = ColumnsReadBy(*node);
+  std::set<std::string> reads(own.begin(), own.end());
+  if (node->kind != PhysicalPlan::Kind::kProject &&
+      node->kind != PhysicalPlan::Kind::kHashAggregate) {
+    reads.insert(live.begin(), live.end());
+  }
+  for (auto& child : node->children) KeepLiveColumns(child.get(), reads);
+
+  auto keep = [&](const std::set<std::string>& columns) {
+    const std::vector<size_t> kept = LivePositions(node->output_names, columns);
+    node->output_names = Pick(node->output_names, kept);
+    node->output_types = Pick(node->output_types, kept);
+    node->est_row_bytes = RowBytes(node->output_names, node->output_types);
+    return kept;
+  };
+  auto pass_through = [&](const PhysicalPlan& child) {
+    node->output_names = child.output_names;
+    node->output_types = child.output_types;
+    node->est_row_bytes = child.est_row_bytes;
+  };
+  switch (node->kind) {
+    case PhysicalPlan::Kind::kTableScan: {
+      // Pin and filter every column read; emit only the live ones.
+      const std::vector<size_t> read = keep(reads);
+      node->scan_column_indices = Pick(node->scan_column_indices, read);
+      node->scan_column_names = node->output_names;
+      node->est_read_row_bytes = node->est_row_bytes;
+      node->est_scanned_bytes =
+          node->est_source_rows * node->est_read_row_bytes;
+      keep(live);
+      break;
+    }
+    case PhysicalPlan::Kind::kHashJoin: {
+      const PhysicalPlan& probe = *node->children[0];
+      const PhysicalPlan& build = *node->children[1];
+      pass_through(probe);
+      node->output_names.insert(node->output_names.end(),
+                                build.output_names.begin(),
+                                build.output_names.end());
+      node->output_types.insert(node->output_types.end(),
+                                build.output_types.begin(),
+                                build.output_types.end());
+      keep(live);
+      break;
+    }
+    case PhysicalPlan::Kind::kFilter: {
+      // A residual filter drops the columns only its predicate read. Over
+      // an aggregate or projection (HAVING) it passes its input on whole,
+      // so a grouped aggregate's key columns keep leading the output that
+      // a sharded gather merges on.
+      const PhysicalPlan& child = *node->children[0];
+      pass_through(child);
+      if (child.kind == PhysicalPlan::Kind::kTableScan ||
+          child.kind == PhysicalPlan::Kind::kHashJoin) {
+        keep(live);
+      }
+      break;
+    }
+    case PhysicalPlan::Kind::kExchange:
+    case PhysicalPlan::Kind::kSort:
+    case PhysicalPlan::Kind::kLimit:
+      pass_through(*node->children[0]);
+      break;
+    case PhysicalPlan::Kind::kProject:
+    case PhysicalPlan::Kind::kHashAggregate:
+      break;
+  }
 }
 
 Result<PhysicalPlanPtr> PhysicalPlanner::Lower(
@@ -141,13 +239,13 @@ Result<PhysicalPlanPtr> PhysicalPlanner::Lower(
         auto frac = node->table->PruneFraction(base, op, constant);
         if (frac.ok()) prune_frac = std::max(prune_frac, *frac);
       }
-      // Derive scanned bytes from the *served* statistics so that injected
-      // cardinality misestimation consistently distorts the whole scan
-      // estimate (rows and bytes), like a stale catalog would.
+      // Derive the source rows (and so the scanned bytes KeepLiveColumns
+      // prices) from the *served* statistics so that injected cardinality
+      // misestimation consistently distorts the whole scan estimate (rows
+      // and bytes), like a stale catalog would.
       double base_rows = cards_.BaseRows(node->alias);
       p->prune_keep_fraction = 1.0 - prune_frac;
       p->est_source_rows = base_rows * p->prune_keep_fraction;
-      p->est_scanned_bytes = p->est_source_rows * p->est_row_bytes;
       return PhysicalPlanPtr(p);
     }
     case LogicalPlan::Kind::kJoin: {

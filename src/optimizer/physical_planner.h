@@ -1,5 +1,8 @@
 #pragma once
 
+#include <set>
+#include <string>
+
 #include "common/result.h"
 #include "optimizer/cardinality.h"
 #include "plan/physical_plan.h"
@@ -33,6 +36,13 @@ class PhysicalPlanner {
 
  private:
   Result<PhysicalPlanPtr> Lower(const LogicalPlanPtr& node) const;
+  /// Top-down liveness walk: trims every scan, hash join, residual filter
+  /// and exchange under `node` to the columns in `live` (those some
+  /// ancestor reads or the root returns) plus what its own operator reads
+  /// below it, keeping at least one column each, and re-derives
+  /// est_row_bytes from the trimmed schemas.
+  void KeepLiveColumns(PhysicalPlan* node,
+                       const std::set<std::string>& live) const;
   PhysicalPlanPtr WrapExchange(PhysicalPlanPtr child, ExchangeKind kind) const;
   double RowBytes(const std::vector<std::string>& names,
                   const std::vector<LogicalType>& types) const;

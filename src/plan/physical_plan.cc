@@ -112,6 +112,12 @@ void ForEachExprSlot(Node* node, Fn fn) {
 
 }  // namespace
 
+std::vector<std::string> ColumnsReadBy(const PhysicalPlan& node) {
+  std::vector<std::string> out;
+  ForEachExprSlot(&node, [&out](const ExprPtr& e) { e->CollectColumns(&out); });
+  return out;
+}
+
 PhysicalPlanPtr BindPlanParams(const PhysicalPlan* root,
                                const std::vector<Value>& params) {
   if (root == nullptr) return nullptr;

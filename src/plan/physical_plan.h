@@ -44,6 +44,8 @@ struct PhysicalPlan {
   std::vector<PhysicalPlanPtr> children;
 
   /// Output schema: unique column names and their types, positionally.
+  /// The planner trims scans, joins, residual filters and exchanges to the
+  /// columns some ancestor reads or the root returns (at least one each).
   std::vector<std::string> output_names;
   std::vector<LogicalType> output_types;
 
@@ -51,10 +53,13 @@ struct PhysicalPlan {
   double est_rows = 0.0;
   double est_row_bytes = 8.0;  // average bytes per output row
 
-  // kTableScan
+  // kTableScan. The scan pins and filters every column it reads and emits
+  // the subset named by output_names.
   std::shared_ptr<Table> table;
   std::string alias;
-  std::vector<size_t> scan_column_indices;  // into the table's schema
+  std::vector<size_t> scan_column_indices;  // read, into the table's schema
+  std::vector<std::string> scan_column_names;  // their names, positionally
+  double est_read_row_bytes = 8.0;  // average bytes per row read
   std::vector<ExprPtr> scan_filters;
   /// Row-group range [scan_group_begin, scan_group_end) this scan covers —
   /// how the sharded engine hands each worker its horizontal slice of the
@@ -110,6 +115,11 @@ struct PhysicalPlan {
   /// Position of `name` in output_names, or npos.
   size_t FindColumn(const std::string& name) const;
 };
+
+/// Every column that `node`'s own expressions read: scan filters,
+/// predicates, projections, join and partition keys, group-bys, aggregates
+/// and sort keys.
+std::vector<std::string> ColumnsReadBy(const PhysicalPlan& node);
 
 /// Deep copy of a plan tree with every kParam placeholder replaced by the
 /// corresponding bound constant from `params` (positional). Expression

@@ -242,6 +242,25 @@ TEST_F(CostTest, VolumesEstimateVsTruthDivergeUnderInjectedError) {
   EXPECT_NEAR(ratio, 4.0, 0.2);
 }
 
+TEST_F(CostTest, ScanPricesReadColumnsInAndLiveColumnsOut) {
+  // lo_quantity is read by the scan's filter and by nothing above it: the
+  // scan still reads both int64 columns but emits lo_revenue alone.
+  auto planned = Prepare(
+      "SELECT sum(lo_revenue) AS r FROM lineorder WHERE lo_quantity < 10");
+  const PhysicalPlan* scan = planned.plan.get();
+  while (!scan->children.empty()) scan = scan->children[0].get();
+  ASSERT_EQ(scan->kind, PhysicalPlan::Kind::kTableScan);
+  EXPECT_EQ(scan->scan_column_names,
+            (std::vector<std::string>{"lineorder.lo_quantity",
+                                      "lineorder.lo_revenue"}));
+  EXPECT_EQ(scan->output_names,
+            std::vector<std::string>{"lineorder.lo_revenue"});
+  const NodeVolumes& v = planned.volumes.at(scan);
+  ASSERT_GT(v.out_rows, 0.0);
+  EXPECT_DOUBLE_EQ(v.scanned_bytes, v.source_rows * 16.0);
+  EXPECT_DOUBLE_EQ(v.out_bytes, v.out_rows * 8.0);
+}
+
 TEST_F(CostTest, FilterChainChargesDispatchOnlyForSurvivingMorsels) {
   // Zone-map pruning drops whole morsels before any kernel runs, so the
   // batch-dispatch term must be charged per *surviving* morsel. With rows

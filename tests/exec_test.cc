@@ -463,6 +463,7 @@ PhysicalPlanPtr ScanNode(const std::shared_ptr<Table>& table,
     p->output_names.push_back(alias + "." + table->columns()[c].name);
     p->output_types.push_back(table->columns()[c].type);
   }
+  p->scan_column_names = p->output_names;
   return p;
 }
 
