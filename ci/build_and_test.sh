@@ -316,16 +316,18 @@ run_asan_stage() {
   # steps — the indexing and arithmetic UBSan checks.
   # sql_test rides along: its mutation test feeds 20000 mutated statements
   # through the lexer, parser and binder — untrusted text, bounds territory.
-  echo "== ASAN/UBSAN (exec + vectorized + sharded + elastic + tenant + storage + net + cost + sql) =="
+  # live_columns_test rides along: it sends whole queries through socket
+  # exchanges, so every trimmed schema crosses the wire v2 page decoder.
+  echo "== ASAN/UBSAN (exec + vectorized + sharded + elastic + tenant + storage + net + cost + sql + live_columns) =="
   local build_dir="${ASAN_BUILD_DIR:-build-asan}"
   cmake -B "$build_dir" -S . -DCOSTDB_ASAN=ON -DCMAKE_BUILD_TYPE=Debug \
     "${CMAKE_LAUNCHER_ARGS[@]}"
   cmake --build "$build_dir" -j "$JOBS" \
     --target exec_test vectorized_test sharded_test elastic_test \
-    tenant_test storage_test net_test cost_test sql_test
+    tenant_test storage_test net_test cost_test sql_test live_columns_test
   local t
   for t in exec_test vectorized_test sharded_test elastic_test tenant_test \
-           storage_test net_test cost_test sql_test; do
+           storage_test net_test cost_test sql_test live_columns_test; do
     ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "$build_dir/$t"
   done

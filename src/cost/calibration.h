@@ -36,9 +36,10 @@ struct HardwareCalibration {
   // Per-transport link terms: which transport the engine's exchanges run
   // over (configuration — set by the facade, never calibrated) and what a
   // serializing transport adds on top of the copy term above. A socket
-  // exchange pays wire_bytes/serialize_bw (encode+decode+checksum) plus
-  // wire_bytes/link_bw (kernel copy through the socket) plus one RTT per
-  // transfer. These three are what the calibration's link group learns
+  // exchange pays plain_bytes/serialize_bw (encode+decode+checksum) plus
+  // plain_bytes/link_bw (kernel copy through the socket) plus one RTT per
+  // transfer; the rates absorb what the wire format's encoding saves.
+  // These three are what the calibration's link group learns
   // from the measured serialize+transfer share of exchange wall times, and
   // the shuffle group subtracts that share — so the copy term and the link
   // terms each track their own reality and DOP decisions price real

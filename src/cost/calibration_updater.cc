@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "cost/operator_models.h"
 #include "exec/engine.h"
 
 namespace costdb {
@@ -71,12 +72,11 @@ void ReadShuffles(const Inputs& in, std::vector<Pair>* pairs) {
 void ReadLink(const Inputs& in, std::vector<Pair>* pairs) {
   for (const ExchangeTiming& t : in.profile.exchange.timings) {
     // Only exchanges that serialized bytes over a link carry a signal for
-    // the link terms; in-process exchanges have neither.
-    if (t.wire_bytes <= 0.0 || t.link_seconds <= 0.0) continue;
-    const double predicted =
-        t.wire_bytes / (in.hw.wire_serialize_gibps * kGiB) +
-        t.wire_bytes / (in.hw.link_gibps * kGiB) +
-        static_cast<double>(t.transfers) * in.hw.link_rtt_seconds;
+    // the link terms; in-process exchanges have neither. The terms price
+    // plain payload bytes, not the encoded frames.
+    if (t.plain_bytes <= 0.0 || t.link_seconds <= 0.0) continue;
+    const double predicted = LinkSeconds(in.hw, t.plain_bytes,
+                                         static_cast<double>(t.transfers));
     if (predicted > 0.0) pairs->push_back({predicted, t.link_seconds});
   }
 }
@@ -112,7 +112,7 @@ const std::array<GroupRow, kNumTermGroups>& Groups() {
        &ReadPipelines},
       // kShuffle: bytes / shuffle_gibps + partitions * dispatch.
       {{&HW::shuffle_gibps}, {&HW::shuffle_dispatch_seconds}, &ReadShuffles},
-      // kLink: wire / serialize_bw + wire / link_bw + transfers * RTT.
+      // kLink: plain / serialize_bw + plain / link_bw + transfers * RTT.
       {{&HW::wire_serialize_gibps, &HW::link_gibps},
        {&HW::link_rtt_seconds},
        &ReadLink},

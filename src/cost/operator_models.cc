@@ -13,6 +13,13 @@ double EffectiveParallelism(int dop, double alpha) {
          (1.0 + alpha * std::log2(static_cast<double>(dop)));
 }
 
+Seconds LinkSeconds(const HardwareCalibration& hw, double plain_bytes,
+                    double transfers) {
+  return plain_bytes / (hw.wire_serialize_gibps * kGiB) +
+         plain_bytes / (hw.link_gibps * kGiB) +
+         transfers * hw.link_rtt_seconds;
+}
+
 namespace {
 
 class ScanModel : public OperatorModel {
@@ -149,20 +156,17 @@ Seconds ShuffleDispatch(const HardwareCalibration* hw, int partitions) {
   return static_cast<double>(partitions) * hw->shuffle_dispatch_seconds;
 }
 
-/// Per-transport link surcharge of the bytes an exchange moves: zero on
-/// the in-process transport (no serialization exists), and the calibrated
-/// serialize + link + RTT terms on a serializing transport. Additive on
-/// top of the copy/NIC max — serialization and the kernel copy genuinely
-/// happen in sequence with the repartition, they don't overlap it
-/// (measured as ExchangeTiming::link_seconds; calibrated by the link
-/// group, TermGroup::kLink).
+/// Per-transport link surcharge of the plain payload bytes an exchange
+/// moves: zero on the in-process transport (no serialization exists), and
+/// LinkSeconds on a serializing transport. Additive on top of the copy/NIC
+/// max — serialization and the kernel copy genuinely happen in sequence
+/// with the repartition, they don't overlap it (measured as
+/// ExchangeTiming::link_seconds; calibrated by the link group,
+/// TermGroup::kLink).
 Seconds LinkTime(const HardwareCalibration* hw, double moved_bytes,
                  int transfers) {
   if (hw->exchange_transport != LinkTransport::kSocket) return 0.0;
-  if (moved_bytes <= 0.0 && transfers <= 0) return 0.0;
-  return moved_bytes / (hw->wire_serialize_gibps * kGiB) +
-         moved_bytes / (hw->link_gibps * kGiB) +
-         static_cast<double>(transfers) * hw->link_rtt_seconds;
+  return LinkSeconds(*hw, moved_bytes, transfers);
 }
 
 class ShuffleModel : public OperatorModel {

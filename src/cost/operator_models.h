@@ -37,6 +37,15 @@ class OperatorModel {
 /// d / (1 + alpha log2 d): sublinear speedup of exchange-heavy operators.
 double EffectiveParallelism(int dop, double alpha);
 
+/// Seconds a serializing transport spends moving `plain_bytes` of plain
+/// payload in `transfers` frames at the calibrated link terms:
+/// plain / serialize_bw + plain / link_bw + transfers × RTT. Ungated: the
+/// exchange models add it only on the socket transport, while the link
+/// group (TermGroup::kLink) and the sharded parity check apply it to what
+/// measured exchanges carried (ExchangeTiming::plain_bytes, transfers).
+Seconds LinkSeconds(const HardwareCalibration& hw, double plain_bytes,
+                    double transfers);
+
 /// Factory for the analytic model of a physical operator. `hw` must
 /// outlive the returned model.
 std::unique_ptr<OperatorModel> MakeAnalyticModel(

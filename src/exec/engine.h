@@ -87,18 +87,20 @@ struct ScanStats {
 /// payload byte the in-process movement copied (a broadcast materializes
 /// one shared copy, not W wire copies) — while the logical cross-worker
 /// charge lives in ExchangeStats::bytes_moved(). When the exchange ran
-/// over a serializing transport, `wire_bytes`/`link_seconds` isolate the
-/// serialization + link share of `seconds`; the calibration's link group
-/// learns the link terms from exactly these fields (and the shuffle group
-/// subtracts them, so the copy term never chases link time).
+/// over a serializing transport, `link_seconds` isolates the serialization
+/// + link share of `seconds`; the calibration's link group fits the link
+/// terms on `plain_bytes` and that share (and the shuffle group subtracts
+/// it, so the copy term never chases link time). `wire_bytes` are the
+/// encoded frames, which egress bills.
 struct ExchangeTiming {
   ExchangeKind kind = ExchangeKind::kShuffle;
   double bytes = 0.0;      // payload bytes the movement copied
   size_t partitions = 0;   // receiver partitions dispatched
   double seconds = 0.0;    // wall time of the repartition/copy step
   TransportKind transport = TransportKind::kInProcess;
-  double wire_bytes = 0.0;    // serialized frame bytes (0 for in-process)
-  size_t transfers = 0;       // transport Send calls this exchange made
+  double wire_bytes = 0.0;    // encoded frame bytes (0 for in-process)
+  double plain_bytes = 0.0;   // plain payload bytes those frames carried
+  size_t transfers = 0;       // transport frames this exchange sent
   double link_seconds = 0.0;  // serialize+transfer share of `seconds`
 };
 
@@ -122,7 +124,7 @@ struct ExchangeStats {
   ExchangeKindStats gather;
   std::vector<ExchangeTiming> timings;  // per executed exchange, plan order
   /// The call's own transport counters (each call gets a fresh transport):
-  /// socket bytes are the wire bodies plus one 8-byte prefix per transfer.
+  /// socket bytes are the wire bodies plus one 8-byte prefix per frame.
   TransportStats transport_stats;
 
   size_t exchanges() const {

@@ -65,23 +65,8 @@ bool HasBaseScan(const PhysicalPlan* node) {
 /// (the planner's AVG-restoring projection does). 0 = plain concatenation.
 size_t MergeKeyPrefixOf(const PhysicalPlan* frag_root) {
   std::vector<const PhysicalPlan*> projects;
-  const PhysicalPlan* n = frag_root;
-  while (true) {
-    if (n->kind == PhysicalPlan::Kind::kProject) {
-      projects.push_back(n);
-      n = n->children[0].get();
-      continue;
-    }
-    if (n->kind == PhysicalPlan::Kind::kFilter ||
-        n->kind == PhysicalPlan::Kind::kLimit) {
-      n = n->children[0].get();
-      continue;
-    }
-    break;
-  }
-  if (n->kind != PhysicalPlan::Kind::kHashAggregate || n->group_by.empty()) {
-    return 0;
-  }
+  const PhysicalPlan* n = MergeSpineOf(frag_root, &projects);
+  if (n == nullptr) return 0;
   const PhysicalPlan* child = n->children[0].get();
   const bool distributed_by_key =
       child->kind == PhysicalPlan::Kind::kExchange &&
@@ -593,6 +578,7 @@ void Call::RecordExchange(ExchangeTiming timing, const TransportStats& before,
   const TransportStats& now = transport_->stats();
   timing.transport = transport_->kind();
   timing.wire_bytes = now.wire_bytes - before.wire_bytes;
+  timing.plain_bytes = now.plain_bytes - before.plain_bytes;
   timing.transfers = now.transfers - before.transfers;
   timing.link_seconds =
       (now.serialize_seconds - before.serialize_seconds) +
@@ -656,8 +642,9 @@ Result<Shards> Call::ShuffleShards(Shards in, const PhysicalPlan* exchange,
         // transport; the b == w bucket never would on a real network.
         rows_moved += moved.num_rows();
         bytes_moved += payload;
-        COSTDB_ASSIGN_OR_RETURN(moved,
-                                transport_->Send(w, b, std::move(moved)));
+        COSTDB_ASSIGN_OR_RETURN(
+            moved, transport_->Send(w, b, std::move(moved),
+                                    exchange->output_types));
       }
       out.chunks[b].Append(moved);
     }
@@ -691,7 +678,8 @@ Result<Shards> Call::BroadcastShards(Shards in, const PhysicalPlan* exchange,
   if (W > 1 && out.chunks[0].num_rows() > 0) {
     DataChunk shipped;
     COSTDB_ASSIGN_OR_RETURN(
-        shipped, transport_->Send(0, 1, std::move(out.chunks[0])));
+        shipped, transport_->Send(0, 1, std::move(out.chunks[0]),
+                                  exchange->output_types));
     out.chunks[0] = std::move(shipped);
   }
   const double payload = ChunkPayloadBytes(out.chunks[0]);
@@ -723,7 +711,8 @@ Result<Shards> Call::GatherShards(Shards in, const PhysicalPlan* exchange) {
         rows += in.chunks[w].num_rows();
         if (in.chunks[w].num_rows() > 0) {
           COSTDB_ASSIGN_OR_RETURN(
-              in.chunks[w], transport_->Send(w, 0, std::move(in.chunks[w])));
+              in.chunks[w], transport_->Send(w, 0, std::move(in.chunks[w]),
+                                             exchange->output_types));
         }
       }
     }

@@ -26,8 +26,8 @@ class InProcessTransport final : public ExchangeTransport {
  public:
   TransportKind kind() const override { return TransportKind::kInProcess; }
 
-  Result<DataChunk> Send(size_t /*from*/, size_t /*to*/,
-                         DataChunk chunk) override {
+  Result<DataChunk> Send(size_t /*from*/, size_t /*to*/, DataChunk chunk,
+                         const std::vector<LogicalType>& /*schema*/) override {
     ++stats_.transfers;
     return chunk;
   }
@@ -49,36 +49,59 @@ class SocketTransport final : public ExchangeTransport {
 
   TransportKind kind() const override { return TransportKind::kSocket; }
 
-  Result<DataChunk> Send(size_t /*from*/, size_t /*to*/,
-                         DataChunk chunk) override {
+  Result<DataChunk> Send(size_t /*from*/, size_t /*to*/, DataChunk chunk,
+                         const std::vector<LogicalType>& schema) override {
     COSTDB_RETURN_NOT_OK(status_);
 
+    // One length-prefixed frame per wire::FrameEnd slice (and one for an
+    // empty chunk): the decoder bounds every frame's rows and plain bytes.
     double t0 = NowSeconds();
-    body_.clear();
-    wire::EncodeChunk(chunk, &body_);
     frame_.clear();
-    block::PutU64(&frame_, body_.size());
-    frame_.append(body_);
+    const size_t rows = chunk.num_rows();
+    size_t frames = 0;
+    for (size_t begin = 0, end = 0; begin < rows || frames == 0;
+         begin = end) {
+      end = wire::FrameEnd(chunk, begin);
+      const size_t prefix_at = frame_.size();
+      block::PutU64(&frame_, 0);
+      stats_.plain_bytes +=
+          static_cast<double>(wire::EncodeChunk(chunk, begin, end, &frame_));
+      const uint64_t len = frame_.size() - prefix_at - 8;
+      std::memcpy(frame_.data() + prefix_at, &len, 8);
+      stats_.wire_bytes += static_cast<double>(len);
+      ++frames;
+    }
     double t1 = NowSeconds();
     stats_.serialize_seconds += t1 - t0;
-    stats_.wire_bytes += static_cast<double>(body_.size());
 
     COSTDB_RETURN_NOT_OK(Pump());
     double t2 = NowSeconds();
     stats_.transfer_seconds += t2 - t1;
-    ++stats_.transfers;
+    stats_.transfers += frames;
 
-    if (rx_.size() != 8 + body_.size()) {
+    if (rx_.size() != frame_.size()) {
       return Status::Internal("socket transport: framing desync");
     }
-    uint64_t len = 0;
-    std::memcpy(&len, rx_.data(), 8);
-    if (len != body_.size()) {
-      return Status::Internal("socket transport: length prefix mismatch");
+    DataChunk received;
+    for (size_t pos = 0; pos < rx_.size();) {
+      uint64_t len = ~uint64_t{0};
+      if (rx_.size() - pos >= 8) std::memcpy(&len, rx_.data() + pos, 8);
+      pos += 8;
+      if (pos > rx_.size() || len > rx_.size() - pos) {
+        return Status::Internal("socket transport: length prefix mismatch");
+      }
+      Result<DataChunk> decoded =
+          wire::DecodeChunk(rx_.data() + pos, len, schema);
+      COSTDB_RETURN_NOT_OK(decoded.status());
+      if (pos == 8) {
+        received = std::move(*decoded);
+      } else {
+        received.Append(*decoded);
+      }
+      pos += len;
     }
-    Result<DataChunk> decoded = wire::DecodeChunk(rx_.data() + 8, len);
     stats_.serialize_seconds += NowSeconds() - t2;
-    return decoded;
+    return received;
   }
 
  private:
@@ -143,7 +166,6 @@ class SocketTransport final : public ExchangeTransport {
 
   Status status_;
   int fds_[2] = {-1, -1};
-  std::string body_;
   std::string frame_;
   std::string rx_;
 };

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "common/result.h"
 #include "storage/data_chunk.h"
@@ -34,9 +35,10 @@ const char* TransportName(TransportKind kind);
 
 /// Counters one transport instance accumulates across Send calls.
 struct TransportStats {
-  size_t transfers = 0;         // Send calls that crossed the transport
-  double wire_bytes = 0.0;      // serialized frame bodies (wire format)
-  double socket_bytes = 0.0;    // bytes actually written to the socket
+  size_t transfers = 0;        // chunks in process, frames over a socket
+  double wire_bytes = 0.0;     // encoded frame bodies: what egress bills
+  double plain_bytes = 0.0;    // their plain payload: what LinkSeconds prices
+  double socket_bytes = 0.0;   // bytes actually written to the socket
   double serialize_seconds = 0.0;  // encode + decode + checksum time
   double transfer_seconds = 0.0;   // time moving bytes through the kernel
 };
@@ -51,10 +53,14 @@ class ExchangeTransport {
 
   virtual TransportKind kind() const = 0;
 
-  /// Move one chunk across the transport. The in-process transport
-  /// passes it through untouched; the socket transport serializes,
-  /// ships, and decodes — the returned chunk is the far side's copy.
-  virtual Result<DataChunk> Send(size_t from, size_t to, DataChunk chunk) = 0;
+  /// Move one chunk across the transport. `schema` is the receiving
+  /// exchange's output types, which the plan fixes: the far side decodes
+  /// against it, not against what the frames claim. The in-process
+  /// transport passes the chunk through untouched; the socket transport
+  /// serializes, ships, and decodes — the returned chunk is the far
+  /// side's copy.
+  virtual Result<DataChunk> Send(size_t from, size_t to, DataChunk chunk,
+                                 const std::vector<LogicalType>& schema) = 0;
 
   const TransportStats& stats() const { return stats_; }
   void ResetStats() { stats_ = TransportStats{}; }

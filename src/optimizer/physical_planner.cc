@@ -165,8 +165,6 @@ void PhysicalPlanner::KeepLiveColumns(PhysicalPlan* node,
       node->scan_column_indices = Pick(node->scan_column_indices, read);
       node->scan_column_names = node->output_names;
       node->est_read_row_bytes = node->est_row_bytes;
-      node->est_scanned_bytes =
-          node->est_source_rows * node->est_read_row_bytes;
       keep(live);
       break;
     }
@@ -239,13 +237,9 @@ Result<PhysicalPlanPtr> PhysicalPlanner::Lower(
         auto frac = node->table->PruneFraction(base, op, constant);
         if (frac.ok()) prune_frac = std::max(prune_frac, *frac);
       }
-      // Derive the source rows (and so the scanned bytes KeepLiveColumns
-      // prices) from the *served* statistics so that injected cardinality
-      // misestimation consistently distorts the whole scan estimate (rows
-      // and bytes), like a stale catalog would.
-      double base_rows = cards_.BaseRows(node->alias);
+      // ComputeVolumes derives the scan's source rows and scanned bytes
+      // from this fraction and est_read_row_bytes.
       p->prune_keep_fraction = 1.0 - prune_frac;
-      p->est_source_rows = base_rows * p->prune_keep_fraction;
       return PhysicalPlanPtr(p);
     }
     case LogicalPlan::Kind::kJoin: {
@@ -499,7 +493,21 @@ Result<PhysicalPlanPtr> PhysicalPlanner::Lower(
       // A sort directly below keeps only the rows this limit passes: it
       // becomes a top-N sort. The limit node stays; it also truncates the
       // gathered result of a sharded run.
-      if (child->kind == PhysicalPlan::Kind::kSort) child->limit = p->limit;
+      if (child->kind == PhysicalPlan::Kind::kSort) {
+        child->limit = p->limit;
+        // A copy of the top-N sort under its gather makes each worker ship
+        // at most `limit` rows. The rows stay bit-identical: SortOrder is
+        // stable (the row index is its last key), and the gather still
+        // concatenates in worker order, so equal keys keep the order they
+        // had in the gathered input.
+        PhysicalPlanPtr& gather = child->children[0];
+        if (p->limit >= 0 &&
+            MergeSpineOf(gather->children[0].get()) == nullptr) {
+          auto below = std::make_shared<PhysicalPlan>(*child);
+          below->children = {std::move(gather->children[0])};
+          gather->children[0] = std::move(below);
+        }
+      }
       p->output_names = child->output_names;
       p->output_types = child->output_types;
       p->est_row_bytes = child->est_row_bytes;

@@ -118,6 +118,22 @@ std::vector<std::string> ColumnsReadBy(const PhysicalPlan& node) {
   return out;
 }
 
+const PhysicalPlan* MergeSpineOf(const PhysicalPlan* frag_root,
+                                 std::vector<const PhysicalPlan*>* projects) {
+  const PhysicalPlan* n = frag_root;
+  while (n->kind == PhysicalPlan::Kind::kProject ||
+         n->kind == PhysicalPlan::Kind::kFilter ||
+         n->kind == PhysicalPlan::Kind::kLimit) {
+    if (projects != nullptr && n->kind == PhysicalPlan::Kind::kProject) {
+      projects->push_back(n);
+    }
+    n = n->children[0].get();
+  }
+  const bool grouped =
+      n->kind == PhysicalPlan::Kind::kHashAggregate && !n->group_by.empty();
+  return grouped ? n : nullptr;
+}
+
 PhysicalPlanPtr BindPlanParams(const PhysicalPlan* root,
                                const std::vector<Value>& params) {
   if (root == nullptr) return nullptr;

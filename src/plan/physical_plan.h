@@ -66,8 +66,6 @@ struct PhysicalPlan {
   /// table without copying data. SIZE_MAX end = all groups.
   size_t scan_group_begin = 0;
   size_t scan_group_end = static_cast<size_t>(-1);
-  double est_scanned_bytes = 0.0;  // after zone-map pruning, before filters
-  double est_source_rows = 0.0;    // rows fed to the filters (post-pruning)
   double prune_keep_fraction = 1.0;  // share of row groups zone maps keep
 
   // kFilter
@@ -120,6 +118,18 @@ struct PhysicalPlan {
 /// predicates, projections, join and partition keys, group-bys, aggregates
 /// and sort keys.
 std::vector<std::string> ColumnsReadBy(const PhysicalPlan& node);
+
+/// The grouped aggregate whose per-worker output a gather over the
+/// fragment rooted at `frag_root` may k-way merge on its group key, or
+/// nullptr when the gather concatenates the workers' outputs in worker
+/// order. Projections, filters and limits above the aggregate pass its
+/// order on; `projects`, when given, receives the projections passed, top
+/// first. The sharded engine's MergeKeyPrefixOf decides from there whether
+/// the merge applies; the planner lowers a top-N sort below a gather only
+/// where it concatenates.
+const PhysicalPlan* MergeSpineOf(
+    const PhysicalPlan* frag_root,
+    std::vector<const PhysicalPlan*>* projects = nullptr);
 
 /// Deep copy of a plan tree with every kParam placeholder replaced by the
 /// corresponding bound constant from `params` (positional). Expression

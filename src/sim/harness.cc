@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "cost/operator_models.h"
 #include "optimizer/passes.h"
 
 namespace costdb {
@@ -93,18 +94,17 @@ ShardedParity CheckShardedParity(const PreparedQuery& prepared,
       prepared.planned.plan.get(), prepared.truth, workers);
   parity.measured_exchange_bytes = measured.bytes_moved();
   // Link-term parity: predict the serialize+transfer share of each executed
-  // exchange from the calibrated link terms and the bytes that actually
-  // crossed the transport, and compare against the measured share. All
-  // zero (q-error 1) for in-process runs — no link exists there.
+  // exchange from the calibrated link terms and the plain payload bytes
+  // that crossed the transport (the unit LinkSeconds prices), and compare
+  // against the measured share. All zero (q-error 1) for in-process runs —
+  // no link exists there.
   parity.measured_wire_bytes = measured.wire_bytes();
   parity.measured_link_seconds = measured.link_seconds();
   const HardwareCalibration& hw = estimator.hardware();
   for (const ExchangeTiming& t : measured.timings) {
-    if (t.wire_bytes <= 0.0) continue;
+    if (t.plain_bytes <= 0.0) continue;
     parity.predicted_link_seconds +=
-        t.wire_bytes / (hw.wire_serialize_gibps * kGiB) +
-        t.wire_bytes / (hw.link_gibps * kGiB) +
-        static_cast<double>(t.transfers) * hw.link_rtt_seconds;
+        LinkSeconds(hw, t.plain_bytes, static_cast<double>(t.transfers));
   }
   if (parity.predicted_link_seconds > 0.0 &&
       parity.measured_link_seconds > 0.0) {

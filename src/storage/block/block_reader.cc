@@ -1,7 +1,6 @@
 #include "storage/block/block_reader.h"
 
-#include <algorithm>
-#include <cstring>
+#include "storage/block/page_codec.h"
 
 namespace costdb {
 namespace block {
@@ -30,132 +29,6 @@ Value GetValueBound(ByteCursor* cur) {
 
 Status Corrupt(const std::string& what) {
   return Status::Internal("block decode: " + what);
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
-/// Call emit(i, value) for each of `rows` values bit-packed at `width`
-/// (1..64) bits in `words` (PackedBytes(rows, width) bytes): one 64-bit
-/// window per value, plus the next word when the value straddles two.
-template <typename Emit>
-void Unpack(const char* words, size_t rows, uint32_t width, Emit emit) {
-  const uint64_t mask =
-      width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-  uint64_t bit = 0;
-  for (size_t i = 0; i < rows; ++i, bit += width) {
-    const size_t k = bit / 64;
-    const uint32_t s = bit % 64;
-    uint64_t v = LoadU64(words + 8 * k) >> s;
-    if (s + width > 64) v |= LoadU64(words + 8 * (k + 1)) << (64 - s);
-    emit(i, v & mask);
-  }
-}
-
-/// A flat fixed-width page is rows × 8 bytes: one bulk copy. The size test
-/// divides, so no forged row count can wrap it.
-template <typename T>
-Status DecodeFlat(const char* page, const PageEntry& pe, size_t rows,
-                  std::vector<T>* out) {
-  if (pe.size % 8 != 0 || pe.size / 8 != rows) {
-    return Corrupt("fixed-width page size mismatch");
-  }
-  out->resize(rows);
-  if (rows > 0) std::memcpy(out->data(), page, pe.size);
-  return Status::OK();
-}
-
-Status DecodeInts(const char* page, const PageEntry& pe, size_t rows,
-                  std::vector<int64_t>* out) {
-  if (pe.kind == PageKind::kInt64) return DecodeFlat(page, pe, rows, out);
-  if (pe.kind != PageKind::kInt64Packed) {
-    return Corrupt("page kind does not match column type");
-  }
-  if (pe.size < kPackedHeaderBytes) return Corrupt("truncated packed page");
-  const uint64_t base = LoadU64(page);
-  const uint32_t width = static_cast<uint8_t>(page[8]);
-  if (width > 64 ||
-      pe.size - kPackedHeaderBytes != PackedBytes(rows, width)) {
-    return Corrupt("packed page size mismatch");
-  }
-  out->resize(rows);
-  int64_t* dst = out->data();
-  if (width == 0) {
-    std::fill(dst, dst + rows, static_cast<int64_t>(base));
-    return Status::OK();
-  }
-  // Offsets add to the base modulo 2^64, as they were subtracted.
-  Unpack(page + kPackedHeaderBytes, rows, width, [&](size_t i, uint64_t v) {
-    dst[i] = static_cast<int64_t>(base + v);
-  });
-  return Status::OK();
-}
-
-Status DecodeStrings(const char* page, const PageEntry& pe, size_t rows,
-                     std::vector<std::string>* out) {
-  if (pe.kind == PageKind::kString) {
-    // Every string carries a 4-byte length: bound the reserve by the page
-    // size before trusting the row count.
-    if (rows > pe.size / 4) return Corrupt("string page size mismatch");
-    ByteCursor cur{page, pe.size, 0, true};
-    out->reserve(rows);
-    for (size_t i = 0; i < rows; ++i) {
-      const uint32_t len = cur.GetU32();
-      if (!cur.Need(len)) break;
-      out->emplace_back(page + cur.pos, len);
-      cur.pos += len;
-    }
-    if (!cur.ok) return Corrupt("truncated payload page");
-    if (cur.pos != pe.size) return Corrupt("string page size mismatch");
-    return Status::OK();
-  }
-  if (pe.kind != PageKind::kStringDict) {
-    return Corrupt("page kind does not match column type");
-  }
-  if (pe.size < kDictHeaderBytes) return Corrupt("truncated dictionary page");
-  ByteCursor cur{page, pe.size, 0, true};
-  const uint32_t entries = cur.GetU32();
-  // Every entry carries a 4-byte length; a non-empty page needs one.
-  if (entries > (pe.size - kDictHeaderBytes) / 4 ||
-      (entries == 0 && rows > 0)) {
-    return Corrupt("dictionary size out of range");
-  }
-  const uint32_t width = entries > 0 ? BitWidth(entries - 1) : 0;
-  const uint64_t code_bytes = PackedBytes(rows, width);
-  if (code_bytes > pe.size - kDictHeaderBytes) {
-    return Corrupt("dictionary page size mismatch");
-  }
-  // The entries fill the page up to the codes, exactly.
-  cur.size = pe.size - code_bytes;
-  std::vector<std::string> dict;
-  dict.reserve(entries);
-  for (uint32_t e = 0; e < entries; ++e) {
-    const uint32_t len = cur.GetU32();
-    if (!cur.Need(len)) break;
-    dict.emplace_back(page + cur.pos, len);
-    cur.pos += len;
-  }
-  if (!cur.ok || cur.pos != cur.size) {
-    return Corrupt("dictionary entry outside its page");
-  }
-  out->reserve(rows);
-  if (width == 0) {
-    out->assign(rows, dict[0]);
-    return Status::OK();
-  }
-  bool code_in_range = true;
-  Unpack(page + cur.size, rows, width, [&](size_t, uint64_t code) {
-    if (code < entries) {
-      out->push_back(dict[code]);
-    } else {
-      code_in_range = false;
-    }
-  });
-  if (!code_in_range) return Corrupt("dictionary code out of range");
-  return Status::OK();
 }
 
 }  // namespace
@@ -279,6 +152,10 @@ Result<DecodedBlock> BlockReader::DecodeVerified(
   // in here can overflow PackedBytes or size an allocation.
   if (footer.rows > kMaxBlockRows) return Corrupt("row count out of range");
   const size_t rows = footer.rows;
+  // Blocks come from spill files this process wrote and checksummed, and
+  // the writer cuts them by rows only, so their pages may expand freely
+  // (a wire frame is bounded instead).
+  uint64_t plain_budget = ~uint64_t{0};
   for (size_t c : columns) {
     if (c >= footer.columns.size()) {
       return Status::InvalidArgument("block decode: no column " +
@@ -291,32 +168,16 @@ Result<DecodedBlock> BlockReader::DecodeVerified(
     // Each page is checked against its kind, header and size before a
     // value is read from it.
     ColumnVector col(ce.type);
-    Status decoded;
-    switch (col.physical_type()) {
-      case PhysicalType::kInt64:
-        decoded = DecodeInts(page, pe, rows, &col.ints());
-        break;
-      case PhysicalType::kDouble:
-        decoded = pe.kind == PageKind::kDouble
-                      ? DecodeFlat(page, pe, rows, &col.doubles())
-                      : Corrupt("page kind does not match column type");
-        break;
-      case PhysicalType::kString:
-      default:
-        decoded = DecodeStrings(page, pe, rows, &col.strings());
-        break;
-    }
-    COSTDB_RETURN_NOT_OK(decoded);
-
-    if (ce.validity_page != kNoPage) {
+    Status decoded =
+        DecodePayload(page, pe.size, pe.kind, rows, &plain_budget, &col);
+    if (decoded.ok() && ce.validity_page != kNoPage) {
       const PageEntry& vp = footer.pages[ce.validity_page];
-      if (vp.kind != PageKind::kValidity || vp.size != rows) {
-        return Corrupt("validity page size mismatch");
-      }
-      const unsigned char* src =
-          reinterpret_cast<const unsigned char*>(bytes.data() + vp.offset);
-      col.MutableValidity().assign(src, src + rows);
+      decoded = vp.kind == PageKind::kValidity
+                    ? DecodeValidity(bytes.data() + vp.offset, vp.size, rows,
+                                     &col)
+                    : Status::InvalidArgument("validity page kind mismatch");
     }
+    if (!decoded.ok()) return Corrupt(decoded.message());
     out.chunk.AddColumn(std::move(col));
   }
   return out;

@@ -4,10 +4,14 @@
 // (exec_test, sharded_test, elastic_test): rows are compared via the
 // engine's own encoded row key (EncodeChunkKeyInto), so "identical" means
 // identical under the same encoding that orders grouped-aggregate output.
+// The codec suites (storage_test, net_test) compare raw column payloads.
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "exec/engine.h"
 
@@ -34,6 +38,21 @@ inline bool ChunksBitIdentical(const DataChunk& a, const DataChunk& b,
     }
   }
   return true;
+}
+
+/// Raw payload equality: same type, same flat arrays (doubles compared as
+/// bits), same validity mask — NULL slots' fillers included.
+inline void ExpectColumnsBitIdentical(const ColumnVector& a,
+                                      const ColumnVector& b) {
+  ASSERT_EQ(a.type(), b.type());
+  EXPECT_EQ(a.ints(), b.ints());
+  ASSERT_EQ(a.doubles().size(), b.doubles().size());
+  if (!a.doubles().empty()) {
+    EXPECT_EQ(0, std::memcmp(a.doubles().data(), b.doubles().data(),
+                             a.doubles().size() * sizeof(double)));
+  }
+  EXPECT_EQ(a.strings(), b.strings());
+  EXPECT_EQ(a.validity(), b.validity());
 }
 
 /// The deterministic counters of one Execute call's profile, printed —

@@ -9,6 +9,7 @@
 #include "cost/calibration_updater.h"
 #include "exec/sharded_engine.h"
 #include "cost/cost_model.h"
+#include "cost/operator_models.h"
 #include "optimizer/optimizer.h"
 #include "workload/ssb.h"
 
@@ -307,13 +308,10 @@ ExchangeTiming SocketExchange(const HardwareCalibration& hw,
   t.transport = TransportKind::kSocket;
   t.bytes = 4.0 * kMiB;
   t.partitions = 4;
-  t.wire_bytes = 4.0 * kMiB;
+  t.plain_bytes = 4.0 * kMiB;
+  t.wire_bytes = t.plain_bytes;
   t.transfers = 12;
-  t.link_seconds =
-      link_slowdown *
-      (t.wire_bytes / (hw.wire_serialize_gibps * kGiB) +
-       t.wire_bytes / (hw.link_gibps * kGiB) +
-       static_cast<double>(t.transfers) * hw.link_rtt_seconds);
+  t.link_seconds = link_slowdown * LinkSeconds(hw, t.plain_bytes, 12.0);
   t.seconds = t.link_seconds +
               copy_slowdown *
                   (t.bytes / (hw.shuffle_gibps * kGiB) +
@@ -376,6 +374,53 @@ TEST_F(CostTest, LinkGroupMovesOnlyTheLinkTerms) {
   CalibrationReport second =
       updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
   EXPECT_LT(second[TermGroup::kLink].q_error_before, link.q_error_before);
+}
+
+TEST_F(CostTest, LinkGroupFitsPlainBytesNotEncodedWireBytes) {
+  // The wire encodes frames to 0.43x their plain payload, and the link
+  // share runs 2x what the seeded terms price for the plain bytes. The
+  // link group fits in the unit the exchange models' link surcharge
+  // (LinkTime) prices, plain moved bytes, so once it has converged the
+  // surcharge on the plain bytes is the measured link share.
+  HardwareCalibration hw;
+  hw.exchange_transport = LinkTransport::kSocket;
+  CostEstimator estimator(&hw, &node_);
+  CalibrationUpdater updater(&hw);
+  ExchangeTiming t = SocketExchange(hw, 1.0, 1.0);
+  t.wire_bytes = 0.43 * t.plain_bytes;
+  const double transfers = static_cast<double>(t.transfers);
+  const double copy_seconds = t.seconds - t.link_seconds;
+  t.link_seconds = 2.0 * LinkSeconds(hw, t.plain_bytes, transfers);
+  t.seconds = copy_seconds + t.link_seconds;
+  // LinkTime as a gather over transfers + 1 producers charges it: what the
+  // socket transport adds to the gather model when `bytes` leave the
+  // remote producers, one transfer each.
+  auto link_time = [&](double bytes) {
+    PhysicalPlan gather;
+    gather.kind = PhysicalPlan::Kind::kExchange;
+    gather.exchange_kind = ExchangeKind::kGather;
+    HardwareCalibration in_process = hw;
+    in_process.exchange_transport = LinkTransport::kInProcess;
+    const int dop = static_cast<int>(t.transfers) + 1;
+    StageWorkload w;
+    w.bytes_in = bytes * dop / (dop - 1);
+    return MakeAnalyticModel(gather, &hw)->StageTime(w, dop) -
+           MakeAnalyticModel(gather, &in_process)->StageTime(w, dop);
+  };
+  ExecProfile profile;
+  profile.exchange.timings.assign(3, t);
+
+  CalibrationReport first =
+      updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
+  EXPECT_EQ(first[TermGroup::kLink].observed, 3);
+  EXPECT_GT(first[TermGroup::kLink].applied_scale, 1.0);
+  for (int round = 0; round < 30; ++round) {
+    updater.Observe(profile, PipelineGraph(), VolumeMap(), estimator);
+  }
+  EXPECT_NEAR(link_time(t.plain_bytes) / t.link_seconds, 1.0, 1e-3);
+  // Priced on the encoded bytes instead, the fitted terms would miss by
+  // about the encoding ratio.
+  EXPECT_LT(link_time(t.wire_bytes) / t.link_seconds, 0.6);
 }
 
 TEST_F(CostTest, ShuffleGroupMovesOnlyTheShuffleTerms) {

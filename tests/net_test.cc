@@ -1,8 +1,8 @@
 // Wire-format and transport tests: round-trip fidelity across every
-// logical type (NULLs included), rejection of corrupted/truncated/forged
-// frames, the EINTR/short-op retry loops with injected syscalls, and the
-// socket transport's end-to-end chunk movement (including frames larger
-// than a socketpair's kernel buffer, which force the interleaved pump).
+// logical type and page kind (NULLs included), rejection of corrupted,
+// truncated and forged frames, and the socket transport's end-to-end chunk
+// movement (including frames larger than a socketpair's kernel buffer,
+// which force the interleaved pump, and partitions split across frames).
 
 #include <cerrno>
 #include <cstring>
@@ -41,7 +41,7 @@ TEST(WireFormat, RoundTripsAllTypesAndNulls) {
   DataChunk chunk = AllTypesChunk();
   std::string frame;
   wire::EncodeChunk(chunk, &frame);
-  auto decoded = wire::DecodeChunk(frame);
+  auto decoded = wire::DecodeChunk(frame, chunk.Types());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   std::string why;
   EXPECT_TRUE(ChunksBitIdentical(chunk, *decoded, &why)) << why;
@@ -62,7 +62,7 @@ TEST(WireFormat, RoundTripsEmptyChunks) {
                         LogicalType::kDate});
   std::string frame;
   wire::EncodeChunk(empty_rows, &frame);
-  auto decoded = wire::DecodeChunk(frame);
+  auto decoded = wire::DecodeChunk(frame, empty_rows.Types());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->num_columns(), 5u);
   EXPECT_EQ(decoded->num_rows(), 0u);
@@ -72,23 +72,24 @@ TEST(WireFormat, RoundTripsEmptyChunks) {
   DataChunk empty;
   frame.clear();
   wire::EncodeChunk(empty, &frame);
-  auto decoded2 = wire::DecodeChunk(frame);
+  auto decoded2 = wire::DecodeChunk(frame, {});
   ASSERT_TRUE(decoded2.ok()) << decoded2.status().ToString();
   EXPECT_EQ(decoded2->num_columns(), 0u);
 }
 
 TEST(WireFormat, RejectsEveryTruncation) {
   std::string frame;
-  wire::EncodeChunk(AllTypesChunk(), &frame);
+  const DataChunk chunk = AllTypesChunk();
+  wire::EncodeChunk(chunk, &frame);
   for (size_t len = 0; len < frame.size(); ++len) {
-    auto decoded = wire::DecodeChunk(frame.data(), len);
+    auto decoded = wire::DecodeChunk(frame.data(), len, chunk.Types());
     EXPECT_FALSE(decoded.ok()) << "accepted a frame truncated to " << len
                                << " of " << frame.size() << " bytes";
   }
   // Trailing garbage after a valid frame must also be rejected — a frame
   // is a complete unit, not a prefix.
   std::string padded = frame + "zz";
-  EXPECT_FALSE(wire::DecodeChunk(padded).ok());
+  EXPECT_FALSE(wire::DecodeChunk(padded, chunk.Types()).ok());
 }
 
 TEST(WireFormat, RejectsEverySingleByteCorruption) {
@@ -102,7 +103,7 @@ TEST(WireFormat, RejectsEverySingleByteCorruption) {
   for (size_t i = 0; i < frame.size(); ++i) {
     std::string bad = frame;
     bad[i] = static_cast<char>(bad[i] ^ 0x5a);
-    auto decoded = wire::DecodeChunk(bad);
+    auto decoded = wire::DecodeChunk(bad, chunk.Types());
     EXPECT_FALSE(decoded.ok()) << "accepted a flip at byte " << i;
     if (!decoded.ok()) {
       EXPECT_TRUE(decoded.status().IsInvalidArgument())
@@ -113,28 +114,34 @@ TEST(WireFormat, RejectsEverySingleByteCorruption) {
 
 TEST(WireFormat, RejectsBadMagicAndVersion) {
   std::string frame;
+  const std::vector<LogicalType> types = AllTypesChunk().Types();
   wire::EncodeChunk(AllTypesChunk(), &frame);
   // Leading magic.
   std::string bad = frame;
   bad[0] = 'X';
-  EXPECT_FALSE(wire::DecodeChunk(bad).ok());
+  EXPECT_FALSE(wire::DecodeChunk(bad, types).ok());
   // Trailing magic.
   bad = frame;
   bad[bad.size() - 1] = static_cast<char>(bad[bad.size() - 1] ^ 0xff);
-  EXPECT_FALSE(wire::DecodeChunk(bad).ok());
-  // Unknown version (byte 8 is the low byte of the u32 version field).
+  EXPECT_FALSE(wire::DecodeChunk(bad, types).ok());
+  // A v1 frame (byte 8 is the low byte of the u32 version field): only
+  // the current version decodes.
   bad = frame;
-  bad[8] = 2;
-  EXPECT_FALSE(wire::DecodeChunk(bad).ok());
-  EXPECT_FALSE(wire::DecodeChunk(nullptr, 0).ok());
+  bad[8] = 1;
+  EXPECT_FALSE(wire::DecodeChunk(bad, types).ok());
+  EXPECT_FALSE(wire::DecodeChunk(nullptr, 0, types).ok());
 }
 
 // ------------------------------------------------- wire decoder mutations
 
 /// Every logical type, a NULL in every fifth row of every column. The
 /// string column comes first, so a forged row count meets the string page
-/// before a fixed-width page's exact size check.
+/// before a fixed-width page's exact size check. Its values repeat and the
+/// integers span narrow ranges, so at 64 rows the strings travel as a
+/// dictionary and every integer page is bit-packed; at 1 and 4 rows the
+/// pages stay plain.
 DataChunk EveryTypeChunk(size_t rows) {
+  const char* modes[] = {"AIR", "RAIL", "", "TRUCK"};
   DataChunk chunk({LogicalType::kVarchar, LogicalType::kInt64,
                    LogicalType::kDouble, LogicalType::kBool,
                    LogicalType::kDate});
@@ -144,9 +151,9 @@ DataChunk EveryTypeChunk(size_t rows) {
       chunk.AppendRow({Value(), Value(), Value(), Value(), Value()});
       continue;
     }
-    chunk.AppendRow({Value(std::string(r % 7, static_cast<char>('a' + r % 26))),
-                     Value(i * 1000003), Value(0.25 * static_cast<double>(i)),
-                     Value(i % 2), Value(i - 40)});
+    chunk.AppendRow({Value(std::string(modes[r % 4])), Value(i * 1000003),
+                     Value(0.25 * static_cast<double>(i)), Value(i % 2),
+                     Value(i - 40)});
   }
   return chunk;
 }
@@ -161,7 +168,7 @@ struct FrameLayout {
     size_t checksum_at = 0;
   };
   struct Column {
-    size_t header_at = 0;  // [logical type u8][has_validity u8]
+    size_t header_at = 0;  // [logical type u8][has_validity u8][kind u8]
     Page payload;
     bool has_validity = false;
     Page validity;
@@ -195,12 +202,18 @@ FrameLayout LayoutOf(const std::string& frame) {
     FrameLayout::Column col;
     col.header_at = pos;
     col.has_validity = frame[pos + 1] != 0;
-    pos += 2;
+    pos += 3;
     page(&col.payload);
     if (col.has_validity) page(&col.validity);
     layout.columns.push_back(col);
   }
   return layout;
+}
+
+/// The PageKind byte of column `c`'s payload page in `frame`.
+block::PageKind PayloadKindOf(const std::string& frame, size_t c) {
+  return static_cast<block::PageKind>(
+      frame[LayoutOf(frame).columns[c].header_at + 2]);
 }
 
 void ResealPage(std::string* frame, const FrameLayout::Page& p) {
@@ -219,13 +232,23 @@ TEST(WireDecoderMutationTest, SeededMutationsNeverCrashOrLie) {
     seeds.emplace_back();
     wire::EncodeChunk(EveryTypeChunk(rows), &seeds.back());
   }
+  // The 64-row seed reaches the packed and dictionary decoders, the
+  // others the plain ones.
+  using block::PageKind;
+  EXPECT_EQ(PayloadKindOf(seeds[0], 0), PageKind::kStringDict);
+  for (size_t c : {1u, 3u, 4u}) {
+    EXPECT_EQ(PayloadKindOf(seeds[0], c), PageKind::kInt64Packed) << c;
+  }
+  EXPECT_EQ(PayloadKindOf(seeds[1], 0), PageKind::kString);
+  EXPECT_EQ(PayloadKindOf(seeds[2], 1), PageKind::kInt64);
+  const std::vector<LogicalType> schema = EveryTypeChunk(0).Types();
   // Every outcome is a non-OK Status or a chunk of the header's shape:
-  // its column count, its row count in every column, known types and 0/1
+  // the schema's columns, the header's row count in every column and 0/1
   // validity bytes. Nothing crashes, throws, over-allocates or trips a
   // sanitizer.
   size_t decoded_ok = 0, rejected = 0, resealed_rejected = 0;
   auto check = [&](const std::string& frame) {
-    auto decoded = wire::DecodeChunk(frame);
+    auto decoded = wire::DecodeChunk(frame, schema);
     if (!decoded.ok()) {
       EXPECT_TRUE(decoded.status().IsInvalidArgument())
           << decoded.status().ToString();
@@ -237,10 +260,10 @@ TEST(WireDecoderMutationTest, SeededMutationsNeverCrashOrLie) {
     std::memcpy(&columns, frame.data() + 12, sizeof(columns));
     const uint64_t rows = PeekU64(frame, 16);
     EXPECT_EQ(decoded->num_columns(), columns);
+    EXPECT_EQ(decoded->Types(), schema);
+    EXPECT_LE(rows, wire::kMaxFrameRows);
     for (size_t c = 0; c < decoded->num_columns(); ++c) {
       const ColumnVector& col = decoded->column(c);
-      EXPECT_LE(static_cast<uint8_t>(col.type()),
-                static_cast<uint8_t>(LogicalType::kDate));
       EXPECT_EQ(col.size(), rows);
       EXPECT_TRUE(col.validity().empty() || col.validity().size() == rows);
       for (uint8_t bit : col.validity()) EXPECT_LE(bit, 1);
@@ -284,14 +307,17 @@ TEST(WireDecoderMutationTest, SeededMutationsNeverCrashOrLie) {
           break;
         }
         case 3: {  // a column header or page size; body re-sealed
-          switch (rng.Below(4)) {
+          switch (rng.Below(5)) {
             case 0:
               bad[col.header_at] = static_cast<char>(rng.Below(8));
               break;
             case 1:
               bad[col.header_at + 1] = static_cast<char>(rng.Below(3));
               break;
-            case 2:
+            case 2:  // the page kind
+              bad[col.header_at + 2] = static_cast<char>(rng.Below(8));
+              break;
+            case 3:
               PokeU64(&bad, col.payload.size_at, rng.Edge(col.payload.size));
               break;
             default:
@@ -342,11 +368,193 @@ TEST(WireFormat, RejectsRowCountsTheStringPageCannotHold) {
     std::string forged = frame;
     PokeU64(&forged, 16, rows);
     ResealBody(&forged);
-    auto decoded = wire::DecodeChunk(forged);
+    auto decoded = wire::DecodeChunk(forged, chunk.Types());
     ASSERT_FALSE(decoded.ok()) << rows;
     EXPECT_TRUE(decoded.status().IsInvalidArgument()) << rows;
   }
 }
+
+/// One column per page kind, NULLs in three of them:
+///   0 wide   int64   plain (values span the whole int64 range)
+///   1 packed int64   bit-packed, NULLs
+///   2 const  int64   bit-packed at width 0
+///   3 price  double  plain, NULLs
+///   4 mode   varchar dictionary (incl. the empty string), NULLs
+///   5 name   varchar plain (every value distinct)
+///   6 same   varchar one-entry dictionary
+DataChunk EveryPageKindChunk(size_t rows) {
+  const char* modes[] = {"AIR", "RAIL", "", "TRUCK", "MAIL"};
+  DataChunk chunk({LogicalType::kInt64, LogicalType::kInt64,
+                   LogicalType::kInt64, LogicalType::kDouble,
+                   LogicalType::kVarchar, LogicalType::kVarchar,
+                   LogicalType::kVarchar});
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t u = static_cast<uint64_t>(r) * 0x9E3779B97F4A7C15ULL;
+    const auto i = static_cast<int64_t>(r);
+    std::vector<Value> row = {Value(static_cast<int64_t>(u)),
+                              Value(-500 + i % 300),
+                              Value(int64_t{42}),
+                              Value(0.5 * static_cast<double>(r)),
+                              Value(std::string(modes[r % 5])),
+                              Value("name-" + std::to_string(u % 100000)),
+                              Value(std::string("constant"))};
+    for (size_t c : {1u, 3u, 4u}) {
+      if ((r + c) % 11 == 0) row[c] = Value::Null();
+    }
+    chunk.AppendRow(row);
+  }
+  return chunk;
+}
+
+TEST(WireFormat, V2RoundTripsEveryPageKind) {
+  const DataChunk chunk = EveryPageKindChunk(300);
+  std::string frame;
+  const size_t plain = wire::EncodeChunk(chunk, &frame);
+  // The frame reports the plain payload it carries, the unit the link
+  // terms price; its pages are smaller.
+  EXPECT_EQ(static_cast<double>(plain), ChunkPayloadBytes(chunk));
+  EXPECT_LT(frame.size(), plain);
+  using block::PageKind;
+  const std::vector<PageKind> expected = {
+      PageKind::kInt64,      PageKind::kInt64Packed, PageKind::kInt64Packed,
+      PageKind::kDouble,     PageKind::kStringDict,  PageKind::kString,
+      PageKind::kStringDict};
+  const FrameLayout layout = LayoutOf(frame);
+  ASSERT_EQ(layout.columns.size(), expected.size());
+  for (size_t c = 0; c < expected.size(); ++c) {
+    EXPECT_EQ(PayloadKindOf(frame, c), expected[c]) << "column " << c;
+    EXPECT_EQ(layout.columns[c].has_validity, c == 1 || c == 3 || c == 4)
+        << "column " << c;
+  }
+  // Width 0 and a one-entry dictionary store a header and no codes.
+  EXPECT_EQ(layout.columns[2].payload.size, block::kPackedHeaderBytes);
+  EXPECT_EQ(layout.columns[6].payload.size,
+            block::kDictHeaderBytes + 4 + std::string("constant").size());
+
+  auto decoded = wire::DecodeChunk(frame, chunk.Types());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->num_rows(), chunk.num_rows());
+  for (size_t c = 0; c < chunk.num_columns(); ++c) {
+    ExpectColumnsBitIdentical(decoded->column(c), chunk.column(c));
+  }
+
+  // Row ranges encode as frames of their own; decoded and appended in
+  // order they restore the chunk, masks included.
+  DataChunk joined(chunk.Types());
+  for (auto [begin, end] :
+       {std::make_pair(0, 1), std::make_pair(1, 128), std::make_pair(128, 128),
+        std::make_pair(128, 300)}) {
+    std::string part;
+    wire::EncodeChunk(chunk, begin, end, &part);
+    auto slice = wire::DecodeChunk(part, chunk.Types());
+    ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+    ASSERT_EQ(slice->num_rows(), static_cast<size_t>(end - begin));
+    joined.Append(*slice);
+  }
+  for (size_t c = 0; c < chunk.num_columns(); ++c) {
+    ExpectColumnsBitIdentical(joined.column(c), chunk.column(c));
+  }
+}
+
+// Three frames whose checksums all hold but whose headers claim what the
+// receiving exchange cannot accept. Each is rejected before the header
+// sizes anything: a width-0 page ties no row count to the frame size, so
+// without the row bound the first would resize a column to 2^40 values.
+TEST(WireFormat, ForgedFramesAreRejectedBeforeAllocating) {
+  DataChunk constant({LogicalType::kInt64});
+  for (int r = 0; r < 16; ++r) constant.AppendRow({Value(int64_t{7})});
+  std::string frame;
+  wire::EncodeChunk(constant, &frame);
+  ASSERT_EQ(PayloadKindOf(frame, 0), block::PageKind::kInt64Packed);
+  ASSERT_EQ(LayoutOf(frame).columns[0].payload.size, block::kPackedHeaderBytes);
+  auto expect_rejected = [&](const std::string& forged,
+                             const std::vector<LogicalType>& schema,
+                             const char* what) {
+    auto decoded = wire::DecodeChunk(forged, schema);
+    ASSERT_FALSE(decoded.ok()) << what;
+    EXPECT_TRUE(decoded.status().IsInvalidArgument())
+        << what << ": " << decoded.status().ToString();
+  };
+
+  // 2^40 rows (and one past the bound) over the width-0 page.
+  for (uint64_t rows : {uint64_t{1} << 40, wire::kMaxFrameRows + 1}) {
+    std::string forged = frame;
+    PokeU64(&forged, 16, rows);
+    ResealBody(&forged);
+    expect_rejected(forged, constant.Types(), "rows past the bound");
+  }
+  // At the bound the width-0 page is a valid frame of that many rows.
+  std::string at_bound = frame;
+  PokeU64(&at_bound, 16, wire::kMaxFrameRows);
+  ResealBody(&at_bound);
+  auto decoded = wire::DecodeChunk(at_bound, constant.Types());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->num_rows(), wire::kMaxFrameRows);
+
+  // A header with 65,536 columns.
+  std::string columns = frame;
+  const uint32_t many = 1u << 16;
+  std::memcpy(columns.data() + 12, &many, sizeof(many));
+  ResealBody(&columns);
+  expect_rejected(columns, constant.Types(), "65536 columns");
+
+  // A column type the exchange does not expect: a forged type byte, and
+  // an honest frame handed to a receiver of another schema.
+  std::string retyped = frame;
+  retyped[LayoutOf(frame).columns[0].header_at] =
+      static_cast<char>(LogicalType::kDate);
+  ResealBody(&retyped);
+  expect_rejected(retyped, constant.Types(), "forged column type");
+  expect_rejected(frame, {LogicalType::kDouble}, "schema mismatch");
+  expect_rejected(frame, {LogicalType::kInt64, LogicalType::kInt64},
+                  "column count mismatch");
+}
+
+// A one-entry dictionary at width 0 ties no string bytes to the frame
+// size either: a few KiB with valid checksums could claim a GiB of strings
+// in every varchar column. One plain-byte budget covers the whole frame,
+// so each column alone may fit and the frame still be rejected.
+TEST(WireFormat, ForgedDictionariesShareOneFrameBudget) {
+  // `columns` varchar columns of 16 rows of `value`, forged to the frame
+  // row bound.
+  auto forged = [](size_t columns, const std::string& value) {
+    DataChunk chunk(std::vector<LogicalType>(columns, LogicalType::kVarchar));
+    for (int r = 0; r < 16; ++r) {
+      chunk.AppendRow(std::vector<Value>(columns, Value(value)));
+    }
+    std::string frame;
+    wire::EncodeChunk(chunk, &frame);
+    for (size_t c = 0; c < columns; ++c) {
+      EXPECT_EQ(PayloadKindOf(frame, c), block::PageKind::kStringDict);
+      EXPECT_EQ(LayoutOf(frame).columns[c].payload.size,
+                block::kDictHeaderBytes + 4 + value.size());
+    }
+    PokeU64(&frame, 16, wire::kMaxFrameRows);
+    ResealBody(&frame);
+    return std::make_pair(frame, chunk.Types());
+  };
+  // 12-byte strings: kMaxFrameRows × (4 + 12) plain bytes is the budget.
+  ASSERT_EQ(wire::kMaxFrameRows * 16, wire::kMaxFramePlainBytes);
+  const std::string twelve(12, 's');
+  {
+    auto [frame, schema] = forged(1, twelve);
+    auto decoded = wire::DecodeChunk(frame, schema);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->num_rows(), wire::kMaxFrameRows);
+    EXPECT_EQ(decoded->column(0).strings().back(), twelve);
+  }
+  const std::string kibi(1024, 'l');
+  for (auto [columns, value] :
+       {std::make_pair(size_t{2}, twelve), std::make_pair(size_t{4}, kibi)}) {
+    auto [frame, schema] = forged(columns, value);
+    auto rejected = wire::DecodeChunk(frame, schema);
+    ASSERT_FALSE(rejected.ok()) << columns;
+    EXPECT_TRUE(rejected.status().IsInvalidArgument())
+        << rejected.status().ToString();
+  }
+}
+
+// ---------------------------------------------------- EINTR-safe socket IO
 
 TEST(TransportIo, ReadFullRetriesEintrAndShortReads) {
   const std::string data = "the quick brown fox jumps over the lazy dog";
@@ -410,12 +618,14 @@ TEST(TransportIo, FullReadWritePairOverRealPipe) {
   ::close(fds[1]);
 }
 
+// ------------------------------------------------------------- transports
+
 TEST(Transport, InProcessPassesChunksThroughUnserialized) {
   auto transport = MakeTransport(TransportKind::kInProcess);
   ASSERT_EQ(transport->kind(), TransportKind::kInProcess);
   DataChunk chunk = AllTypesChunk();
   DataChunk expect = chunk;
-  auto sent = transport->Send(0, 1, std::move(chunk));
+  auto sent = transport->Send(0, 1, std::move(chunk), expect.Types());
   ASSERT_TRUE(sent.ok()) << sent.status().ToString();
   std::string why;
   EXPECT_TRUE(ChunksBitIdentical(expect, *sent, &why)) << why;
@@ -431,7 +641,7 @@ TEST(Transport, SocketRoundTripsAndCountsBytes) {
   DataChunk expect = chunk;
   std::string frame;
   wire::EncodeChunk(expect, &frame);
-  auto sent = transport->Send(0, 1, std::move(chunk));
+  auto sent = transport->Send(0, 1, std::move(chunk), expect.Types());
   ASSERT_TRUE(sent.ok()) << sent.status().ToString();
   std::string why;
   EXPECT_TRUE(ChunksBitIdentical(expect, *sent, &why)) << why;
@@ -441,6 +651,8 @@ TEST(Transport, SocketRoundTripsAndCountsBytes) {
   // prefix per transfer. This is the accounting bench_e18 gates.
   EXPECT_EQ(stats.wire_bytes, static_cast<double>(frame.size()));
   EXPECT_EQ(stats.socket_bytes, stats.wire_bytes + 8.0);
+  // The link terms price the plain payload, not the encoded frame.
+  EXPECT_EQ(stats.plain_bytes, ChunkPayloadBytes(expect));
   EXPECT_GE(stats.serialize_seconds, 0.0);
   EXPECT_GE(stats.transfer_seconds, 0.0);
   transport->ResetStats();
@@ -450,17 +662,96 @@ TEST(Transport, SocketRoundTripsAndCountsBytes) {
 TEST(Transport, SocketMovesFramesLargerThanKernelBuffers) {
   // ~1.6 MiB of payload — far beyond a socketpair's default buffer, so a
   // naive write-then-read deadlocks; the pump must interleave both ends.
+  // The integers span the whole int64 range, so no page packs smaller.
   DataChunk chunk({LogicalType::kInt64, LogicalType::kDouble});
   for (int64_t i = 0; i < 100'000; ++i) {
-    chunk.AppendRow({Value(i), Value(static_cast<double>(i) * 0.5)});
+    const uint64_t spread = static_cast<uint64_t>(i) * 0x9E3779B97F4A7C15ULL;
+    chunk.AppendRow({Value(static_cast<int64_t>(spread)),
+                     Value(static_cast<double>(i) * 0.5)});
   }
   DataChunk expect = chunk;
   auto transport = MakeTransport(TransportKind::kSocket);
-  auto sent = transport->Send(1, 0, std::move(chunk));
+  auto sent = transport->Send(1, 0, std::move(chunk), expect.Types());
   ASSERT_TRUE(sent.ok()) << sent.status().ToString();
   std::string why;
   EXPECT_TRUE(ChunksBitIdentical(expect, *sent, &why)) << why;
   EXPECT_GT(transport->stats().wire_bytes, 1.5 * 1024 * 1024);
+}
+
+TEST(Transport, SocketSplitsPartitionsPastTheFrameRowBound) {
+  // One row past the bound travels as two frames, each prefixed with its
+  // length, and arrives as one chunk.
+  DataChunk chunk({LogicalType::kInt64});
+  auto& ints = chunk.column(0).ints();
+  ints.resize(wire::kMaxFrameRows + 1);
+  for (size_t r = 0; r < ints.size(); ++r) {
+    ints[r] = static_cast<int64_t>(r % 5);
+  }
+  DataChunk expect = chunk;
+  auto transport = MakeTransport(TransportKind::kSocket);
+  auto sent = transport->Send(0, 1, std::move(chunk), expect.Types());
+  ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+  EXPECT_EQ(sent->column(0).ints(), expect.column(0).ints());
+  const TransportStats& stats = transport->stats();
+  EXPECT_EQ(stats.transfers, 2u);
+  EXPECT_EQ(stats.socket_bytes, stats.wire_bytes + 16.0);
+  EXPECT_EQ(stats.plain_bytes, ChunkPayloadBytes(expect));
+}
+
+TEST(Transport, SocketCutsFramesAtThePlainByteBound) {
+  // Four integer columns are 32 plain bytes a row: 2^19 rows fill a
+  // frame's plain budget, so one row more travels as a second frame.
+  auto transport = MakeTransport(TransportKind::kSocket);
+  {
+    const size_t rows = wire::kMaxFramePlainBytes / 32 + 1;
+    DataChunk chunk(std::vector<LogicalType>(4, LogicalType::kInt64));
+    for (size_t c = 0; c < 4; ++c) {
+      auto& ints = chunk.column(c).ints();
+      ints.resize(rows);
+      for (size_t r = 0; r < rows; ++r) ints[r] = static_cast<int64_t>(r % 7);
+    }
+    EXPECT_EQ(wire::FrameEnd(chunk, 0), rows - 1);
+    EXPECT_EQ(wire::FrameEnd(chunk, rows - 1), rows);
+    DataChunk expect = chunk;
+    auto sent = transport->Send(0, 1, std::move(chunk), expect.Types());
+    ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+    for (size_t c = 0; c < 4; ++c) {
+      EXPECT_EQ(sent->column(c).ints(), expect.column(c).ints()) << c;
+    }
+    EXPECT_EQ(transport->stats().transfers, 2u);
+    EXPECT_EQ(transport->stats().plain_bytes, ChunkPayloadBytes(expect));
+  }
+
+  // A row past the budget travels alone. Its pages are plain, so its
+  // frame is at least as large as what it decodes to, and the decoder's
+  // budget grows to the frame size.
+  const std::string huge(wire::kMaxFramePlainBytes, 'h');
+  DataChunk big({LogicalType::kVarchar, LogicalType::kInt64});
+  big.AppendRow({Value(huge), Value(int64_t{1})});
+  big.AppendRow({Value(std::string("small")), Value(int64_t{2})});
+  EXPECT_EQ(wire::FrameEnd(big, 0), 1u);
+  EXPECT_EQ(wire::FrameEnd(big, 1), 2u);
+  const std::vector<LogicalType> types = big.Types();
+  transport->ResetStats();
+  auto sent = transport->Send(0, 1, std::move(big), types);
+  ASSERT_TRUE(sent.ok()) << sent.status().ToString();
+  ASSERT_EQ(sent->num_rows(), 2u);
+  EXPECT_TRUE(sent->column(0).strings()[0] == huge);
+  EXPECT_EQ(sent->column(0).strings()[1], "small");
+  EXPECT_EQ(sent->column(1).ints(), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(transport->stats().transfers, 2u);
+}
+
+TEST(Transport, SocketDecodesAgainstTheReceiversSchema) {
+  // The far side decodes against the schema the plan gives the receiving
+  // exchange, not the one the frame claims.
+  DataChunk chunk = AllTypesChunk();
+  std::vector<LogicalType> other = chunk.Types();
+  other[0] = LogicalType::kDouble;
+  auto transport = MakeTransport(TransportKind::kSocket);
+  auto sent = transport->Send(0, 1, std::move(chunk), other);
+  ASSERT_FALSE(sent.ok());
+  EXPECT_TRUE(sent.status().IsInvalidArgument()) << sent.status().ToString();
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "cost/volumes.h"
 #include "optimizer/optimizer.h"
 #include "plan/pipeline.h"
 
@@ -112,14 +113,20 @@ TEST_F(PlanTest, GroupByGetsShuffleExchange) {
 }
 
 TEST_F(PlanTest, EstimatesPropagate) {
-  auto plan = Plan("SELECT count(*) FROM fact WHERE id < 5000");
+  const std::string sql = "SELECT count(*) FROM fact WHERE id < 5000";
+  auto plan = Plan(sql);
   // Root estimate: a global aggregate -> 1 row.
   EXPECT_NEAR(plan->est_rows, 1.0, 0.5);
   std::vector<const PhysicalPlan*> scans;
   Collect(plan.get(), PhysicalPlan::Kind::kTableScan, &scans);
   ASSERT_EQ(scans.size(), 1u);
   EXPECT_NEAR(scans[0]->est_rows, 5000.0, 500.0);
-  EXPECT_GT(scans[0]->est_scanned_bytes, 0.0);
+  // The scanned bytes the cost model prices.
+  auto bound = Binder(&meta_).BindSql(sql);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  CardinalityEstimator cards(&meta_, &bound->relations);
+  const VolumeMap volumes = ComputeVolumes(plan.get(), cards);
+  EXPECT_GT(volumes.at(scans[0]).scanned_bytes, 0.0);
 }
 
 TEST_F(PlanTest, PipelineDecompositionSingleScan) {

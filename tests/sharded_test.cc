@@ -10,6 +10,7 @@
 #include "service/session.h"
 #include "sim/harness.h"
 #include "storage/partition.h"
+#include "workload/ssb.h"
 
 namespace costdb {
 namespace {
@@ -548,6 +549,88 @@ TEST_F(ShardedTest, TopNReturnsTheFirstRowsOfTheFullSortOnEveryTier) {
           EXPECT_TRUE(ChunksBitIdentical(expected, r->chunk, &why))
               << limited << " @" << workers << " "
               << TransportName(transport) << ": " << why;
+        }
+      }
+    }
+  }
+}
+
+TEST(ShardedTopNTest, TopNSortRunsBelowTheGatherOnEveryWorker) {
+  // A top-N sort over a gather gets a copy (same keys, same limit) under
+  // the gather, so each worker ships at most `limit` rows. The rows are
+  // those of the plan without the copy: the first `limit` rows of the full
+  // stable sort of the same gathered input. Q10, keys with heavy ties, and
+  // a grouped top-N, whose gather merges on the group key and so keeps its
+  // single sort.
+  DatabaseOptions opts;
+  opts.enable_calibration = false;
+  Database db(opts);
+  SsbOptions ssb;
+  ssb.scale = 0.01;
+  ssb.row_group_size = 512;
+  LoadSsb(db.meta(), ssb);
+  struct Case {
+    std::string sql;
+    int64_t limit;
+    bool below_gather;
+  };
+  const Case cases[] = {
+      {FindQuery("Q10").sql, 10, true},
+      {"SELECT lo_orderkey, lo_quantity FROM lineorder WHERE lo_discount < 3 "
+       "ORDER BY lo_quantity LIMIT 40",
+       40, true},
+      {"SELECT lo_quantity, lo_orderkey, lo_discount FROM lineorder "
+       "ORDER BY lo_discount DESC, lo_quantity LIMIT 25",
+       25, true},
+      {"SELECT lo_shipmode, count(*) AS n FROM lineorder "
+       "GROUP BY lo_shipmode ORDER BY n DESC LIMIT 3",
+       3, false},
+  };
+  for (const Case& c : cases) {
+    const std::string limit_clause = " LIMIT " + std::to_string(c.limit);
+    ASSERT_NE(c.sql.find(limit_clause), std::string::npos) << c.sql;
+    const std::string full_sql = c.sql.substr(0, c.sql.find(limit_clause));
+    auto planned = db.PlanSql(c.sql, UserConstraint());
+    auto full_plan = db.PlanSql(full_sql, UserConstraint());
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    ASSERT_TRUE(full_plan.ok()) << full_plan.status().ToString();
+    // Limit -> Sort -> Gather -> Sort (the copy) when pushed.
+    const PhysicalPlan* sort = planned->plan->children[0].get();
+    ASSERT_EQ(sort->kind, PhysicalPlan::Kind::kSort) << c.sql;
+    const PhysicalPlan* gather = sort->children[0].get();
+    ASSERT_EQ(gather->exchange_kind, ExchangeKind::kGather) << c.sql;
+    const PhysicalPlan* below = gather->children[0].get();
+    EXPECT_EQ(below->kind == PhysicalPlan::Kind::kSort, c.below_gather)
+        << c.sql;
+    if (c.below_gather) {
+      EXPECT_EQ(below->limit, c.limit);
+      EXPECT_EQ(below->sort_keys.size(), sort->sort_keys.size());
+    }
+    for (TransportKind transport :
+         {TransportKind::kInProcess, TransportKind::kSocket}) {
+      ShardedEngineOptions options;
+      options.transport = transport;
+      ShardedEngine sharded(options);
+      for (size_t workers : {1u, 2u, 4u, 7u}) {
+        SCOPED_TRACE(c.sql + " @" + std::to_string(workers) + " " +
+                     TransportName(transport));
+        ExecProfile full_profile, profile;
+        auto full = sharded.Execute(full_plan->plan.get(), workers,
+                                    &full_profile);
+        auto got = sharded.Execute(planned->plan.get(), workers, &profile);
+        ASSERT_TRUE(full.ok()) << full.status().ToString();
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const size_t n = std::min<size_t>(c.limit, full->chunk.num_rows());
+        ASSERT_EQ(n, static_cast<size_t>(c.limit));
+        DataChunk expected(full->chunk.Types());
+        expected.AppendRange(full->chunk, 0, n);
+        std::string why;
+        EXPECT_TRUE(ChunksBitIdentical(expected, got->chunk, &why)) << why;
+        if (c.below_gather) {
+          EXPECT_LE(profile.exchange.gather.rows_moved, workers * n);
+          if (workers > 1) {
+            EXPECT_GT(full_profile.exchange.gather.rows_moved, workers * n);
+          }
         }
       }
     }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "chunk_testing.h"
 #include "common/rng.h"
 #include "cloud/object_store.h"
 #include "exec/engine.h"
@@ -419,20 +420,6 @@ TEST(BlockFormatTest, DecodeRejectsCorruptionAndTruncation) {
       block::BlockReader::Decode(bytes, {LogicalType::kInt64}, {0}).ok());
 }
 
-/// Raw payload equality: same type, same flat arrays (doubles compared as
-/// bits), same validity mask.
-void ExpectColumnsBitIdentical(const ColumnVector& a, const ColumnVector& b) {
-  ASSERT_EQ(a.type(), b.type());
-  EXPECT_EQ(a.ints(), b.ints());
-  ASSERT_EQ(a.doubles().size(), b.doubles().size());
-  if (!a.doubles().empty()) {
-    EXPECT_EQ(0, std::memcmp(a.doubles().data(), b.doubles().data(),
-                             a.doubles().size() * sizeof(double)));
-  }
-  EXPECT_EQ(a.strings(), b.strings());
-  EXPECT_EQ(a.validity(), b.validity());
-}
-
 TEST(BlockFormatTest, ProjectedDecodeVerifiesPagesItDoesNotDecode) {
   const std::vector<LogicalType> types = AllTypes();
   block::BlockWriter writer(types);
@@ -754,6 +741,69 @@ TEST(BlockFormatTest, PackedPageHeadersAreCheckedBeforeUnpacking) {
                             dict_size - block::PackedBytes(300, 3),
                             std::string(1, char(0x07))),
                "code out of range");
+}
+
+/// A seeded chunk of random values: narrow and full-range integers,
+/// arbitrary double bit patterns, strings from a few values (empty one
+/// included) and distinct ones, NULLs in four columns at `null_every`.
+DataChunk SeededChunk(Mutator* rng, size_t rows, size_t null_every) {
+  const char* words[] = {"", "x", "costdb", "MFGR#12", "AMERICA"};
+  DataChunk chunk({LogicalType::kInt64, LogicalType::kInt64,
+                   LogicalType::kDouble, LogicalType::kVarchar,
+                   LogicalType::kVarchar, LogicalType::kDate,
+                   LogicalType::kBool});
+  for (size_t r = 0; r < rows; ++r) {
+    const uint64_t bits = rng->Next();
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    std::vector<Value> row = {
+        Value(static_cast<int64_t>(rng->Below(1000)) - 300),
+        Value(static_cast<int64_t>(rng->Next())),
+        Value(d),
+        Value(std::string(words[rng->Below(5)])),
+        Value(std::string(rng->Below(12), static_cast<char>('a' + r % 26))),
+        Value(static_cast<int64_t>(8000 + rng->Below(2500))),
+        Value::Bool(rng->Below(2) == 0)};
+    for (size_t c : {0u, 2u, 3u, 6u}) {
+      if (null_every > 0 && rng->Below(null_every) == 0) row[c] = Value::Null();
+    }
+    chunk.AppendRow(row);
+  }
+  return chunk;
+}
+
+// The page encoders are shared with the wire format; block v3 images must
+// stay byte-identical. The pinned digest covers every PageKind, NULLs,
+// packed widths 0 and 1, an int64 range that needs all 64 bits (stored
+// plain, since width 64 never beats it), empty strings and one-entry
+// dictionaries.
+TEST(BlockFormatTest, EncodedImagesMatchPinnedDigest) {
+  std::vector<DataChunk> chunks;
+  Mutator rng{0xD16E'57ULL};
+  for (size_t rows : {0u, 1u, 2u, 63u, 64u, 65u, 1000u, 4097u}) {
+    chunks.push_back(SeededChunk(&rng, rows, rows % 3 == 0 ? 0 : 7));
+  }
+  for (size_t rows : {0u, 1u, 300u}) chunks.push_back(EveryEncodingChunk(rows));
+  DataChunk edges({LogicalType::kInt64, LogicalType::kInt64,
+                   LogicalType::kVarchar, LogicalType::kVarchar,
+                   LogicalType::kVarchar});
+  for (int64_t r = 0; r < 100; ++r) {
+    edges.AppendRow({r % 2 == 0 ? Value(std::numeric_limits<int64_t>::min())
+                                : Value(std::numeric_limits<int64_t>::max()),
+                     Value::Null(), Value(std::string()),
+                     Value(std::string("only")), Value::Null()});
+  }
+  chunks.push_back(std::move(edges));
+
+  std::string images;
+  for (const DataChunk& chunk : chunks) {
+    const std::string image =
+        block::BlockWriter(chunk.Types()).Encode(chunk, nullptr, nullptr);
+    block::PutU64(&images, image.size());
+    images += image;
+  }
+  EXPECT_EQ(block::Checksum64(images.data(), images.size()),
+            0x8e47fba50b018fd1ULL);
 }
 
 // ------------------------------------------------ block decoder mutations
