@@ -11,8 +11,10 @@
 //               never read.
 //
 // A second, hot shape — the mid-selectivity residual conjunction left once
-// the zone maps have consumed the clustering-key conjunct — runs over every
-// morsel on the scalar and vectorized paths in alternating rounds.
+// the zone maps have consumed the clustering-key conjunct, which is also
+// the filter of SSB Q1 — runs over every morsel on the scalar and
+// vectorized paths in alternating rounds. It is gated in every run, smoke
+// included: the vectorized path must be at least 25x the scalar path.
 //
 // All paths must select the same rows with bit-identical revenue sums
 // (checked); the interesting outputs are the speedups and the fraction of
@@ -184,8 +186,8 @@ int main(int argc, char** argv) {
   // The hot shape: the mid-selectivity residual conjunction that survives
   // after the zone maps have consumed the clustering-key conjunct. Per-pass
   // narrowing is at its worst here — every vectorized pass keeps 30-90% of
-  // its input, so the survivor-append branch mispredicts on a large
-  // fraction of rows and two intermediate selection vectors materialize.
+  // its input, so no row's outcome is predictable, and two intermediate
+  // selection vectors materialize.
   ExprPtr hot_predicate = Expr::MakeAnd({
       Expr::MakeCompare(CompareOp::kGe, col("lo_discount"), lit(1)),
       Expr::MakeCompare(CompareOp::kLe, col("lo_discount"), lit(3)),
@@ -336,9 +338,11 @@ int main(int argc, char** argv) {
                   static_cast<double>(rows));
 
   const double speedup = scalar.seconds / pruned.seconds;
-  // The hot shape over the identical (every-morsel) set: reported for the
-  // trajectory, not gated.
+  // The hot shape over the identical (every-morsel) set. Both sides run in
+  // the same alternating rounds, so the ratio holds on a noisy host and is
+  // gated in smoke mode too.
   const double hot_speedup = hot_scalar.seconds / hot_vec.seconds;
+  const bool hot_25x = hot_speedup >= 25.0;
   // A single tiny-scale run on a loaded CI box is not a reliable absolute
   // timer, so smoke mode does not gate the scalar-path speedup — but
   // parity (above) and pruning always gate.
@@ -356,8 +360,8 @@ int main(int argc, char** argv) {
   std::printf("%s: vectorized+pruned is %.1fx the scalar path "
               "(target >= 3x%s), pruning %.0f%% of morsels (target >= 50%%); "
               "vectorized is %.1fx the scalar path on the hot shape "
-              "(not gated)\n",
-              ok ? "PASS" : "FAIL", speedup,
+              "(target >= 25x)\n",
+              ok && hot_25x ? "PASS" : "FAIL", speedup,
               smoke ? ", not gated in smoke mode" : "", 100.0 * pruned_frac,
               hot_speedup);
   std::printf("%s: ORDER BY ... LIMIT 10 returns the full sort's first %zu "
@@ -383,6 +387,7 @@ int main(int argc, char** argv) {
              static_cast<long long>(hot_vec.rows_selected));
     j.Set("gate_pruned_frac", pruned_frac);
     j.SetInt("gate_pass", ok ? 1 : 0);
+    j.SetInt("gate_hot_vectorized_25x", hot_25x ? 1 : 0);
     j.SetInt("gate_topn_rows", static_cast<long long>(topn->rows));
     j.SetInt("gate_topn_parity", topn->parity ? 1 : 0);
     j.SetInt("gate_topn_sort_2x", topn_sort_2x ? 1 : 0);
@@ -401,5 +406,5 @@ int main(int argc, char** argv) {
     j.Set("topn_sort_speedup", topn_speedup);
     if (!j.WriteFile(json_path)) return 1;
   }
-  return ok && topn_ok ? 0 : 1;
+  return ok && hot_25x && topn_ok ? 0 : 1;
 }

@@ -29,12 +29,16 @@ fi
 # Snapshots are flat one-key-per-line JSON (BenchJson in bench/bench_util.h);
 # only gate_* keys are compared — they are deterministic for the fixed
 # --smoke configuration (row counts, pruning fractions, pass bits), so any
-# drift means behavior changed, not the machine. Trajectory keys (wall
-# times, speedups) are persisted but never gated here; the perf targets
-# live inside the bench binaries' own PASS/FAIL exit codes.
+# drift means behavior changed, not the machine. The key sets must match
+# both ways: a baseline key missing from the fresh snapshot fails, and so
+# does a fresh gate_* key missing from the baseline, which would otherwise
+# never be compared. Trajectory keys (wall times, speedups) are persisted
+# but never gated here; the perf targets live inside the bench binaries'
+# own PASS/FAIL exit codes.
 check_bench_snapshot() {
   local name="$1" baseline="$2" current="$3"
-  awk -v tol="${BENCH_GATE_TOL:-0.10}" -v bench="$name" '
+  awk -v tol="${BENCH_GATE_TOL:-0.10}" -v bench="$name" \
+      -v base_file="$baseline" '
     function val(v) { return v == "true" ? 1 : v == "false" ? 0 : v + 0 }
     function keyval(line, kv) {
       kv["key"] = substr(line, RSTART + 1, RLENGTH - 2)
@@ -53,6 +57,13 @@ check_bench_snapshot() {
       if (length(base) == 0) {
         printf "bench snapshot %s: baseline has no gate_* keys\n", bench
         exit 1
+      }
+      for (key in cur) {
+        if (!(key in base)) {
+          printf "UNBASELINED gate key %s in fresh %s snapshot: add it to %s\n", \
+                 key, bench, base_file
+          bad++
+        }
       }
       for (key in base) {
         if (!(key in cur)) {

@@ -104,37 +104,55 @@ int64_t CompareResult(CompareOp op, int cmp3) {
 
 // ---------------------------------------------------------------- select
 // The selection kernels below are the vectorized filter hot path: tight
-// loops over the flat payload arrays, appending surviving row ids. Nothing
-// allocates per row and nothing is copied until the caller compacts.
+// loops over the flat payload arrays that append surviving row ids through
+// a cursor. Each kernel call allocates its output once, sized for every
+// candidate, and nothing is copied until the caller compacts.
 
-/// Append to `out` every candidate row for which `pred(i)` holds.
-/// Candidates are `*input` when given, else [0, n). `valid` (when present)
-/// additionally gates each row — a NULL row never survives a predicate.
+/// Fill the empty `out` with every candidate row for which `pred(i)` holds,
+/// in candidate order. Candidates are `*input` when given, else [0, n).
+///
+/// Branch-free: every candidate's id is written at a cursor that advances
+/// by the predicate's outcome ANDed with the row's validity byte (when
+/// `valid` is present; 1 valid, 0 NULL), so no row's outcome steers a
+/// branch. `pred` thus also reads the payload slot under a NULL, which
+/// always exists because a ColumnVector keeps a filler value under every
+/// NULL; the validity AND drops that outcome, so no value under a NULL can
+/// reach the selection.
 template <typename Pred>
 void SelectIf(size_t n, const SelectionVector* input,
               const std::vector<uint8_t>* valid, Pred pred,
               SelectionVector* out) {
+  out->resize(input != nullptr ? input->size() : n);
+  uint32_t* dst = out->data();
+  size_t m = 0;
   if (input == nullptr) {
     if (valid == nullptr) {
       for (uint32_t i = 0; i < n; ++i) {
-        if (pred(i)) out->push_back(i);
+        dst[m] = i;
+        m += pred(i);
       }
     } else {
+      const uint8_t* v = valid->data();
       for (uint32_t i = 0; i < n; ++i) {
-        if ((*valid)[i] && pred(i)) out->push_back(i);
+        dst[m] = i;
+        m += v[i] & pred(i);
       }
     }
   } else {
     if (valid == nullptr) {
       for (uint32_t i : *input) {
-        if (pred(i)) out->push_back(i);
+        dst[m] = i;
+        m += pred(i);
       }
     } else {
+      const uint8_t* v = valid->data();
       for (uint32_t i : *input) {
-        if ((*valid)[i] && pred(i)) out->push_back(i);
+        dst[m] = i;
+        m += v[i] & pred(i);
       }
     }
   }
+  out->resize(m);
 }
 
 /// Expand `op` into a monomorphized SelectIf instantiation per comparison,

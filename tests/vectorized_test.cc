@@ -428,7 +428,41 @@ TEST(VectorizedParity, EmptyAllPassAndNullConstantSelections) {
   ExprPtr all = Expr::MakeCompare(
       CompareOp::kLe, IntCol("a"),
       Expr::MakeConstant(Value(int64_t{1000}), LogicalType::kInt64));
-  check(all, chunk);
+
+  // A NULL row's filler value (0, 0.0 or "") satisfies each of these, one
+  // per selection kernel kind: int (`all` above), double and string
+  // compares, LIKE, and the truthiness of a mask (NOT's mask holds 1 under
+  // a NULL). The kernels evaluate every candidate and mask NULLs out
+  // afterwards, so each must still deselect NULLs. Each runs alone and as
+  // the second conjunct of an AND (on an incoming selection), over the
+  // chunk above and over a full 4,096-row morsel.
+  const ExprPtr filler_preds[] = {
+      all,
+      Expr::MakeCompare(CompareOp::kLe,
+                        Expr::MakeColumn("x", LogicalType::kDouble),
+                        Expr::MakeConstant(Value(1000.0),
+                                           LogicalType::kDouble)),
+      Expr::MakeCompare(CompareOp::kGe,
+                        Expr::MakeColumn("s", LogicalType::kVarchar),
+                        Expr::MakeConstant(Value(std::string()),
+                                           LogicalType::kVarchar)),
+      Expr::MakeLike(Expr::MakeColumn("s", LogicalType::kVarchar), "%"),
+      Expr::MakeNot(Expr::MakeCompare(
+          CompareOp::kGt, IntCol("a"),
+          Expr::MakeConstant(Value(int64_t{1000}), LogicalType::kInt64))),
+  };
+  // b's domain is [0, 5], so this keeps every row whose b is valid,
+  // including rows that are NULL in a, x or s.
+  const ExprPtr valid_b = Expr::MakeCompare(
+      CompareOp::kGe, IntCol("b"),
+      Expr::MakeConstant(Value(int64_t{0}), LogicalType::kInt64));
+  DataChunk morsel = RandomChunk(&rng, 4096, /*with_nulls=*/true);
+  for (const DataChunk* input : {&chunk, &morsel}) {
+    for (const ExprPtr& pred : filler_preds) {
+      check(pred, *input);
+      check(Expr::MakeAnd({valid_b, pred}), *input);
+    }
+  }
 
   // A conjunct comparing against a NULL constant selects nothing.
   ExprPtr with_null = Expr::MakeAnd({
