@@ -333,9 +333,11 @@ int Main(int argc, char** argv) {
     cal_db.meta()->RegisterTable(*db_part->meta()->GetTable("sales"));
     cal_db.meta()->RegisterTable(*db_part->meta()->GetTable("cust"));
     cal_db.meta()->AnalyzeAll();
+    Session cal_session(&cal_db);
     std::printf("\n-- shuffle-term calibration over repeated runs --\n");
     for (int round = 0; round < 4; ++round) {
-      auto r = cal_db.ExecuteSql(agg_sql, UserConstraint().WithWorkers(4));
+      auto r = cal_session.ExecuteSql(agg_sql,
+                                      UserConstraint().WithWorkers(4));
       if (!r.ok()) break;
       const GroupReport& shuffle = r->calibration[TermGroup::kShuffle];
       std::printf("round %d: q-error %.2f -> %.2f (scale %.3f, shuffle bw "

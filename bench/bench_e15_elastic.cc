@@ -230,7 +230,8 @@ int Main(int argc, char** argv) {
     Database elastic_db(eopts);
     elastic_db.meta()->RegisterTable(*db->meta()->GetTable("sales"));
     elastic_db.meta()->AnalyzeAll();
-    auto run = elastic_db.ExecuteSql(sql, UserConstraint().WithWorkers(3));
+    Session elastic_session(&elastic_db);
+    auto run = elastic_session.ExecuteSql(sql, UserConstraint().WithWorkers(3));
     if (run.ok()) {
       std::printf("\n-- facade elastic run at 3 workers --\n");
       std::printf("billed $%.3e for %.5f worker-seconds (%zu boundary "

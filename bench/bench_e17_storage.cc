@@ -137,9 +137,10 @@ struct SuitePass {
 SuitePass RunSuite(Database* db) {
   SuitePass pass;
   pass.all_ok = true;
+  Session session(db);
   auto t0 = std::chrono::steady_clock::now();
   for (const auto& [sql, constraint] : Suite()) {
-    auto r = db->ExecuteSql(sql, constraint);
+    auto r = session.ExecuteSql(sql, constraint);
     if (!r.ok()) {
       std::printf("suite query failed: %s\n", r.status().ToString().c_str());
       pass.all_ok = false;
@@ -306,9 +307,10 @@ int main(int argc, char** argv) {
   // ---- part 4: a cold scan caches only the columns it projects ----------
   auto proj = MakeDb(scale, /*cache_bytes=*/64u << 20, "e17_projected");
   const Status proj_persisted = proj->PersistTable("lineorder");
+  Session proj_session(proj.get());
   const bool proj_ran =
       proj_persisted.ok() &&
-      proj->ExecuteSql(FindQuery("Q2").sql, UserConstraint()).ok();
+      proj_session.ExecuteSql(FindQuery("Q2").sql, UserConstraint()).ok();
   double projected_bytes = 0.0;  // manifest bytes of Q2's two columns
   if (auto lineorder = proj->meta()->GetTable("lineorder"); lineorder.ok()) {
     for (const char* name : {"lo_shipmode", "lo_revenue"}) {

@@ -77,8 +77,9 @@ struct TimedRun {
 };
 
 TimedRun RunOnce(Database* db, const std::string& sql) {
+  Session session(db);
   auto t0 = std::chrono::steady_clock::now();
-  auto r = db->ExecuteSql(sql, UserConstraint().WithWorkers(4));
+  auto r = session.ExecuteSql(sql, UserConstraint().WithWorkers(4));
   auto t1 = std::chrono::steady_clock::now();
   if (!r.ok()) {
     std::fprintf(stderr, "execute failed: %s\n", r.status().ToString().c_str());

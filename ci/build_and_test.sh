@@ -107,8 +107,9 @@ md_anchors() {
 
 run_static_stage() {
   # ---- architecture layering: the #include graph must respect the layer
-  # rules (clients enter via service/, nobody reaches optimizer internals
-  # around the pass facade). --self-test first proves the linter rejects
+  # rules (clients enter via service/, the facade never includes its
+  # Session client, nobody reaches optimizer internals around the pass
+  # facade). --self-test first proves the linter rejects
   # the committed bad fixtures before trusting its verdict on the tree.
   echo "== layering linter =="
   python3 ci/check_layering.py --self-test
@@ -329,16 +330,20 @@ run_asan_stage() {
   # through the lexer, parser and binder — untrusted text, bounds territory.
   # live_columns_test rides along: it sends whole queries through socket
   # exchanges, so every trimmed schema crosses the wire v2 page decoder.
-  echo "== ASAN/UBSAN (exec + vectorized + sharded + elastic + tenant + storage + net + cost + sql + live_columns) =="
+  # service_test and session_test ride along: their batch and handle tests
+  # hand results and ledgers across admission threads.
+  echo "== ASAN/UBSAN (exec + vectorized + sharded + elastic + tenant + storage + net + cost + sql + live_columns + service + session) =="
   local build_dir="${ASAN_BUILD_DIR:-build-asan}"
   cmake -B "$build_dir" -S . -DCOSTDB_ASAN=ON -DCMAKE_BUILD_TYPE=Debug \
     "${CMAKE_LAUNCHER_ARGS[@]}"
   cmake --build "$build_dir" -j "$JOBS" \
     --target exec_test vectorized_test sharded_test elastic_test \
-    tenant_test storage_test net_test cost_test sql_test live_columns_test
+    tenant_test storage_test net_test cost_test sql_test live_columns_test \
+    service_test session_test
   local t
   for t in exec_test vectorized_test sharded_test elastic_test tenant_test \
-           storage_test net_test cost_test sql_test live_columns_test; do
+           storage_test net_test cost_test sql_test live_columns_test \
+           service_test session_test; do
     ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
       "$build_dir/$t"
   done

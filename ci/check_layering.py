@@ -47,6 +47,15 @@ boundary the architecture forbids:
                       service facade — a second direct consumer of the
                       wire format would fork the serialization contract.
 
+  facade-below-session
+                      Session (service/session.h) is the client layer
+                      over the Database facade, and the only thing that
+                      can run a plan. Under src/, only
+                      src/service/session.{h,cc} may include it: the
+                      facade and every layer below it must not depend on
+                      their own client. Tests, benches and examples are
+                      clients and include it freely.
+
 Legitimate exceptions live in ci/layering_allowlist.txt as
 "includer -> included" lines; stale entries fail the check so the
 allowlist cannot rot.
@@ -106,6 +115,11 @@ NET_INTERNAL_OK_PREFIXES = ("src/net/", "src/exec/", "src/sim/", "tests/")
 # Engines scan through TableStorage/BlockCache, never the store itself.
 ENGINE_PREFIXES = ("src/exec/",)
 ENGINE_FORBIDDEN_FILES = {"cloud/object_store.h"}
+
+# The client layer sits on top of the facade: under src/, only Session's
+# own files include it.
+SESSION_HEADER = "service/session.h"
+SESSION_OK_FILES = {"src/service/session.h", "src/service/session.cc"}
 
 SCAN_DIRS = ("src", "examples", "bench", "tests", "tools")
 SOURCE_EXTS = (".h", ".hpp", ".cc", ".cpp")
@@ -189,6 +203,16 @@ def check_file(path, includes, allowlist, used_allowlist):
                 "through TableStorage/BlockCache (storage/persistent.h); "
                 "direct object-store GETs would bypass the priced cache, "
                 "the billing ledger, and the storage-term calibration"))
+
+        # Rule: facade-below-session
+        if (inc == SESSION_HEADER and path.startswith("src/")
+                and path not in SESSION_OK_FILES):
+            violations.append((
+                "facade-below-session", lineno, inc,
+                f"{path}:{lineno}: includes the client layer '{inc}' — "
+                "under src/, only src/service/session.{h,cc} may; the "
+                "Database facade and the layers below it must not depend "
+                "on their own client"))
 
         # Rule: session-bypass
         if path.startswith(CLIENT_PREFIXES):

@@ -112,7 +112,7 @@ class MetadataService {
 
   std::map<std::string, std::shared_ptr<Table>> tables_;
   /// Guards the lazily memoized served-stats maps below: concurrent
-  /// planners (Database::ExecuteSql from several threads) race on the
+  /// planners (sessions planning on several threads) race on the
   /// first GetStats for a table otherwise, and the error/scale knobs are
   /// flipped mid-run by experiments. Returned pointers stay valid
   /// without the lock — map nodes are stable and entries are only erased

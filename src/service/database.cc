@@ -7,7 +7,6 @@
 
 #include "common/table_printer.h"
 #include "optimizer/cardinality.h"
-#include "service/session.h"
 #include "sql/shape.h"
 
 namespace costdb {
@@ -436,54 +435,6 @@ void Database::CalibrateExecution(ExecutionResult* executed) {
     return;
   }
   executed->calibration = Calibrate(*executed);
-}
-
-Result<ExecutionResult> Database::ExecuteSql(const std::string& sql,
-                                             const UserConstraint& constraint) {
-  bool cache_hit = false;
-  std::shared_ptr<const PlannedQuery> plan;
-  COSTDB_ASSIGN_OR_RETURN(plan, PlanCachedSql(sql, constraint, &cache_hit));
-  ExecutionResult out;
-  COSTDB_ASSIGN_OR_RETURN(out, Execute(std::move(plan), cache_hit));
-  CalibrateExecution(&out);
-  return out;
-}
-
-std::vector<Result<ExecutionResult>> Database::SubmitBatch(
-    const std::vector<QueryRequest>& requests) {
-  MutexLock batch_lock(batch_mu_);
-  std::vector<Result<ExecutionResult>> results(
-      requests.size(), Result<ExecutionResult>(Status::Internal("pending")));
-
-  // Thin shim over the Session API. Submitting serially in request order
-  // keeps the plan-cache hit/miss pattern deterministic (Session::Submit
-  // plans synchronously); the admission controller then executes in
-  // cost-aware order, which cannot affect per-query results.
-  Session session(this);
-  Session::SubmitOptions submit;
-  submit.calibrate = false;  // one serialized feedback round below
-  std::vector<QueryHandlePtr> handles(requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    submit.constraint = requests[i].constraint;
-    auto handle = session.Submit(requests[i].sql, submit);
-    if (!handle.ok()) {
-      results[i] = handle.status();
-      continue;
-    }
-    handles[i] = std::move(*handle);
-  }
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (handles[i] != nullptr) results[i] = handles[i]->Take();
-  }
-
-  // Serialized feedback round in request order, so the post-batch
-  // calibration is independent of execution interleaving. Each query is
-  // observed exactly once here and the report stored on its result —
-  // workers never compute (or recompute) one.
-  for (size_t i = 0; i < requests.size(); ++i) {
-    if (results[i].ok()) CalibrateExecution(&*results[i]);
-  }
-  return results;
 }
 
 Result<PreparedQuery> Database::Prepare(const std::string& sql,

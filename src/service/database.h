@@ -56,7 +56,7 @@ struct DatabaseOptions {
   /// worker requests routed to the sharded backend.
   size_t max_workers = 16;
   /// Cost-aware admission for asynchronously submitted queries
-  /// (Session::Submit, and so SubmitBatch, which rides on it).
+  /// (Session::Submit).
   AdmissionOptions admission;
   /// Shared result cache keyed by (statement shape, constraint, bound
   /// parameter vector): a hot repeated statement costs one execution, and
@@ -101,16 +101,11 @@ struct DatabaseOptions {
   BiObjectiveOptions optimizer;
 };
 
-/// One query of a concurrent batch.
-struct QueryRequest {
-  std::string sql;
-  UserConstraint constraint;
-};
-
-/// Everything ExecuteSql hands back: the run's ExecProfile (the engine
-/// fills this base directly; docs/STORAGE.md explains the storage
-/// counters), plus the rows, the plan that produced them, what the run
-/// was billed, and what the calibration feedback loop learned from it.
+/// Everything one run hands back (Session::Execute, Session::ExecuteSql,
+/// QueryHandle::Take): the run's ExecProfile (the engine fills this base
+/// directly; docs/STORAGE.md explains the storage counters), plus the
+/// rows, the plan that produced them, what the run was billed, and what
+/// the calibration feedback loop learned from it.
 struct ExecutionResult : ExecProfile {
   QueryResult result;
   std::shared_ptr<const PlannedQuery> plan;
@@ -139,8 +134,11 @@ struct ExecutionResult : ExecProfile {
 /// paper argues for): one object owning the catalog, the optimizer pass
 /// pipeline, the shared cost estimator, and both execution backends —
 /// LocalEngine for real rows, DistributedSimulator for cloud cost
-/// simulation. Every example, bench, and client enters here; direct
-/// binder/planner wiring is an optimizer-internal detail.
+/// simulation. Clients run queries through a Session (service/session.h)
+/// over this shared facade. Only Session can run a plan, and its one run
+/// step executes, calibrates (unless asked not to) and settles the
+/// tenant's bill, so no real run goes unbilled. Direct binder/planner
+/// wiring is an optimizer-internal detail.
 ///
 /// The facade also closes the loop the seed left open: after each
 /// execution, the run's profile flows through a CalibrationUpdater into
@@ -183,67 +181,15 @@ class Database {
       const std::string& sql, const UserConstraint& constraint,
       bool* cache_hit);
 
-  /// Same, for an already-bound query under an explicit shape key — the
-  /// prepared-statement path: Prepare binds once, every (re)plan goes
-  /// through here so statements across sessions share cache entries.
-  Result<std::shared_ptr<const PlannedQuery>> PlanCachedBound(
-      const BoundQuery& query, const std::string& shape_key,
-      const UserConstraint& constraint, bool* cache_hit);
-
-  /// Bind parameter values into a cached prepared plan: deep-copies the
-  /// plan tree substituting placeholders, then re-derives only the
-  /// cardinality-sensitive terms — volumes from the (now constant)
-  /// predicates and the cost estimate at the cached DOP assignment. No
-  /// optimizer run. `query` must be the statement's bound query (its
-  /// relations drive the cardinality re-estimate).
-  Result<PlannedQuery> BindPreparedPlan(const PlannedQuery& cached,
-                                        const BoundQuery& query,
-                                        const std::vector<Value>& params);
-
-  // -- Local execution backend -------------------------------------------
-  /// Parse -> bind -> optimize -> execute -> calibrate, in one call.
-  /// Runs on the vectorized LocalEngine and returns real rows plus the
-  /// plan that produced them, per-pipeline wall timings, and what the
-  /// calibration feedback round did (a no-op report when
-  /// options.enable_calibration is false). Safe to call concurrently: the
-  /// facade's engines are reentrant. Any bind/plan/execution failure
-  /// returns the error and leaves calibration untouched.
-  Result<ExecutionResult> ExecuteSql(
-      const std::string& sql,
-      const UserConstraint& constraint = UserConstraint());
-
-  /// Execute a shared plan — the one execution path, behind Session and
-  /// ExecuteSql. Plans whose resolved worker count is > 1 run on the
-  /// partitioned ShardedEngine (results bit-identical for order-stable
-  /// plans; the returned ExchangeStats report what the exchanges moved),
-  /// the rest on the LocalEngine; both are facade-owned and reentrant, so
-  /// concurrent callers share them. With the result cache enabled and a
-  /// non-empty `result_key`, a valid cached entry is served without
-  /// running anything (result_cache_hit set, rows copied); a miss executes
-  /// once under a single-flight guard, so concurrent identical submits
-  /// wait for the one leader instead of running the same plan N times,
-  /// then publishes the materialized rows for later submits. No
-  /// calibration; pair with CalibrateExecution.
-  Result<ExecutionResult> ExecutePlannedCached(
-      std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
-      const std::string& result_key = {});
-
-  /// Result-cache identity of one executable statement: the plan-cache
-  /// key (shape + constraint) extended with the bound parameter vector,
-  /// type-tagged so 1 and "1" and 1.0 are distinct keys.
-  static std::string ResultKey(const std::string& shape,
-                               const UserConstraint& constraint,
-                               const std::vector<Value>& params);
-
+  // -- Calibration, admission and bills ----------------------------------
   /// Fold one executed result's profile into the calibration (serialized
-  /// internally; a no-op when options.enable_calibration is off). The
-  /// single feedback implementation shared by ExecuteSql, Session, and
-  /// the SubmitBatch shim — the report is computed once here and stored
-  /// on the result, never recomputed per worker.
+  /// internally; a no-op when options.enable_calibration is off). Session
+  /// calls it after every run it was not told to skip
+  /// (Session::SubmitOptions::calibrate); the report is computed once here
+  /// and stored on the result.
   void CalibrateExecution(ExecutionResult* executed);
 
-  /// The shared cost-aware admission controller behind Session::Submit
-  /// and SubmitBatch.
+  /// The shared cost-aware admission controller behind Session::Submit.
   AdmissionController* admission() { return admission_.get(); }
 
   /// Snapshot of the facade's cloud bill for real sharded executions:
@@ -252,7 +198,8 @@ class Database {
   /// bill their own CloudEnv, not this meter.
   BillingMeter billing_snapshot() const;
 
-  /// Cumulative bill of one tenant, as settled by SettleTenantBill.
+  /// Cumulative bill of one tenant: every run a Session completes settles
+  /// into it.
   struct TenantBill {
     double machine_seconds = 0.0;  // compute consumption billed so far
     Dollars dollars = 0.0;
@@ -263,18 +210,6 @@ class Database {
     int64_t storage_gets = 0;
     Dollars storage_get_dollars = 0.0;
   };
-
-  /// Turn one executed result into the dollars the tenant actually owes
-  /// and fold it into the tenant's cumulative bill. Result-cache hits are
-  /// billed at pricing.result_cache_hit_factor x the reservation; real
-  /// runs consume machine-seconds (measured worker-seconds for sharded
-  /// runs, summed pipeline wall times for local ones) priced through the
-  /// tenant's cumulative position in the tiered schedule — with no tiers
-  /// configured, sharded runs settle to the flat cloud bill and local
-  /// runs keep their reservation, the pre-tenancy behavior. Returns the
-  /// amount the session ledger should settle `reserved` against.
-  Dollars SettleTenantBill(const std::string& tenant,
-                           ExecutionResult* executed, Dollars reserved);
 
   /// Per-tenant bill snapshot. Tenants only appear once they settle a
   /// run; disjoint sessions spend into disjoint entries (no cross-tenant
@@ -331,15 +266,6 @@ class Database {
   };
   EgressBilling egress_billing() const;
 
-  /// Execute a batch concurrently through the admission controller, as a
-  /// thin deterministic shim over the Session API. Planning stays serial
-  /// and in request order (deterministic cache hit/miss pattern), the
-  /// calibration feedback round is serialized in request order after the
-  /// batch drains, and per-query results line up index-for-index with
-  /// `requests`. One query's failure does not abort the rest.
-  std::vector<Result<ExecutionResult>> SubmitBatch(
-      const std::vector<QueryRequest>& requests);
-
   // -- Simulation backend ------------------------------------------------
   /// Bind + plan + derive ground-truth volumes for the simulator. This
   /// is the experiment-harness entry: the prepared query carries both
@@ -384,6 +310,64 @@ class Database {
   const DatabaseOptions& options() const { return options_; }
 
  private:
+  /// Session alone uses the helpers below. Its charged run is the only
+  /// caller of ExecutePlannedCached and SettleTenantBill, so every real
+  /// run is charged to a session ledger and settled into a tenant bill.
+  friend class Session;
+
+  /// Same as PlanCachedSql, for an already-bound query under an explicit
+  /// shape key — the prepared-statement path: Prepare binds once, every
+  /// (re)plan goes through here so statements across sessions share cache
+  /// entries.
+  Result<std::shared_ptr<const PlannedQuery>> PlanCachedBound(
+      const BoundQuery& query, const std::string& shape_key,
+      const UserConstraint& constraint, bool* cache_hit);
+
+  /// Bind parameter values into a cached prepared plan: deep-copies the
+  /// plan tree substituting placeholders, then re-derives only the
+  /// cardinality-sensitive terms — volumes from the (now constant)
+  /// predicates and the cost estimate at the cached DOP assignment. No
+  /// optimizer run. `query` must be the statement's bound query (its
+  /// relations drive the cardinality re-estimate).
+  Result<PlannedQuery> BindPreparedPlan(const PlannedQuery& cached,
+                                        const BoundQuery& query,
+                                        const std::vector<Value>& params);
+
+  /// Execute a shared plan — the one execution path, reached only through
+  /// Session's charged run. Plans whose resolved worker count is > 1 run
+  /// on the partitioned ShardedEngine (results bit-identical for
+  /// order-stable plans; the returned ExchangeStats report what the
+  /// exchanges moved), the rest on the LocalEngine; both are facade-owned
+  /// and reentrant, so concurrent callers share them. With the result
+  /// cache enabled and a non-empty `result_key`, a valid cached entry is
+  /// served without running anything (result_cache_hit set, rows copied);
+  /// a miss executes once under a single-flight guard, so concurrent
+  /// identical submits wait for the one leader instead of running the
+  /// same plan N times, then publishes the materialized rows for later
+  /// submits. No calibration; pair with CalibrateExecution.
+  Result<ExecutionResult> ExecutePlannedCached(
+      std::shared_ptr<const PlannedQuery> plan, bool cache_hit,
+      const std::string& result_key);
+
+  /// Result-cache identity of one executable statement: the plan-cache
+  /// key (shape + constraint) extended with the bound parameter vector,
+  /// type-tagged so 1 and "1" and 1.0 are distinct keys.
+  static std::string ResultKey(const std::string& shape,
+                               const UserConstraint& constraint,
+                               const std::vector<Value>& params);
+
+  /// Turn one executed result into the dollars the tenant actually owes
+  /// and fold it into the tenant's cumulative bill. Result-cache hits are
+  /// billed at pricing.result_cache_hit_factor x the reservation; real
+  /// runs consume machine-seconds (measured worker-seconds for sharded
+  /// runs, summed pipeline wall times for local ones) priced through the
+  /// tenant's cumulative position in the tiered schedule — with no tiers
+  /// configured, sharded runs settle to the flat cloud bill and local
+  /// runs keep their reservation, the pre-tenancy behavior. Returns the
+  /// amount the session ledger should settle `reserved` against.
+  Dollars SettleTenantBill(const std::string& tenant,
+                           ExecutionResult* executed, Dollars reserved);
+
   /// Plan-cache lookup shared by the SQL and bound planning paths;
   /// `plan_fn` runs only on a miss (under the hardware read lock).
   Result<std::shared_ptr<const PlannedQuery>> PlanCached(
@@ -465,8 +449,6 @@ class Database {
   /// Materialized rows keyed by ResultKey, under the LRU caps of
   /// DatabaseOptions (the entry cap is at least 1).
   StampedCache<QueryResult> result_cache_;
-
-  Mutex batch_mu_;
 
   /// Declared last: admission workers run closures that touch the members
   /// above, so the controller must be torn down (drained) first.

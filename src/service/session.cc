@@ -124,8 +124,9 @@ struct Session::Ledger {
 
 // ---------------------------------------------------------- charged run
 
-/// One run against a reservation already charged to `ledger`: the step
-/// both the synchronous path and the admission closure take. It holds
+/// One run against a reservation already charged to `ledger`: the only
+/// step that runs a plan (the facade's run step is private to Session),
+/// taken by both the synchronous path and the admission closure. It holds
 /// nothing of the Session, because an admitted run may outlive it.
 struct Session::ChargedRun {
   Database* db = nullptr;
@@ -241,15 +242,6 @@ Result<ExecutionResult> QueryHandle::Take() {
   COSTDB_RETURN_NOT_OK(Wait());
   MutexLock lock(state_->mu);
   return std::exchange(state_->result, ExecutionResult());
-}
-
-Result<bool> QueryHandle::FetchChunk(DataChunk* out) {
-  COSTDB_RETURN_NOT_OK(Wait());
-  MutexLock lock(state_->mu);
-  QueryResult& rows = state_->result.result;
-  if (rows.chunk.num_rows() == 0) return false;
-  *out = std::exchange(rows.chunk, DataChunk(rows.types));
-  return true;
 }
 
 bool QueryHandle::Cancel() {

@@ -82,8 +82,7 @@ class PreparedStatement {
 };
 
 /// Future-like handle to an asynchronously submitted query. The handle
-/// keeps the finished ExecutionResult: Take() moves it out, and
-/// FetchChunk() hands out its rows once the run is done. Cancel()
+/// keeps the finished ExecutionResult, and Take() moves it out. Cancel()
 /// withdraws a query that has not been admitted yet. Handles stay valid
 /// after their Session is destroyed.
 class QueryHandle {
@@ -96,16 +95,9 @@ class QueryHandle {
   /// the final status (OK only for a successful run).
   Status Wait() const;
 
-  /// Wait, then move out the execution result. Rows already handed out by
-  /// FetchChunk are not replayed: the result then holds an empty chunk of
-  /// the result's types.
+  /// Wait, then move out the execution result: its rows, plan, profile
+  /// and bill. Error status: the query failed or was cancelled.
   Result<ExecutionResult> Take();
-
-  /// Wait for the run, then hand out its rows: the first call moves every
-  /// row into `*out` as one chunk and returns true; later calls, and a
-  /// run that produced no rows, return false. Error status: the query
-  /// failed or was cancelled.
-  Result<bool> FetchChunk(DataChunk* out);
 
   /// Withdraw from the admission queue. True iff the query had not
   /// started; a running or finished query keeps going and returns false.
@@ -125,7 +117,10 @@ class QueryHandle {
 };
 
 /// Per-client handle over a shared Database — the client entry point of
-/// the service layer. A Session carries the client's default
+/// the service layer, and the only way to run a query: every run is
+/// charged to the session's ledger, fed to the calibration (unless
+/// SubmitOptions::calibrate is off) and settled into the tenant's bill
+/// (Database::tenant_billing). A Session carries the client's default
 /// UserConstraint, a dollar-budget ledger, and prepared-statement
 /// lifetime; queries enter synchronously (Execute*, blocking the calling
 /// thread) or asynchronously (Submit) through the shared cost-aware
@@ -225,8 +220,11 @@ class Session {
 struct Session::SubmitOptions {
   /// Constraint override; session default when absent.
   std::optional<UserConstraint> constraint;
-  /// Fold the run's timings into the calibration on completion. Batch
-  /// drivers defer this and run one serialized feedback round instead.
+  /// Fold the run's timings into the calibration on completion. Off, the
+  /// run plans, executes and settles exactly as it would, but leaves the
+  /// model where it was: later submits plan against the same calibration,
+  /// and a caller may fold the result in itself with
+  /// Database::CalibrateExecution.
   bool calibrate = true;
   /// Starvation-guard class for admission ("" = unclassified): the oldest
   /// queued query of *each* class is aged independently, so a flood of

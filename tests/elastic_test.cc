@@ -388,9 +388,13 @@ TEST_F(ElasticTest, FacadeElasticRunBillsActualWorkerSeconds) {
 
   const std::string sql =
       "SELECT cust, count(*) AS c, sum(id) AS s FROM orders GROUP BY cust";
-  auto reference = plain_->ExecuteSql(sql, UserConstraint());
+  Session reference_session(plain_.get());
+  auto reference = reference_session.ExecuteSql(sql, UserConstraint());
   ASSERT_TRUE(reference.ok());
-  auto elastic = db.ExecuteSql(sql, UserConstraint().WithWorkers(3));
+  // Each run has its own session, so each ledger holds one run's bill.
+  Session elastic_session(&db);
+  auto elastic =
+      elastic_session.ExecuteSql(sql, UserConstraint().WithWorkers(3));
   ASSERT_TRUE(elastic.ok()) << elastic.status().ToString();
   EXPECT_EQ(elastic->workers, 3u);
   std::string why;
@@ -419,6 +423,17 @@ TEST_F(ElasticTest, FacadeElasticRunBillsActualWorkerSeconds) {
   // (actual - est)), so equality holds up to one rounding step.
   EXPECT_NEAR(session.spent(), via_session->billed_dollars,
               via_session->billed_dollars * 1e-9);
+
+  // Both runs settled into the tenant's bill, and the facade meter holds
+  // exactly what they were billed.
+  const auto tenants = db.tenant_billing();
+  ASSERT_EQ(tenants.count("default"), 1u);
+  const Database::TenantBill& tenant = tenants.at("default");
+  EXPECT_EQ(tenant.runs, 2u);
+  const Dollars spent = elastic_session.spent() + session.spent();
+  EXPECT_NEAR(tenant.dollars, spent, spent * 1e-9);
+  EXPECT_DOUBLE_EQ(db.billing_snapshot().TotalForPrefix("query:elastic"),
+                   elastic->billed_dollars + via_session->billed_dollars);
 }
 
 TEST_F(ElasticTest, SimulatorElasticParityIsComparable) {

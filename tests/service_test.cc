@@ -196,17 +196,29 @@ TEST(DatabaseTest, PlanCacheSingleFlightUnder16ConcurrentPlans) {
 
 // ------------------------------------------------------- concurrent batch
 
-TEST(DatabaseTest, SubmitBatchOfEightIsDeterministic) {
-  std::vector<QueryRequest> batch;
-  for (const char* id : {"Q1", "Q3", "Q5", "Q7", "Q1", "Q3", "Q10", "Q6"}) {
-    batch.push_back({FindQuery(id).sql, UserConstraint::Sla(60.0)});
-  }
-
-  auto run_batch = [&batch]() {
+TEST(SessionBatchTest, EightSubmitsOnOneSessionAreDeterministic) {
+  // Q1 and Q3 twice: the plan cache hits on the repeats.
+  const std::vector<std::string> ids = {"Q1", "Q3", "Q5", "Q7",
+                                        "Q1", "Q3", "Q10", "Q6"};
+  const UserConstraint sla = UserConstraint::Sla(60.0);
+  // All eight are submitted before any is taken, so they run concurrently
+  // under admission. With calibrate off, every run plans against the
+  // initial calibration, whichever run finishes first.
+  auto run_batch = [&]() {
     auto db = MakeSsbDatabase();
-    auto results = db->SubmitBatch(batch);
+    Session session(db.get());
+    Session::SubmitOptions submit;
+    submit.constraint = sla;
+    submit.calibrate = false;
+    std::vector<QueryHandlePtr> handles;
+    for (const std::string& id : ids) {
+      auto handle = session.Submit(FindQuery(id).sql, submit);
+      EXPECT_TRUE(handle.ok()) << id << ": " << handle.status().ToString();
+      if (handle.ok()) handles.push_back(*handle);
+    }
     std::vector<std::string> rendered;
-    for (auto& r : results) {
+    for (const QueryHandlePtr& handle : handles) {
+      auto r = handle->Take();
       EXPECT_TRUE(r.ok()) << r.status().ToString();
       rendered.push_back(r.ok() ? Render(r->result) : "<error>");
     }
@@ -215,33 +227,41 @@ TEST(DatabaseTest, SubmitBatchOfEightIsDeterministic) {
 
   auto first = run_batch();
   auto second = run_batch();
-  ASSERT_EQ(first.size(), batch.size());
+  ASSERT_EQ(first.size(), ids.size());
   EXPECT_EQ(first, second);
 
   // And identical to serial execution. Calibration stays off here so the
-  // serial path plans against the same initial calibration the batch
-  // planner saw (a batch plans everything up front, before any feedback).
+  // serial path plans against the same initial calibration the submits
+  // saw.
   DatabaseOptions serial_opts = SmallDbOptions();
   serial_opts.enable_calibration = false;
   auto db = MakeSsbDatabase(serial_opts);
   Session session(db.get());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    auto serial = session.ExecuteSql(batch[i].sql, batch[i].constraint);
+  for (size_t i = 0; i < first.size(); ++i) {
+    auto serial = session.ExecuteSql(FindQuery(ids[i]).sql, sla);
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ(Render(serial->result), first[i]) << "query " << i;
   }
 }
 
-TEST(DatabaseTest, SubmitBatchReportsPerQueryErrors) {
+TEST(SessionBatchTest, BadStatementsFailAtSubmitAndOthersStillRun) {
   auto db = MakeSsbDatabase();
-  std::vector<QueryRequest> batch = {
-      {FindQuery("Q1").sql, UserConstraint::Sla(60.0)},
-      {"SELECT nope FROM nowhere", UserConstraint::Sla(60.0)},
-  };
-  auto results = db->SubmitBatch(batch);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
+  Session session(db.get());
+  Session::SubmitOptions submit;
+  submit.constraint = UserConstraint::Sla(60.0);
+  auto before = session.Submit(FindQuery("Q1").sql, submit);
+  auto malformed = session.Submit("SELECT FROM lineorder", submit);
+  auto unknown = session.Submit("SELECT nope FROM nowhere", submit);
+  auto after = session.Submit(FindQuery("Q3").sql, submit);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_TRUE(malformed.status().IsInvalidArgument())
+      << malformed.status().ToString();
+  EXPECT_TRUE(unknown.status().IsNotFound()) << unknown.status().ToString();
+  // The bad statements never reached admission or the ledger.
+  EXPECT_EQ(session.stats().submissions, 2u);
+  EXPECT_TRUE((*before)->Take().ok());
+  EXPECT_TRUE((*after)->Take().ok());
 }
 
 // ------------------------------------------------- pass pipeline plumbing

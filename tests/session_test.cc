@@ -275,9 +275,9 @@ TEST(SessionTest, ConcurrentSessionsSpendDisjointBudgets) {
   EXPECT_EQ(bob.spent(), 0.0);
 }
 
-// ------------------------------------------------------- FetchChunk / Take
+// -------------------------------------------------------------------- Take
 
-TEST(SessionTest, FetchChunkParityWithMaterializedExecuteSql) {
+TEST(SessionTest, TakeMaterializesUnfetchedStream) {
   DatabaseOptions opts = SmallDbOptions();
   opts.enable_calibration = false;
   auto db = MakeSsbDatabase(opts);
@@ -298,31 +298,22 @@ TEST(SessionTest, FetchChunkParityWithMaterializedExecuteSql) {
 
     auto handle = session.Submit(sql);
     ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-    DataChunk streamed(materialized->result.types);
-    DataChunk chunk;
-    size_t chunks_fetched = 0;
-    while (true) {
-      auto got = (*handle)->FetchChunk(&chunk);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
-      if (!*got) break;
-      ++chunks_fetched;
-      streamed.Append(chunk);
-    }
-    EXPECT_GT(chunks_fetched, 0u) << sql;
-    EXPECT_EQ(streamed.num_rows(), materialized->result.chunk.num_rows())
+    auto taken = (*handle)->Take();
+    ASSERT_TRUE(taken.ok()) << taken.status().ToString();
+    EXPECT_GT(taken->result.chunk.num_rows(), 0u) << sql;
+    EXPECT_EQ(taken->result.chunk.num_rows(),
+              materialized->result.chunk.num_rows())
         << sql;
-    EXPECT_EQ(streamed.ToString(1 << 20),
+    EXPECT_EQ(taken->result.chunk.ToString(1 << 20),
               materialized->result.chunk.ToString(1 << 20))
         << sql;
-    // The handle still reports plan/timings after a fully-drained stream.
-    auto taken = (*handle)->Take();
-    ASSERT_TRUE(taken.ok());
-    EXPECT_EQ(taken->result.chunk.num_rows(), 0u) << "already fetched";
-    EXPECT_FALSE(taken->timings.empty());
+    EXPECT_EQ(taken->result.names, materialized->result.names) << sql;
+    // The rows come with the run's profile.
+    EXPECT_FALSE(taken->timings.empty()) << sql;
   }
 }
 
-TEST(SessionTest, FetchChunkOnEmptyResultEndsCleanly) {
+TEST(SessionTest, TakeOnEmptyResultEndsCleanly) {
   DatabaseOptions opts = SmallDbOptions();
   opts.enable_calibration = false;
   auto db = MakeSsbDatabase(opts);
@@ -330,10 +321,6 @@ TEST(SessionTest, FetchChunkOnEmptyResultEndsCleanly) {
   auto handle = session.Submit(
       "SELECT lo_quantity, lo_discount FROM lineorder WHERE lo_quantity < 0");
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
-  DataChunk chunk;
-  auto got = (*handle)->FetchChunk(&chunk);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_FALSE(*got);
   auto taken = (*handle)->Take();
   ASSERT_TRUE(taken.ok()) << taken.status().ToString();
   EXPECT_EQ(taken->result.chunk.num_rows(), 0u);
@@ -405,23 +392,6 @@ TEST(SessionTest, SubmitCreatesNoThreadsAfterWarmUp) {
   EXPECT_EQ(after, before);
 }
 
-TEST(SessionTest, TakeMaterializesUnfetchedStream) {
-  DatabaseOptions opts = SmallDbOptions();
-  opts.enable_calibration = false;
-  auto db = MakeSsbDatabase(opts);
-  Session session(db.get());
-  const std::string sql = FindQuery("Q3").sql;
-  auto materialized = session.ExecuteSql(sql);
-  ASSERT_TRUE(materialized.ok());
-  auto handle = session.Submit(sql);
-  ASSERT_TRUE(handle.ok());
-  auto taken = (*handle)->Take();
-  ASSERT_TRUE(taken.ok()) << taken.status().ToString();
-  EXPECT_EQ(taken->result.chunk.ToString(1 << 20),
-            materialized->result.chunk.ToString(1 << 20));
-  EXPECT_EQ(taken->result.names, materialized->result.names);
-}
-
 // ----------------------------------------------------- admission + cancel
 
 DatabaseOptions SingleSlotOptions() {
@@ -446,8 +416,7 @@ TEST(SessionTest, CancelBeforeAdmissionAndAfterStart) {
   EXPECT_TRUE((*queued)->Cancel()) << "queued query must be cancellable";
   EXPECT_EQ((*queued)->Poll(), QueryHandle::State::kCancelled);
   EXPECT_TRUE((*queued)->Wait().IsCancelled());
-  DataChunk chunk;
-  EXPECT_TRUE((*queued)->FetchChunk(&chunk).status().IsCancelled());
+  EXPECT_TRUE((*queued)->Take().status().IsCancelled());
   // Cancelling twice is idempotent(ly false): the query never ran.
   EXPECT_FALSE((*queued)->Cancel());
 
@@ -508,31 +477,6 @@ TEST(SessionTest, AdmissionPrefersCheapShortQueriesUnderSaturation) {
   // The cheap query, though submitted later, was admitted first.
   EXPECT_GE(db->admission()->stats().reordered, 1u)
       << "cost-aware admission never reordered the queue";
-}
-
-// ----------------------------------------------------------- batch parity
-
-TEST(SessionTest, SubmitBatchMatchesSessionExecution) {
-  std::vector<QueryRequest> batch;
-  for (const char* id : {"Q1", "Q3", "Q5"}) {
-    batch.push_back({FindQuery(id).sql, UserConstraint::Sla(60.0)});
-  }
-  DatabaseOptions opts = SmallDbOptions();
-  opts.enable_calibration = false;
-  auto batch_db = MakeSsbDatabase(opts);
-  auto results = batch_db->SubmitBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-
-  auto serial_db = MakeSsbDatabase(opts);
-  Session session(serial_db.get());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-    auto serial = session.ExecuteSql(batch[i].sql, batch[i].constraint);
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(results[i]->result.ToString(1 << 20),
-              serial->result.ToString(1 << 20))
-        << "query " << i;
-  }
 }
 
 }  // namespace

@@ -820,9 +820,10 @@ TEST_F(ShardedTest, LayoutChangeInvalidatesCachedPlanAndReplans) {
   const std::string sql =
       "SELECT c.region, sum(o.id) AS s FROM orders o JOIN customer c "
       "ON o.cust = c.key GROUP BY c.region";
-  auto first = part_->ExecuteSql(sql, UserConstraint().WithWorkers(4));
+  Session session(part_.get());
+  auto first = session.ExecuteSql(sql, UserConstraint().WithWorkers(4));
   ASSERT_TRUE(first.ok());
-  auto again = part_->ExecuteSql(sql, UserConstraint().WithWorkers(4));
+  auto again = session.ExecuteSql(sql, UserConstraint().WithWorkers(4));
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again->plan_cache_hit);
 
@@ -830,7 +831,7 @@ TEST_F(ShardedTest, LayoutChangeInvalidatesCachedPlanAndReplans) {
   ASSERT_TRUE(
       PartitionTable(customer.get(), PartitionSpec::Hash("score", kParts))
           .ok());
-  auto after = part_->ExecuteSql(sql, UserConstraint().WithWorkers(4));
+  auto after = session.ExecuteSql(sql, UserConstraint().WithWorkers(4));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_FALSE(after->plan_cache_hit);  // layout change forced a replan
   // The replanned query no longer joins partition-wise (sides are not
@@ -845,12 +846,13 @@ TEST_F(ShardedTest, LayoutChangeInvalidatesCachedPlanAndReplans) {
 
 TEST_F(ShardedTest, FacadeRoutesWorkerKnobToShardedEngine) {
   const std::string sql = "SELECT cust, sum(id) AS s FROM orders GROUP BY cust";
-  auto one = plain_->ExecuteSql(sql, UserConstraint());
+  Session session(plain_.get());
+  auto one = session.ExecuteSql(sql, UserConstraint());
   ASSERT_TRUE(one.ok());
   EXPECT_EQ(one->workers, 1u);
   EXPECT_TRUE(one->exchange.timings.empty());
 
-  auto four = plain_->ExecuteSql(sql, UserConstraint().WithWorkers(4));
+  auto four = session.ExecuteSql(sql, UserConstraint().WithWorkers(4));
   ASSERT_TRUE(four.ok());
   EXPECT_EQ(four->workers, 4u);
   EXPECT_FALSE(four->exchange.timings.empty());
@@ -927,9 +929,10 @@ TEST_F(ShardedTest, ShuffleCalibrationTightensWithObservations) {
   const std::string sql =
       "SELECT cust, count(*) AS c FROM orders GROUP BY cust";
   const double gibps_before = db.hardware()->shuffle_gibps;
+  Session session(&db);
   GroupReport last;
   for (int i = 0; i < 4; ++i) {
-    auto r = db.ExecuteSql(sql, UserConstraint().WithWorkers(4));
+    auto r = session.ExecuteSql(sql, UserConstraint().WithWorkers(4));
     ASSERT_TRUE(r.ok());
     last = r->calibration[TermGroup::kShuffle];
     ASSERT_GT(last.observed, 0);
@@ -956,10 +959,11 @@ TEST_F(ShardedTest, ShardedRunsTimeEveryPipelineOfThePlan) {
       "SELECT id, amount FROM orders WHERE amount > 990.0 ORDER BY id DESC "
       "LIMIT 50",
   };
+  Session session(&db);
   for (const std::string& sql : queries) {
     double orders_scanned = -1.0;  // by the local run
     for (int workers : {1, 4}) {
-      auto r = db.ExecuteSql(sql, UserConstraint().WithWorkers(workers));
+      auto r = session.ExecuteSql(sql, UserConstraint().WithWorkers(workers));
       ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
       ASSERT_EQ(r->workers, static_cast<size_t>(workers)) << sql;
       // Exactly one timing per pipeline of the plan, in the plan's ids
@@ -1233,10 +1237,11 @@ TEST_F(ShardedTest, FacadeBillsEgressAndCalibratesLinkTermsOverSocket) {
   const std::string sql =
       "SELECT cust, count(*) AS c, sum(amount) AS s FROM orders GROUP BY "
       "cust";
+  Session session(&db);
   double wire_total = 0.0;
   Dollars egress_total = 0.0;
   for (int i = 0; i < 3; ++i) {
-    auto r = db.ExecuteSql(sql, UserConstraint().WithWorkers(4));
+    auto r = session.ExecuteSql(sql, UserConstraint().WithWorkers(4));
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_GT(r->exchange.wire_bytes(), 0.0);
     EXPECT_GT(r->egress_dollars, 0.0);

@@ -1678,10 +1678,11 @@ TEST(DatabaseStorageTest, PersistedScansBitIdenticalAcrossEngineTiers) {
       // Sharded tier: same rows through contiguous row-group shares.
       {FindQuery("Q2").sql, UserConstraint().WithWorkers(2)},
   };
+  Session session(db.get());
 
   std::vector<std::string> ram_results;
   for (const auto& [sql, constraint] : runs) {
-    auto r = db->ExecuteSql(sql, constraint);
+    auto r = session.ExecuteSql(sql, constraint);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r->storage.misses + r->storage.hits, 0);  // still RAM
     ram_results.push_back(SortedLines(r->result));
@@ -1691,7 +1692,7 @@ TEST(DatabaseStorageTest, PersistedScansBitIdenticalAcrossEngineTiers) {
   ASSERT_GT(db->storage_store()->put_requests(), 0);
 
   for (size_t i = 0; i < runs.size(); ++i) {
-    auto cold = db->ExecuteSql(runs[i].first, runs[i].second);
+    auto cold = session.ExecuteSql(runs[i].first, runs[i].second);
     ASSERT_TRUE(cold.ok()) << cold.status().ToString();
     EXPECT_EQ(SortedLines(cold->result), ram_results[i]) << runs[i].first;
   }
@@ -1704,11 +1705,12 @@ TEST(DatabaseStorageTest, TableLargerThanCacheScansBitIdentical) {
   // rejected admission) and the scan must still stream every row.
   auto db = MakePersistentSsbDb("db_thrash", /*cache_bytes=*/4096);
   const std::string sql = FindQuery("Q2").sql;
-  auto ram = db->ExecuteSql(sql, UserConstraint());
+  Session session(db.get());
+  auto ram = session.ExecuteSql(sql, UserConstraint());
   ASSERT_TRUE(ram.ok());
 
   ASSERT_TRUE(db->PersistTable("lineorder").ok());
-  auto cold = db->ExecuteSql(sql, UserConstraint());
+  auto cold = session.ExecuteSql(sql, UserConstraint());
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   EXPECT_EQ(SortedLines(cold->result), SortedLines(ram->result));
   EXPECT_GT(cold->storage.misses, 0);
@@ -1717,7 +1719,7 @@ TEST(DatabaseStorageTest, TableLargerThanCacheScansBitIdentical) {
 
   // Re-running pays the misses again — nothing fits, nothing is served
   // stale.
-  auto again = db->ExecuteSql(sql, UserConstraint());
+  auto again = session.ExecuteSql(sql, UserConstraint());
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(SortedLines(again->result), SortedLines(ram->result));
   EXPECT_GT(again->storage.misses, 0);
@@ -1726,7 +1728,8 @@ TEST(DatabaseStorageTest, TableLargerThanCacheScansBitIdentical) {
 TEST(DatabaseStorageTest, BilledRequestsMatchStoreCountersExactly) {
   auto db = MakePersistentSsbDb("db_billing", 8u << 20);
   ASSERT_TRUE(db->PersistTable("lineorder").ok());
-  auto r = db->ExecuteSql(FindQuery("Q2").sql, UserConstraint());
+  Session session(db.get());
+  auto r = session.ExecuteSql(FindQuery("Q2").sql, UserConstraint());
   ASSERT_TRUE(r.ok());
   ASSERT_GT(r->storage.misses, 0);
 
@@ -1751,6 +1754,10 @@ TEST(DatabaseStorageTest, BilledRequestsMatchStoreCountersExactly) {
   Dollars per_get = PricingCatalog::Default().per_1k_get_requests / 1000.0;
   EXPECT_NEAR(r->storage.miss_get_dollars,
               static_cast<double>(r->storage.misses) * per_get, 1e-12);
+  // The run settled into its tenant's bill, one attributed GET per miss.
+  const auto tenants = db->tenant_billing();
+  ASSERT_EQ(tenants.count("default"), 1u);
+  EXPECT_EQ(tenants.at("default").storage_gets, r->storage.misses);
 }
 
 TEST(DatabaseStorageTest, ConcurrentSessionsScanBitIdenticalThroughSmallCache) {
@@ -1766,8 +1773,9 @@ TEST(DatabaseStorageTest, ConcurrentSessionsScanBitIdenticalThroughSmallCache) {
       FindQuery("Q10").sql,
   };
   std::vector<std::string> ram;
+  Session ram_session(db.get());
   for (const auto& sql : queries) {
-    auto r = db->ExecuteSql(sql, UserConstraint());
+    auto r = ram_session.ExecuteSql(sql, UserConstraint());
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ram.push_back(SortedLines(r->result));
   }
@@ -1872,9 +1880,10 @@ TEST(DatabaseStorageTest, MixedProjectionColdScansBitIdenticalAcrossTiers) {
       {FindQuery("Q10").sql, UserConstraint()},
       {FindQuery("Q3").sql, UserConstraint()},
   };
+  Session session(db.get());
   std::vector<std::string> ram;
   for (const auto& [sql, constraint] : runs) {
-    auto r = db->ExecuteSql(sql, constraint);
+    auto r = session.ExecuteSql(sql, constraint);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ram.push_back(SortedLines(r->result));
   }
@@ -1885,7 +1894,7 @@ TEST(DatabaseStorageTest, MixedProjectionColdScansBitIdenticalAcrossTiers) {
   for (int round = 0; round < 2; ++round) {
     for (size_t k = 0; k < runs.size(); ++k) {
       const size_t i = round == 0 ? k : runs.size() - 1 - k;
-      auto cold = db->ExecuteSql(runs[i].first, runs[i].second);
+      auto cold = session.ExecuteSql(runs[i].first, runs[i].second);
       ASSERT_TRUE(cold.ok()) << cold.status().ToString();
       EXPECT_EQ(SortedLines(cold->result), ram[i]) << runs[i].first;
     }
@@ -1914,7 +1923,7 @@ TEST(DatabaseStorageTest, MixedProjectionColdScansBitIdenticalAcrossTiers) {
     ++n;
     q += quantity.GetInt(r);
   }
-  auto vectorized = db->ExecuteSql(disjunctive, UserConstraint());
+  auto vectorized = session.ExecuteSql(disjunctive, UserConstraint());
   ASSERT_TRUE(vectorized.ok());
   ASSERT_GT(n, 0);
   const DataChunk& row = vectorized->result.chunk;
